@@ -41,14 +41,13 @@ bench:
 # accuracy envelopes per fault class, activation-counter assertions,
 # byte-identical reruns) under the race detector, the packet-level fault
 # tests on the dnsserver and crpd UDP paths, then a short fuzz smoke over
-# the five wire decoders (DNS, plus the JSON and binary decoders on the
-# crpd and gossip planes).
+# the four wire decoders (DNS, the JSON and binary decoders on the crpd
+# plane, and the gossip frame decoder) and the two config decoders.
 test-faults:
 	$(GO) test -race -run 'Degradation|Faults|WrapPacketConn|Scenario|Storm|Probe|LDNS|MapEpoch|Activation|Clock|Gossip' ./internal/faults/ ./internal/experiment/
 	$(GO) test -race -run 'Retransmit|SurvivesDuplicated|UnderDup|UnderTotal|Decode|Hostile|Boundary' ./internal/dnsserver/ ./internal/crpdaemon/
 	$(GO) test -fuzz FuzzUnpack -fuzztime 10s ./internal/dnswire/
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/crpdaemon/
-	$(GO) test -fuzz FuzzDecodePeerMsg -fuzztime 10s ./internal/peering/
 	$(GO) test -fuzz FuzzDecodeBinaryRequest -fuzztime 10s ./internal/crpdaemon/
 	$(GO) test -fuzz FuzzDecodeBinaryPeerMsg -fuzztime 10s ./internal/peering/
 	$(GO) test -fuzz FuzzDecodeScenario -fuzztime 10s ./internal/scenario/

@@ -17,12 +17,9 @@ import (
 	"repro/internal/obs"
 )
 
-// gossipCell is one sweep point: a wire codec crossed with a rumor fanout
-// and a gossip-link loss rate. Codec "json" pins every engine to the JSON
-// fallback, "binary" negotiates the compact codec everywhere, and "mixed"
-// keeps engine 0 JSON-pinned — the rolling-upgrade topology.
+// gossipCell is one sweep point: a rumor fanout crossed with a gossip-link
+// loss rate.
 type gossipCell struct {
-	Codec    string                    `json:"codec"`
 	Fanout   int                       `json:"fanout"`
 	LossRate float64                   `json:"loss_rate"`
 	Outcome  *experiment.GossipOutcome `json:"outcome"`
@@ -37,73 +34,60 @@ type gossipReport struct {
 // runGossipBench sweeps fanout x loss and reports convergence rounds,
 // replication fidelity and per-daemon gossip traffic at each point.
 func runGossipBench(quick bool, seed int64, out string) error {
-	codecs := []string{"json", "binary", "mixed"}
 	fanouts := []int{1, 2, 3}
 	losses := []float64{0, 0.1, 0.3}
 	daemons, nodesPer := 3, 40
 	if quick {
-		codecs = []string{"json", "binary"}
 		fanouts = []int{1, 2}
 		losses = []float64{0, 0.3}
 		nodesPer = 20
 	}
 
-	fmt.Printf("gossip sweep: %d daemons, %d nodes/daemon; %d codecs x %d fanouts x %d loss rates\n",
-		daemons, nodesPer, len(codecs), len(fanouts), len(losses))
+	fmt.Printf("gossip sweep: %d daemons, %d nodes/daemon; %d fanouts x %d loss rates\n",
+		daemons, nodesPer, len(fanouts), len(losses))
 
 	report := gossipReport{Meta: newBenchMeta("gossip", seed, quick, map[string]int64{
 		"daemons":          int64(daemons),
 		"nodes_per_daemon": int64(nodesPer),
-		"codecs":           int64(len(codecs)),
 		"fanouts":          int64(len(fanouts)),
 		"loss_rates":       int64(len(losses)),
 	})}
 
-	fmt.Printf("\n%-8s %-8s %-8s %10s %10s %12s %12s %12s %12s\n",
-		"codec", "fanout", "loss", "rounds", "forget", "snap-match", "deltas", "pulls", "bin-msgs")
-	for _, codec := range codecs {
-		for _, fanout := range fanouts {
-			for li, loss := range losses {
-				cfg := experiment.GossipConfig{
-					Daemons:        daemons,
-					NodesPerDaemon: nodesPer,
-					Fanout:         fanout,
-					Seed:           uint64(seed),
-					Codec:          codec,
-					Registry:       obs.Default(),
-				}
-				if loss > 0 {
-					cfg.Faults = faults.Scenario{
-						// Distinct per-cell seeds so loss decisions differ
-						// across cells while staying replayable.
-						Seed:   uint64(seed)*1000 + uint64(fanout)*10 + uint64(li),
-						Faults: []faults.Fault{{Kind: faults.PacketLoss, Rate: loss, Target: "gossip"}},
-					}
-				}
-				outc, err := experiment.RunGossip(cfg)
-				if err != nil {
-					return fmt.Errorf("gossip sweep (codec=%s, fanout=%d, loss=%.2f): %w", codec, fanout, loss, err)
-				}
-				if err := outc.Check(experiment.GossipEnvelope{MaxRounds: 50}); err != nil {
-					return fmt.Errorf("gossip sweep (codec=%s, fanout=%d, loss=%.2f): %w", codec, fanout, loss, err)
-				}
-				report.Cells = append(report.Cells, gossipCell{Codec: codec, Fanout: fanout, LossRate: loss, Outcome: outc})
-
-				deltas, pulls, binMsgs := uint64(0), uint64(0), uint64(0)
-				for _, st := range outc.Stats {
-					deltas += st.DeltasSent
-					pulls += st.Pulls
-					binMsgs += st.BinMsgs
-				}
-				if codec == "json" && binMsgs != 0 {
-					return fmt.Errorf("gossip sweep (codec=json): %d binary datagrams on a JSON-pinned mesh", binMsgs)
-				}
-				if codec == "binary" && loss == 0 && binMsgs == 0 {
-					return fmt.Errorf("gossip sweep (codec=binary, fanout=%d): mesh never exchanged a binary datagram", fanout)
-				}
-				fmt.Printf("%-8s %-8d %-8.2f %10d %10d %12v %12d %12d %12d\n",
-					codec, fanout, loss, outc.RoundsToConverge, outc.ForgetRounds, outc.SnapshotMatch, deltas, pulls, binMsgs)
+	fmt.Printf("\n%-8s %-8s %10s %10s %12s %12s %12s\n",
+		"fanout", "loss", "rounds", "forget", "snap-match", "deltas", "pulls")
+	for _, fanout := range fanouts {
+		for li, loss := range losses {
+			cfg := experiment.GossipConfig{
+				Daemons:        daemons,
+				NodesPerDaemon: nodesPer,
+				Fanout:         fanout,
+				Seed:           uint64(seed),
+				Registry:       obs.Default(),
 			}
+			if loss > 0 {
+				cfg.Faults = faults.Scenario{
+					// Distinct per-cell seeds so loss decisions differ
+					// across cells while staying replayable.
+					Seed:   uint64(seed)*1000 + uint64(fanout)*10 + uint64(li),
+					Faults: []faults.Fault{{Kind: faults.PacketLoss, Rate: loss, Target: "gossip"}},
+				}
+			}
+			outc, err := experiment.RunGossip(cfg)
+			if err != nil {
+				return fmt.Errorf("gossip sweep (fanout=%d, loss=%.2f): %w", fanout, loss, err)
+			}
+			if err := outc.Check(experiment.GossipEnvelope{MaxRounds: 50}); err != nil {
+				return fmt.Errorf("gossip sweep (fanout=%d, loss=%.2f): %w", fanout, loss, err)
+			}
+			report.Cells = append(report.Cells, gossipCell{Fanout: fanout, LossRate: loss, Outcome: outc})
+
+			deltas, pulls := uint64(0), uint64(0)
+			for _, st := range outc.Stats {
+				deltas += st.DeltasSent
+				pulls += st.Pulls
+			}
+			fmt.Printf("%-8d %-8.2f %10d %10d %12v %12d %12d\n",
+				fanout, loss, outc.RoundsToConverge, outc.ForgetRounds, outc.SnapshotMatch, deltas, pulls)
 		}
 	}
 	dumpObs("gossip sweep")

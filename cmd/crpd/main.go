@@ -108,7 +108,6 @@ func run(args []string) error {
 	gossipListen := flags.String("gossip-listen", "", "UDP address for the gossip mesh (empty = peering disabled)")
 	peers := flags.String("peers", "", "comma-separated gossip addresses to join at startup")
 	gossipInterval := flags.Duration("gossip-interval", time.Second, "gossip round cadence")
-	gossipCodec := flags.String("gossip-codec", "", `gossip wire codec: "" or "binary" negotiates the compact binary codec, "json" pins the JSON fallback (for meshes with non-upgraded daemons)`)
 	daemonID := flags.String("daemon-id", "", "this daemon's mesh identity (default: the gossip listen address)")
 	aggregate := flags.Int("aggregate", 0, "aggregate IPv4 clients by /BITS prefix instead of per-client trackers (0 = off)")
 	fusion := flags.Bool("fusion", false, "enable the fused multi-CDN similarity kernel (namespaced replica IDs: \"ns!replica\")")
@@ -182,7 +181,6 @@ func run(args []string) error {
 			Addr:     gossipPC.LocalAddr().String(),
 			Service:  svc,
 			Interval: *gossipInterval,
-			Codec:    *gossipCodec,
 		})
 		if err != nil {
 			gossipPC.Close()

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unicode/utf8"
 )
 
 // ErrShort is the uniform truncation error: any read past the end of the
@@ -276,4 +277,22 @@ func VarintLen(v int64) int {
 // TimeLen returns the encoded size of an instant.
 func TimeLen(t time.Time) int {
 	return VarintLen(t.Unix()) + UvarintLen(uint64(t.Nanosecond()))
+}
+
+// CheckID bounds one identity string carried by either protocol: at most max
+// bytes of valid UTF-8 with no NULs (IDs end up as store keys, metric names,
+// log fields and snapshot files).
+func CheckID(field, v string, max int) error {
+	if len(v) > max {
+		return fmt.Errorf("%s is %d bytes, limit %d", field, len(v), max)
+	}
+	if !utf8.ValidString(v) {
+		return fmt.Errorf("%s is not valid UTF-8", field)
+	}
+	for i := 0; i < len(v); i++ {
+		if v[i] == 0 {
+			return fmt.Errorf("%s contains a NUL byte", field)
+		}
+	}
+	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +12,7 @@ import (
 
 	"repro/crp"
 	"repro/internal/binwire"
+	"repro/internal/fuzzcorpus"
 	"repro/internal/obs"
 	"repro/internal/peering"
 )
@@ -673,15 +672,8 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 }
 
 // TestGenerateFuzzCorpus writes the checked-in seed corpus for
-// FuzzDecodeBinaryRequest; a no-op unless REGEN_FUZZ_CORPUS is set.
+// FuzzDecodeBinaryRequest.
 func TestGenerateFuzzCorpus(t *testing.T) {
-	if os.Getenv("REGEN_FUZZ_CORPUS") == "" {
-		t.Skip("set REGEN_FUZZ_CORPUS=1 to regenerate testdata/fuzz")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeBinaryRequest")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	var valid [][]byte
 	for _, r := range sampleRequests() {
 		raw, err := EncodeRequest(&r, true)
@@ -690,11 +682,5 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 		valid = append(valid, raw)
 	}
-	for i, raw := range append(valid, corruptedRequestSeeds(valid)...) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", raw)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fuzzcorpus.Write(t, "FuzzDecodeBinaryRequest", append(valid, corruptedRequestSeeds(valid)...))
 }

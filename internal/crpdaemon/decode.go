@@ -3,9 +3,9 @@ package crpdaemon
 import (
 	"encoding/json"
 	"fmt"
-	"unicode/utf8"
 
 	"repro/crp"
+	"repro/internal/binwire"
 )
 
 // Wire-field bounds. The daemon fronts an in-memory store keyed by
@@ -94,7 +94,7 @@ func checkSingleRequest(req *Request) error {
 		{"op", req.Op}, {"node", req.Node}, {"a", req.A}, {"b", req.B},
 		{"client", req.Client}, {"addr", req.Addr},
 	} {
-		if err := checkID(f.name, f.v); err != nil {
+		if err := binwire.CheckID(f.name, f.v, MaxIDBytes); err != nil {
 			return err
 		}
 	}
@@ -105,12 +105,12 @@ func checkSingleRequest(req *Request) error {
 		return fmt.Errorf("candidates list has %d entries, limit %d", len(req.Candidates), MaxListEntries)
 	}
 	for i, r := range req.Replicas {
-		if err := checkID(fmt.Sprintf("replicas[%d]", i), r); err != nil {
+		if err := binwire.CheckID(fmt.Sprintf("replicas[%d]", i), r, MaxIDBytes); err != nil {
 			return err
 		}
 	}
 	for i, c := range req.Candidates {
-		if err := checkID(fmt.Sprintf("candidates[%d]", i), c); err != nil {
+		if err := binwire.CheckID(fmt.Sprintf("candidates[%d]", i), c, MaxIDBytes); err != nil {
 			return err
 		}
 	}
@@ -124,23 +124,6 @@ func checkSingleRequest(req *Request) error {
 	}
 	if req.N < 0 || req.N > MaxN {
 		return fmt.Errorf("n %d outside [0, %d]", req.N, MaxN)
-	}
-	return nil
-}
-
-// checkID bounds one identity string: length-capped valid UTF-8 with no
-// NULs (store keys end up in logs, metrics names and snapshot files).
-func checkID(field, v string) error {
-	if len(v) > MaxIDBytes {
-		return fmt.Errorf("%s is %d bytes, limit %d", field, len(v), MaxIDBytes)
-	}
-	if !utf8.ValidString(v) {
-		return fmt.Errorf("%s is not valid UTF-8", field)
-	}
-	for i := 0; i < len(v); i++ {
-		if v[i] == 0 {
-			return fmt.Errorf("%s contains a NUL byte", field)
-		}
 	}
 	return nil
 }

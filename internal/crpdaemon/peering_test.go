@@ -22,9 +22,7 @@ type meshDaemon struct {
 	gpc  net.PacketConn // gossip socket
 }
 
-// codec selects the engine's wire codec: "" negotiates binary, "json" pins
-// the JSON fallback (a non-upgraded daemon).
-func startMeshDaemon(t *testing.T, id, codec string) *meshDaemon {
+func startMeshDaemon(t *testing.T, id string) *meshDaemon {
 	t.Helper()
 	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 16}, crp.WithWindow(10))
 	gpc, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -34,7 +32,7 @@ func startMeshDaemon(t *testing.T, id, codec string) *meshDaemon {
 	p, err := peering.New(peering.Config{
 		Self: id, Addr: gpc.LocalAddr().String(), Service: svc,
 		Fanout: 2, Interval: 20 * time.Millisecond, TTL: 3,
-		Registry: obs.NewRegistry(), Seed: 42, Codec: codec,
+		Registry: obs.NewRegistry(), Seed: 42,
 	})
 	if err != nil {
 		gpc.Close()
@@ -75,7 +73,7 @@ func TestThreeDaemonMeshConvergesOverUDP(t *testing.T) {
 	ids := []string{"mesh-a", "mesh-b", "mesh-c"}
 	ds := make([]*meshDaemon, len(ids))
 	for i, id := range ids {
-		ds[i] = startMeshDaemon(t, id, "")
+		ds[i] = startMeshDaemon(t, id)
 	}
 
 	// Mesh via the daemon op: a joins b, b joins c, c joins a. Join-acks
@@ -179,80 +177,6 @@ func meshConverged(ds []*meshDaemon, wantNodes int) bool {
 		}
 	}
 	return true
-}
-
-// TestMixedCodecMeshConvergesOverUDP is the rolling-upgrade regression: one
-// JSON-pinned daemon (a non-upgraded release) meshed with two
-// binary-negotiating daemons must still converge to byte-identical
-// snapshots. The binary pair must actually upgrade their link (bin_msgs
-// and bin_sent move) while the JSON daemon never sees or sends a binary
-// datagram.
-func TestMixedCodecMeshConvergesOverUDP(t *testing.T) {
-	ids := []string{"mix-legacy", "mix-b", "mix-c"}
-	codecs := []string{"json", "", ""}
-	ds := make([]*meshDaemon, len(ids))
-	for i, id := range ids {
-		ds[i] = startMeshDaemon(t, id, codecs[i])
-	}
-
-	clients := make([]*testClient, len(ds))
-	for i := range ds {
-		clients[i] = dialDaemon(t, ds[i].qpc)
-		defer clients[i].close()
-	}
-	for i := range ds {
-		target := ds[(i+1)%len(ds)].gpc.LocalAddr().String()
-		resp := clients[i].roundTrip(t, fmt.Sprintf(`{"op":"peer-join","addr":"%s"}`, target))
-		if !resp.OK {
-			t.Fatalf("peer-join from %s: %+v", ids[i], resp)
-		}
-	}
-	for i, c := range clients {
-		for j := 0; j < 6; j++ {
-			req := fmt.Sprintf(`{"op":"observe","node":"%s-n%d","replicas":["r%d","r%d"]}`,
-				ids[i], j, j%3, (j+1)%3)
-			if resp := c.roundTrip(t, req); !resp.OK {
-				t.Fatalf("observe on %s: %+v", ids[i], resp)
-			}
-		}
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && !meshConverged(ds, 18) {
-		time.Sleep(25 * time.Millisecond)
-	}
-	if !meshConverged(ds, 18) {
-		for i, md := range ds {
-			t.Logf("%s: %d nodes", ids[i], len(md.svc.Nodes()))
-		}
-		t.Fatal("mixed-codec mesh did not converge within 10s")
-	}
-
-	var snaps [][]byte
-	for _, md := range ds {
-		var buf bytes.Buffer
-		if err := md.svc.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, buf.Bytes())
-	}
-	for i := 1; i < len(snaps); i++ {
-		if !bytes.Equal(snaps[0], snaps[i]) {
-			t.Fatalf("snapshot of %s differs from %s", ids[i], ids[0])
-		}
-	}
-
-	// The binary pair upgraded; the legacy daemon stayed pure JSON.
-	legacy := ds[0].peer.Stats()
-	if legacy.BinMsgs != 0 || legacy.BinSent != 0 {
-		t.Fatalf("JSON-pinned daemon touched binary: in=%d out=%d", legacy.BinMsgs, legacy.BinSent)
-	}
-	if got := ds[1].peer.Stats(); got.BinSent == 0 && ds[2].peer.Stats().BinSent == 0 {
-		t.Fatalf("binary daemons never sent a binary datagram: %+v / %+v", got, ds[2].peer.Stats())
-	}
-	if got := ds[1].peer.Stats(); got.BadMsgs != 0 {
-		t.Fatalf("mixed mesh produced decode failures on mix-b: %+v", got)
-	}
 }
 
 // TestPeeringOpsDisabledWithoutEngine pins the structured error for daemons

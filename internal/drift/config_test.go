@@ -2,13 +2,11 @@ package drift
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/fuzzcorpus"
 )
 
 func TestDecodeConfigDefaults(t *testing.T) {
@@ -113,18 +111,9 @@ var driftConfigCorpus = []string{
 // TestGenerateDriftConfigFuzzCorpus refreshes the checked-in seed corpus.
 // Run with REGEN_FUZZ_CORPUS=1 when the schema changes.
 func TestGenerateDriftConfigFuzzCorpus(t *testing.T) {
-	if os.Getenv("REGEN_FUZZ_CORPUS") != "1" {
-		t.Skip("set REGEN_FUZZ_CORPUS=1 to regenerate")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeDriftConfig")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	seeds := make([][]byte, len(driftConfigCorpus))
 	for i, seed := range driftConfigCorpus {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(seed) + ")\n"
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		seeds[i] = []byte(seed)
 	}
+	fuzzcorpus.Write(t, "FuzzDecodeDriftConfig", seeds)
 }

@@ -49,11 +49,6 @@ type GossipConfig struct {
 	Shards int
 	// Seed drives stream generation and each engine's fanout RNG.
 	Seed uint64
-	// Codec selects the wire codec for every engine: "" or "binary"
-	// negotiates the compact binary codec, "json" pins every engine to the
-	// JSON fallback, and "mixed" pins engine 0 to JSON while the rest
-	// negotiate binary — the rolling-upgrade topology.
-	Codec string
 	// Faults is applied to every gossip conn under the label "gossip".
 	// Leave empty for a clean run.
 	Faults faults.Scenario
@@ -201,18 +196,6 @@ func RunGossip(cfg GossipConfig) (*GossipOutcome, error) {
 		if plane != nil {
 			pc = plane.WrapPacketConn(pc, "gossip")
 		}
-		codec := ""
-		switch cfg.Codec {
-		case "", "binary":
-		case "json":
-			codec = "json"
-		case "mixed":
-			if i == 0 {
-				codec = "json"
-			}
-		default:
-			return nil, fmt.Errorf("experiment: unknown gossip codec %q", cfg.Codec)
-		}
 		svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: cfg.Shards}, crp.WithWindow(cfg.Window))
 		eng, err := peering.New(peering.Config{
 			Self:     fmt.Sprintf("daemon-%02d", i),
@@ -224,7 +207,6 @@ func RunGossip(cfg GossipConfig) (*GossipOutcome, error) {
 			Now:      clock,
 			Resolve:  gm.mesh.Resolve,
 			Registry: cfg.Registry,
-			Codec:    codec,
 		})
 		if err != nil {
 			return nil, err

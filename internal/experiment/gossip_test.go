@@ -109,49 +109,3 @@ func TestGossipConfigRejectsSingleDaemon(t *testing.T) {
 		t.Fatal("want error for a 1-daemon mesh")
 	}
 }
-
-// TestGossipCodecVariants pins the codec knob: every codec topology
-// converges to a faithful replica, the binary mesh actually exchanges
-// binary datagrams, a JSON-pinned mesh never does, and the mixed
-// (rolling-upgrade) topology keeps its legacy engine pure JSON while the
-// upgraded pair talk binary to each other.
-func TestGossipCodecVariants(t *testing.T) {
-	for _, codec := range []string{"json", "binary", "mixed"} {
-		t.Run(codec, func(t *testing.T) {
-			out, err := RunGossip(GossipConfig{Seed: 1, Codec: codec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := out.Check(GossipEnvelope{MaxRounds: 20}); err != nil {
-				t.Fatal(err)
-			}
-			var binTotal uint64
-			for i, st := range out.Stats {
-				binTotal += st.BinMsgs
-				if st.BadMsgs != 0 {
-					t.Fatalf("daemon %d rejected %d messages on a clean %s mesh", i, st.BadMsgs, codec)
-				}
-			}
-			switch codec {
-			case "json":
-				if binTotal != 0 {
-					t.Fatalf("JSON mesh exchanged %d binary datagrams", binTotal)
-				}
-			case "binary":
-				if binTotal == 0 {
-					t.Fatal("binary mesh never exchanged a binary datagram")
-				}
-			case "mixed":
-				if out.Stats[0].BinMsgs != 0 || out.Stats[0].BinSent != 0 {
-					t.Fatalf("legacy engine touched binary: %+v", out.Stats[0])
-				}
-				if out.Stats[1].BinMsgs == 0 && out.Stats[2].BinMsgs == 0 {
-					t.Fatal("upgraded pair never exchanged a binary datagram")
-				}
-			}
-		})
-	}
-	if _, err := RunGossip(GossipConfig{Seed: 1, Codec: "msgpack"}); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
-}

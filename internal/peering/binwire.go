@@ -1,23 +1,21 @@
 package peering
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"repro/crp"
 	"repro/internal/binwire"
 )
 
-// Compact binary codec for the gossip protocol. One datagram is:
+// The gossip frame. This file is the only place that knows the format; one
+// datagram is:
 //
-//	byte 0   binMagic (0xCE — never a valid JSON first byte, so the first
-//	         byte routes the codec)
+//	byte 0   binMagic (0xCE — not a printable byte, so text aimed at the
+//	         gossip port is rejected on sight)
 //	byte 1   binVersion
 //	byte 2   message type code
 //	from     string
 //	addr     string
-//	codec    string (advertisement token, e.g. "bin1")
 //	ttl      uvarint
 //	shardCount uvarint
 //	digests  uvarint count, then count fixed 8-byte words (digest hashes
@@ -33,27 +31,23 @@ import (
 //
 // Strings are uvarint-length-prefixed; times are seconds (zig-zag varint)
 // + nanoseconds (uvarint). Every message carries the full field set (empty
-// collections cost one zero byte), mirroring the JSON union type, so the
-// two codecs express exactly the same message set — the cross-codec
-// property test in binwire_test.go pins that equivalence. Encoding is
-// canonical (collections keep caller order, which the engine already
-// sorts), so identical messages are byte-identical — the determinism the
-// bench's rerun gate relies on.
+// collections cost one zero byte). Encoding is canonical (collections keep
+// caller order, which the engine already sorts), so identical messages are
+// byte-identical — the determinism the bench's rerun gate relies on.
 
 const (
-	// binMagic routes an inbound datagram to the binary decoder. JSON
-	// messages always start with '{' (0x7B); 0xCE can never begin a valid
-	// JSON document, so the two codecs are unambiguous on the wire.
+	// binMagic opens every gossip datagram.
 	binMagic = 0xCE
-	// binVersion is the binary format version; unknown versions are
-	// rejected so a future format change cannot be misparsed.
-	binVersion = 1
+	// binVersion is the frame version, and the link's only compatibility
+	// mechanism: any other version is rejected, so a format change cannot be
+	// misparsed. Version 1 carried a codec-advertisement string after addr.
+	binVersion = 2
 	// binOverhead is the byte budget reserved for the fixed message fields
-	// (magic, version, type, IDs, codec token, counts) when packing
-	// collections to the wire budget: 3 header bytes + two 255-byte IDs
-	// with length prefixes + codec + ttl + shardCount + six counts, with
-	// slack. Packers fill MaxMsgSize-binOverhead with entries and the
-	// encoder's final size check still backstops the arithmetic.
+	// (magic, version, type, IDs, counts) when packing collections to the
+	// wire budget: 3 header bytes + two 255-byte IDs with length prefixes +
+	// ttl + shardCount + six counts, with slack. Packers fill
+	// MaxMsgSize-binOverhead with entries and the encoder's final size check
+	// still backstops the arithmetic.
 	binOverhead = 640
 )
 
@@ -70,29 +64,9 @@ var binTypeNames = func() map[byte]string {
 	return m
 }()
 
-// encodePeerMsg marshals one message in the requested codec, enforcing the
-// datagram bound — anything it returns is guaranteed sendable.
-func encodePeerMsg(m *Msg, bin bool) ([]byte, error) {
-	var raw []byte
-	if bin {
-		var err error
-		if raw, err = encodeBinaryPeerMsg(m); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if raw, err = json.Marshal(m); err != nil {
-			return nil, err
-		}
-	}
-	if len(raw) > MaxMsgSize {
-		return nil, fmt.Errorf("peering: encoded message %d bytes exceeds %d", len(raw), MaxMsgSize)
-	}
-	return raw, nil
-}
-
-// encodeBinaryPeerMsg marshals one message in the binary codec.
-func encodeBinaryPeerMsg(m *Msg) ([]byte, error) {
+// encodePeerMsg marshals one message, enforcing the datagram bound —
+// anything it returns is guaranteed sendable.
+func encodePeerMsg(m *Msg) ([]byte, error) {
 	code, ok := binTypeCodes[m.Type]
 	if !ok {
 		return nil, fmt.Errorf("peering: unknown message type %q", m.Type)
@@ -103,7 +77,6 @@ func encodeBinaryPeerMsg(m *Msg) ([]byte, error) {
 	e.U8(code)
 	e.String(m.From)
 	e.String(m.Addr)
-	e.String(m.Codec)
 	e.Uvarint(uint64(m.TTL))
 	e.Uvarint(uint64(m.ShardCount))
 	e.Uvarint(uint64(len(m.Digests)))
@@ -125,6 +98,9 @@ func encodeBinaryPeerMsg(m *Msg) ([]byte, error) {
 	e.Uvarint(uint64(len(m.Nodes)))
 	for _, n := range m.Nodes {
 		e.String(n)
+	}
+	if n := len(e.Bytes()); n > MaxMsgSize {
+		return nil, fmt.Errorf("peering: encoded message %d bytes exceeds %d", n, MaxMsgSize)
 	}
 	return append([]byte(nil), e.Bytes()...), nil
 }
@@ -190,59 +166,30 @@ func binDeltaSize(d *crp.NodeDelta) int {
 	return n
 }
 
-// deltaWireCost returns the wire cost of one delta entry in the given
-// codec: exact for binary, exact-plus-separator for JSON (the marshaled
-// entry plus the array comma). The packers budget collections with these so
-// that what they build is guaranteed sendable.
-func deltaWireCost(bin bool, d *crp.NodeDelta) int {
-	if bin {
-		return binDeltaSize(d)
-	}
-	raw, err := json.Marshal(d)
-	if err != nil {
-		// Unencodable entries can't be costed; return past any budget so the
-		// packer isolates the entry and the encoder rejects it alone.
-		return MaxMsgSize + 1
-	}
-	return len(raw) + 1
-}
-
-// metaWireCost is deltaWireCost for one diff metadata entry.
-func metaWireCost(bin bool, m *crp.NodeMeta) int {
-	if bin {
-		return binMetaSize(m)
-	}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return MaxMsgSize + 1
-	}
-	return len(raw) + 1
-}
-
-// shardIdxWireCost is the wire cost of one covered-shard index in a diff.
-func shardIdxWireCost(bin bool, shard int) int {
-	if bin {
-		return binwire.UvarintLen(uint64(shard))
-	}
-	return len(strconv.Itoa(shard)) + 1
-}
-
-// decodeBinaryPeerMsg parses a binary-codec datagram. Structural bounds
-// (string lengths, counts vs remaining bytes) are enforced here; the caller
-// runs the shared checkPeerMsg semantic validation on the result, so both
-// codecs answer to one bounds discipline.
-func decodeBinaryPeerMsg(raw []byte) (Msg, error) {
+// decodePeerMsg parses and bounds-checks one gossip datagram. It is the
+// single decode path — the socket loop and the deterministic in-memory
+// harness both route through it. Structural bounds (string lengths, counts
+// vs remaining bytes) are enforced while parsing; checkPeerMsg then runs the
+// semantic validation on the result.
+func decodePeerMsg(raw []byte) (Msg, error) {
 	var m Msg
+	if len(raw) > MaxMsgSize {
+		return m, fmt.Errorf("message too large: %d bytes exceeds the %d-byte limit", len(raw), MaxMsgSize)
+	}
 	d := binwire.NewDec(raw)
-	if _, err := d.U8(); err != nil { // magic, already sniffed by the caller
+	magic, err := d.U8()
+	if err != nil {
 		return m, fmt.Errorf("bad message: %v", err)
+	}
+	if magic != binMagic {
+		return m, fmt.Errorf("bad message: first byte 0x%02x is not the gossip magic", magic)
 	}
 	ver, err := d.U8()
 	if err != nil {
 		return m, fmt.Errorf("bad message: %v", err)
 	}
 	if ver != binVersion {
-		return m, fmt.Errorf("unsupported binary version %d", ver)
+		return m, fmt.Errorf("unsupported frame version %d", ver)
 	}
 	code, err := d.U8()
 	if err != nil {
@@ -258,9 +205,6 @@ func decodeBinaryPeerMsg(raw []byte) (Msg, error) {
 	}
 	if m.Addr, err = d.String(MaxIDBytes); err != nil {
 		return m, fmt.Errorf("addr: %v", err)
-	}
-	if m.Codec, err = d.String(MaxCodecBytes); err != nil {
-		return m, fmt.Errorf("codec: %v", err)
 	}
 	ttl, err := d.Uvarint()
 	if err != nil || ttl > MaxTTL {
@@ -312,7 +256,7 @@ func decodeBinaryPeerMsg(raw []byte) (Msg, error) {
 		}
 	}
 
-	if n, err = d.Count(MaxDeltasBinary, 5); err != nil {
+	if n, err = d.Count(MaxDeltas, 5); err != nil {
 		return m, fmt.Errorf("deltas: %v", err)
 	}
 	if n > 0 {
@@ -338,7 +282,7 @@ func decodeBinaryPeerMsg(raw []byte) (Msg, error) {
 	if err := d.Done(); err != nil {
 		return m, fmt.Errorf("bad message: %v", err)
 	}
-	return m, nil
+	return m, checkPeerMsg(&m)
 }
 
 func decodeBinaryMeta(d *binwire.Dec, m *crp.NodeMeta) error {

@@ -4,27 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/crp"
 	"repro/internal/binwire"
+	"repro/internal/fuzzcorpus"
 	"repro/internal/obs"
 )
 
 // sampleMsgs covers every message type with every field its type uses,
 // including the encoding edge cases (zero time, tombstones, empty
-// collections, explicit codec token).
+// collections).
 func sampleMsgs() []Msg {
 	thresholdAt := time.Date(2026, 8, 8, 10, 20, 30, 123456789, time.UTC)
 	return []Msg{
-		{Type: MsgJoin, From: "d1", Addr: "127.0.0.1:9000", Codec: CodecBinary},
+		{Type: MsgJoin, From: "d1", Addr: "127.0.0.1:9000"},
 		{Type: MsgJoinAck, From: "d2", Addr: "127.0.0.1:9001"},
-		{Type: MsgDigest, From: "d1", ShardCount: 4, Digests: []uint64{0, 1, 1<<64 - 1, 42}, Codec: CodecBinary},
+		{Type: MsgDigest, From: "d1", ShardCount: 4, Digests: []uint64{0, 1, 1<<64 - 1, 42}},
 		{Type: MsgDiff, From: "d2", Shards: []int{0, 3, MaxShardCount - 1}, Metas: []crp.NodeMeta{
 			{Node: "n1", Origin: "d1", Version: 2},
 			{Node: "n2", Origin: "d2", Version: 9, Deleted: true},
@@ -67,30 +67,27 @@ func asJSON(t *testing.T, m Msg) string {
 	return string(b)
 }
 
-// TestBinaryPeerMsgRoundTrip pins decode(encode(x)) == x for the binary
-// codec on every message type, and that the codec flag reports binary.
+// TestBinaryPeerMsgRoundTrip pins decode(encode(x)) == x on every message
+// type.
 func TestBinaryPeerMsgRoundTrip(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		raw, err := encodeBinaryPeerMsg(&m)
+		raw, err := encodePeerMsg(&m)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", m.Type, err)
 		}
-		if raw[0] != binMagic {
-			t.Fatalf("%s: first byte 0x%02x, want the binary magic", m.Type, raw[0])
+		if raw[0] != binMagic || raw[1] != binVersion {
+			t.Fatalf("%s: frame opens 0x%02x 0x%02x, want magic and version", m.Type, raw[0], raw[1])
 		}
-		got, bin, err := decodePeerMsg(raw)
+		got, err := decodePeerMsg(raw)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Type, err)
-		}
-		if !bin {
-			t.Fatalf("%s: decode reported JSON for a binary datagram", m.Type)
 		}
 		if asJSON(t, got) != asJSON(t, m) {
 			t.Fatalf("%s: round trip mismatch:\n got %s\nwant %s", m.Type, asJSON(t, got), asJSON(t, m))
 		}
 		// Canonical encoding: re-encoding the decoded message is
 		// byte-identical (the determinism the bench rerun gate relies on).
-		again, err := encodeBinaryPeerMsg(&got)
+		again, err := encodePeerMsg(&got)
 		if err != nil {
 			t.Fatalf("%s: re-encode: %v", m.Type, err)
 		}
@@ -100,101 +97,40 @@ func TestBinaryPeerMsgRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrossCodecPeerMsg is the JSON↔binary property test: for generated
-// messages, decoding the JSON encoding and decoding the binary encoding
-// yield identical messages.
-func TestCrossCodecPeerMsg(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	id := func(prefix string) string {
-		return fmt.Sprintf("%s-%02d", prefix, rng.Intn(100))
-	}
-	at := func() time.Time {
-		return time.Unix(1_700_000_000+rng.Int63n(1_000_000), rng.Int63n(1_000_000_000)).UTC()
-	}
-	types := []string{MsgJoin, MsgJoinAck, MsgDelta, MsgDigest, MsgDiff, MsgPull}
-	for i := 0; i < 200; i++ {
-		m := Msg{Type: types[rng.Intn(len(types))], From: id("d"), TTL: rng.Intn(MaxTTL + 1)}
-		if rng.Intn(2) == 0 {
-			m.Addr = id("addr")
-		}
-		if rng.Intn(2) == 0 {
-			m.Codec = CodecBinary
-		}
-		switch m.Type {
-		case MsgDigest:
-			m.ShardCount = 1 + rng.Intn(8)
-			m.Digests = make([]uint64, rng.Intn(8))
-			for j := range m.Digests {
-				m.Digests[j] = rng.Uint64()
-			}
-		case MsgDiff:
-			for j := 0; j < rng.Intn(4); j++ {
-				m.Shards = append(m.Shards, rng.Intn(MaxShardCount))
-				m.Metas = append(m.Metas, crp.NodeMeta{
-					Node: crp.NodeID(id("n")), Origin: id("d"),
-					Version: rng.Uint64() % 1000, Deleted: rng.Intn(2) == 0,
-				})
-			}
-		case MsgDelta:
-			for j := 0; j < 1+rng.Intn(3); j++ {
-				d := crp.NodeDelta{NodeMeta: crp.NodeMeta{
-					Node: crp.NodeID(id("n")), Origin: id("d"), Version: rng.Uint64() % 1000,
-				}}
-				if rng.Intn(3) == 0 {
-					d.Deleted, d.DeletedAt = true, at()
-				}
-				for k := 0; k < rng.Intn(3); k++ {
-					p := crp.Probe{At: at()}
-					for l := 0; l < rng.Intn(3); l++ {
-						p.Replicas = append(p.Replicas, crp.ReplicaID(id("r")))
-					}
-					d.Probes = append(d.Probes, p)
-				}
-				m.Deltas = append(m.Deltas, d)
-			}
-		case MsgPull:
-			for j := 0; j < 1+rng.Intn(4); j++ {
-				m.Nodes = append(m.Nodes, id("n"))
-			}
-		}
+// frame hand-builds one current-version datagram without going through
+// encodePeerMsg, so a row carries exactly the bytes under test whatever the
+// encoder would do with them. rest writes everything after addr: ttl,
+// shardCount, then the five collections.
+func frame(code byte, from, addr string, rest func(e *binwire.Enc)) []byte {
+	var e binwire.Enc
+	e.U8(binMagic)
+	e.U8(binVersion)
+	e.U8(code)
+	e.String(from)
+	e.String(addr)
+	rest(&e)
+	return append([]byte(nil), e.Bytes()...)
+}
 
-		jsonRaw, err := encodePeerMsg(&m, false)
-		if err != nil {
-			t.Fatalf("case %d: json encode: %v", i, err)
-		}
-		binRaw, err := encodePeerMsg(&m, true)
-		if err != nil {
-			t.Fatalf("case %d: binary encode: %v", i, err)
-		}
-		if len(binRaw) >= len(jsonRaw) {
-			t.Fatalf("case %d (%s): binary encoding %d bytes, JSON %d — binary must be smaller",
-				i, m.Type, len(binRaw), len(jsonRaw))
-		}
-		fromJSON, bin, err := decodePeerMsg(jsonRaw)
-		if err != nil || bin {
-			t.Fatalf("case %d: json decode: bin=%v err=%v", i, bin, err)
-		}
-		fromBin, bin, err := decodePeerMsg(binRaw)
-		if err != nil || !bin {
-			t.Fatalf("case %d: binary decode: bin=%v err=%v", i, bin, err)
-		}
-		if asJSON(t, fromJSON) != asJSON(t, fromBin) {
-			t.Fatalf("case %d: codecs disagree:\n json %s\n bin  %s",
-				i, asJSON(t, fromJSON), asJSON(t, fromBin))
-		}
+// empties writes n zero uvarints: a zero ttl or shardCount, or an empty
+// collection.
+func empties(e *binwire.Enc, n int) {
+	for ; n > 0; n-- {
+		e.Uvarint(0)
 	}
 }
 
-// TestBinaryPeerMsgBounds is the boundary table for the binary decoder:
-// exact-limit accept, limit+1 reject, mirroring the JSON table above it in
-// wire_test.go.
+// TestBinaryPeerMsgBounds is the boundary table for the gossip decoder:
+// exact-limit accept and limit+1 reject at every declared count and size,
+// plus the frame-level rejections (version, type code, truncation, trailing
+// bytes).
 func TestBinaryPeerMsgBounds(t *testing.T) {
 	decode := func(m *Msg) error {
-		raw, err := encodeBinaryPeerMsg(m)
+		raw, err := encodePeerMsg(m)
 		if err != nil {
 			return err
 		}
-		_, _, err = decodePeerMsg(raw)
+		_, err = decodePeerMsg(raw)
 		return err
 	}
 	base := func() Msg { return Msg{Type: MsgDigest, From: "d1"} }
@@ -211,13 +147,6 @@ func TestBinaryPeerMsgBounds(t *testing.T) {
 		m.From = strings.Repeat("x", MaxIDBytes+1)
 		if err := decode(&m); err == nil {
 			t.Fatal("oversized from accepted")
-		}
-	})
-	t.Run("codec over limit", func(t *testing.T) {
-		m := base()
-		m.Codec = strings.Repeat("c", MaxCodecBytes+1)
-		if err := decode(&m); err == nil {
-			t.Fatal("oversized codec token accepted")
 		}
 	})
 	t.Run("ttl at limit", func(t *testing.T) {
@@ -297,95 +226,278 @@ func TestBinaryPeerMsgBounds(t *testing.T) {
 			t.Fatal("replica set over limit accepted")
 		}
 	})
-	t.Run("deltas binary count over limit", func(t *testing.T) {
-		// A count past MaxDeltasBinary is rejected by the ceiling check
-		// before the remaining-bytes check can even apply.
-		var e binwire.Enc
-		e.U8(binMagic)
-		e.U8(binVersion)
-		e.U8(2) // delta type code
-		e.String("d1")
-		e.String("")
-		e.String("")
-		e.Uvarint(1) // ttl
-		e.Uvarint(0) // shardCount
-		e.Uvarint(0) // digests
-		e.Uvarint(0) // shards
-		e.Uvarint(0) // metas
-		e.Uvarint(MaxDeltasBinary + 1)
-		if _, err := decodeBinaryPeerMsg(e.Bytes()); err == nil {
-			t.Fatal("binary delta count over limit accepted")
-		}
-	})
-	t.Run("unknown type code", func(t *testing.T) {
-		var e binwire.Enc
-		e.U8(binMagic)
-		e.U8(binVersion)
-		e.U8(99)
-		if _, _, err := decodePeerMsg(e.Bytes()); err == nil {
-			t.Fatal("unknown type code accepted")
-		}
-	})
 	t.Run("unknown version", func(t *testing.T) {
-		raw, err := encodeBinaryPeerMsg(&Msg{Type: MsgJoin, From: "d1"})
+		raw, err := encodePeerMsg(&Msg{Type: MsgJoin, From: "d1"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw[1] = binVersion + 1
-		if _, _, err := decodePeerMsg(raw); err == nil {
-			t.Fatal("unknown binary version accepted")
+		if _, err := decodePeerMsg(raw); err == nil {
+			t.Fatal("unknown frame version accepted")
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
-		raw, err := encodeBinaryPeerMsg(&Msg{Type: MsgJoin, From: "d1"})
+		raw, err := encodePeerMsg(&Msg{Type: MsgJoin, From: "d1"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodePeerMsg(append(raw, 0)); err == nil {
+		if _, err := decodePeerMsg(append(raw, 0)); err == nil {
 			t.Fatal("trailing bytes accepted")
 		}
 	})
 	t.Run("every truncation fails cleanly", func(t *testing.T) {
 		for _, m := range sampleMsgs() {
-			raw, err := encodeBinaryPeerMsg(&m)
+			raw, err := encodePeerMsg(&m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for cut := 0; cut < len(raw); cut++ {
-				if _, _, err := decodePeerMsg(raw[:cut]); err == nil {
+				if _, err := decodePeerMsg(raw[:cut]); err == nil {
 					t.Fatalf("%s truncated to %d/%d bytes accepted", m.Type, cut, len(raw))
 				}
 			}
 		}
 	})
+
+	runFrameCases(t, []frameCase{
+		{"unknown type code", []byte{binMagic, binVersion, 99}, "unknown message type"},
+		{"deltas binary count over limit", frame(2, "d1", "", func(e *binwire.Enc) {
+			// Rejected by the ceiling before the remaining-bytes check applies.
+			empties(e, 5)
+			e.Uvarint(MaxDeltas + 1)
+		}), "deltas"},
+	})
+}
+
+// frameCase is one hand-built datagram and the decoder's verdict on it: an
+// error containing wantErr, or acceptance when wantErr is empty.
+type frameCase struct {
+	name    string
+	raw     []byte
+	wantErr string
+}
+
+func runFrameCases(t *testing.T, cases []frameCase) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := decodePeerMsg(tc.raw)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.wantErr != "" && err == nil:
+				t.Fatalf("accepted, want error containing %q", tc.wantErr)
+			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("error = %q, want substring %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestDecodePeerMsgBounds holds one failing frame for every check in
+// checkPeerMsg and checkDelta, beside a valid frame of each shape. The frames
+// are hand-built: values encodePeerMsg would pass through today but is free
+// to refuse tomorrow, so the decoder's rejection is pinned on bytes. A
+// "negative" field is a uvarint that would wrap negative as an int.
+func TestDecodePeerMsgBounds(t *testing.T) {
+	longID := strings.Repeat("x", MaxIDBytes+1)
+	const wraps = 1<<64 - 1
+	empty := func(e *binwire.Enc) { empties(e, 7) }
+	meta := func(e *binwire.Enc, node, origin string) {
+		e.String(node)
+		e.String(origin)
+		e.Uvarint(1) // version
+		e.U8(0)      // flags
+	}
+	// Frame bodies with one field set to v and every other field empty.
+	type body = func(e *binwire.Enc)
+	ttl := func(v uint64) body {
+		return func(e *binwire.Enc) { e.Uvarint(v); empties(e, 6) }
+	}
+	shardCount := func(v uint64) body {
+		return func(e *binwire.Enc) { e.Uvarint(0); e.Uvarint(v); empties(e, 5) }
+	}
+	shardIndex := func(v uint64) body {
+		return func(e *binwire.Enc) { empties(e, 3); e.Uvarint(1); e.Uvarint(v); empties(e, 3) }
+	}
+	runFrameCases(t, []frameCase{
+		{"valid join", frame(0, "d1", "127.0.0.1:9000", empty), ""},
+		{"valid digest", frame(3, "d1", "", func(e *binwire.Enc) {
+			e.Uvarint(0)
+			e.Uvarint(4)
+			e.Uvarint(4)
+			for w := uint64(1); w <= 4; w++ {
+				e.U64(w)
+			}
+			empties(e, 4)
+		}), ""},
+		{"valid delta", frame(2, "d1", "", func(e *binwire.Enc) {
+			e.Uvarint(3)
+			empties(e, 4)
+			e.Uvarint(1)
+			meta(e, "n1", "d1")
+			empties(e, 2) // no probes, no pull nodes
+		}), ""},
+		{"valid pull", frame(5, "d1", "", func(e *binwire.Enc) {
+			empties(e, 6)
+			e.Uvarint(2)
+			e.String("n1")
+			e.String("n2")
+		}), ""},
+		{"empty payload", nil, "bad message"},
+		{"oversized payload", make([]byte, MaxMsgSize+1), "message too large"},
+		{"unknown type", frame(99, "d1", "", empty), "unknown message type"},
+		{"missing from", frame(3, "", "", empty), "from is required"},
+		{"nul in from", frame(0, "a\x00b", "", empty), "NUL"},
+		{"invalid utf8 in from", frame(0, "a\xffb", "", empty), "UTF-8"},
+		{"oversized from", frame(0, longID, "", empty), "from"},
+		{"oversized addr", frame(0, "d1", longID, empty), "addr"},
+		{"huge ttl", frame(2, "d1", "", ttl(MaxTTL+1)), "ttl"},
+		{"negative ttl", frame(2, "d1", "", ttl(wraps)), "ttl"},
+		{"huge shard count", frame(3, "d1", "", shardCount(MaxShardCount+1)), "shardCount"},
+		{"negative shard count", frame(3, "d1", "", shardCount(wraps)), "shardCount"},
+		{"huge shard index", frame(4, "d1", "", shardIndex(MaxShardCount)), "shards[0]"},
+		{"negative shard index", frame(4, "d1", "", shardIndex(wraps)), "shards[0]"},
+		{"empty meta node", frame(4, "d1", "", func(e *binwire.Enc) {
+			empties(e, 4)
+			e.Uvarint(1)
+			meta(e, "", "d1")
+			empties(e, 2)
+		}), "empty node"},
+		{"oversized meta node", frame(4, "d1", "", func(e *binwire.Enc) {
+			empties(e, 4)
+			e.Uvarint(1)
+			meta(e, longID, "d1")
+			empties(e, 2)
+		}), "metas[0]"},
+		{"empty delta node", frame(2, "d1", "", func(e *binwire.Enc) {
+			empties(e, 5)
+			e.Uvarint(1)
+			meta(e, "", "d1")
+			empties(e, 2)
+		}), "empty node"},
+		{"oversized delta origin", frame(2, "d1", "", func(e *binwire.Enc) {
+			empties(e, 5)
+			e.Uvarint(1)
+			meta(e, "n", longID)
+			empties(e, 2)
+		}), "deltas[0]"},
+		{"empty pull node", frame(5, "d1", "", func(e *binwire.Enc) {
+			// Two nodes: the count check wants two bytes per entry.
+			empties(e, 6)
+			e.Uvarint(2)
+			e.String("")
+			e.String("n1")
+		}), "nodes[0] is empty"},
+		{"too many pull nodes", frame(5, "d1", "", func(e *binwire.Enc) {
+			empties(e, 6)
+			e.Uvarint(MaxPullNodes + 1)
+			for i := 0; i <= MaxPullNodes; i++ {
+				e.String("n")
+			}
+		}), "nodes"},
+	})
+}
+
+// countingConn counts the datagrams an engine writes.
+type countingConn struct {
+	net.PacketConn
+	writes int
+}
+
+func (c *countingConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+	c.writes++
+	return c.PacketConn.WriteTo(b, addr)
+}
+
+// TestForeignDatagramsAreInert pins the link's whole compatibility story: a
+// datagram that is not a whole current-version frame — a JSON object, a v1
+// frame, a v2 frame cut short anywhere — bumps peering.bad_msgs once and
+// does nothing else. Every input here would
+// change state if it were accepted or misparsed: the digest is from a known
+// peer with differing digests (a diff reply), the joins would register a peer
+// and send an ack.
+func TestForeignDatagramsAreInert(t *testing.T) {
+	mesh := NewMemMesh()
+	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
+	p, err := New(Config{
+		Self: "inert-self", Addr: "inert-self", Service: svc,
+		Registry: obs.NewRegistry(), Resolve: mesh.Resolve, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &countingConn{PacketConn: mesh.Conn("inert-self")}
+	p.Attach(conn)
+	if err := p.AddPeer("d1", "d1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Observe("n0", time.Unix(1, 0), "r1"); err != nil {
+		t.Fatal(err)
+	}
+
+	inert := func(what string, raw []byte) {
+		t.Helper()
+		before, digests := p.Status(), svc.ShardDigests()
+		p.HandleDatagram(raw, memAddr("d1"))
+		after := p.Status()
+		want := before
+		want.Stats.Msgs++
+		want.Stats.BadMsgs++
+		if !reflect.DeepEqual(after, want) {
+			t.Fatalf("%s: engine state moved beyond msgs+1, bad_msgs+1:\n got %+v\nwant %+v", what, after, want)
+		}
+		if !reflect.DeepEqual(svc.ShardDigests(), digests) {
+			t.Fatalf("%s: store changed", what)
+		}
+		if conn.writes != 0 {
+			t.Fatalf("%s: engine sent %d datagrams", what, conn.writes)
+		}
+	}
+
+	inert("JSON digest", []byte(`{"type":"digest","from":"d1","shardCount":4,"digests":[1,2,3,4]}`))
+	inert("JSON join", []byte(`{"type":"join","from":"d9","addr":"d9"}`))
+	// The v1 layout: a codec-advertisement string between addr and ttl.
+	var v1 binwire.Enc
+	v1.U8(binMagic)
+	v1.U8(1)
+	v1.U8(0) // join
+	v1.String("d9")
+	v1.String("d9")
+	v1.String("bin1")
+	empties(&v1, 7)
+	inert("v1 join", v1.Bytes())
+	for _, m := range sampleMsgs() {
+		raw, err := encodePeerMsg(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(raw); cut++ {
+			inert(fmt.Sprintf("%s cut to %d/%d bytes", m.Type, cut, len(raw)), raw[:cut])
+		}
+	}
 }
 
 // TestWorstCaseDigestFitsTheWire pins the MaxShardCount sizing argument: the
-// worst-case digest message at the full shard width — every digest word at
-// its widest encoding, maximal sender identity — must encode under
-// MaxMsgSize in both codecs. This is the test that made the former
-// 4096-shard ceiling a lie.
+// worst-case digest message at the full shard width — maximal sender identity
+// and address, one fixed 8-byte word per shard — must encode under MaxMsgSize.
 func TestWorstCaseDigestFitsTheWire(t *testing.T) {
 	digests := make([]uint64, MaxShardCount)
 	for i := range digests {
-		digests[i] = 1<<64 - 1 // 20 decimal digits in JSON, 8+ varint-free bytes in binary
+		digests[i] = 1<<64 - 1
 	}
 	m := Msg{
 		Type:       MsgDigest,
 		From:       strings.Repeat("x", MaxIDBytes),
 		Addr:       strings.Repeat("y", MaxIDBytes),
-		Codec:      CodecBinary,
 		ShardCount: MaxShardCount,
 		Digests:    digests,
 	}
-	for _, bin := range []bool{false, true} {
-		raw, err := encodePeerMsg(&m, bin)
-		if err != nil {
-			t.Fatalf("bin=%v: worst-case digest unencodable: %v", bin, err)
-		}
-		if len(raw) > MaxMsgSize {
-			t.Fatalf("bin=%v: worst-case digest is %d bytes, exceeds MaxMsgSize %d", bin, len(raw), MaxMsgSize)
-		}
+	raw, err := encodePeerMsg(&m)
+	if err != nil {
+		t.Fatalf("worst-case digest unencodable: %v", err)
+	}
+	if len(raw) > MaxMsgSize {
+		t.Fatalf("worst-case digest is %d bytes, exceeds MaxMsgSize %d", len(raw), MaxMsgSize)
 	}
 }
 
@@ -394,33 +506,30 @@ func TestWorstCaseDigestFitsTheWire(t *testing.T) {
 // ceiling used to pass the encoder's size check and then fail at WriteTo.
 // Now the encoder rejects it and nothing reaches the socket.
 func TestEncodeRejectsUnsendable(t *testing.T) {
-	// Build a pull message and pad the node list until the JSON encoding
-	// lands inside the gap: coarse 64-byte entries up to just below the
-	// ceiling, then one entry sized to land at 65512.
-	m := Msg{Type: MsgPull, From: "d1"}
-	entry := strings.Repeat("n", 60)
-	for {
-		raw, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
+	// pullOfSize builds a pull message whose frame is exactly size bytes:
+	// 62-byte entries up to just below the target, then one entry sized to
+	// land on it (short enough for a one-byte length prefix).
+	pullOfSize := func(size int) Msg {
+		m := Msg{Type: MsgPull, From: "d1"}
+		for {
+			raw, err := encodePeerMsg(&m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rest := size - len(raw); rest < 120 {
+				m.Nodes = append(m.Nodes, strings.Repeat("q", rest-1))
+				return m
+			}
+			m.Nodes = append(m.Nodes, fmt.Sprintf("%s%04d", strings.Repeat("n", 57), len(m.Nodes)))
 		}
-		if len(raw) > 65507-128 {
-			// Adding a node of length L grows the JSON by L+3 bytes
-			// (quotes plus comma).
-			m.Nodes = append(m.Nodes, strings.Repeat("q", 65512-len(raw)-3))
-			break
-		}
-		m.Nodes = append(m.Nodes, fmt.Sprintf("%s%04d", entry, len(m.Nodes)))
 	}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+	fits := pullOfSize(MaxMsgSize)
+	if raw, err := encodePeerMsg(&fits); err != nil || len(raw) != MaxMsgSize {
+		t.Fatalf("setup: a frame built to MaxMsgSize encoded to %d bytes, err %v", len(raw), err)
 	}
-	if len(raw) <= 65507 || len(raw) > 65536 {
-		t.Fatalf("setup failed to land in the gap: %d bytes", len(raw))
-	}
-	if _, err := encodePeerMsg(&m, false); err == nil {
-		t.Fatalf("encoder accepted a %d-byte message no UDP datagram can carry", len(raw))
+	m := pullOfSize(65512)
+	if _, err := encodePeerMsg(&m); err == nil {
+		t.Fatal("encoder accepted a 65512-byte message no UDP datagram can carry")
 	}
 
 	// Engine-level: the send path must drop it (send_errors) and write
@@ -436,8 +545,8 @@ func TestEncodeRejectsUnsendable(t *testing.T) {
 	}
 	p.Attach(mesh.Conn("gap-self"))
 	peerConn := mesh.Conn("gap-peer") // register before sending: MemMesh drops to unknown addrs
-	if _, err := p.sendRaw(memAddr("gap-peer"), &m, false); err == nil {
-		t.Fatal("sendRaw accepted an unsendable message")
+	if _, err := p.send(memAddr("gap-peer"), m); err == nil {
+		t.Fatal("send accepted an unsendable message")
 	}
 	if got := p.Stats().SendErrors; got != 1 {
 		t.Fatalf("send_errors = %d, want 1", got)
@@ -481,110 +590,9 @@ func TestOversizedDatagramDropped(t *testing.T) {
 	}
 }
 
-// TestJSONOnlyEngineRejectsBinary pins the non-upgraded-daemon simulation: a
-// JSON-pinned engine treats binary datagrams as undecodable and never
-// advertises binary support.
-func TestJSONOnlyEngineRejectsBinary(t *testing.T) {
-	mesh := NewMemMesh()
-	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
-	p, err := New(Config{
-		Self: "legacy", Addr: "legacy", Service: svc, Codec: "json",
-		Registry: obs.NewRegistry(), Resolve: mesh.Resolve,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Attach(mesh.Conn("legacy"))
-	if got := p.codecToken(); got != "" {
-		t.Fatalf("JSON-only engine advertises codec %q", got)
-	}
-	raw, err := encodeBinaryPeerMsg(&Msg{Type: MsgJoin, From: "modern", Addr: "modern"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.HandleDatagram(raw, memAddr("modern"))
-	st := p.Stats()
-	if st.BadMsgs != 1 || st.BinMsgs != 0 {
-		t.Fatalf("bad_msgs = %d, bin_msgs = %d; want 1, 0", st.BadMsgs, st.BinMsgs)
-	}
-	if len(p.Status().Peers) != 0 {
-		t.Fatal("binary join registered a peer on a JSON-only engine")
-	}
-
-	// Unknown codec values are config errors, not silent fallbacks.
-	if _, err := New(Config{
-		Self: "bad", Service: crp.NewServiceWithStore(crp.StoreConfig{Shards: 4}),
-		Codec: "msgpack", Registry: obs.NewRegistry(),
-	}); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
-}
-
-// TestCodecNegotiationUpgrades pins the advertisement flow: two binary
-// engines statically peered (no join handshake) upgrade to binary after the
-// first digest advertisement, while a JSON peer never does.
-func TestCodecNegotiationUpgrades(t *testing.T) {
-	mesh := NewMemMesh()
-	mk := func(self, codec string) *Peering {
-		svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
-		p, err := New(Config{
-			Self: self, Addr: self, Service: svc, Codec: codec,
-			Registry: obs.NewRegistry(), Resolve: mesh.Resolve, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Attach(mesh.Conn(self))
-		return p
-	}
-	a, b := mk("up-a", ""), mk("up-b", "")
-	if err := a.AddPeer("up-b", "up-b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer("up-a", "up-a"); err != nil {
-		t.Fatal(err)
-	}
-	// Statically added peers start on the JSON fallback.
-	if a.peerByID("up-b").bin.Load() {
-		t.Fatal("peer marked binary before any advertisement")
-	}
-	// One digest from a (JSON, carries the advertisement) upgrades b's view
-	// of a; pump the mesh manually.
-	a.Tick(time.Unix(10, 0))
-	buf := make([]byte, MaxMsgSize+1)
-	bc := mesh.Conn("up-b")
-	for {
-		n, from, err := bc.ReadFrom(buf)
-		if err != nil {
-			break
-		}
-		b.HandleDatagram(buf[:n], from)
-	}
-	if !b.peerByID("up-a").bin.Load() {
-		t.Fatal("digest advertisement did not mark the sender binary-capable")
-	}
-	// b's next digest to a now goes binary.
-	b.Tick(time.Unix(11, 0))
-	ac := mesh.Conn("up-a")
-	n, from, err := ac.ReadFrom(buf)
-	if err != nil {
-		t.Fatalf("no digest from b: %v", err)
-	}
-	if buf[0] != binMagic {
-		t.Fatalf("upgraded peer still sent JSON (first byte 0x%02x)", buf[0])
-	}
-	a.HandleDatagram(buf[:n], from)
-	if !a.peerByID("up-b").bin.Load() {
-		t.Fatal("receiving a binary datagram did not mark the sender binary-capable")
-	}
-	if b.Stats().BinSent == 0 {
-		t.Fatal("bin_sent did not count the binary digest")
-	}
-}
-
 // TestSendDeltasPacksToBudget pins the size-driven batching: entries small
-// enough to share a datagram are batched together (binary runs past the old
-// count cap), and every emitted datagram respects MaxMsgSize.
+// enough to share a datagram are batched together, from the first datagram a
+// peer is ever sent, and every emitted datagram respects MaxMsgSize.
 func TestSendDeltasPacksToBudget(t *testing.T) {
 	mesh := NewMemMesh()
 	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
@@ -600,16 +608,14 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 	if err := p.AddPeer("pack-peer", "pack-peer"); err != nil {
 		t.Fatal(err)
 	}
-	ps := p.peerByID("pack-peer")
-	ps.bin.Store(true) // binary path: packing is budget-driven
 
-	deltas := make([]crp.NodeDelta, 600) // 600 > the JSON MaxDeltas cap of 256
+	deltas := make([]crp.NodeDelta, 600)
 	for i := range deltas {
 		deltas[i] = crp.NodeDelta{NodeMeta: crp.NodeMeta{
 			Node: crp.NodeID(fmt.Sprintf("node-%04d", i)), Origin: "pack-self", Version: 1,
 		}}
 	}
-	p.sendDeltas(ps, deltas, 1)
+	p.sendDeltas(p.peerByID("pack-peer"), deltas, 1)
 
 	buf := make([]byte, MaxMsgSize+1)
 	msgs, total := 0, 0
@@ -621,9 +627,9 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 		if n > MaxMsgSize {
 			t.Fatalf("packed datagram is %d bytes, exceeds MaxMsgSize", n)
 		}
-		m, bin, err := decodePeerMsg(buf[:n])
-		if err != nil || !bin {
-			t.Fatalf("packed datagram undecodable: bin=%v err=%v", bin, err)
+		m, err := decodePeerMsg(buf[:n])
+		if err != nil {
+			t.Fatalf("packed datagram undecodable: %v", err)
 		}
 		msgs++
 		total += len(m.Deltas)
@@ -632,17 +638,24 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 		t.Fatalf("delivered %d deltas, want 600", total)
 	}
 	if msgs != 1 {
-		// 600 minimal entries are ~11 KB — they must share one datagram
-		// under size-driven packing (count-driven would need 19 at 32/msg).
+		// 600 minimal entries are ~11 KB — they must share one datagram.
 		t.Fatalf("600 small deltas used %d datagrams, want 1", msgs)
 	}
 }
 
-// corruptedSeeds returns the hand-built malformed binary datagrams the fuzz
-// corpus checks in alongside the valid encodings: each one pins a distinct
-// decoder rejection path.
-func corruptedBinarySeeds(valid [][]byte) [][]byte {
-	var out [][]byte
+// fuzzSeeds is the FuzzDecodeBinaryPeerMsg seed set: every message type's
+// valid encoding, then hand-built malformed datagrams that each pin a
+// distinct decoder rejection path.
+func fuzzSeeds(t testing.TB) [][]byte {
+	var valid [][]byte
+	for _, m := range sampleMsgs() {
+		raw, err := encodePeerMsg(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid = append(valid, raw)
+	}
+	out := append([][]byte(nil), valid...)
 	for _, raw := range valid {
 		out = append(out, raw[:len(raw)/2])                       // truncated mid-structure
 		out = append(out, append(append([]byte(nil), raw...), 0)) // trailing byte
@@ -650,30 +663,16 @@ func corruptedBinarySeeds(valid [][]byte) [][]byte {
 	bad := append([]byte(nil), valid[0]...)
 	bad[1] = binVersion + 1 // unsupported version
 	out = append(out, bad)
-	var e binwire.Enc
-	e.U8(binMagic)
-	e.U8(binVersion)
-	e.U8(99) // unknown type code
-	out = append(out, append([]byte(nil), e.Bytes()...))
+	out = append(out, []byte{binMagic, binVersion, 99}) // unknown type code
 	return out
 }
 
-// FuzzDecodeBinaryPeerMsg fuzzes the binary gossip decoder specifically:
-// never panic, never accept an out-of-bounds message, and everything
-// accepted re-encodes canonically and survives the full datagram handler.
-// The checked-in corpus under testdata/fuzz seeds every message type plus
-// the corruption shapes above (regenerate with REGEN_FUZZ_CORPUS=1).
+// FuzzDecodeBinaryPeerMsg fuzzes the gossip decoder: never panic, never
+// accept an out-of-bounds message, and everything accepted re-encodes
+// canonically and survives the full datagram handler. The checked-in corpus
+// under testdata/fuzz is fuzzSeeds (regenerate with REGEN_FUZZ_CORPUS=1).
 func FuzzDecodeBinaryPeerMsg(f *testing.F) {
-	var valid [][]byte
-	for _, m := range sampleMsgs() {
-		raw, err := encodeBinaryPeerMsg(&m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		valid = append(valid, raw)
-		f.Add(raw)
-	}
-	for _, raw := range corruptedBinarySeeds(valid) {
+	for _, raw := range fuzzSeeds(f) {
 		f.Add(raw)
 	}
 
@@ -692,66 +691,35 @@ func FuzzDecodeBinaryPeerMsg(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, bin, err := decodePeerMsg(raw)
+		m, err := decodePeerMsg(raw)
 		if err != nil {
 			p.HandleDatagram(raw, memAddr("binfuzz-peer")) // must not panic on rejects either
 			return
 		}
-		if bin != (len(raw) > 0 && raw[0] == binMagic) {
-			t.Fatalf("codec flag %v disagrees with the first byte", bin)
-		}
-		maxDeltas := MaxDeltas
-		if bin {
-			maxDeltas = MaxDeltasBinary
-		}
-		if len(m.From) > MaxIDBytes || m.TTL > MaxTTL || m.ShardCount > MaxShardCount ||
-			len(m.Digests) > MaxShardCount || len(m.Deltas) > maxDeltas ||
+		if !validTypes[m.Type] || len(m.From) > MaxIDBytes || m.TTL > MaxTTL || m.ShardCount > MaxShardCount ||
+			len(m.Digests) > MaxShardCount || len(m.Deltas) > MaxDeltas ||
 			len(m.Metas) > MaxMetas || len(m.Nodes) > MaxPullNodes {
 			t.Fatalf("decoder accepted out-of-bounds message: %+v", m)
 		}
-		if bin {
-			// Accepted binary messages re-encode canonically: encode is
-			// total on decoder output and a second decode agrees.
-			re, err := encodeBinaryPeerMsg(&m)
-			if err != nil {
-				t.Fatalf("decoded message unencodable: %v", err)
-			}
-			m2, _, err := decodePeerMsg(re)
-			if err != nil {
-				t.Fatalf("re-encoded message undecodable: %v", err)
-			}
-			if asJSON(t, m) != asJSON(t, m2) {
-				t.Fatalf("re-encode round trip drifted")
-			}
+		// Accepted messages re-encode canonically: encode is total on
+		// decoder output and a second decode agrees.
+		re, err := encodePeerMsg(&m)
+		if err != nil {
+			t.Fatalf("decoded message unencodable: %v", err)
+		}
+		m2, err := decodePeerMsg(re)
+		if err != nil {
+			t.Fatalf("re-encoded message undecodable: %v", err)
+		}
+		if asJSON(t, m) != asJSON(t, m2) {
+			t.Fatalf("re-encode round trip drifted")
 		}
 		p.HandleDatagram(raw, memAddr("binfuzz-peer"))
 	})
 }
 
 // TestGenerateFuzzCorpus writes the checked-in seed corpus for
-// FuzzDecodeBinaryPeerMsg. It is a no-op unless REGEN_FUZZ_CORPUS is set,
-// so the corpus only changes deliberately.
+// FuzzDecodeBinaryPeerMsg.
 func TestGenerateFuzzCorpus(t *testing.T) {
-	if os.Getenv("REGEN_FUZZ_CORPUS") == "" {
-		t.Skip("set REGEN_FUZZ_CORPUS=1 to regenerate testdata/fuzz")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeBinaryPeerMsg")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var valid [][]byte
-	for _, m := range sampleMsgs() {
-		raw, err := encodeBinaryPeerMsg(&m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		valid = append(valid, raw)
-	}
-	for i, raw := range append(valid, corruptedBinarySeeds(valid)...) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", raw)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fuzzcorpus.Write(t, "FuzzDecodeBinaryPeerMsg", fuzzSeeds(t))
 }

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/crp"
+	"repro/internal/binwire"
 	"repro/internal/obs"
 )
 
@@ -61,11 +62,6 @@ type Config struct {
 	// partitioned for longer than this may resurrect forgotten entries
 	// through anti-entropy. Default 10m.
 	TombstoneGC time.Duration
-	// MaxDeltasPerMsg / MaxMetasPerMsg / MaxPullPerMsg chunk outbound
-	// messages under the datagram size limit. Defaults 32 / 2048 / 512.
-	MaxDeltasPerMsg int
-	MaxMetasPerMsg  int
-	MaxPullPerMsg   int
 	// Seed feeds the fanout-selection RNG; same seed + same event order =
 	// same peer choices, which is what makes the bench harness replayable.
 	Seed uint64
@@ -76,14 +72,6 @@ type Config struct {
 	Resolve func(string) (net.Addr, error)
 	// Registry receives the peering metrics. Default obs.Default().
 	Registry *obs.Registry
-	// Codec pins the engine's wire codec: "" or "binary" negotiates the
-	// compact binary codec with capable peers (JSON stays the bootstrap and
-	// fallback codec, so mixed-version meshes interoperate); "json" pins the
-	// engine to JSON — it never advertises or sends binary and treats
-	// inbound binary datagrams as undecodable, exactly like a daemon
-	// predating the binary codec. The mixed-codec mesh tests and the bench's
-	// codec dimension use this.
-	Codec string
 }
 
 // PeerInfo describes one known peer in a status report.
@@ -113,8 +101,6 @@ type StatsSnapshot struct {
 	SendErrors     uint64 `json:"sendErrors"`
 	TombstonesGCed uint64 `json:"tombstonesGCed"`
 	OversizeMsgs   uint64 `json:"oversizeMsgs"`
-	BinMsgs        uint64 `json:"binMsgs"`
-	BinSent        uint64 `json:"binSent"`
 }
 
 // StatusReport is the peer-status op payload.
@@ -148,23 +134,17 @@ type peerState struct {
 	addr    net.Addr
 	lag     *obs.Gauge // peering.peer.<id>.lag
 	lagV    atomic.Int64
-	// bin is latched when the peer advertises CodecBinary (join/join-ack/
-	// digest) or sends any binary-decoded datagram; from then on this engine
-	// speaks binary to it. Never unlatched — codec support is a property of
-	// the peer's build, not of one message.
-	bin atomic.Bool
 }
 
 // Peering is one daemon's gossip engine. Attach a socket, add peers (or
 // Join), then either call Start for the background loop or drive Tick /
 // HandleDatagram directly (the deterministic harness does the latter).
 type Peering struct {
-	cfg      Config
-	svc      *crp.Service
-	now      func() time.Time
-	resolve  func(string) (net.Addr, error)
-	reg      *obs.Registry
-	jsonOnly bool
+	cfg     Config
+	svc     *crp.Service
+	now     func() time.Time
+	resolve func(string) (net.Addr, error)
+	reg     *obs.Registry
 
 	mu      sync.Mutex
 	pc      net.PacketConn
@@ -183,7 +163,7 @@ type Peering struct {
 	deltasStale, digestsSent        stat
 	digestBytes, pulls, convergence stat
 	shapeMismatch, sendErrors, gced stat
-	oversize, binMsgs, binSent      stat
+	oversize                        stat
 }
 
 // New builds a peering engine over cfg.Service and installs the service's
@@ -195,7 +175,7 @@ func New(cfg Config) (*Peering, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("peering: empty Self ID")
 	}
-	if err := checkID("self", cfg.Self); err != nil {
+	if err := binwire.CheckID("self", cfg.Self, MaxIDBytes); err != nil {
 		return nil, fmt.Errorf("peering: %w", err)
 	}
 	if sc := cfg.Service.ShardCount(); sc > MaxShardCount {
@@ -203,11 +183,6 @@ func New(cfg Config) (*Peering, error) {
 		// never complete an anti-entropy round, so refuse it up front instead
 		// of silently livelocking (see the MaxShardCount sizing note).
 		return nil, fmt.Errorf("peering: store has %d shards, wire limit %d", sc, MaxShardCount)
-	}
-	switch cfg.Codec {
-	case "", "binary", "json":
-	default:
-		return nil, fmt.Errorf("peering: unknown codec %q", cfg.Codec)
 	}
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = 2
@@ -224,21 +199,6 @@ func New(cfg Config) (*Peering, error) {
 	if cfg.TombstoneGC <= 0 {
 		cfg.TombstoneGC = 10 * time.Minute
 	}
-	if cfg.MaxDeltasPerMsg <= 0 {
-		cfg.MaxDeltasPerMsg = 32
-	}
-	if cfg.MaxMetasPerMsg <= 0 {
-		cfg.MaxMetasPerMsg = 2048
-	}
-	if cfg.MaxMetasPerMsg > MaxMetas {
-		cfg.MaxMetasPerMsg = MaxMetas
-	}
-	if cfg.MaxPullPerMsg <= 0 {
-		cfg.MaxPullPerMsg = 512
-	}
-	if cfg.MaxPullPerMsg > MaxPullNodes {
-		cfg.MaxPullPerMsg = MaxPullNodes
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -249,16 +209,15 @@ func New(cfg Config) (*Peering, error) {
 		cfg.Registry = obs.Default()
 	}
 	p := &Peering{
-		cfg:      cfg,
-		svc:      cfg.Service,
-		now:      cfg.Now,
-		resolve:  cfg.Resolve,
-		reg:      cfg.Registry,
-		jsonOnly: cfg.Codec == "json",
-		peers:    make(map[string]*peerState),
-		pending:  make(map[crp.NodeID]int),
-		rng:      rand.New(rand.NewSource(int64(cfg.Seed))),
-		done:     make(chan struct{}),
+		cfg:     cfg,
+		svc:     cfg.Service,
+		now:     cfg.Now,
+		resolve: cfg.Resolve,
+		reg:     cfg.Registry,
+		peers:   make(map[string]*peerState),
+		pending: make(map[crp.NodeID]int),
+		rng:     rand.New(rand.NewSource(int64(cfg.Seed))),
+		done:    make(chan struct{}),
 	}
 	for _, c := range []struct {
 		s    *stat
@@ -278,8 +237,6 @@ func New(cfg Config) (*Peering, error) {
 		{&p.sendErrors, "peering.send_errors"},
 		{&p.gced, "peering.tombstones_gced"},
 		{&p.oversize, "peering.oversize_msgs"},
-		{&p.binMsgs, "peering.bin_msgs"},
-		{&p.binSent, "peering.bin_sent"},
 	} {
 		c.s.c = p.reg.Counter(c.name)
 	}
@@ -398,7 +355,7 @@ func (p *Peering) AddPeer(id, addr string) error {
 	if id == "" || id == p.cfg.Self {
 		return nil
 	}
-	if err := checkID("peer", id); err != nil {
+	if err := binwire.CheckID("peer", id, MaxIDBytes); err != nil {
 		return fmt.Errorf("peering: %w", err)
 	}
 	a, err := p.resolve(addr)
@@ -433,7 +390,8 @@ func (p *Peering) Join(addr string) error {
 	if err != nil {
 		return fmt.Errorf("peering: resolve %q: %w", addr, err)
 	}
-	return p.send(a, Msg{Type: MsgJoin, From: p.cfg.Self, Addr: p.cfg.Addr, Codec: p.codecToken()})
+	_, err = p.send(a, Msg{Type: MsgJoin, From: p.cfg.Self, Addr: p.cfg.Addr})
+	return err
 }
 
 // Status reports the engine's peers and counters.
@@ -473,8 +431,6 @@ func (p *Peering) Stats() StatsSnapshot {
 		SendErrors:     p.sendErrors.v.Load(),
 		TombstonesGCed: p.gced.v.Load(),
 		OversizeMsgs:   p.oversize.v.Load(),
-		BinMsgs:        p.binMsgs.v.Load(),
-		BinSent:        p.binSent.v.Load(),
 	}
 }
 
@@ -514,7 +470,7 @@ func (p *Peering) Tick(now time.Time) {
 	if queue != nil && len(p.order) > 0 {
 		// Partition the queue by remaining TTL (a message carries one TTL),
 		// sorted for determinism. Chunking into datagrams is deferred to
-		// sendDeltas, which packs to the target peer's codec budget.
+		// sendDeltas, which packs to the wire budget.
 		byTTL := map[int][]crp.NodeID{}
 		for node, ttl := range queue {
 			byTTL[ttl] = append(byTTL[ttl], node)
@@ -562,11 +518,8 @@ func (p *Peering) Tick(now time.Time) {
 			From:       p.cfg.Self,
 			ShardCount: p.svc.ShardCount(),
 			Digests:    p.svc.ShardDigests(),
-			// Digests recur forever, so the codec advertisement here is what
-			// upgrades statically-peered meshes that never exchange joins.
-			Codec: p.codecToken(),
 		}
-		if n, err := p.sendPeerSized(aeTarget, msg); err == nil {
+		if n, err := p.send(aeTarget.addr, msg); err == nil {
 			p.digestsSent.inc()
 			p.digestBytes.add(uint64(n))
 		}
@@ -585,52 +538,11 @@ func (p *Peering) Tick(now time.Time) {
 	}
 }
 
-// codecToken returns the codec advertisement carried by outbound join,
-// join-ack and digest messages: CodecBinary unless the engine is pinned to
-// JSON.
-func (p *Peering) codecToken() string {
-	if p.jsonOnly {
-		return ""
-	}
-	return CodecBinary
-}
-
-// binTo reports whether traffic to ps should use the binary codec: both
-// sides must speak it.
-func (p *Peering) binTo(ps *peerState) bool {
-	return !p.jsonOnly && ps.bin.Load()
-}
-
-// send marshals and writes one message to addr in the JSON codec — the
-// bootstrap path (join/join-ack and unknown destinations), which must stay
-// readable by every peer version.
-func (p *Peering) send(addr net.Addr, msg Msg) error {
-	_, err := p.sendRaw(addr, &msg, false)
-	return err
-}
-
-// sendPeer writes one message to a known peer in the best codec both sides
-// speak.
-func (p *Peering) sendPeer(ps *peerState, msg Msg) error {
-	_, err := p.sendRaw(ps.addr, &msg, p.binTo(ps))
-	return err
-}
-
-// sendPeerSized is sendPeer, also reporting the encoded size.
-func (p *Peering) sendPeerSized(ps *peerState, msg Msg) (int, error) {
-	return p.sendRaw(ps.addr, &msg, p.binTo(ps))
-}
-
-// sendRaw encodes (enforcing the datagram bound — dropping beats sending a
-// datagram the receiver is guaranteed to reject) and writes one message.
-// Every outbound message from a binary-capable engine carries the codec
-// token, so a peer latches the upgrade on first contact of any kind — not
-// just on joins or digests, which can be rare on a quiet mesh.
-func (p *Peering) sendRaw(addr net.Addr, msg *Msg, bin bool) (int, error) {
-	if msg.Codec == "" {
-		msg.Codec = p.codecToken()
-	}
-	raw, err := encodePeerMsg(msg, bin)
+// send encodes (enforcing the datagram bound — dropping beats sending a
+// datagram the receiver is guaranteed to reject) and writes one message,
+// reporting the encoded size.
+func (p *Peering) send(addr net.Addr, msg Msg) (int, error) {
+	raw, err := encodePeerMsg(&msg)
 	if err != nil {
 		p.sendErrors.inc()
 		return 0, err
@@ -646,28 +558,14 @@ func (p *Peering) sendRaw(addr net.Addr, msg *Msg, bin bool) (int, error) {
 		p.sendErrors.inc()
 		return 0, err
 	}
-	if bin {
-		p.binSent.inc()
-	}
 	return len(raw), nil
 }
 
-// sendDeltas packs entries to the peer's wire budget — size-driven batching
-// instead of a fixed per-message count — and sends one datagram per chunk.
-// JSON chunks additionally honor the configured count cap (and the JSON
-// decoder's MaxDeltas bound); binary chunks run to the byte budget. An entry
-// too large for any datagram is isolated in its own chunk so the encoder's
-// size check rejects it alone (a send error) without dragging down its
-// batch.
+// sendDeltas packs entries to the wire budget — size-driven batching, not a
+// fixed per-message count — and sends one datagram per chunk. An entry too
+// large for any datagram is isolated in its own chunk so the encoder's size
+// check rejects it alone (a send error) without dragging down its batch.
 func (p *Peering) sendDeltas(ps *peerState, deltas []crp.NodeDelta, ttl int) {
-	bin := p.binTo(ps)
-	maxCount := MaxDeltasBinary
-	if !bin {
-		maxCount = p.cfg.MaxDeltasPerMsg
-		if maxCount > MaxDeltas {
-			maxCount = MaxDeltas
-		}
-	}
 	budget := MaxMsgSize - binOverhead
 	var chunk []crp.NodeDelta
 	used := 0
@@ -676,14 +574,14 @@ func (p *Peering) sendDeltas(ps *peerState, deltas []crp.NodeDelta, ttl int) {
 			return
 		}
 		msg := Msg{Type: MsgDelta, From: p.cfg.Self, Deltas: chunk, TTL: ttl}
-		if err := p.sendPeer(ps, msg); err == nil {
+		if _, err := p.send(ps.addr, msg); err == nil {
 			p.deltasSent.add(uint64(len(chunk)))
 		}
 		chunk, used = nil, 0
 	}
 	for i := range deltas {
-		n := deltaWireCost(bin, &deltas[i])
-		if len(chunk) > 0 && (used+n > budget || len(chunk) >= maxCount) {
+		n := binDeltaSize(&deltas[i])
+		if len(chunk) > 0 && (used+n > budget || len(chunk) >= MaxDeltas) {
 			flush()
 		}
 		chunk = append(chunk, deltas[i])
@@ -703,19 +601,10 @@ func (p *Peering) HandleDatagram(raw []byte, from net.Addr) {
 		p.oversize.inc()
 		return
 	}
-	if p.jsonOnly && len(raw) > 0 && raw[0] == binMagic {
-		// A JSON-pinned engine behaves exactly like a daemon predating the
-		// binary codec: binary datagrams are undecodable noise.
-		p.badMsgs.inc()
-		return
-	}
-	msg, bin, err := decodePeerMsg(raw)
+	msg, err := decodePeerMsg(raw)
 	if err != nil {
 		p.badMsgs.inc()
 		return
-	}
-	if bin {
-		p.binMsgs.inc()
 	}
 	if msg.From == p.cfg.Self {
 		return
@@ -733,14 +622,6 @@ func (p *Peering) HandleDatagram(raw []byte, from net.Addr) {
 		p.handleDiff(msg)
 	case MsgPull:
 		p.handlePull(msg)
-	}
-	// Codec learning runs after the handlers so a join has registered its
-	// sender: an explicit advertisement or any binary-decoded datagram marks
-	// the peer binary-capable.
-	if !p.jsonOnly && (bin || msg.Codec == CodecBinary) {
-		if ps := p.peerByID(msg.From); ps != nil {
-			ps.bin.Store(true)
-		}
 	}
 }
 
@@ -769,7 +650,7 @@ func (p *Peering) handleJoin(msg Msg, from net.Addr, ack bool) {
 	p.addPeerLocked(msg.From, addrStr, addr)
 	p.mu.Unlock()
 	if ack {
-		_ = p.send(addr, Msg{Type: MsgJoinAck, From: p.cfg.Self, Addr: p.cfg.Addr, Codec: p.codecToken()})
+		_, _ = p.send(addr, Msg{Type: MsgJoinAck, From: p.cfg.Self, Addr: p.cfg.Addr})
 	}
 }
 
@@ -806,7 +687,7 @@ func (p *Peering) handleDelta(msg Msg) {
 // handleDigest compares the sender's per-shard digests against the local
 // store and answers with a diff: the differing shard indices plus the local
 // entry metadata for those shards, packed to the datagram byte budget (and
-// the MaxMetasPerMsg count cap) in whole shards only — a shard is claimed as
+// the maxMetasPerMsg count cap) in whole shards only — a shard is claimed as
 // covered only if every one of its metas is carried, because handleDiff
 // reads absences from covered shards as "peer lacks this node". Shards that
 // don't fit are left for later rounds, since anti-entropy repairs
@@ -832,18 +713,17 @@ func (p *Peering) handleDigest(msg Msg) {
 	if ps == nil {
 		return
 	}
-	bin := p.binTo(ps)
 	reply := Msg{Type: MsgDiff, From: p.cfg.Self}
-	count := p.cfg.MaxMetasPerMsg
+	count := maxMetasPerMsg
 	budget := MaxMsgSize - binOverhead
 	for _, shard := range differing {
 		metas, err := p.svc.ShardMetas(shard)
 		if err != nil {
 			continue
 		}
-		cost := shardIdxWireCost(bin, shard)
+		cost := binwire.UvarintLen(uint64(shard))
 		for i := range metas {
-			cost += metaWireCost(bin, &metas[i])
+			cost += binMetaSize(&metas[i])
 		}
 		if len(reply.Shards) > 0 && (cost > budget || len(metas) > count) {
 			break // this shard doesn't fit; later rounds will get to it
@@ -856,7 +736,7 @@ func (p *Peering) handleDigest(msg Msg) {
 			break
 		}
 	}
-	_ = p.sendPeer(ps, reply)
+	_, _ = p.send(ps.addr, reply)
 }
 
 // handleDiff reconciles the peer's metadata against the local store: local
@@ -914,12 +794,12 @@ func (p *Peering) handleDiff(msg Msg) {
 		}
 	}
 	p.pushDeltas(ps, push)
-	for start := 0; start < len(pull); start += p.cfg.MaxPullPerMsg {
-		end := start + p.cfg.MaxPullPerMsg
+	for start := 0; start < len(pull); start += maxPullPerMsg {
+		end := start + maxPullPerMsg
 		if end > len(pull) {
 			end = len(pull)
 		}
-		if err := p.sendPeer(ps, Msg{Type: MsgPull, From: p.cfg.Self, Nodes: pull[start:end]}); err == nil {
+		if _, err := p.send(ps.addr, Msg{Type: MsgPull, From: p.cfg.Self, Nodes: pull[start:end]}); err == nil {
 			p.pulls.inc()
 		}
 	}

@@ -243,7 +243,11 @@ func TestShapeMismatchIsCountedNotApplied(t *testing.T) {
 	if err := p.AddPeer("z-daemon", "z-daemon"); err != nil {
 		t.Fatal(err)
 	}
-	p.HandleDatagram([]byte(`{"type":"digest","from":"z-daemon","shardCount":4,"digests":[1,2,3,4]}`), memAddr("z-daemon"))
+	raw, err := encodePeerMsg(&Msg{Type: MsgDigest, From: "z-daemon", ShardCount: 4, Digests: []uint64{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.HandleDatagram(raw, memAddr("z-daemon"))
 	if got := p.Stats().ShapeMismatch; got != 1 {
 		t.Fatalf("shape mismatch counter = %d, want 1", got)
 	}

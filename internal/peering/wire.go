@@ -1,22 +1,18 @@
 package peering
 
 import (
-	"encoding/json"
 	"fmt"
-	"unicode/utf8"
 
 	"repro/crp"
+	"repro/internal/binwire"
 )
 
-// Gossip wire protocol: one Msg per UDP datagram, in one of two codecs —
-// compact binary (wire.go's bounds + binwire primitives, format in
-// binwire.go and DESIGN.md §9) or JSON, the bootstrap/fallback codec every
-// version speaks. The first byte routes: binMagic means binary, anything
-// else (JSON starts with '{') means JSON. Both codecs share one bounds
-// discipline, same as the crpd request path (internal/crpdaemon/decode.go):
-// every field that sizes an allocation, keys a map or indexes a slice is
-// bounded in the decode path before any handler logic runs, so a hostile or
-// corrupted datagram costs one counter bump, never memory or CPU.
+// Gossip wire protocol: one Msg per UDP datagram, in the one frame format
+// binwire.go defines (DESIGN.md §9). The bounds discipline is the crpd
+// request path's (internal/crpdaemon/decode.go): every field that sizes an
+// allocation, keys a map or indexes a slice is bounded in the decode path
+// before any handler logic runs, so a hostile or corrupted datagram costs
+// one counter bump, never memory or CPU.
 
 // Msg types.
 const (
@@ -49,34 +45,25 @@ const (
 	// MaxIDBytes bounds daemon IDs, addresses and node names (DNS-name
 	// scale, like crpd's identity fields).
 	MaxIDBytes = 255
-	// MaxShardCount bounds the digest vector and any shard index. It is
-	// sized from the wire, not the store: a digest message carries one
-	// 64-bit word per shard, and at 2048 shards the worst case (every word
-	// 20 decimal digits, a 255-byte sender ID) still encodes under
-	// MaxMsgSize in JSON (~43 KiB) as well as binary (~16 KiB);
-	// TestWorstCaseDigestFitsTheWire pins both. The former 4096 ceiling
-	// was a lie — a 4096-shard digest worst-case JSON-encodes to ~86 KiB,
-	// which the encoder itself would refuse to send, so anti-entropy could
-	// never run at that width. New rejects wider stores up front. The crp
-	// shard clamp tops out at 1024, so defaults keep 2x headroom.
+	// MaxShardCount bounds the digest vector and any shard index. A digest
+	// message carries one fixed 8-byte word per shard, so the worst case at
+	// this width (two 255-byte IDs) is ~17 KiB, well under MaxMsgSize;
+	// TestWorstCaseDigestFitsTheWire pins it. New rejects wider stores up
+	// front. The crp shard clamp tops out at 1024, so defaults keep 2x
+	// headroom.
 	MaxShardCount = 2048
 	// MaxMetas bounds the flat metadata list of a diff. It is a decode
 	// sanity cap, not a fit guarantee: worst-case metas (255-byte node and
 	// origin IDs) overflow a datagram well before this count, so outbound
-	// diffs are packed to the byte budget (packMetas) and only whole
+	// diffs are packed to the byte budget (handleDigest) and only whole
 	// shards whose metas fit are claimed as covered.
 	MaxMetas = 4096
-	// MaxDeltas bounds the entries of one JSON delta message. Binary delta
-	// messages are instead packed (and bounded) by the wire budget — see
-	// MaxDeltasBinary.
-	MaxDeltas = 256
-	// MaxDeltasBinary is the decode sanity cap for binary delta messages,
-	// whose batching is size-driven: entries are packed until the datagram
-	// budget is reached, so tiny entries can exceed the JSON count cap.
-	// The smallest possible entry is ~6 wire bytes, so a datagram can
-	// physically hold ~10k; the cap sits above that and the decoder's
+	// MaxDeltas is the decode sanity cap for delta messages, whose batching
+	// is size-driven: entries are packed until the datagram budget is
+	// reached. The smallest possible entry is ~6 wire bytes, so a datagram
+	// can physically hold ~10k; the cap sits above that and the decoder's
 	// remaining-bytes check enforces the real ceiling.
-	MaxDeltasBinary = 16384
+	MaxDeltas = 16384
 	// MaxProbesPerDelta bounds one entry's probe window.
 	MaxProbesPerDelta = 4096
 	// MaxReplicasPerProbe bounds one probe's replica set.
@@ -85,44 +72,36 @@ const (
 	MaxPullNodes = 1024
 	// MaxTTL bounds the rumor hop budget.
 	MaxTTL = 16
-	// MaxCodecBytes bounds the codec-advertisement token.
-	MaxCodecBytes = 16
+	// maxMetasPerMsg and maxPullPerMsg are the outbound count caps on one
+	// diff's meta list and one pull's node list, each half the decode bound.
+	maxMetasPerMsg = 2048
+	maxPullPerMsg  = 512
 )
-
-// CodecBinary is the codec token advertised in join/join-ack/digest
-// messages by engines that accept the compact binary codec. Unknown tokens
-// are ignored (forward compatibility); an absent token means JSON only.
-const CodecBinary = "bin1"
 
 // Msg is one gossip datagram. Fields are pooled across types; decodePeerMsg
 // checks only the bounds, handlers ignore fields their type doesn't use.
 type Msg struct {
-	Type string `json:"type"`
+	Type string
 	// From is the sender's daemon ID.
-	From string `json:"from"`
+	From string
 	// Addr is the sender's gossip listen address (join/join-ack), so the
 	// receiver can add the sender as a peer.
-	Addr string `json:"addr,omitempty"`
+	Addr string
 	// ShardCount is the sender's store width (digest); digest comparison is
 	// only defined between equal widths.
-	ShardCount int `json:"shardCount,omitempty"`
+	ShardCount int
 	// Digests is the per-shard digest vector (digest).
-	Digests []uint64 `json:"digests,omitempty"`
+	Digests []uint64
 	// Shards lists the differing shard indices (diff).
-	Shards []int `json:"shards,omitempty"`
+	Shards []int
 	// Metas is the flat entry-metadata list for those shards (diff).
-	Metas []crp.NodeMeta `json:"metas,omitempty"`
+	Metas []crp.NodeMeta
 	// Deltas carries full node entries (delta).
-	Deltas []crp.NodeDelta `json:"deltas,omitempty"`
+	Deltas []crp.NodeDelta
 	// Nodes names the entries requested (pull).
-	Nodes []string `json:"nodes,omitempty"`
+	Nodes []string
 	// TTL is the remaining rumor hop budget of the carried deltas (delta).
-	TTL int `json:"ttl,omitempty"`
-	// Codec advertises the sender's wire-codec support (join, join-ack and
-	// digest — the periodic messages, so statically-peered meshes upgrade
-	// without a handshake). CodecBinary means binary is accepted; empty or
-	// unknown means JSON only.
-	Codec string `json:"codec,omitempty"`
+	TTL int
 }
 
 // validTypes gates Msg.Type.
@@ -131,42 +110,18 @@ var validTypes = map[string]bool{
 	MsgDigest: true, MsgDiff: true, MsgPull: true,
 }
 
-// decodePeerMsg parses and bounds-checks one gossip datagram in either
-// codec, routed by the first byte. It is the single decode path — the
-// socket loop and the deterministic in-memory harness both route through
-// it. The returned bin flag reports which codec the sender used, which is
-// how an engine learns a statically-added peer speaks binary.
-func decodePeerMsg(raw []byte) (m Msg, bin bool, err error) {
-	if len(raw) > MaxMsgSize {
-		return m, false, fmt.Errorf("message too large: %d bytes exceeds the %d-byte limit", len(raw), MaxMsgSize)
-	}
-	if len(raw) > 0 && raw[0] == binMagic {
-		m, err = decodeBinaryPeerMsg(raw)
-		if err != nil {
-			return m, true, err
-		}
-		return m, true, checkPeerMsg(&m, MaxDeltasBinary)
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, false, fmt.Errorf("bad message: %v", err)
-	}
-	return m, false, checkPeerMsg(&m, MaxDeltas)
-}
-
 // checkPeerMsg validates the decoded fields against the wire bounds.
-// maxDeltas is the codec's delta-count cap: JSON messages chunk by count,
-// binary messages pack to the byte budget and carry a looser sanity cap.
-func checkPeerMsg(m *Msg, maxDeltas int) error {
+func checkPeerMsg(m *Msg) error {
 	if !validTypes[m.Type] {
 		return fmt.Errorf("unknown message type %q", m.Type)
 	}
-	if err := checkID("from", m.From); err != nil {
+	if err := binwire.CheckID("from", m.From, MaxIDBytes); err != nil {
 		return err
 	}
 	if m.From == "" {
 		return fmt.Errorf("from is required")
 	}
-	if err := checkID("addr", m.Addr); err != nil {
+	if err := binwire.CheckID("addr", m.Addr, MaxIDBytes); err != nil {
 		return err
 	}
 	if m.ShardCount < 0 || m.ShardCount > MaxShardCount {
@@ -187,18 +142,18 @@ func checkPeerMsg(m *Msg, maxDeltas int) error {
 		return fmt.Errorf("meta list has %d entries, limit %d", len(m.Metas), MaxMetas)
 	}
 	for i := range m.Metas {
-		if err := checkID(fmt.Sprintf("metas[%d].node", i), string(m.Metas[i].Node)); err != nil {
+		if err := binwire.CheckID(fmt.Sprintf("metas[%d].node", i), string(m.Metas[i].Node), MaxIDBytes); err != nil {
 			return err
 		}
 		if m.Metas[i].Node == "" {
 			return fmt.Errorf("metas[%d] has an empty node ID", i)
 		}
-		if err := checkID(fmt.Sprintf("metas[%d].origin", i), m.Metas[i].Origin); err != nil {
+		if err := binwire.CheckID(fmt.Sprintf("metas[%d].origin", i), m.Metas[i].Origin, MaxIDBytes); err != nil {
 			return err
 		}
 	}
-	if len(m.Deltas) > maxDeltas {
-		return fmt.Errorf("delta list has %d entries, limit %d", len(m.Deltas), maxDeltas)
+	if len(m.Deltas) > MaxDeltas {
+		return fmt.Errorf("delta list has %d entries, limit %d", len(m.Deltas), MaxDeltas)
 	}
 	for i := range m.Deltas {
 		if err := checkDelta(i, &m.Deltas[i]); err != nil {
@@ -209,7 +164,7 @@ func checkPeerMsg(m *Msg, maxDeltas int) error {
 		return fmt.Errorf("node list has %d entries, limit %d", len(m.Nodes), MaxPullNodes)
 	}
 	for i, n := range m.Nodes {
-		if err := checkID(fmt.Sprintf("nodes[%d]", i), n); err != nil {
+		if err := binwire.CheckID(fmt.Sprintf("nodes[%d]", i), n, MaxIDBytes); err != nil {
 			return err
 		}
 		if n == "" {
@@ -219,21 +174,18 @@ func checkPeerMsg(m *Msg, maxDeltas int) error {
 	if m.TTL < 0 || m.TTL > MaxTTL {
 		return fmt.Errorf("ttl %d outside [0, %d]", m.TTL, MaxTTL)
 	}
-	if len(m.Codec) > MaxCodecBytes {
-		return fmt.Errorf("codec token is %d bytes, limit %d", len(m.Codec), MaxCodecBytes)
-	}
 	return nil
 }
 
 // checkDelta bounds one carried node entry.
 func checkDelta(i int, d *crp.NodeDelta) error {
-	if err := checkID(fmt.Sprintf("deltas[%d].node", i), string(d.Node)); err != nil {
+	if err := binwire.CheckID(fmt.Sprintf("deltas[%d].node", i), string(d.Node), MaxIDBytes); err != nil {
 		return err
 	}
 	if d.Node == "" {
 		return fmt.Errorf("deltas[%d] has an empty node ID", i)
 	}
-	if err := checkID(fmt.Sprintf("deltas[%d].origin", i), d.Origin); err != nil {
+	if err := binwire.CheckID(fmt.Sprintf("deltas[%d].origin", i), d.Origin, MaxIDBytes); err != nil {
 		return err
 	}
 	if len(d.Probes) > MaxProbesPerDelta {
@@ -245,28 +197,9 @@ func checkDelta(i int, d *crp.NodeDelta) error {
 				i, j, len(d.Probes[j].Replicas), MaxReplicasPerProbe)
 		}
 		for k, r := range d.Probes[j].Replicas {
-			if err := checkID(fmt.Sprintf("deltas[%d].probes[%d].replicas[%d]", i, j, k), string(r)); err != nil {
+			if err := binwire.CheckID(fmt.Sprintf("deltas[%d].probes[%d].replicas[%d]", i, j, k), string(r), MaxIDBytes); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// checkID bounds one identity string: length-capped valid UTF-8 with no NULs
-// (IDs end up as store keys, metric names and log fields). Mirrors crpdaemon's
-// checkID; duplicated because importing crpdaemon here would cycle once the
-// daemon grows peering ops.
-func checkID(field, v string) error {
-	if len(v) > MaxIDBytes {
-		return fmt.Errorf("%s is %d bytes, limit %d", field, len(v), MaxIDBytes)
-	}
-	if !utf8.ValidString(v) {
-		return fmt.Errorf("%s is not valid UTF-8", field)
-	}
-	for i := 0; i < len(v); i++ {
-		if v[i] == 0 {
-			return fmt.Errorf("%s contains a NUL byte", field)
 		}
 	}
 	return nil

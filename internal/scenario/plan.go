@@ -208,9 +208,6 @@ type Plan struct {
 	// Daemons is the mesh size (default 3; 1 runs a single daemon with no
 	// gossip plane).
 	Daemons int `json:"daemons,omitempty"`
-	// Codec pins the *gossip* codec: "" or "binary" negotiates binary,
-	// "json" pins JSON, "mixed" pins daemon 0 to JSON (rolling upgrade).
-	Codec string `json:"codec,omitempty"`
 	// Duration is the driven window on the virtual clock. Required.
 	Duration faults.Duration `json:"duration"`
 	// Tick is the virtual scheduling quantum (default 1s).
@@ -331,15 +328,6 @@ func (p *Plan) Validate() error {
 	}
 	if p.Daemons < 1 {
 		return planErr("daemons", "must be >= 1, got %d", p.Daemons)
-	}
-	switch p.Codec {
-	case "", "json", "binary":
-	case "mixed":
-		if p.Daemons < 2 {
-			return planErr("codec", "mixed needs >= 2 daemons")
-		}
-	default:
-		return planErr("codec", "unknown gossip codec %q (want json, binary or mixed)", p.Codec)
 	}
 	if p.Duration <= 0 {
 		return planErr("duration", "required and positive")

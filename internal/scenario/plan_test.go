@@ -3,13 +3,12 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/fuzzcorpus"
 )
 
 // validPlan is a minimal well-formed plan the malformed-plan table mutates.
@@ -91,14 +90,11 @@ func TestDecodePlanMalformed(t *testing.T) {
 			field: "transport", detail: "tcp",
 		},
 		{
+			// The gossip link has one wire format, so any top-level codec
+			// token is bad: the key is unknown. Only groups pick a codec.
 			name:  "bad gossip codec token",
-			raw:   mutate(t, func(p map[string]any) { p["codec"] = "protobuf" }),
-			field: "codec", detail: "protobuf",
-		},
-		{
-			name:  "mixed codec single daemon",
-			raw:   mutate(t, func(p map[string]any) { p["codec"] = "mixed"; p["daemons"] = 1 }),
-			field: "codec",
+			raw:   mutate(t, func(p map[string]any) { p["codec"] = "binary" }),
+			field: "plan", detail: `unknown field "codec"`,
 		},
 		{
 			name:  "tick beyond duration",
@@ -379,10 +375,7 @@ func FuzzDecodeScenario(f *testing.F) {
 // TestGenerateScenarioFuzzCorpus refreshes the checked-in seed corpus. Run
 // with REGEN_FUZZ_CORPUS=1 when the schema changes.
 func TestGenerateScenarioFuzzCorpus(t *testing.T) {
-	if os.Getenv("REGEN_FUZZ_CORPUS") != "1" {
-		t.Skip("set REGEN_FUZZ_CORPUS=1 to regenerate")
-	}
-	seeds := [][]byte{
+	fuzzcorpus.Write(t, "FuzzDecodeScenario", [][]byte{
 		mutate(t, func(map[string]any) {}),
 		mutate(t, func(p map[string]any) { p["transport"] = "udp" }),
 		mutate(t, func(p map[string]any) {
@@ -414,15 +407,5 @@ func TestGenerateScenarioFuzzCorpus(t *testing.T) {
 		[]byte(`{}`),
 		[]byte(`{"name":"x","seed":0,"duration":"1s"}`),
 		[]byte(`not json at all`),
-	}
-	dir := "testdata/fuzz/FuzzDecodeScenario"
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-		if err := os.WriteFile(fmt.Sprintf("%s/seed-%02d", dir, i), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 }

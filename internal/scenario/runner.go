@@ -320,19 +320,6 @@ func encodeOp(so *schedOp) ([]byte, error) {
 	return raw, nil
 }
 
-// gossipCodec is daemon i's pinned codec token under the plan's policy.
-func (p *Plan) gossipCodec(i int) string {
-	switch p.Codec {
-	case "json":
-		return "json"
-	case "mixed":
-		if i == 0 {
-			return "json"
-		}
-	}
-	return ""
-}
-
 func (r *runner) newService() (*crp.Service, error) {
 	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: r.p.Shards}, crp.WithWindow(r.p.Window))
 	if r.p.AggregateBits > 0 {
@@ -390,7 +377,6 @@ func (r *runner) runMem() (*Report, error) {
 				Now:      clock,
 				Resolve:  mesh.Resolve,
 				Registry: r.reg,
-				Codec:    p.gossipCodec(i),
 			})
 			if err != nil {
 				return nil, err
@@ -702,7 +688,6 @@ func (r *runner) runUDP() (*Report, error) {
 				Interval: 20 * time.Millisecond,
 				Seed:     p.Seed + uint64(i)*7919,
 				Registry: r.reg,
-				Codec:    p.gossipCodec(i),
 			})
 			if err != nil {
 				pc.Close()
