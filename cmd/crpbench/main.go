@@ -5,21 +5,19 @@
 // Usage:
 //
 //	crpbench -exp list
-//	crpbench [-exp NAME] [-quick] [-seed N] [-nodes N] [-out FILE] [-det-out FILE] [-plan FILE]
+//	crpbench [-exp NAME] [-quick] [-seed N] [-out FILE] [-det-out FILE] [-plan FILE]
 //
 // Experiments register in the table in registry.go; -exp list prints every
 // registered experiment with the flags it accepts. The paper experiments
 // (fig4..ablations, or all) share one simulated-scenario build. The
-// standalone experiments are this repository's own: kernels compares the
-// map-based similarity path against the compiled-vector kernel; crpd
-// stress-benchmarks the positioning daemon over loopback UDP; churn
-// interleaves continuous Observe load with concurrent query load across
-// store designs; faults sweeps the deterministic fault-injection plane;
-// gossip sweeps the multi-daemon peering plane across fanout x packet loss;
-// scale ingests a million-client population with prefix aggregation on and
-// off; fusion scores the fused multi-CDN kernel against single-CDN paths;
-// scenario drives a real daemon mesh from a declarative JSON plan (see
-// scenarios/README.md) and gates it on the plan's envelope.
+// standalone experiments are this repository's own: faults sweeps the
+// deterministic fault-injection plane; scale ingests a million-client
+// population with prefix aggregation on and off; fusion scores the fused
+// multi-CDN kernel against single-CDN paths; drift scores the CDN-change
+// detector against the fault plane's truth schedule; scenario drives a real
+// daemon mesh from a declarative JSON plan (see scenarios/README.md) and
+// gates it on the plan's envelope. Request-path and gossip-path timing is
+// the benchmark/ harness's job, not crpbench's.
 //
 // Every experiment dumps the process-wide obs metrics snapshot when it
 // finishes, so each run leaves instrumentation data alongside its tables.
@@ -52,7 +50,6 @@ func run(args []string) error {
 	a := benchArgs{}
 	fs.BoolVar(&a.quick, "quick", false, "run a reduced-scale configuration")
 	fs.Int64Var(&a.seed, "seed", 1, "simulation seed")
-	fs.IntVar(&a.nodes, "nodes", 0, "override the churn experiment's node count (0 = default scale)")
 	fs.StringVar(&a.out, "out", "", "write the experiment's report JSON to this file")
 	fs.StringVar(&a.detOut, "det-out", "", "also write the timing-independent report slice to this file (for same-seed determinism checks)")
 	fs.StringVar(&a.plan, "plan", "", "scenario experiment: the JSON plan file to run")

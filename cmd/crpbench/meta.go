@@ -5,6 +5,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // benchMeta is the provenance block embedded in every BENCH_*.json crpbench
@@ -64,4 +69,56 @@ func writeReport(out string, report any) error {
 	}
 	fmt.Printf("report written to %s\n", out)
 	return nil
+}
+
+// renderObsSnapshot formats the non-zero instruments of a snapshot for the
+// terminal: counters and gauges verbatim, histograms reduced to count, mean
+// and tail quantiles.
+func renderObsSnapshot(label string, snap obs.Snapshot) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "obs snapshot [%s]\n", label)
+	names := make([]string, 0, len(snap.Counters))
+	for n, v := range snap.Counters {
+		if v > 0 {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(&b, "  %-36s %d\n", n, snap.Counters[n])
+	}
+	names = names[:0]
+	for n, v := range snap.Gauges {
+		if v != 0 {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(&b, "  %-36s %d (gauge)\n", n, snap.Gauges[n])
+	}
+	names = names[:0]
+	for n, h := range snap.Histograms {
+		if h.Count > 0 {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		h := snap.Histograms[n]
+		fmt.Fprintf(&b, "  %-36s count=%d mean=%s p50=%s p99=%s\n", n, h.Count,
+			fmtSeconds(h.Mean()), fmtSeconds(h.Quantile(0.50)), fmtSeconds(h.Quantile(0.99)))
+	}
+	return b.String()
+}
+
+func fmtSeconds(s float64) string {
+	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
+}
+
+// dumpObs prints the process-wide registry after an experiment, so every
+// crpbench run leaves a metrics trail alongside its tables.
+func dumpObs(label string) {
+	fmt.Print(renderObsSnapshot(label, obs.Default().Snapshot()))
+	fmt.Println()
 }

@@ -9,7 +9,6 @@ import (
 type benchArgs struct {
 	quick  bool
 	seed   int64
-	nodes  int
 	out    string
 	detOut string
 	plan   string
@@ -83,29 +82,9 @@ var experiments = []experimentSpec{
 	paperSpec("sec6", "name selection, overhead and bootstrap studies"),
 	paperSpec("ablations", "similarity/center/coverage/baseline/stability ablations"),
 	{
-		name: "kernels", desc: "map-based vs compiled-vector similarity kernel timings",
-		flags: []string{"quick"},
-		run:   func(a benchArgs) error { return runKernels(a.quick) },
-	},
-	{
-		name: "crpd", desc: "daemon stress bench: cheap-op latency under SMF clustering load",
-		flags: []string{"quick", "seed"},
-		run:   func(a benchArgs) error { return runCrpdBench(a.quick, a.seed, a.out) },
-	},
-	{
-		name: "churn", desc: "sharded store vs snapshot baseline under continuous ingest",
-		flags: []string{"quick", "seed", "nodes"},
-		run:   func(a benchArgs) error { return runChurn(a.quick, a.seed, a.nodes, a.out) },
-	},
-	{
 		name: "faults", desc: "accuracy degradation across probe-loss x CDN-staleness",
 		flags: []string{"quick", "seed"},
 		run:   func(a benchArgs) error { return runFaultSweep(a.quick, a.seed, a.out) },
-	},
-	{
-		name: "gossip", desc: "mesh convergence across rumor fanout x gossip packet loss",
-		flags: []string{"quick", "seed"},
-		run:   func(a benchArgs) error { return runGossipBench(a.quick, a.seed, a.out) },
 	},
 	{
 		name: "scale", desc: "million-client ingest with prefix aggregation on/off",

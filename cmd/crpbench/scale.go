@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -425,13 +426,23 @@ func runScaleQueryPhase(svc *crp.Service, w scaleWorld, cands []crp.NodeID, base
 		}
 		all = append(all, lats[wk]...)
 	}
-	p := summarizePhase(all, elapsed)
-	cell.QueryPhase.Queries = p.Requests
-	cell.QueryPhase.QueriesPerSec = p.PerSecond
-	cell.QueryPhase.P50Micros = p.P50Micros
-	cell.QueryPhase.P99Micros = p.P99Micros
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	cell.QueryPhase.Queries = len(all)
+	cell.QueryPhase.QueriesPerSec = float64(len(all)) / elapsed.Seconds()
+	cell.QueryPhase.P50Micros = float64(percentileDur(all, 0.50)) / 1e3
+	cell.QueryPhase.P99Micros = float64(percentileDur(all, 0.99)) / 1e3
 	cell.QueryPhase.IngestObserves = observes.Load()
 	return nil
+}
+
+// percentileDur returns the q-quantile of an ascending latency slice by
+// nearest-rank interpolation.
+func percentileDur(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(q * float64(len(sorted)-1))
+	return sorted[idx]
 }
 
 // runScaleCell runs one sweep point end to end. prefixBits == 0 means

@@ -9,13 +9,13 @@ import (
 )
 
 // storeShapes are the three store configurations every replication property
-// must hold under: the single-snapshot baseline, the production defaults,
-// and an explicit narrow sharding.
+// must hold under: one shard, the production defaults, and an explicit narrow
+// sharding.
 var storeShapes = []struct {
 	name string
 	cfg  StoreConfig
 }{
-	{"single-full-rebuild", StoreConfig{Shards: 1, FullRebuild: true}},
+	{"single", StoreConfig{Shards: 1}},
 	{"defaults", StoreConfig{}},
 	{"shards-8", StoreConfig{Shards: 8}},
 }

@@ -58,8 +58,8 @@ func TestSnapshotWithDirtyShardsEqualsQuiescent(t *testing.T) {
 }
 
 // TestSnapshotRoundTripAcrossStoreShapes restores a sharded service's
-// snapshot into every store shape (sharded, single-shard full-rebuild,
-// default) and asserts identical node sets and ratio maps: persistence is
+// snapshot into every store shape (sharded, single-shard, default) and
+// asserts identical node sets and ratio maps: persistence is
 // store-shape-agnostic in both directions.
 func TestSnapshotRoundTripAcrossStoreShapes(t *testing.T) {
 	src := seedShardedService(t, 48)
@@ -71,7 +71,7 @@ func TestSnapshotRoundTripAcrossStoreShapes(t *testing.T) {
 
 	shapes := map[string]StoreConfig{
 		"sharded-8":    {Shards: 8},
-		"single-full":  {Shards: 1, FullRebuild: true},
+		"single":       {Shards: 1},
 		"defaults":     {},
 		"sharded-wide": {Shards: 64},
 	}

@@ -9,7 +9,7 @@ import (
 
 // TestServiceChurnStress interleaves every mutation and query the daemon
 // exposes — Observe, Forget, TopK, ClosestTo, Similarity, ClusterAll,
-// Nodes — across goroutines, under both store shapes. Run with -race (the
+// Nodes — across goroutines, under three store shapes. Run with -race (the
 // repo's make check does) this is the concurrency gate for the sharded
 // store: snapshot stitching, per-shard patching and structural rebuilds all
 // race against ingestion here.
@@ -20,7 +20,7 @@ func TestServiceChurnStress(t *testing.T) {
 	}{
 		{"sharded", StoreConfig{}},
 		{"fewShards", StoreConfig{Shards: 2}},
-		{"singleFullRebuild", StoreConfig{Shards: 1, FullRebuild: true}},
+		{"single", StoreConfig{Shards: 1}},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -157,7 +157,7 @@ func TestServiceOrderingDeterminism(t *testing.T) {
 		return s
 	}
 	sharded := build(StoreConfig{})
-	single := build(StoreConfig{Shards: 1, FullRebuild: true})
+	single := build(StoreConfig{Shards: 1})
 
 	nodes := sharded.Nodes()
 	for i := 1; i < len(nodes); i++ {

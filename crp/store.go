@@ -33,12 +33,6 @@ type StoreConfig struct {
 	// Shards is the shard count; it is rounded up to a power of two.
 	// Zero or negative picks the default (~4× GOMAXPROCS, at least 256).
 	Shards int
-	// FullRebuild disables incremental sub-snapshot maintenance: a dirty
-	// shard re-collects and re-sorts its whole submap instead of patching
-	// changed vectors in place. With Shards: 1 this reproduces the
-	// pre-sharding single-snapshot design, the baseline the churn benchmark
-	// compares against.
-	FullRebuild bool
 }
 
 // defaultShardCount returns the default store width: the next power of two
@@ -48,25 +42,27 @@ type StoreConfig struct {
 // touched, each patch copying N/S entries, so with B writes spread across
 // shards the copied volume is ≈ S·(1-(1-1/S)^B)·N/S entries — a quantity
 // that *shrinks* as S grows, along with the allocation garbage those copies
-// feed the collector. The churn benchmark measures the effect directly: at
-// 50k nodes under a 1.5k/s observe stream, going from 64 to 256 shards
-// nearly halves query p99 on a single-core host. Per-shard fixed overhead
+// feed the collector. Measured at PR 3 (DESIGN.md §6): at 50k nodes under
+// a 1.5k/s observe stream, going from 64 to 256 shards nearly halves query
+// p99 on a single-core host. Per-shard fixed overhead
 // (two small maps, a gauge, three words of sync state) is a few hundred
 // bytes, so even a store holding a handful of nodes pays nothing noticeable
 // for an oversized shard table.
 func defaultShardCount() int {
-	return shardCount(4 * runtime.GOMAXPROCS(0))
-}
-
-// shardCount rounds n up to a power of two in [256, 1024].
-func shardCount(n int) int {
 	const floor, ceil = 256, 1024
+	n := 4 * runtime.GOMAXPROCS(0)
 	if n < floor {
 		n = floor
 	}
 	if n > ceil {
 		n = ceil
 	}
+	return shardCount(n)
+}
+
+// shardCount rounds n up to a power of two. It applies no clamp, so an
+// explicit StoreConfig{Shards: 1} really gets one shard.
+func shardCount(n int) int {
 	p := 1
 	for p < n {
 		p <<= 1
@@ -97,7 +93,6 @@ type store struct {
 	shards []storeShard
 	mask   uint32
 	opts   []TrackerOption
-	full   bool // FullRebuild mode
 
 	// Replication identity, set once before traffic by the peering layer
 	// (see Service.SetOrigin/SetClock/SetMutationHook). origin stamps local
@@ -194,12 +189,11 @@ func newStore(cfg StoreConfig, opts []TrackerOption) *store {
 	if n <= 0 {
 		n = defaultShardCount()
 	}
-	n = shardCount2(n)
+	n = shardCount(n)
 	st := &store{
 		shards: make([]storeShard, n),
 		mask:   uint32(n - 1),
 		opts:   opts,
-		full:   cfg.FullRebuild,
 		now:    time.Now,
 	}
 	for i := range st.shards {
@@ -210,16 +204,6 @@ func newStore(cfg StoreConfig, opts []TrackerOption) *store {
 	}
 	svcMetrics.shardWidth.Set(int64(n))
 	return st
-}
-
-// shardCount2 rounds n up to a power of two without applying the default
-// clamp, so explicit StoreConfig{Shards: 1} really gets one shard.
-func shardCount2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // shardIndex routes a node to its shard index by FNV-1a over the ID bytes.
@@ -390,7 +374,7 @@ func (st *store) snapshot() storeSnap {
 	parts := make([][]nodeVec, len(st.shards))
 	total := 0
 	for i := range st.shards {
-		parts[i] = st.shards[i].vecs(st.full)
+		parts[i] = st.shards[i].vecs()
 		total += len(parts[i])
 	}
 	st.stitched = storeSnap{parts: parts, total: total}
@@ -401,10 +385,8 @@ func (st *store) snapshot() storeSnap {
 // vecs returns the shard's compiled sub-snapshot, rebuilding it if a
 // mutation landed since the last build. When the shard's membership is
 // unchanged (no adds or forgets), the rebuild patches only the dirty nodes'
-// vectors into a copy of the previous slice — no re-collect, no re-sort;
-// full forces the re-collect path unconditionally (the pre-sharding
-// baseline behavior).
-func (sh *storeShard) vecs(full bool) []nodeVec {
+// vectors into a copy of the previous slice — no re-collect, no re-sort.
+func (sh *storeShard) vecs() []nodeVec {
 	v := sh.version.Load()
 	sh.snapMu.Lock()
 	defer sh.snapMu.Unlock()
@@ -419,7 +401,7 @@ func (sh *storeShard) vecs(full bool) []nodeVec {
 	// stay for the next rebuild, which the post-mutation version bump
 	// guarantees will happen.
 	sh.mu.Lock()
-	structural := sh.structural || full || sh.snapVecs == nil
+	structural := sh.structural || sh.snapVecs == nil
 	sh.structural = false
 	var dirtyTrackers []nodeVec // id + tracker vec to patch in
 	if structural {

@@ -1,25 +1,25 @@
 package crp
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
 
 func TestShardCountDefaults(t *testing.T) {
+	// Explicit widths are only rounded, never clamped: Shards: 1 is one shard.
 	cases := []struct{ in, want int }{
-		{1, 256}, {255, 256}, {256, 256}, {257, 512}, {1000, 1024}, {5000, 1024},
+		{1, 1}, {5, 8}, {255, 256}, {256, 256}, {257, 512},
 	}
 	for _, c := range cases {
 		if got := shardCount(c.in); got != c.want {
 			t.Errorf("shardCount(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	if got := shardCount2(1); got != 1 {
-		t.Errorf("shardCount2(1) = %d, want 1 (explicit single-shard config)", got)
-	}
-	if got := shardCount2(5); got != 8 {
-		t.Errorf("shardCount2(5) = %d, want 8", got)
+	if got := defaultShardCount(); got < 256 || got > 1024 || got&(got-1) != 0 {
+		t.Errorf("defaultShardCount() = %d, want a power of two in [256, 1024]", got)
 	}
 }
 
@@ -188,13 +188,64 @@ func TestStoreSnapshotSingleFlight(t *testing.T) {
 	}
 }
 
+// restoredFrom returns a fresh service holding src's WriteSnapshot. Nothing
+// has queried it, so its first snapshot() re-collects and re-sorts every
+// shard: it is the always-re-collect reference the in-place patch path of
+// src is checked against.
+func restoredFrom(t testing.TB, src *Service, cfg StoreConfig, opts ...TrackerOption) *Service {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := src.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	dst := NewServiceWithStore(cfg, opts...)
+	if err := dst.LoadSnapshot(&buf); err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+	return dst
+}
+
+// requireSameAnswers fails unless a and b hold the same nodes and rank and
+// cluster them identically.
+func requireSameAnswers(t *testing.T, a, b *Service) {
+	t.Helper()
+	na, nb := a.Nodes(), b.Nodes()
+	if !reflect.DeepEqual(na, nb) {
+		t.Fatalf("node sets diverge: %v vs %v", na, nb)
+	}
+	ra, err := a.TopK(na[0], nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := b.TopK(na[0], nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("TopK diverges:\n%+v\n%+v", ra, rb)
+	}
+	cfg := ClusterConfig{Threshold: DefaultThreshold, SecondPass: true}
+	ca, err := a.ClusterAll(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := b.ClusterAll(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ca, cb) {
+		t.Fatalf("clusters diverge:\n%+v\n%+v", ca, cb)
+	}
+}
+
 // TestStoreModesAgree drives the same workload through the default sharded
-// store and the single-shard full-rebuild baseline, and requires identical
-// query results — the churn benchmark's comparison is only meaningful if the
-// two modes are observably the same service.
+// store and a single-shard store, querying between mutations so both patch
+// their compiled sub-snapshots in place, and requires identical answers —
+// from each other and from a service restored from the final state, whose
+// snapshot is re-collected from scratch.
 func TestStoreModesAgree(t *testing.T) {
 	sharded := NewService(WithWindow(10))
-	single := NewServiceWithStore(StoreConfig{Shards: 1, FullRebuild: true}, WithWindow(10))
+	single := NewServiceWithStore(StoreConfig{Shards: 1}, WithWindow(10))
 	at := time.Unix(0, 0)
 	for i := 0; i < 120; i++ {
 		node := NodeID(fmt.Sprintf("n-%03d", i%40))
@@ -203,62 +254,17 @@ func TestStoreModesAgree(t *testing.T) {
 			if err := svc.Observe(node, at.Add(time.Duration(i)*time.Second), replica); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if i%17 == 0 {
-			sharded.Forget(node)
-			single.Forget(node)
-		}
-	}
-
-	a, b := sharded.Nodes(), single.Nodes()
-	if len(a) != len(b) {
-		t.Fatalf("node sets diverge: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("node sets diverge at %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-
-	client := a[0]
-	ra, err := sharded.TopK(client, nil, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := single.TopK(client, nil, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ra) != len(rb) {
-		t.Fatalf("TopK lengths diverge: %d vs %d", len(ra), len(rb))
-	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Fatalf("TopK diverges at %d: %+v vs %+v", i, ra[i], rb[i])
-		}
-	}
-
-	ca, err := sharded.ClusterAll(ClusterConfig{Threshold: DefaultThreshold, SecondPass: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := single.ClusterAll(ClusterConfig{Threshold: DefaultThreshold, SecondPass: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ca) != len(cb) {
-		t.Fatalf("cluster counts diverge: %d vs %d", len(ca), len(cb))
-	}
-	for i := range ca {
-		if ca[i].Center != cb[i].Center || len(ca[i].Members) != len(cb[i].Members) {
-			t.Fatalf("cluster %d diverges: %+v vs %+v", i, ca[i], cb[i])
-		}
-		for j := range ca[i].Members {
-			if ca[i].Members[j] != cb[i].Members[j] {
-				t.Fatalf("cluster %d member %d diverges", i, j)
+			if i%17 == 0 {
+				svc.Forget(node)
+			} else if _, err := svc.TopK(node, nil, 3); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
+
+	requireSameAnswers(t, sharded, single)
+	requireSameAnswers(t, single, restoredFrom(t, single, StoreConfig{Shards: 1}, WithWindow(10)))
+	requireSameAnswers(t, sharded, restoredFrom(t, sharded, StoreConfig{}, WithWindow(10)))
 }
 
 // TestClusterVecsMatchesClusterSMF pins that the Service's vec-native SMF

@@ -112,7 +112,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 
 // TestCrossCodecRequest is the JSON↔binary property test: for generated
 // requests, both encodings decode to the same request, and the binary
-// encoding is never larger.
+// encoding is smaller and decodes with fewer allocations.
 func TestCrossCodecRequest(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ops := []string{"observe", "ratio_map", "similarity", "closest", "nodes",
@@ -179,11 +179,18 @@ func TestCrossCodecRequest(t *testing.T) {
 			t.Fatalf("case %d: codecs disagree:\n json %s\n bin  %s",
 				i, reqJSON(t, fromJSON), reqJSON(t, fromBin))
 		}
+		binAllocs := testing.AllocsPerRun(10, func() { _, _, _ = decodeRequest(binRaw) })
+		jsonAllocs := testing.AllocsPerRun(10, func() { _, _, _ = decodeRequest(jsonRaw) })
+		if binAllocs >= jsonAllocs {
+			t.Fatalf("case %d (%s): binary decode %v allocs, JSON %v — binary must allocate less",
+				i, r.Op, binAllocs, jsonAllocs)
+		}
 	}
 }
 
 // TestBinaryResponseRoundTrip pins decode(encode(x)) == x for every reply
-// shape, including the embedded introspection documents and batch replies.
+// shape, including the embedded introspection documents and batch replies,
+// and that each decodes with fewer allocations than its JSON encoding.
 func TestBinaryResponseRoundTrip(t *testing.T) {
 	sim := 0.75
 	cases := []Response{
@@ -219,6 +226,13 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		// Canonical: re-encode is byte-identical (sorted ratio-map keys).
 		if again := encodeResponse(&got, true); string(again) != string(raw) {
 			t.Fatalf("case %d: re-encode not byte-identical", i)
+		}
+		jsonRaw := encodeResponse(&resp, false)
+		binAllocs := testing.AllocsPerRun(10, func() { _, _, _ = DecodeResponse(raw) })
+		jsonAllocs := testing.AllocsPerRun(10, func() { _, _, _ = DecodeResponse(jsonRaw) })
+		if binAllocs >= jsonAllocs {
+			t.Fatalf("case %d: binary decode %v allocs, JSON %v — binary must allocate less",
+				i, binAllocs, jsonAllocs)
 		}
 	}
 }

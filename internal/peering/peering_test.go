@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/crp"
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -194,23 +195,58 @@ func TestLastWriterWinsOnConcurrentUpdates(t *testing.T) {
 	}
 }
 
+// TestForgetPropagatesAsTombstone runs on a clean mesh and with 30 % of
+// received gossip datagrams dropped, where anti-entropy has to repair what
+// the rumors lose.
 func TestForgetPropagatesAsTombstone(t *testing.T) {
-	tm := newTestMesh(t, 3, crp.StoreConfig{Shards: 8}, 2)
-	tm.fullMesh(t)
-	if err := tm.svcs[0].Observe("n1", time.Unix(1, 0), "r1"); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name                        string
+		loss                        float64
+		observeRounds, forgetRounds int
+	}{
+		{"clean", 0, 5, 8},
+		{"loss-30pct", 0.3, 50, 50},
 	}
-	tm.converge(t, 5)
-	// Forget on daemon b (not the origin) must disappear from all three.
-	tm.svcs[1].Forget("n1")
-	tm.converge(t, 8)
-	for i, svc := range tm.svcs {
-		if _, err := svc.RatioMap("n1"); err == nil {
-			t.Fatalf("daemon %d still knows forgotten node n1", i)
-		}
-		if got := len(svc.Nodes()); got != 0 {
-			t.Fatalf("daemon %d has %d nodes, want 0", i, got)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tm := newTestMesh(t, 3, crp.StoreConfig{Shards: 8}, 2)
+			tm.fullMesh(t)
+			var plane *faults.Plane
+			if c.loss > 0 {
+				var err error
+				plane, err = faults.New(nil, faults.Scenario{Seed: 7, Faults: []faults.Fault{
+					{Kind: faults.PacketLoss, Rate: c.loss, Target: "gossip"},
+				}}, faults.WithRegistry(obs.NewRegistry()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pc := range tm.conns {
+					tm.conns[i] = plane.WrapPacketConn(pc, "gossip")
+				}
+			}
+			if err := tm.svcs[0].Observe("n1", time.Unix(1, 0), "r1"); err != nil {
+				t.Fatal(err)
+			}
+			tm.converge(t, c.observeRounds)
+			// Forget on daemon b (not the origin) must disappear from all three.
+			tm.svcs[1].Forget("n1")
+			tm.converge(t, c.forgetRounds)
+			for i, svc := range tm.svcs {
+				if _, err := svc.RatioMap("n1"); err == nil {
+					t.Fatalf("daemon %d still knows forgotten node n1", i)
+				}
+				if got := len(svc.Nodes()); got != 0 {
+					t.Fatalf("daemon %d has %d nodes, want 0", i, got)
+				}
+				// Loss drops whole datagrams; what arrives must still decode.
+				if bad := tm.engines[i].Stats().BadMsgs; bad != 0 {
+					t.Fatalf("daemon %d rejected %d messages from its own mesh", i, bad)
+				}
+			}
+			if plane != nil && plane.Activations()[faults.PacketLoss] == 0 {
+				t.Fatal("packet loss never activated: the lossy row is vacuous")
+			}
+		})
 	}
 }
 

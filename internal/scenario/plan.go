@@ -30,6 +30,7 @@ import (
 
 	"repro/crp"
 	"repro/internal/faults"
+	"repro/internal/peering"
 )
 
 // Group kinds.
@@ -337,6 +338,9 @@ func (p *Plan) Validate() error {
 	}
 	if p.Tick > p.Duration {
 		return planErr("tick", "tick %v exceeds duration %v", p.Tick.D(), p.Duration.D())
+	}
+	if p.Shards < 1 || p.Shards > peering.MaxShardCount {
+		return planErr("shards", "must be in [1,%d], got %d", peering.MaxShardCount, p.Shards)
 	}
 	if p.AggregateBits < 0 || p.AggregateBits > 32 {
 		return planErr("aggregateBits", "must be in [0,32], got %d", p.AggregateBits)

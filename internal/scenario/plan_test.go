@@ -102,6 +102,24 @@ func TestDecodePlanMalformed(t *testing.T) {
 			field: "tick",
 		},
 		{
+			// crp reads a negative width as "use the host-dependent default".
+			name:  "negative shards",
+			raw:   mutate(t, func(p map[string]any) { p["shards"] = -1 }),
+			field: "shards",
+		},
+		{
+			// Rounds up to 4096, past the digest vector's wire limit.
+			name:  "shards past the gossip wire limit",
+			raw:   mutate(t, func(p map[string]any) { p["shards"] = 2049 }),
+			field: "shards", detail: "2048",
+		},
+		{
+			// Unchecked, newStore's make() dies with "out of memory".
+			name:  "shards 2^40",
+			raw:   mutate(t, func(p map[string]any) { p["shards"] = 1 << 40 }),
+			field: "shards",
+		},
+		{
 			name:  "aggregate bits out of range",
 			raw:   mutate(t, func(p map[string]any) { p["aggregateBits"] = 48 }),
 			field: "aggregateBits",
@@ -407,5 +425,6 @@ func TestGenerateScenarioFuzzCorpus(t *testing.T) {
 		[]byte(`{}`),
 		[]byte(`{"name":"x","seed":0,"duration":"1s"}`),
 		[]byte(`not json at all`),
+		mutate(t, func(p map[string]any) { p["shards"] = 1 << 40 }),
 	})
 }

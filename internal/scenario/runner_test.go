@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,10 +46,20 @@ func decodeTestPlan(t *testing.T, raw string) *Plan {
 
 // TestScenarioMemDeterministic runs the mem plan twice and demands
 // byte-identical Det slices — the property the CI rerun gate builds on —
-// plus passing verdicts and exported scenario.group.* counters.
+// plus passing verdicts and exported scenario.group.* and peering.* counters,
+// at the plan's 5 % gossip loss and at 30 %, where anti-entropy does the
+// repair.
 func TestScenarioMemDeterministic(t *testing.T) {
+	for _, loss := range []float64{0.05, 0.3} {
+		t.Run(fmt.Sprintf("loss-%v", loss), func(t *testing.T) { testMemDeterministic(t, loss) })
+	}
+}
+
+func testMemDeterministic(t *testing.T, loss float64) {
 	runOnce := func() (*Report, []byte) {
-		rep, err := Run(decodeTestPlan(t, memPlanJSON), Options{Registry: obs.NewRegistry()})
+		p := decodeTestPlan(t, memPlanJSON)
+		p.Faults.Faults[0].Rate = loss
+		rep, err := Run(p, Options{Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -80,6 +91,11 @@ func TestScenarioMemDeterministic(t *testing.T) {
 	for _, g := range []string{"origin", "web", "edge"} {
 		if rep1.Stats.Counters["scenario.group."+g+".offered"] == 0 {
 			t.Errorf("scenario.group.%s.offered missing from the stats-op export", g)
+		}
+	}
+	for _, c := range []string{"rounds", "msgs", "deltas_sent", "deltas_applied", "digests_sent", "digest_bytes"} {
+		if rep1.Stats.Counters["peering."+c] == 0 {
+			t.Errorf("peering.%s is zero: the gossip plane did not run", c)
 		}
 	}
 	// Offered counts must reconcile: providers seed size*probes, driven
