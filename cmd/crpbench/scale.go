@@ -6,10 +6,11 @@
 // population — 1M+ at full scale — under per-client tracking and under
 // aggregation at several prefix granularities, and reports, per cell: state
 // size (tracked entries, the plane's own byte estimate, and measured heap
-// growth per client), ingest rate, query p50/p99 under concurrent ingest, and
-// the accuracy cost of serving from aggregates (rank of the aggregate's
-// closest-node answer within the per-client baseline ranking, on a sampled
-// subset). The report lands in BENCH_scale.json via make bench.
+// growth per client), ingest rate, and the accuracy cost of serving from
+// aggregates (rank of the aggregate's closest-node answer within the
+// per-client baseline ranking, on a sampled subset). Query latency under
+// ingest is timed by the benchmark's agg_closest workload, over real UDP.
+// The report lands in BENCH_scale.json via make bench.
 //
 // Determinism: ingest is partitioned across a fixed worker count by aggregate
 // group, every probe is derived from (seed, client, probe) by a splitmix
@@ -22,12 +23,9 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/crp"
@@ -71,26 +69,18 @@ type scaleDetCell struct {
 }
 
 // scaleCell is the full BENCH_scale.json cell: the deterministic slice plus
-// measured rates, latencies and memory.
+// the measured ingest rate and memory.
 type scaleCell struct {
 	scaleDetCell
 	IngestSeconds      float64 `json:"ingest_seconds"`
 	IngestPerSec       float64 `json:"ingest_per_sec"`
 	HeapPerClientBytes float64 `json:"heap_per_client_bytes"`
-	QueryPhase         struct {
-		Queries        int     `json:"queries"`
-		QueriesPerSec  float64 `json:"queries_per_sec"`
-		P50Micros      float64 `json:"p50_us"`
-		P99Micros      float64 `json:"p99_us"`
-		IngestObserves int64   `json:"concurrent_observes"`
-	} `json:"query_phase"`
 }
 
 // scaleReport is the BENCH_scale.json payload.
 type scaleReport struct {
-	Meta              benchMeta   `json:"meta"`
-	Cells             []scaleCell `json:"cells"`
-	P99VsPerClient50k float64     `json:"agg_p99_over_per_client_p99_50k"`
+	Meta  benchMeta   `json:"meta"`
+	Cells []scaleCell `json:"cells"`
 }
 
 // scaleDetReport is the -det-out payload.
@@ -350,104 +340,9 @@ func scoreScaleAccuracy(svc *crp.Service, w scaleWorld, cands []crp.NodeID, base
 	return nil
 }
 
-// runScaleQueryPhase measures closest-node latency under a concurrent probe
-// stream: catch-up-paced ingestion of fresh probes (as in the churn bench)
-// plus one closed-loop ClosestTo worker per core.
-func runScaleQueryPhase(svc *crp.Service, w scaleWorld, cands []crp.NodeID, base time.Time, phase time.Duration, cell *scaleCell) error {
-	const ingestRate = 2000
-	var observes atomic.Int64
-	stop := make(chan struct{})
-	var ingestErr atomic.Value
-	var ingestDone sync.WaitGroup
-	ingestDone.Add(1)
-	go func() {
-		defer ingestDone.Done()
-		rng := rand.New(rand.NewSource(w.seed + 777))
-		start, sent := time.Now(), 0
-		maxBatch := ingestRate / 10
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			owed := int(time.Since(start).Seconds()*ingestRate) - sent
-			if owed > maxBatch {
-				owed = maxBatch
-			}
-			for b := 0; b < owed; b++ {
-				i := rng.Intn(w.clients)
-				k := scaleProbesPer + rng.Intn(4)
-				at := base.Add(time.Duration(i*scaleProbesPer+k) * time.Second)
-				if err := svc.Observe(crp.NodeID(w.addr(i)), at, w.replica(i, k)); err != nil {
-					ingestErr.Store(err)
-					return
-				}
-			}
-			sent += owed
-			observes.Add(int64(owed))
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	workers := max(runtime.GOMAXPROCS(0), 1)
-	lats := make([][]time.Duration, workers)
-	qErrs := make([]error, workers)
-	deadline := time.Now().Add(phase)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(w.seed + int64(wk)*7919))
-			for time.Now().Before(deadline) {
-				node := crp.NodeID(w.addr(rng.Intn(w.clients)))
-				qs := time.Now()
-				if _, _, err := svc.ClosestTo(node, cands); err != nil {
-					qErrs[wk] = err
-					return
-				}
-				lats[wk] = append(lats[wk], time.Since(qs))
-			}
-		}(wk)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(stop)
-	ingestDone.Wait()
-	if e := ingestErr.Load(); e != nil {
-		return fmt.Errorf("query-phase ingest: %w", e.(error))
-	}
-	var all []time.Duration
-	for wk := range lats {
-		if qErrs[wk] != nil {
-			return fmt.Errorf("query worker %d: %w", wk, qErrs[wk])
-		}
-		all = append(all, lats[wk]...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	cell.QueryPhase.Queries = len(all)
-	cell.QueryPhase.QueriesPerSec = float64(len(all)) / elapsed.Seconds()
-	cell.QueryPhase.P50Micros = float64(percentileDur(all, 0.50)) / 1e3
-	cell.QueryPhase.P99Micros = float64(percentileDur(all, 0.99)) / 1e3
-	cell.QueryPhase.IngestObserves = observes.Load()
-	return nil
-}
-
-// percentileDur returns the q-quantile of an ascending latency slice by
-// nearest-rank interpolation.
-func percentileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
 // runScaleCell runs one sweep point end to end. prefixBits == 0 means
 // per-client mode (aggregation off).
-func runScaleCell(seed int64, clients, prefixBits int, phase time.Duration) (scaleCell, error) {
+func runScaleCell(seed int64, clients, prefixBits int) (scaleCell, error) {
 	cell := scaleCell{}
 	cell.Clients = clients
 	cell.PrefixBits = prefixBits
@@ -517,12 +412,7 @@ func runScaleCell(seed int64, clients, prefixBits int, phase time.Duration) (sca
 		cell.ReductionX = 1
 	}
 
-	// Accuracy before the query phase: the phase's extra probes would
-	// otherwise make the det slice timing-dependent.
 	if err := scoreScaleAccuracy(svc, w, cands, base, &cell.scaleDetCell); err != nil {
-		return cell, err
-	}
-	if err := runScaleQueryPhase(svc, w, cands, base, phase, &cell); err != nil {
 		return cell, err
 	}
 	return cell, nil
@@ -537,11 +427,9 @@ func runScale(quick bool, seed int64, out, detOut string) error {
 	clients := 50_000
 	bigClients := 1_000_000
 	grans := []int{16, 20, 24}
-	phase := 3 * time.Second
 	if quick {
 		grans = []int{16, 24}
 		bigClients = 0 // CI smoke: ≥50k clients, no 1M cell
-		phase = 1500 * time.Millisecond
 	}
 
 	fmt.Printf("scale bench: %d clients (big cell %d), granularities %v, %d candidates, %d probes/client\n",
@@ -553,7 +441,6 @@ func runScale(quick bool, seed int64, out, detOut string) error {
 		"candidates":     scaleCandidates,
 		"probes_per":     scaleProbesPer,
 		"ingest_workers": scaleIngestWorkers,
-		"phase_ms":       phase.Milliseconds(),
 	})}
 
 	type plan struct {
@@ -567,27 +454,25 @@ func runScale(quick bool, seed int64, out, detOut string) error {
 		plans = append(plans, plan{bigClients, 24})
 	}
 
-	fmt.Printf("\n%-11s %-6s %9s %9s %9s %8s %8s %10s %9s %9s %9s\n",
-		"mode", "bits", "clients", "entries", "groups", "demoted", "red-x", "rank-delta", "agree%", "B/client", "p99us")
-	var perClientP99, aggP99 float64
+	fmt.Printf("\n%-11s %-6s %9s %9s %9s %8s %8s %10s %9s %9s\n",
+		"mode", "bits", "clients", "entries", "groups", "demoted", "red-x", "rank-delta", "agree%", "B/client")
 	for _, pl := range plans {
-		cell, err := runScaleCell(seed, pl.clients, pl.bits, phase)
+		cell, err := runScaleCell(seed, pl.clients, pl.bits)
 		if err != nil {
 			return fmt.Errorf("scale cell (clients=%d, bits=%d): %w", pl.clients, pl.bits, err)
 		}
 		report.Cells = append(report.Cells, cell)
-		fmt.Printf("%-11s %-6d %9d %9d %9d %8d %8.1f %10.3f %9.1f %9.0f %9.0f\n",
+		fmt.Printf("%-11s %-6d %9d %9d %9d %8d %8.1f %10.3f %9.1f %9.0f\n",
 			cell.Mode, cell.PrefixBits, cell.Clients, cell.StoreEntries, cell.Groups,
 			cell.Demoted, cell.ReductionX, cell.RankDeltaMean, cell.AgreementPct,
-			cell.HeapPerClientBytes, cell.QueryPhase.P99Micros)
+			cell.HeapPerClientBytes)
 
-		// In-process gates, mirroring the churn/gossip benches.
+		// In-process gates.
 		if pl.bits == 0 {
 			if cell.RankDeltaMean != 0 || cell.AgreementPct != 100 {
 				return fmt.Errorf("scale cell (per-client): baseline disagrees with itself (mean delta %.3f, agree %.1f%%)",
 					cell.RankDeltaMean, cell.AgreementPct)
 			}
-			perClientP99 = cell.QueryPhase.P99Micros
 		} else {
 			if cell.ReductionX < 10 {
 				return fmt.Errorf("scale cell (bits=%d, clients=%d): %.1fx state reduction, want >= 10x",
@@ -601,15 +486,7 @@ func runScale(quick bool, seed int64, out, detOut string) error {
 				return fmt.Errorf("scale cell (bits=%d, clients=%d): no divergent client was demoted — the fallback path never ran",
 					pl.bits, pl.clients)
 			}
-			if pl.bits == 24 && pl.clients == clients {
-				aggP99 = cell.QueryPhase.P99Micros
-			}
 		}
-	}
-	if perClientP99 > 0 && aggP99 > 0 {
-		report.P99VsPerClient50k = aggP99 / perClientP99
-		fmt.Printf("\nquery p99 at 50k, aggregate/24 vs per-client: %.0fus vs %.0fus (%.2fx)\n",
-			aggP99, perClientP99, report.P99VsPerClient50k)
 	}
 
 	if detOut != "" {

@@ -50,11 +50,6 @@ type AggregatorConfig struct {
 	// for the divergence check (and for seeding the tracker on demotion).
 	// Default 8.
 	MonitorProbes int
-	// DecayProbes halves a group's accumulated weights every time its probe
-	// count reaches this bound, so old redirection history fades instead of
-	// dominating forever (the windowing analogue of WithWindow at aggregate
-	// granularity). Default 4096.
-	DecayProbes int
 }
 
 func (c *AggregatorConfig) setDefaults() {
@@ -66,9 +61,6 @@ func (c *AggregatorConfig) setDefaults() {
 	}
 	if c.MonitorProbes <= 0 {
 		c.MonitorProbes = 8
-	}
-	if c.DecayProbes <= 0 {
-		c.DecayProbes = 4096
 	}
 }
 
@@ -132,6 +124,11 @@ const (
 	// 4096-probe group by <0.03%), so queries stay allocation-free under
 	// continuous ingest instead of recompiling per mutation.
 	aggRecompileEvery = 16
+	// aggDecayEvery halves a group's accumulated weights every time its
+	// probe count reaches this bound, so old redirection history fades
+	// instead of dominating forever (the windowing analogue of WithWindow at
+	// aggregate granularity).
+	aggDecayEvery = 4096
 	// aggQuantSteps is the quantization grid of served weights: ratios are
 	// snapped to 1/65535 steps before normalization, which is what lets the
 	// weights live in 16 bits when serialized and bounds the accuracy cost
@@ -197,7 +194,7 @@ type aggGroup struct {
 // add absorbs one probe: total weight 1 split evenly across its replicas,
 // matching Tracker's per-probe weighting so aggregate and per-client maps
 // live on the same scale.
-func (g *aggGroup) add(interned []uint32, decayAt int) {
+func (g *aggGroup) add(interned []uint32) {
 	per := float32(1) / float32(len(interned))
 	for _, id := range interned {
 		pos := sort.Search(len(g.ids), func(i int) bool { return g.ids[i] >= id })
@@ -214,7 +211,7 @@ func (g *aggGroup) add(interned []uint32, decayAt int) {
 	g.probes++
 	g.total++
 	g.version++
-	if decayAt > 0 && g.probes >= uint64(decayAt) {
+	if g.probes >= aggDecayEvery {
 		g.decay()
 	}
 }
@@ -531,7 +528,7 @@ func (a *aggregator) observe(node NodeID, at time.Time, replicas []ReplicaID) (a
 	}
 
 	slots := len(g.ids)
-	g.add(interned, a.cfg.DecayProbes)
+	g.add(interned)
 	if grew := len(g.ids) - slots; grew != 0 {
 		a.addBytes(int64(grew) * aggSlotBytes)
 	}

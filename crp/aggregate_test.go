@@ -61,6 +61,24 @@ func TestAggregationAbsorbsKeyedClients(t *testing.T) {
 		t.Fatalf("state bytes proxy = %d, want > 0", info.StateBytes)
 	}
 
+	// Probes with no replicas are ignored before they reach the plane: no
+	// group for a fresh prefix, no state charged, no accepted-probe count.
+	seq := svc.observeSeq()
+	for i := 0; i < 5; i++ {
+		if err := svc.Observe("cB-1", base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := svc.AggregateInfo(); got != info {
+		t.Fatalf("AggregateInfo after empty probes = %+v, want %+v", got, info)
+	}
+	if got := svc.observeSeq(); got != seq {
+		t.Fatalf("observeSeq = %d after empty probes, want %d", got, seq)
+	}
+	if got := svc.Nodes(); len(got) != 1 {
+		t.Fatalf("store nodes = %v after empty probes", got)
+	}
+
 	// A member resolves through its aggregate: its ratio map is the group's.
 	m, err := svc.RatioMap("cA-3")
 	if err != nil {

@@ -121,16 +121,11 @@ func clusterSMF(nodes []Node, cfg ClusterConfig, sim func(a, b NodeID) float64) 
 	return clusterCore(d, cfg), nil
 }
 
-// clusterVecs is the Service's SMF entry point: it clusters pre-compiled
+// clusterVecsSim is the Service's SMF entry point: it clusters pre-compiled
 // candidate vectors (a flattened store snapshot) directly, skipping the
 // per-node ratio-map clones and recompilation the []Node path pays. The
 // caller guarantees unique, non-empty IDs — the store's invariant. The
-// input slice is reordered in place.
-func clusterVecs(vecs []nodeVec, cfg ClusterConfig) ([]Cluster, error) {
-	return clusterVecsSim(vecs, cfg, plainCosine)
-}
-
-// clusterVecsSim is clusterVecs with an explicit vector-similarity kernel —
+// input slice is reordered in place. sim is the vector-similarity kernel —
 // the seam a fusion-enabled Service routes its SMF queries through.
 func clusterVecsSim(vecs []nodeVec, cfg ClusterConfig, sim simFunc) ([]Cluster, error) {
 	if cfg.Threshold < 0 || cfg.Threshold > 1 {

@@ -93,15 +93,9 @@ func (s *Service) DriftFrame(at time.Time) DriftFrame {
 			sh := &s.agg.shards[si]
 			sh.mu.Lock()
 			for key, g := range sh.groups {
-				vec := g.compileLocked(&s.agg.intern)
-				// compileLocked's vec is cached inside the group; copy the
-				// slices so the frame stays immutable.
-				cp := ratioVec{
-					ids:  append([]ReplicaID(nil), vec.ids...),
-					vals: append([]float64(nil), vec.vals...),
-					norm: vec.norm,
-				}
-				gs = append(gs, grec{key: key, vec: cp, probes: int(g.probes)})
+				// A compiled vector is never mutated after it is built (see
+				// aggregator.vecFor), so it is read past the lock as is.
+				gs = append(gs, grec{key: key, vec: g.compileLocked(&s.agg.intern), probes: int(g.probes)})
 			}
 			sh.mu.Unlock()
 		}

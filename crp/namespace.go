@@ -3,6 +3,7 @@ package crp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -118,22 +119,19 @@ func (m RatioMap) Namespaces() []Namespace {
 }
 
 // FusionConfig parameterizes the fused similarity kernel: per-CDN cosines
-// combined by coverage-weighted mixing.
+// combined by coverage-weighted mixing. A pair's coverage of one namespace is
+// the smaller of the two nodes' probe mass in it (L1 ratio mass, each on
+// [0,1]): a CDN only one side has history with carries no pair signal, and
+// thin two-sided coverage is down-weighted proportionally.
 type FusionConfig struct {
 	// Weights optionally scales each namespace's contribution to the mix; an
 	// absent namespace weighs 1. Zero or negative weight mutes a namespace.
 	Weights map[Namespace]float64
-	// Coverage combines the two nodes' probe mass (L1 ratio mass, each on
-	// [0,1]) in one namespace into the pair's coverage weight for it. Nil
-	// uses min(a, b): a CDN only one side has history with carries no pair
-	// signal, and thin two-sided coverage is down-weighted proportionally.
-	Coverage func(massA, massB float64) float64
 }
 
 // fusionKernel is a compiled FusionConfig.
 type fusionKernel struct {
-	weights  map[Namespace]float64
-	coverage func(a, b float64) float64
+	weights map[Namespace]float64
 }
 
 func newFusionKernel(cfg FusionConfig) (*fusionKernel, error) {
@@ -142,15 +140,12 @@ func newFusionKernel(cfg FusionConfig) (*fusionKernel, error) {
 			return nil, err
 		}
 	}
-	k := &fusionKernel{coverage: cfg.Coverage}
+	k := &fusionKernel{}
 	if len(cfg.Weights) > 0 {
 		k.weights = make(map[Namespace]float64, len(cfg.Weights))
 		for ns, w := range cfg.Weights {
 			k.weights[ns] = w
 		}
-	}
-	if k.coverage == nil {
-		k.coverage = math.Min
 	}
 	return k, nil
 }
@@ -272,7 +267,7 @@ func (k *fusionKernel) cosine(a, b ratioVec) float64 {
 		if w <= 0 {
 			continue
 		}
-		w *= k.coverage(accs[i].massA, accs[i].massB)
+		w *= min(accs[i].massA, accs[i].massB)
 		if w <= 0 {
 			continue
 		}
@@ -292,46 +287,19 @@ func (k *fusionKernel) cosine(a, b ratioVec) float64 {
 	return sim
 }
 
-// cosineIn is the namespace-scoped cosine of two compiled vectors: only
-// replicas belonging to ns contribute, with the plain kernel's accumulation
-// order, zero handling and clamping. When every replica of both vectors is
-// already in ns it is bit-identical to ratioVec.cosine. No allocation.
+// cosineIn is the namespace-scoped cosine of two compiled vectors: ns's
+// bucket of the fused walk, finished alone. Only replicas belonging to ns
+// contribute, with the plain kernel's accumulation order, zero handling and
+// clamping, so when every replica of both vectors is already in ns it is
+// bit-identical to ratioVec.cosine. No allocation up to four namespaces.
 func cosineIn(a, b ratioVec, ns Namespace) float64 {
-	dot, a2, b2 := 0.0, 0.0, 0.0
-	i, j := 0, 0
-	for i < len(a.ids) || j < len(b.ids) {
-		switch {
-		case j >= len(b.ids) || (i < len(a.ids) && a.ids[i] < b.ids[j]):
-			if NamespaceOf(a.ids[i]) == ns {
-				a2 += a.vals[i] * a.vals[i]
-			}
-			i++
-		case i >= len(a.ids) || a.ids[i] > b.ids[j]:
-			if NamespaceOf(b.ids[j]) == ns {
-				b2 += b.vals[j] * b.vals[j]
-			}
-			j++
-		default:
-			if NamespaceOf(a.ids[i]) == ns {
-				dot += a.vals[i] * b.vals[j]
-				a2 += a.vals[i] * a.vals[i]
-				b2 += b.vals[j] * b.vals[j]
-			}
-			i++
-			j++
-		}
-	}
-	if dot == 0 || a2 == 0 || b2 == 0 {
+	var stack [4]nsAcc
+	accs := fusedAccs(a, b, stack[:0])
+	i := slices.IndexFunc(accs, func(acc nsAcc) bool { return acc.ns == ns })
+	if i < 0 {
 		return 0
 	}
-	sim := dot / (math.Sqrt(a2) * math.Sqrt(b2))
-	if sim > 1 {
-		return 1
-	}
-	if sim < 0 {
-		return 0
-	}
-	return sim
+	return accs[i].nsCosine()
 }
 
 // FusedCosineSimilarity is the map-level entry point of the fused kernel,

@@ -199,22 +199,3 @@ func TestFusionConfigValidation(t *testing.T) {
 		t.Fatal("double EnableFusion accepted")
 	}
 }
-
-// TestFusionCoverageOverride: a custom coverage function replaces the
-// min-mass default in the mix weights.
-func TestFusionCoverageOverride(t *testing.T) {
-	a := RatioMap{"cdnA!r1": 0.8, "cdnB!s1": 0.2}
-	b := RatioMap{"cdnA!r1": 0.5, "cdnB!s1": 0.5}
-	cosA := CosineSimilarity(a.NamespaceView("cdnA"), b.NamespaceView("cdnA"))
-	cosB := CosineSimilarity(a.NamespaceView("cdnB"), b.NamespaceView("cdnB"))
-
-	flat := func(massA, massB float64) float64 { return 1 }
-	got, err := FusedCosineSimilarity(FusionConfig{Coverage: flat}, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (cosA + cosB) / 2
-	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("flat-coverage fused = %v, want %v", got, want)
-	}
-}

@@ -33,6 +33,16 @@ func compileRatioMap(m RatioMap) ratioVec {
 	return ratioVec{ids: ids, vals: vals, norm: math.Sqrt(s)}
 }
 
+// ratioMap materialises the vector as a freshly allocated RatioMap — the
+// one way back from the compiled form to the API-edge map.
+func (a ratioVec) ratioMap() RatioMap {
+	m := make(RatioMap, len(a.ids))
+	for i, id := range a.ids {
+		m[id] = a.vals[i]
+	}
+	return m
+}
+
 // dot is the merge-join dot product of two compiled vectors. Matched terms
 // accumulate in ascending replica order — the same order the map-based Dot
 // visits them (it walks the smaller map's sorted replicas) — so the result

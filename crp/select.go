@@ -34,7 +34,10 @@ func RankBySimilarity(client RatioMap, candidates map[NodeID]RatioMap) []Scored 
 	for id, m := range candidates {
 		cands = append(cands, nodeVec{id: id, vec: compileRatioMap(m)})
 	}
-	return rankVecs(compileRatioMap(client), cands)
+	out := make([]Scored, len(cands))
+	scoreSnap(out, compileRatioMap(client), snapOf(cands), plainCosine)
+	slices.SortFunc(out, scoredCmp)
+	return out
 }
 
 // scoredBetter reports whether a ranks strictly before b: higher similarity
@@ -57,24 +60,6 @@ func scoredCmp(a, b Scored) int {
 	return 0
 }
 
-// rankVecs is the compiled-vector ranking kernel behind RankBySimilarity and
-// the Service query path. It scores candidates in parallel into a pre-sized
-// slice, then sorts by decreasing similarity with NodeID tie-break, so the
-// output is deterministic.
-func rankVecs(client ratioVec, cands []nodeVec) []Scored {
-	out := make([]Scored, len(cands))
-	parallelFor(len(cands), func(i int) {
-		out[i] = Scored{Node: cands[i].id, Similarity: client.cosine(cands[i].vec)}
-	})
-	slices.SortFunc(out, scoredCmp)
-	return out
-}
-
-// simExcluded marks a candidate that must not appear in results (the query
-// client itself when ranking against a shared all-node snapshot). Real
-// similarities live on [0, 1], so any negative sentinel is unambiguous.
-const simExcluded = -1.0
-
 // simFunc scores a client vector against a candidate vector. The query
 // surface is parameterized over it so a fusion-enabled Service can swap the
 // plain cosine for the fused multi-CDN kernel without forking the selection
@@ -84,9 +69,33 @@ type simFunc = func(client, cand ratioVec) float64
 // plainCosine is ratioVec.cosine as a simFunc.
 var plainCosine simFunc = ratioVec.cosine
 
-// scoredScratch recycles the O(N) scoring buffers behind topVecs and
-// topSnap. A Top-K query writes one Scored per candidate and keeps only k of
-// them; at service scale that is megabytes of garbage per query, and under a
+// scoreSnap is the one place a candidate is scored: it writes the similarity
+// of client to every candidate of snap into scored (len snap.total), in
+// parallel for large sets. It reads the per-shard parts without flattening
+// them, so the "all known nodes" path adds no O(N) copy on top of the O(N)
+// scoring pass; an explicit candidate list arrives as a one-part snap
+// (snapOf). The reducers — a full sort in RankBySimilarity, the bounded heap
+// in topSnap — run on a total order, so part layout and parallelism never
+// show in a result.
+func scoreSnap(scored []Scored, client ratioVec, snap storeSnap, sim simFunc) {
+	// Flat index i maps to parts[p][i-starts[p]]; a binary search over at
+	// most a few hundred offsets is noise next to one cosine.
+	starts := make([]int, 0, len(snap.parts))
+	off := 0
+	for _, part := range snap.parts {
+		starts = append(starts, off)
+		off += len(part)
+	}
+	parallelFor(snap.total, func(i int) {
+		p := sort.SearchInts(starts, i+1) - 1
+		nv := snap.parts[p][i-starts[p]]
+		scored[i] = Scored{Node: nv.id, Similarity: sim(client, nv.vec)}
+	})
+}
+
+// scoredScratch recycles the O(N) scoring buffer behind topSnap. A Top-K
+// query writes one Scored per candidate and keeps only k of them; at service
+// scale that is megabytes of garbage per query, and under a
 // query-per-few-milliseconds load the collector's assist work shows up
 // directly in the query tail. The scratch slice never escapes: selectTop
 // copies the k winners into its own heap before the buffer is recycled.
@@ -101,64 +110,25 @@ func getScoredScratch(n int) *[]Scored {
 	return buf
 }
 
-// topVecs scores candidates in parallel and selects the k best without
-// sorting the full candidate set — O(n log k) selection instead of
-// O(n log n), the difference between a Top-5 query and a full ranking at
-// service scale. Candidates whose id equals exclude are skipped. The result
-// is ordered and deterministic (same total order as rankVecs).
-func topVecs(client ratioVec, cands []nodeVec, k int, exclude NodeID, sim simFunc) []Scored {
-	if k <= 0 {
-		return nil
-	}
-	buf := getScoredScratch(len(cands))
-	defer scoredScratch.Put(buf)
-	scored := *buf
-	parallelFor(len(cands), func(i int) {
-		if cands[i].id == exclude {
-			scored[i] = Scored{Node: cands[i].id, Similarity: simExcluded}
-			return
-		}
-		scored[i] = Scored{Node: cands[i].id, Similarity: sim(client, cands[i].vec)}
-	})
-	return selectTop(scored, k)
-}
-
-// topSnap is topVecs over a stitched store snapshot: it scores the per-shard
-// parts without flattening them first, so the "all known nodes" query path
-// adds no O(N) copy on top of the O(N) scoring pass. Candidate IDs are
-// unique across parts (shards partition the node space) and selection runs
-// on the same total order as topVecs, so the result is deterministic
-// regardless of how the parts are laid out.
+// topSnap scores snap's candidates and selects the k best without sorting
+// the full set — O(n log k) selection instead of O(n log n), the difference
+// between a Top-5 query and a full ranking at service scale. The candidate
+// whose id equals exclude (the query client itself) is never returned.
+// Candidate IDs are unique across parts, so the result is ordered and
+// deterministic (same total order as RankBySimilarity).
 func topSnap(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc) []Scored {
 	if k <= 0 || snap.total == 0 {
 		return nil
 	}
-	// Flat index i maps to parts[p][i-starts[p]]; a binary search over at
-	// most a few hundred offsets is noise next to one cosine.
-	starts := make([]int, 0, len(snap.parts))
-	off := 0
-	for _, part := range snap.parts {
-		starts = append(starts, off)
-		off += len(part)
-	}
 	buf := getScoredScratch(snap.total)
 	defer scoredScratch.Put(buf)
-	scored := *buf
-	parallelFor(snap.total, func(i int) {
-		p := sort.SearchInts(starts, i+1) - 1
-		nv := snap.parts[p][i-starts[p]]
-		if nv.id == exclude {
-			scored[i] = Scored{Node: nv.id, Similarity: simExcluded}
-			return
-		}
-		scored[i] = Scored{Node: nv.id, Similarity: sim(client, nv.vec)}
-	})
-	return selectTop(scored, k)
+	scoreSnap(*buf, client, snap, sim)
+	return selectTop(*buf, k, exclude)
 }
 
 // selectTop reduces a scored slice to its k best entries in ranking order,
-// skipping excluded sentinels. It is shared by topVecs and topSnap.
-func selectTop(scored []Scored, k int) []Scored {
+// skipping the excluded node.
+func selectTop(scored []Scored, k int, exclude NodeID) []Scored {
 	// Bounded min-heap of the k best seen: heap[0] is the worst kept, so a
 	// new candidate only enters by beating it.
 	heap := make([]Scored, 0, min(k, len(scored)))
@@ -180,7 +150,7 @@ func selectTop(scored []Scored, k int) []Scored {
 		}
 	}
 	for _, s := range scored {
-		if s.Similarity == simExcluded {
+		if s.Node == exclude {
 			continue
 		}
 		if len(heap) < k {

@@ -89,7 +89,9 @@ func NewServiceWithStore(cfg StoreConfig, opts ...TrackerOption) *Service {
 }
 
 // Observe records a redirection probe for node: the replica servers one CDN
-// lookup returned at time at. Unknown nodes are added automatically.
+// lookup returned at time at. Unknown nodes are added automatically. A probe
+// with no replicas carries no redirection and is ignored entirely: it creates
+// no node, publishes no mutation and counts nowhere.
 //
 // With aggregation enabled, probes of keyed clients are absorbed into their
 // prefix's aggregate ratio map instead of a per-client tracker (aggregate.go)
@@ -100,6 +102,9 @@ func NewServiceWithStore(cfg StoreConfig, opts ...TrackerOption) *Service {
 func (s *Service) Observe(node NodeID, at time.Time, replicas ...ReplicaID) error {
 	if node == "" {
 		return errors.New("crp: empty node ID")
+	}
+	if len(replicas) == 0 {
+		return nil
 	}
 	if s.agg != nil {
 		route, seeds := s.agg.observe(node, at, replicas)
@@ -185,29 +190,22 @@ func (s *Service) Nodes() []NodeID {
 func (s *Service) RatioMap(node NodeID) (RatioMap, error) {
 	defer timeQuery()()
 	svcMetrics.queries.Inc()
-	tr, ok := s.store.get(node)
-	if ok {
-		if s.agg != nil && s.agg.keyed(node) {
-			noteResolution(true)
-		}
-		return tr.RatioMap(), nil
+	v, err := s.clientVec(node)
+	if err != nil {
+		return nil, err
 	}
-	if s.agg != nil {
-		if v, ok := s.agg.vecFor(node); ok {
-			noteResolution(false)
-			m := make(RatioMap, len(v.ids))
-			for i, id := range v.ids {
-				m[id] = v.vals[i]
-			}
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownNode, node)
+	return v.ratioMap(), nil
 }
 
 // Similarity returns the cosine similarity between two nodes' current ratio
 // maps, computed on their cached compiled vectors.
 func (s *Service) Similarity(a, b NodeID) (float64, error) {
+	return s.pair(s.simFn(), a, b)
+}
+
+// pair is the one entry behind Similarity and SimilarityIn: sim over the two
+// nodes' compiled vectors.
+func (s *Service) pair(sim simFunc, a, b NodeID) (float64, error) {
 	defer timeQuery()()
 	svcMetrics.queries.Inc()
 	va, err := s.clientVec(a)
@@ -218,7 +216,7 @@ func (s *Service) Similarity(a, b NodeID) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.simFn()(va, vb), nil
+	return sim(va, vb), nil
 }
 
 // clientVec returns the compiled ratio vector of one known node. Per-client
@@ -247,16 +245,11 @@ func (s *Service) clientVec(node NodeID) (ratioVec, error) {
 // candidateVecs snapshots the compiled ratio vectors of an explicit
 // candidate list (an empty non-nil list means "no candidates"),
 // deduplicating repeated IDs. The nil ("all nodes") case never reaches this
-// path — it is served by the store's stitched snapshot; see TopK/ClosestTo.
+// path — it is served by the store's stitched snapshot; see rank.
 // Aggregated clients are valid candidates too: a store miss falls back to
 // the client's aggregate vector before erroring.
 func (s *Service) candidateVecs(nodes []NodeID) ([]nodeVec, error) {
-	type entry struct {
-		id  NodeID
-		tr  *Tracker
-		vec ratioVec // aggregate-resolved when tr is nil
-	}
-	list := make([]entry, 0, len(nodes))
+	out := make([]nodeVec, 0, len(nodes))
 	seen := make(map[NodeID]bool, len(nodes))
 	for _, id := range nodes {
 		if seen[id] {
@@ -264,24 +257,16 @@ func (s *Service) candidateVecs(nodes []NodeID) ([]nodeVec, error) {
 		}
 		seen[id] = true
 		if tr, ok := s.store.get(id); ok {
-			list = append(list, entry{id: id, tr: tr})
+			out = append(out, nodeVec{id: id, vec: tr.vec()})
 			continue
 		}
 		if s.agg != nil {
 			if v, ok := s.agg.vecFor(id); ok {
-				list = append(list, entry{id: id, vec: v})
+				out = append(out, nodeVec{id: id, vec: v})
 				continue
 			}
 		}
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
-	}
-	out := make([]nodeVec, len(list))
-	for i, e := range list {
-		if e.tr != nil {
-			out[i] = nodeVec{id: e.id, vec: e.tr.vec()}
-		} else {
-			out[i] = nodeVec{id: e.id, vec: e.vec}
-		}
 	}
 	return out, nil
 }
@@ -293,22 +278,9 @@ func (s *Service) candidateVecs(nodes []NodeID) ([]nodeVec, error) {
 // non-nil slice means "no candidates" and always reports ok=false. The
 // client itself is never considered a candidate.
 func (s *Service) ClosestTo(client NodeID, candidates []NodeID) (Scored, bool, error) {
-	defer timeQuery()()
-	svcMetrics.queries.Inc()
-	cv, err := s.clientVec(client)
-	if err != nil {
-		return Scored{}, false, err
-	}
-	if candidates == nil {
-		best, ok := bestOf(topSnap(cv, s.store.snapshot(), 1, client, s.simFn()))
-		return best, ok, nil
-	}
-	cands, err := s.candidateVecs(candidates)
-	if err != nil {
-		return Scored{}, false, err
-	}
-	best, ok := bestOf(topVecs(cv, cands, 1, client, s.simFn()))
-	return best, ok, nil
+	top, err := s.rank(s.simFn(), client, candidates, 1)
+	best, ok := bestOf(top)
+	return best, ok, err
 }
 
 // TopK returns the k candidates most similar to client.
@@ -317,6 +289,14 @@ func (s *Service) ClosestTo(client NodeID, candidates []NodeID) (Scored, bool, e
 // non-nil slice means "no candidates" and yields no results. The client
 // itself is never considered a candidate.
 func (s *Service) TopK(client NodeID, candidates []NodeID, k int) ([]Scored, error) {
+	return s.rank(s.simFn(), client, candidates, k)
+}
+
+// rank is the one entry behind ClosestTo, TopK and their namespace-scoped
+// variants: the k candidates most similar to client under sim. Nil
+// candidates are served from the store's stitched snapshot; an explicit list
+// is resolved to a one-part snap of its own.
+func (s *Service) rank(sim simFunc, client NodeID, candidates []NodeID, k int) ([]Scored, error) {
 	defer timeQuery()()
 	svcMetrics.queries.Inc()
 	cv, err := s.clientVec(client)
@@ -324,13 +304,13 @@ func (s *Service) TopK(client NodeID, candidates []NodeID, k int) ([]Scored, err
 		return nil, err
 	}
 	if candidates == nil {
-		return topSnap(cv, s.store.snapshot(), k, client, s.simFn()), nil
+		return topSnap(cv, s.store.snapshot(), k, client, sim), nil
 	}
 	cands, err := s.candidateVecs(candidates)
 	if err != nil {
 		return nil, err
 	}
-	return topVecs(cv, cands, k, client, s.simFn()), nil
+	return topSnap(cv, snapOf(cands), k, client, sim), nil
 }
 
 // ClusterAll clusters every known node with SMF at the given threshold

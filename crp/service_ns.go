@@ -73,17 +73,7 @@ func (s *Service) SimilarityIn(ns Namespace, a, b NodeID) (float64, error) {
 	if err := ns.Valid(); err != nil {
 		return 0, err
 	}
-	defer timeQuery()()
-	svcMetrics.queries.Inc()
-	va, err := s.clientVec(a)
-	if err != nil {
-		return 0, err
-	}
-	vb, err := s.clientVec(b)
-	if err != nil {
-		return 0, err
-	}
-	return cosineIn(va, vb, ns), nil
+	return s.pair(nsSim(ns), a, b)
 }
 
 // ClosestToIn is ClosestTo under a single namespace's signal, with the same
@@ -93,22 +83,9 @@ func (s *Service) ClosestToIn(ns Namespace, client NodeID, candidates []NodeID) 
 	if err := ns.Valid(); err != nil {
 		return Scored{}, false, err
 	}
-	defer timeQuery()()
-	svcMetrics.queries.Inc()
-	cv, err := s.clientVec(client)
-	if err != nil {
-		return Scored{}, false, err
-	}
-	if candidates == nil {
-		best, ok := bestOf(topSnap(cv, s.store.snapshot(), 1, client, nsSim(ns)))
-		return best, ok, nil
-	}
-	cands, err := s.candidateVecs(candidates)
-	if err != nil {
-		return Scored{}, false, err
-	}
-	best, ok := bestOf(topVecs(cv, cands, 1, client, nsSim(ns)))
-	return best, ok, nil
+	top, err := s.rank(nsSim(ns), client, candidates, 1)
+	best, ok := bestOf(top)
+	return best, ok, err
 }
 
 // TopKIn is TopK under a single namespace's signal, with the same candidate
@@ -117,20 +94,7 @@ func (s *Service) TopKIn(ns Namespace, client NodeID, candidates []NodeID, k int
 	if err := ns.Valid(); err != nil {
 		return nil, err
 	}
-	defer timeQuery()()
-	svcMetrics.queries.Inc()
-	cv, err := s.clientVec(client)
-	if err != nil {
-		return nil, err
-	}
-	if candidates == nil {
-		return topSnap(cv, s.store.snapshot(), k, client, nsSim(ns)), nil
-	}
-	cands, err := s.candidateVecs(candidates)
-	if err != nil {
-		return nil, err
-	}
-	return topVecs(cv, cands, k, client, nsSim(ns)), nil
+	return s.rank(nsSim(ns), client, candidates, k)
 }
 
 // ForgetNamespace withdraws one CDN's history from a node: every replica of

@@ -3,6 +3,7 @@ package crp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,30 @@ func TestServiceObserveValidation(t *testing.T) {
 	s := NewService()
 	if err := s.Observe("", t0, "r"); err == nil {
 		t.Error("Observe with empty node should fail")
+	}
+
+	// A probe with no replicas is ignored: no node, no published mutation,
+	// no accepted-probe count.
+	var mutated []NodeID
+	s.SetMutationHook(func(n NodeID) { mutated = append(mutated, n) })
+	digests := s.ShardDigests()
+	if err := s.Observe("ghost", t0); err != nil {
+		t.Fatalf("Observe with no replicas: %v", err)
+	}
+	if got := s.Nodes(); len(got) != 0 {
+		t.Errorf("Nodes() = %v after an empty probe, want none", got)
+	}
+	if _, ok := s.ExportDelta("ghost"); ok {
+		t.Error("an empty probe left replication metadata behind")
+	}
+	if len(mutated) != 0 {
+		t.Errorf("mutation hook fired for %v", mutated)
+	}
+	if !slices.Equal(s.ShardDigests(), digests) {
+		t.Error("shard digests changed")
+	}
+	if got := s.observeSeq(); got != 0 {
+		t.Errorf("observeSeq = %d, want 0", got)
 	}
 }
 

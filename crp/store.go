@@ -171,6 +171,12 @@ type storeSnap struct {
 	total int
 }
 
+// snapOf wraps an explicit candidate list as a one-part snap, so the query
+// kernels take one input shape.
+func snapOf(cands []nodeVec) storeSnap {
+	return storeSnap{parts: [][]nodeVec{cands}, total: len(cands)}
+}
+
 // flatten concatenates the parts into one slice, for consumers that need a
 // single contiguous candidate set (the clustering path, which sorts and
 // indexes it anyway). The result is freshly allocated and safe to reorder.
@@ -208,16 +214,7 @@ func newStore(cfg StoreConfig, opts []TrackerOption) *store {
 
 // shardIndex routes a node to its shard index by FNV-1a over the ID bytes.
 func (st *store) shardIndex(id NodeID) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
-	}
-	return int(h & st.mask)
+	return int(fnvKey(string(id)) & st.mask)
 }
 
 // shardFor routes a node to its shard.

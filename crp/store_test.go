@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -238,19 +239,18 @@ func requireSameAnswers(t *testing.T, a, b *Service) {
 	}
 }
 
-// TestStoreModesAgree drives the same workload through the default sharded
-// store and a single-shard store, querying between mutations so both patch
-// their compiled sub-snapshots in place, and requires identical answers —
-// from each other and from a service restored from the final state, whose
-// snapshot is re-collected from scratch.
-func TestStoreModesAgree(t *testing.T) {
-	sharded := NewService(WithWindow(10))
-	single := NewServiceWithStore(StoreConfig{Shards: 1}, WithWindow(10))
+// driveModesWorld runs one workload through every given service: 40 nodes
+// observing replicas of the default namespace and two qualified ones, with
+// forgets and queries between the mutations so each store patches its
+// compiled sub-snapshots in place.
+func driveModesWorld(t *testing.T, svcs ...*Service) {
+	t.Helper()
+	namespaces := []Namespace{DefaultNamespace, "cdnA", "cdnB"}
 	at := time.Unix(0, 0)
 	for i := 0; i < 120; i++ {
 		node := NodeID(fmt.Sprintf("n-%03d", i%40))
-		replica := ReplicaID(fmt.Sprintf("r%d", (i*7)%12))
-		for _, svc := range []*Service{sharded, single} {
+		replica := Qualify(namespaces[i%3], ReplicaID(fmt.Sprintf("r%d", (i*7)%12)))
+		for _, svc := range svcs {
 			if err := svc.Observe(node, at.Add(time.Duration(i)*time.Second), replica); err != nil {
 				t.Fatal(err)
 			}
@@ -261,10 +261,123 @@ func TestStoreModesAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStoreModesAgree drives the same workload through the default sharded
+// store and a single-shard store and requires identical answers — from each
+// other and from a service restored from the final state, whose snapshot is
+// re-collected from scratch.
+func TestStoreModesAgree(t *testing.T) {
+	sharded := NewService(WithWindow(10))
+	single := NewServiceWithStore(StoreConfig{Shards: 1}, WithWindow(10))
+	driveModesWorld(t, sharded, single)
 
 	requireSameAnswers(t, sharded, single)
 	requireSameAnswers(t, single, restoredFrom(t, single, StoreConfig{Shards: 1}, WithWindow(10)))
 	requireSameAnswers(t, sharded, restoredFrom(t, sharded, StoreConfig{}, WithWindow(10)))
+}
+
+// TestOneScorerMatchesBruteForce pins the single scoring loop on a
+// multi-shard service: the all-nodes snapshot path, the explicit-candidate
+// path, the map-level RankBySimilarity and a brute-force sort over the map
+// kernel agree exactly — same order, == on every similarity — under the
+// plain, the fused and a namespace-scoped similarity.
+func TestOneScorerMatchesBruteForce(t *testing.T) {
+	plain := NewService(WithWindow(10))
+	fused := NewService(WithWindow(10))
+	if err := fused.EnableFusion(FusionConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	driveModesWorld(t, plain, fused)
+
+	const client, ns = NodeID("n-007"), Namespace("cdnA")
+	for _, tc := range []struct {
+		name    string
+		svc     *Service
+		view    func(RatioMap) RatioMap // the maps the reference kernel sees
+		ref     func(a, b RatioMap) float64
+		topK    func(candidates []NodeID, k int) ([]Scored, error)
+		mapRank bool // RankBySimilarity runs the plain kernel only
+	}{
+		{
+			name: "plain", svc: plain, mapRank: true,
+			view: func(m RatioMap) RatioMap { return m },
+			ref:  CosineSimilarity,
+			topK: func(c []NodeID, k int) ([]Scored, error) { return plain.TopK(client, c, k) },
+		},
+		{
+			name: "fused", svc: fused,
+			view: func(m RatioMap) RatioMap { return m },
+			ref: func(a, b RatioMap) float64 {
+				sim, err := FusedCosineSimilarity(FusionConfig{}, a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim
+			},
+			topK: func(c []NodeID, k int) ([]Scored, error) { return fused.TopK(client, c, k) },
+		},
+		{
+			name: "scoped", svc: plain, mapRank: true,
+			view: func(m RatioMap) RatioMap { return m.NamespaceView(ns) },
+			ref:  CosineSimilarity,
+			topK: func(c []NodeID, k int) ([]Scored, error) { return plain.TopKIn(ns, client, c, k) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			all := tc.svc.Nodes() // includes the client: exclusion is the scorer's job
+			others := make(map[NodeID]RatioMap, len(all))
+			var clientMap RatioMap
+			for _, id := range all {
+				m, err := tc.svc.RatioMap(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id == client {
+					clientMap = tc.view(m)
+				} else {
+					others[id] = tc.view(m)
+				}
+			}
+			n := len(others)
+			if n < 30 || clientMap == nil {
+				t.Fatalf("world too small: %d candidates, client known = %v", n, clientMap != nil)
+			}
+			want := make([]Scored, 0, n)
+			for id, m := range others {
+				want = append(want, Scored{Node: id, Similarity: tc.ref(clientMap, m)})
+			}
+			slices.SortFunc(want, scoredCmp)
+			if tc.mapRank {
+				if got := RankBySimilarity(clientMap, others); !slices.Equal(got, want) {
+					t.Fatalf("RankBySimilarity diverges from brute force:\n%+v\n%+v", got, want)
+				}
+			}
+
+			for _, row := range []struct {
+				name       string
+				candidates []NodeID
+				k          int
+				want       []Scored
+			}{
+				{"all nodes", nil, n, want},
+				{"explicit list with the client in it", all, n, want},
+				{"top 5 of all nodes", nil, 5, want[:5]},
+				{"top 5 of the explicit list", all, 5, want[:5]},
+				{"k beyond the candidate count", nil, 10 * n, want},
+				{"k = 0", all, 0, nil},
+				{"empty non-nil candidates", []NodeID{}, 5, nil},
+			} {
+				got, err := tc.topK(row.candidates, row.k)
+				if err != nil {
+					t.Fatalf("%s: %v", row.name, err)
+				}
+				if !slices.Equal(got, row.want) {
+					t.Fatalf("%s:\n got %+v\nwant %+v", row.name, got, row.want)
+				}
+			}
+		})
+	}
 }
 
 // TestClusterVecsMatchesClusterSMF pins that the Service's vec-native SMF
@@ -291,7 +404,7 @@ func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := clusterVecs(append([]nodeVec(nil), vecs...), cfg)
+		got, err := clusterVecsSim(append([]nodeVec(nil), vecs...), cfg, plainCosine)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,13 +27,13 @@ type Tracker struct {
 	maxAge time.Duration // max probe age relative to the newest; 0 = unbounded
 	probes []probe
 
-	// Derived state, rebuilt lazily: the ratio map and its compiled vector
-	// are cached between observations so repeated queries (the steady state
-	// of a positioning service) stop rebuilding them from the probe window.
-	// dirty is set by Observe and Reset. Expiry keys off the newest probe,
-	// not the wall clock, so a cached map never goes stale between probes.
+	// Derived state, rebuilt lazily: the compiled vector of the ratio map is
+	// cached between observations so repeated queries (the steady state of a
+	// positioning service) stop rebuilding it from the probe window. dirty
+	// is set by Observe, DropNamespace and Reset. Expiry keys off the newest
+	// probe, not the wall clock, so a cached vector never goes stale between
+	// probes.
 	dirty     bool
-	cachedMap RatioMap
 	cachedVec ratioVec
 }
 
@@ -136,14 +136,10 @@ func (t *Tracker) Len() int {
 }
 
 // RatioMap derives the node's current redirection ratio map from the probes
-// in the window. The result is freshly allocated (a clone of the cached
-// map) and sums to 1 unless the tracker is empty (in which case it is
-// empty).
+// in the window. The result is freshly allocated and sums to 1 unless the
+// tracker is empty (in which case it is empty).
 func (t *Tracker) RatioMap() RatioMap {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.refreshLocked()
-	return t.cachedMap.Clone()
+	return t.vec().ratioMap()
 }
 
 // vec returns the compiled form of the current ratio map. The returned
@@ -157,8 +153,9 @@ func (t *Tracker) vec() ratioVec {
 	return t.cachedVec
 }
 
-// refreshLocked rebuilds the cached ratio map and compiled vector if an
-// Observe or Reset invalidated them.
+// refreshLocked rebuilds the cached compiled vector if a mutation
+// invalidated it. Per-replica weights accumulate in a map, in probe order;
+// only its compiled form is kept.
 func (t *Tracker) refreshLocked() {
 	if !t.dirty {
 		return
@@ -173,7 +170,6 @@ func (t *Tracker) refreshLocked() {
 			}
 		}
 	}
-	t.cachedMap = m
 	t.cachedVec = compileRatioMap(m)
 	t.dirty = false
 }
@@ -235,6 +231,5 @@ func (t *Tracker) Reset() {
 	defer t.mu.Unlock()
 	t.probes = nil
 	t.dirty = true
-	t.cachedMap = nil
 	t.cachedVec = ratioVec{}
 }

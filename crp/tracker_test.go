@@ -2,6 +2,7 @@ package crp
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,25 @@ func TestTrackerRatioMapMatchesPaperFormulation(t *testing.T) {
 	}
 	if !almostEqual(m.Sum(), 1, 1e-12) {
 		t.Errorf("ratios sum to %v, want 1", m.Sum())
+	}
+
+	// Each ratio is exactly its probe-order accumulation, and the map is
+	// built fresh per call: scribbling on it reaches neither the cached
+	// compiled vector nor the next RatioMap.
+	want := RatioMap{}
+	for i := 0; i < 10; i++ {
+		r := ReplicaID("r2")
+		if i < 3 {
+			r = "r1"
+		}
+		want[r] += 1 / float64(10)
+	}
+	m["r1"], m["scribble"] = 9, 9
+	if again := tr.RatioMap(); !maps.Equal(again, want) {
+		t.Errorf("RatioMap after mutating the previous result = %v, want %v", again, want)
+	}
+	if v := tr.vec(); !maps.Equal(v.ratioMap(), want) {
+		t.Errorf("vec after mutating a returned map = %+v, want %v", v, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -463,6 +464,26 @@ func TestBatchDispatch(t *testing.T) {
 			t.Fatalf("bin=%v: nodes sub-reply = %+v", bin, resp.Batch[4])
 		}
 		replies = append(replies, resp)
+
+		// An observe with no replicas is acknowledged and ignored: no ghost
+		// node, no published mutation, no accepted-probe count.
+		digests, seq := d.svc.ShardDigests(), d.svc.DriftFrame(time.Time{}).Observes
+		raw, err = EncodeRequest(&Request{Op: "observe", Node: "ghost"}, bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, _, err := DecodeResponse(d.Handle(raw)); err != nil || !resp.OK {
+			t.Fatalf("bin=%v: empty observe = %+v, %v", bin, resp, err)
+		}
+		if nodes := d.svc.Nodes(); len(nodes) != 2 {
+			t.Fatalf("bin=%v: nodes after an empty observe = %v", bin, nodes)
+		}
+		if !slices.Equal(d.svc.ShardDigests(), digests) {
+			t.Fatalf("bin=%v: an empty observe changed the shard digests", bin)
+		}
+		if got := d.svc.DriftFrame(time.Time{}).Observes; got != seq {
+			t.Fatalf("bin=%v: an empty observe moved the accepted-probe count %d -> %d", bin, seq, got)
+		}
 	}
 	a, _ := json.Marshal(replies[0])
 	b, _ := json.Marshal(replies[1])
