@@ -14,25 +14,23 @@ import (
 	"time"
 
 	"repro/crp"
-	"repro/internal/detour"
 	"repro/internal/dnswire"
 	"repro/internal/experiment"
 	"repro/internal/king"
-	"repro/internal/netsim"
 )
 
 var (
 	benchOnce sync.Once
-	benchSc   *experiment.Scenario
+	benchSc   *experiment.PaperWorld
 	benchErr  error
 )
 
 // benchScenario is the shared reduced-scale world (same candidate density
 // as the paper).
-func benchScenario(b *testing.B) *experiment.Scenario {
+func benchScenario(b *testing.B) *experiment.PaperWorld {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSc, benchErr = experiment.NewScenario(experiment.ScenarioParams{
+		benchSc, benchErr = experiment.NewPaperWorld(experiment.WorldParams{
 			Seed:             1,
 			NumClients:       150,
 			NumCandidates:    240,
@@ -41,7 +39,7 @@ func benchScenario(b *testing.B) *experiment.Scenario {
 		})
 	})
 	if benchErr != nil {
-		b.Fatalf("NewScenario: %v", benchErr)
+		b.Fatalf("NewPaperWorld: %v", benchErr)
 	}
 	return benchSc
 }
@@ -240,7 +238,7 @@ func BenchmarkAblationCoverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		points, err = experiment.RunCoverageSweep(
-			experiment.ScenarioParams{Seed: 1, NumClients: 80, NumCandidates: 120},
+			experiment.WorldParams{Seed: 1, NumClients: 80, NumCandidates: 120},
 			[]int{120, 480},
 			experiment.ClosestNodeConfig{Schedule: experiment.ProbeSchedule{Interval: 10 * time.Minute, Probes: 24}},
 		)
@@ -430,11 +428,12 @@ func BenchmarkCosineSimilarityMapPath(b *testing.B) {
 
 func BenchmarkCDNRedirect(b *testing.B) {
 	sc := benchScenario(b)
-	name := sc.CDN.Names()[0]
+	network := sc.Fleet.Members()[0]
+	name := network.Names()[0]
 	clients := sc.Clients
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sc.CDN.Redirect(name, clients[i%len(clients)], time.Duration(i)*time.Minute)
+		_, err := network.Redirect(name, clients[i%len(clients)], time.Duration(i)*time.Minute)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -508,7 +507,7 @@ func mustAddr(s string) netip.Addr {
 	return netip.MustParseAddr(s)
 }
 
-func mustKing(b *testing.B, sc *experiment.Scenario) *king.Estimator {
+func mustKing(b *testing.B, sc *experiment.PaperWorld) *king.Estimator {
 	b.Helper()
 	est, err := king.New(sc.Topo, sc.Candidates[0], 1)
 	if err != nil {
@@ -551,32 +550,4 @@ func BenchmarkBootstrap(b *testing.B) {
 	b.ReportMetric(points[0].MeanRank, "rank_1probe")
 	b.ReportMetric(points[2].MeanRank, "rank_10probes")
 	b.ReportMetric(points[3].MeanRank, "rank_30probes")
-}
-
-// BenchmarkDetourSurvey measures detour discovery over a 60-host population.
-func BenchmarkDetourSurvey(b *testing.B) {
-	sc := benchScenario(b)
-	hosts := sc.Clients[:60]
-	maps, err := sc.CollectRatioMaps(hosts, experiment.ProbeSchedule{
-		Interval: 10 * time.Minute, Probes: 24,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	finder, err := detour.NewFinder(
-		&detour.TopoEvaluator{Topo: sc.Topo, At: 4 * time.Hour},
-		func(r crp.ReplicaID) (netsim.HostID, bool) { return sc.Topo.HostByName(string(r)) },
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		_, frac, err = finder.Survey(hosts, maps)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*frac, "win_pct")
 }

@@ -36,12 +36,12 @@ type faultsReport struct {
 
 // runFaultSweep runs the loss-rate x staleness-window degradation sweep.
 func runFaultSweep(quick bool, seed int64, out string) error {
-	params := experiment.ScenarioParams{Seed: seed, NumClients: 60, NumCandidates: 80, NumReplicas: 200}
+	params := experiment.WorldParams{Seed: seed, NumClients: 60, NumCandidates: 80, NumReplicas: 200}
 	schedule := experiment.ProbeSchedule{Interval: 10 * time.Minute, Probes: 12}
 	lossRates := []float64{0, 0.1, 0.3, 0.5}
 	freezeMins := []int{0, 20, 40}
 	if quick {
-		params = experiment.ScenarioParams{Seed: seed, NumClients: 25, NumCandidates: 30, NumReplicas: 80}
+		params = experiment.WorldParams{Seed: seed, NumClients: 25, NumCandidates: 30, NumReplicas: 80}
 		schedule.Probes = 8
 		lossRates = []float64{0, 0.3}
 		freezeMins = []int{0, 20}

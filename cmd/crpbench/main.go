@@ -80,7 +80,7 @@ func run(args []string) error {
 // runPaper executes the paper experiments off one shared scenario build;
 // exp "all" runs every figure in sequence.
 func runPaper(exp string, a benchArgs) error {
-	params := experiment.DefaultScenarioParams()
+	params := experiment.DefaultWorldParams()
 	params.Seed = a.seed
 	sweepCfg := experiment.RankSweepConfig{}
 	probeCfg := experiment.ClosestNodeConfig{}
@@ -101,7 +101,7 @@ func runPaper(exp string, a benchArgs) error {
 	fmt.Printf("building scenario: %d clients, %d candidates, %d replicas, seed %d\n",
 		params.NumClients, params.NumCandidates, params.NumReplicas, params.Seed)
 	start := time.Now()
-	sc, err := experiment.NewScenario(params)
+	sc, err := experiment.NewPaperWorld(params)
 	if err != nil {
 		return err
 	}
@@ -205,7 +205,7 @@ func runPaper(exp string, a benchArgs) error {
 	return nil
 }
 
-func runAblations(sc *experiment.Scenario, params experiment.ScenarioParams,
+func runAblations(sc *experiment.PaperWorld, params experiment.WorldParams,
 	probeCfg experiment.ClosestNodeConfig, clusterCfg experiment.ClusteringConfig) error {
 
 	rows, err := sc.RunSimilarityAblation(probeCfg)

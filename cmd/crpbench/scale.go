@@ -6,10 +6,11 @@
 // population — 1M+ at full scale — under per-client tracking and under
 // aggregation at several prefix granularities, and reports, per cell: state
 // size (tracked entries, the plane's own byte estimate, and measured heap
-// growth per client), ingest rate, and the accuracy cost of serving from
-// aggregates (rank of the aggregate's closest-node answer within the
-// per-client baseline ranking, on a sampled subset). Query latency under
-// ingest is timed by the benchmark's agg_closest workload, over real UDP.
+// growth per client) and the accuracy cost of serving from aggregates (rank
+// of the aggregate's closest-node answer within the per-client baseline
+// ranking, on a sampled subset). Nothing here is timed: the benchmark's
+// ingest_heavy workload measures ingest rate and agg_closest query latency
+// under ingest, both over real UDP.
 // The report lands in BENCH_scale.json via make bench.
 //
 // Determinism: ingest is partitioned across a fixed worker count by aggregate
@@ -69,11 +70,9 @@ type scaleDetCell struct {
 }
 
 // scaleCell is the full BENCH_scale.json cell: the deterministic slice plus
-// the measured ingest rate and memory.
+// the measured memory.
 type scaleCell struct {
 	scaleDetCell
-	IngestSeconds      float64 `json:"ingest_seconds"`
-	IngestPerSec       float64 `json:"ingest_per_sec"`
 	HeapPerClientBytes float64 `json:"heap_per_client_bytes"`
 }
 
@@ -382,12 +381,9 @@ func runScaleCell(seed int64, clients, prefixBits int) (scaleCell, error) {
 		return cell, err
 	}
 
-	ingestStart := time.Now()
 	if err := ingestScaleClients(svc, w, keyOf, base); err != nil {
 		return cell, err
 	}
-	cell.IngestSeconds = time.Since(ingestStart).Seconds()
-	cell.IngestPerSec = float64(clients*scaleProbesPer) / cell.IngestSeconds
 
 	runtime.GC()
 	var m1 runtime.MemStats

@@ -38,12 +38,12 @@
 //
 // With -gossip-listen set, the daemon also joins a replication mesh: every
 // locally observed or forgotten node gossips to its peers and anti-entropy
-// keeps the stores converged (see internal/peering and DESIGN.md §8). Peers
+// keeps the stores converged (see internal/peering and DESIGN.md "Gossip"). Peers
 // are seeded with -peers or at runtime through the peer-join op.
 //
 // With -aggregate BITS set, IPv4-addressed client nodes are aggregated by
 // their /BITS prefix instead of getting one tracker each (the million-client
-// mode; see DESIGN.md §10): probes collapse into per-prefix ratio maps,
+// mode; see DESIGN.md "Aggregate"): probes collapse into per-prefix ratio maps,
 // queries fall back per-client only for divergent clients, and the "stats"
 // op reports group count, fallback ratio and a state-size proxy under
 // crp.aggregate.*. Aggregated clients live outside the sharded store, so
@@ -62,7 +62,7 @@
 // traffic.
 //
 // With -drift set, the daemon runs the CDN-change detector (see
-// internal/drift and DESIGN.md §13): every -drift-interval it snapshots
+// internal/drift and DESIGN.md "Drift"): every -drift-interval it snapshots
 // the compiled ratio-map stream per CDN namespace (and per prefix group
 // when -aggregate is on) and flags mapping remaps and frozen-map staleness
 // while rejecting client-side LDNS churn. Alarm counts export under

@@ -27,7 +27,7 @@ import (
 // whose recent redirections disagree with its group's map (cosine below
 // MinAgreement) is demoted to an ordinary per-client tracker, seeded from
 // the reservoir. Queries resolve per-client state first and fall back to
-// the aggregate, so demotion is transparent to callers. DESIGN.md §10
+// the aggregate, so demotion is transparent to callers. DESIGN.md "Aggregate"
 // develops the design and its limits (aggregates are a local ingest
 // compaction: they are not replicated by the peering plane and not
 // persisted by WriteSnapshot).

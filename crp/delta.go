@@ -11,7 +11,7 @@ import (
 // complete probe window, so applying a delta replaces the window wholesale
 // and replicas of the same entry version are byte-identical everywhere. The
 // convergence argument, the tombstone GC horizon, and the digest protocol
-// built on ShardDigests are laid out in DESIGN.md §8.
+// built on ShardDigests are laid out in DESIGN.md "Gossip".
 
 // NodeMeta is the replication metadata of one node entry as exchanged
 // between peers: which daemon last mutated the entry, the entry's monotonic

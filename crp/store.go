@@ -42,7 +42,7 @@ type StoreConfig struct {
 // touched, each patch copying N/S entries, so with B writes spread across
 // shards the copied volume is ≈ S·(1-(1-1/S)^B)·N/S entries — a quantity
 // that *shrinks* as S grows, along with the allocation garbage those copies
-// feed the collector. Measured at PR 3 (DESIGN.md §6): at 50k nodes under
+// feed the collector. Measured at PR 3 (DESIGN.md "Store"): at 50k nodes under
 // a 1.5k/s observe stream, going from 64 to 256 shards nearly halves query
 // p99 on a single-core host. Per-shard fixed overhead
 // (two small maps, a gauge, three words of sync state) is a few hundred
@@ -623,7 +623,7 @@ func (st *store) digests() []uint64 {
 // publish nothing, so the routine stays free for the common empty tick. A
 // peer that somehow missed the deletion for longer than the GC horizon can
 // briefly resurrect the entry through anti-entropy — the horizon is the
-// declared replication deadline, and DESIGN.md §8 documents the trade.
+// declared replication deadline, and DESIGN.md "Gossip" documents the trade.
 func (st *store) gcTombstones(horizon time.Time) int {
 	n := 0
 	for i := range st.shards {

@@ -11,7 +11,7 @@
 // and byte blobs are length-prefixed; fixed-width words (digest hashes,
 // float bits) are big-endian. The message-level formats built on these
 // primitives are defined by the owning packages and documented in
-// DESIGN.md §9.
+// DESIGN.md "Wire".
 package binwire
 
 import (

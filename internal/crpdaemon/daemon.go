@@ -393,7 +393,16 @@ func (d *Daemon) worker(q chan task) {
 }
 
 func (d *Daemon) process(t task) {
-	op := t.req.Op
+	d.reply(t.from, d.serve(t.req, t.deadline), t.bin)
+}
+
+// serve is the one instrumented request step behind both entry points: the
+// worker path (process) and the synchronous path (Handle) count, time and
+// dispatch a request identically. A zero deadline means none; otherwise a
+// request that aged out in the queue, or whose handler finished late, gets a
+// structured timeout in place of its answer.
+func (d *Daemon) serve(req Request, deadline time.Time) Response {
+	op := req.Op
 	d.inflight.Inc()
 	defer d.inflight.Dec()
 	d.reqCount[op].Inc()
@@ -403,25 +412,24 @@ func (d *Daemon) process(t task) {
 	}
 
 	start := d.now()
-	if !start.Before(t.deadline) {
+	if !deadline.IsZero() && !start.Before(deadline) {
 		// The request aged out waiting in the queue; don't burn a worker
 		// computing an answer the client has stopped waiting for.
 		d.timeouts.Inc()
 		d.errCount[op].Inc()
-		d.reply(t.from, Response{
+		return Response{
 			Error:    fmt.Sprintf("deadline exceeded: %s queued longer than %v", op, d.cfg.Timeout),
 			TimedOut: true,
-		}, t.bin)
-		return
+		}
 	}
 
-	resp := d.dispatch(t.req)
+	resp := d.dispatch(req)
 	elapsed := d.now().Sub(start)
 	d.latency[op].ObserveDuration(elapsed)
 	if !resp.OK {
 		d.errCount[op].Inc()
 	}
-	if end := start.Add(elapsed); end.After(t.deadline) {
+	if end := start.Add(elapsed); !deadline.IsZero() && end.After(deadline) {
 		// The handler finished past the deadline: reply with a structured
 		// timeout so the client can tell "slow server" from packet loss.
 		d.timeouts.Inc()
@@ -433,7 +441,7 @@ func (d *Daemon) process(t task) {
 			TimedOut: true,
 		}
 	}
-	d.reply(t.from, resp, t.bin)
+	return resp
 }
 
 // reply encodes one response in the request's codec — bounded by
@@ -508,7 +516,7 @@ func (d *Daemon) Handle(raw []byte) []byte {
 		d.badReqs.Inc()
 		return d.encodeBounded(Response{Error: fmt.Sprintf("unknown op %q", req.Op)}, bin)
 	}
-	return d.encodeBounded(d.dispatch(req), bin)
+	return d.encodeBounded(d.serve(req, time.Time{}), bin)
 }
 
 func (d *Daemon) dispatch(req Request) Response {

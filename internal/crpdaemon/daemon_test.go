@@ -18,18 +18,17 @@ func testDaemon(opts ...crp.TrackerOption) *Daemon {
 	if len(opts) == 0 {
 		opts = []crp.TrackerOption{crp.WithWindow(10)}
 	}
-	reg := obs.NewRegistry()
-	d := &Daemon{
-		svc:       crp.NewService(opts...),
-		reg:       reg,
-		badReqs:   reg.Counter("crpd.bad_requests"),
-		oversized: reg.Counter("crpd.oversized_replies"),
-	}
 	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 	n := 0
-	d.now = func() time.Time {
-		n++
-		return base.Add(time.Duration(n) * time.Minute)
+	d, err := New(crp.NewService(opts...), Config{
+		Registry: obs.NewRegistry(),
+		Now: func() time.Time {
+			n++
+			return base.Add(time.Duration(n) * time.Minute)
+		},
+	})
+	if err != nil {
+		panic(err)
 	}
 	return d
 }
@@ -272,6 +271,66 @@ func TestDaemonStatsOp(t *testing.T) {
 	}
 	if g, ok := resp.Stats.Gauges["crpd.inflight"]; !ok || g < 0 {
 		t.Errorf("inflight gauge = %d ok=%v", g, ok)
+	}
+}
+
+// TestHandleRecordsWhatTheWorkerPathRecords: a socketless daemon's Handle
+// bumps the same per-op instruments as the UDP worker path above, in either
+// codec — so a mem-transport plan's stats reply shows the requests it served.
+func TestHandleRecordsWhatTheWorkerPathRecords(t *testing.T) {
+	for _, bin := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bin=%v", bin), func(t *testing.T) {
+			var hooked []string
+			d, err := New(crp.NewService(crp.WithWindow(10)), Config{
+				Registry: obs.NewRegistry(),
+				Hook:     func(op string) { hooked = append(hooked, op) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			send := func(req Request) Response {
+				t.Helper()
+				raw, err := EncodeRequest(&req, bin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, gotBin, err := DecodeResponse(d.Handle(raw))
+				if err != nil || gotBin != bin {
+					t.Fatalf("%s reply: bin=%v err=%v", req.Op, gotBin, err)
+				}
+				return resp
+			}
+			if resp := send(Request{Op: "observe", Node: "n1", Replicas: []string{"r1"}}); !resp.OK {
+				t.Fatalf("observe: %+v", resp)
+			}
+			if resp := send(Request{Op: "ratio_map", Node: "nobody"}); resp.OK {
+				t.Fatalf("ratio_map of an unknown node succeeded: %+v", resp)
+			}
+			resp := send(Request{Op: "stats"})
+			if !resp.OK || resp.Stats == nil {
+				t.Fatalf("stats = %+v", resp)
+			}
+			for name, want := range map[string]uint64{
+				"crpd.requests.observe":   1,
+				"crpd.requests.ratio_map": 1,
+				"crpd.requests.stats":     1,
+				"crpd.errors.observe":     0,
+				"crpd.errors.ratio_map":   1,
+			} {
+				if got := resp.Stats.Counters[name]; got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+			if h := resp.Stats.Histograms["crpd.latency.observe"]; h.Count != 1 {
+				t.Errorf("observe latency histogram count = %d, want 1", h.Count)
+			}
+			if g := resp.Stats.Gauges["crpd.inflight"]; g != 1 {
+				t.Errorf("inflight gauge while serving stats = %d, want 1", g)
+			}
+			if got := strings.Join(hooked, ","); got != "observe,ratio_map,stats" {
+				t.Errorf("hook saw %q", got)
+			}
+		})
 	}
 }
 

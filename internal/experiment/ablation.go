@@ -29,7 +29,7 @@ type SimilarityAblationRow struct {
 // RunSimilarityAblation replays the closest-node experiment with three
 // similarity metrics: the paper's frequency-weighted cosine similarity, the
 // set-based Jaccard index, and a raw shared-replica count.
-func (s *Scenario) RunSimilarityAblation(cfg ClosestNodeConfig) ([]SimilarityAblationRow, error) {
+func (s *World) RunSimilarityAblation(cfg ClosestNodeConfig) ([]SimilarityAblationRow, error) {
 	cfg.setDefaults()
 	candMaps, err := s.candidateMaps(cfg.Schedule)
 	if err != nil {
@@ -64,25 +64,7 @@ func (s *Scenario) RunSimilarityAblation(cfg ClosestNodeConfig) ([]SimilarityAbl
 		}
 		clientMap := tr.RatioMap()
 
-		// True ordering once per client.
-		rtts := make(map[crp.NodeID]float64, len(candIDs))
-		type candRTT struct {
-			id  crp.NodeID
-			rtt float64
-		}
-		order := make([]candRTT, len(candIDs))
-		for j, id := range candIDs {
-			host, _ := s.HostOf(id)
-			rtt := s.TruthRTTMs(client, host, evalAt)
-			rtts[id] = rtt
-			order[j] = candRTT{id, rtt}
-		}
-		sort.Slice(order, func(a, b int) bool { return order[a].rtt < order[b].rtt })
-		rank := make(map[crp.NodeID]int, len(order))
-		for j, c := range order {
-			rank[c.id] = j
-		}
-
+		order := s.TruthOrder(client, evalAt)
 		for mi, m := range metrics {
 			bestID, bestSim := candIDs[0], -1.0
 			for _, id := range candIDs {
@@ -90,8 +72,9 @@ func (s *Scenario) RunSimilarityAblation(cfg ClosestNodeConfig) ([]SimilarityAbl
 					bestID, bestSim = id, sim
 				}
 			}
-			rows[mi].MeanRTT += rtts[bestID]
-			rows[mi].MeanRank += float64(rank[bestID])
+			best, _ := s.HostOf(bestID)
+			rows[mi].MeanRTT += order.RTT[best]
+			rows[mi].MeanRank += float64(order.Rank(best))
 		}
 	}
 	n := float64(len(s.Clients))
@@ -110,16 +93,16 @@ type CoveragePoint struct {
 	FracNoSignal float64
 }
 
-// RunCoverageSweep rebuilds the scenario with progressively larger CDN
+// RunCoverageSweep rebuilds the world with progressively larger CDN
 // deployments and reports CRP's closest-node quality at each size — the
 // paper's observation that CRP accuracy tracks the CDN's coverage in the
 // client's region, made quantitative.
-func RunCoverageSweep(base ScenarioParams, replicaCounts []int, cfg ClosestNodeConfig) ([]CoveragePoint, error) {
+func RunCoverageSweep(base WorldParams, replicaCounts []int, cfg ClosestNodeConfig) ([]CoveragePoint, error) {
 	var out []CoveragePoint
 	for _, n := range replicaCounts {
 		p := base
 		p.NumReplicas = n
-		sc, err := NewScenario(p)
+		sc, err := NewPaperWorld(p)
 		if err != nil {
 			return nil, fmt.Errorf("scenario with %d replicas: %w", n, err)
 		}
@@ -148,7 +131,7 @@ type CenterAblationRow struct {
 
 // RunCenterAblation compares SMF's strongest-mappings-first center selection
 // against choosing the same number of centers uniformly at random.
-func (s *Scenario) RunCenterAblation(cfg ClusteringConfig) ([]CenterAblationRow, error) {
+func (s *World) RunCenterAblation(cfg ClusteringConfig) ([]CenterAblationRow, error) {
 	cfg.setDefaults()
 	nodes := s.Clients[:cfg.NumNodes]
 	evalAt := cfg.Schedule.End() + 1
@@ -264,7 +247,7 @@ type BaselineRow struct {
 // on the same scenario: CRP Top-1/Top-K, Meridian, Vivaldi coordinates, GNP
 // landmark coordinates, Ratnasamy-style landmark binning, a uniformly
 // random pick, and the true optimum.
-func (s *Scenario) RunBaselineComparison(cfg ClosestNodeConfig) ([]BaselineRow, error) {
+func (s *PaperWorld) RunBaselineComparison(cfg ClosestNodeConfig) ([]BaselineRow, error) {
 	cfg.setDefaults()
 	outcome, err := s.RunClosestNode(cfg)
 	if err != nil {

@@ -38,7 +38,7 @@ func TestRunSimilarityAblation(t *testing.T) {
 }
 
 func TestRunCoverageSweep(t *testing.T) {
-	base := ScenarioParams{Seed: 1, NumClients: 60, NumCandidates: 60, NumReplicas: 0}
+	base := WorldParams{Seed: 1, NumClients: 60, NumCandidates: 60, NumReplicas: 0}
 	points, err := RunCoverageSweep(base, []int{60, 240}, ClosestNodeConfig{
 		Schedule: ProbeSchedule{Interval: 10 * time.Minute, Probes: 18},
 	})

@@ -40,7 +40,7 @@ type BootstrapConfig struct {
 
 // RunBootstrap evaluates closest-node quality as a fresh client accumulates
 // its first probes.
-func (s *Scenario) RunBootstrap(cfg BootstrapConfig) ([]BootstrapPoint, error) {
+func (s *World) RunBootstrap(cfg BootstrapConfig) ([]BootstrapPoint, error) {
 	if len(cfg.ProbeCounts) == 0 {
 		cfg.ProbeCounts = []int{1, 2, 3, 5, 10, 20, 30}
 	}
@@ -78,11 +78,7 @@ func (s *Scenario) RunBootstrap(cfg BootstrapConfig) ([]BootstrapPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		// True candidate order once per client.
-		ranks := s.newRankContext(client, RankSweepConfig{
-			Duration:       evalAt,
-			DecisionPoints: 1,
-		})
+		order := s.TruthOrder(client, evalAt)
 		for pi, probes := range cfg.ProbeCounts {
 			// The client's map after its first `probes` probe steps. Each
 			// step issues one lookup per CDN name.
@@ -100,7 +96,7 @@ func (s *Scenario) RunBootstrap(cfg BootstrapConfig) ([]BootstrapPoint, error) {
 				continue
 			}
 			aggs[pi].signal++
-			aggs[pi].ranks = append(aggs[pi].ranks, float64(ranks.rankAt[0][id]))
+			aggs[pi].ranks = append(aggs[pi].ranks, float64(order.Rank(id)))
 		}
 	}
 

@@ -64,7 +64,7 @@ type ClosestNodeOutcome struct {
 // clients and candidates accumulate CDN redirections, then for every client
 // we compare the candidate CRP recommends (Top-1 and Top-K) against the
 // Meridian overlay's recommendation and the true optimum.
-func (s *Scenario) RunClosestNode(cfg ClosestNodeConfig) (*ClosestNodeOutcome, error) {
+func (s *PaperWorld) RunClosestNode(cfg ClosestNodeConfig) (*ClosestNodeOutcome, error) {
 	cfg.setDefaults()
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
@@ -96,7 +96,7 @@ func (s *Scenario) RunClosestNode(cfg ClosestNodeConfig) (*ClosestNodeOutcome, e
 }
 
 // candidateMaps collects the candidate servers' ratio maps under a schedule.
-func (s *Scenario) candidateMaps(ps ProbeSchedule) (map[crp.NodeID]crp.RatioMap, error) {
+func (s *World) candidateMaps(ps ProbeSchedule) (map[crp.NodeID]crp.RatioMap, error) {
 	maps, err := s.CollectRatioMaps(s.Candidates, ps)
 	if err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func (s *Scenario) candidateMaps(ps ProbeSchedule) (map[crp.NodeID]crp.RatioMap,
 // meridianEntry picks the entry node for Meridian queries: the paper used
 // its (healthy) measuring PlanetLab host, so we use the first member without
 // an injected failure.
-func (s *Scenario) meridianEntry() (netsim.HostID, error) {
+func (s *PaperWorld) meridianEntry() (netsim.HostID, error) {
 	for _, id := range s.Meridian.Members() {
 		if h, ok := s.Meridian.Health(id); ok && !h.Selfish && !h.Dead && !h.Partitioned {
 			return id, nil
@@ -121,7 +121,7 @@ func (s *Scenario) meridianEntry() (netsim.HostID, error) {
 }
 
 // evaluateClient scores CRP and Meridian recommendations for one client.
-func (s *Scenario) evaluateClient(
+func (s *PaperWorld) evaluateClient(
 	client netsim.HostID,
 	clientMap crp.RatioMap,
 	candMaps map[crp.NodeID]crp.RatioMap,
@@ -131,33 +131,8 @@ func (s *Scenario) evaluateClient(
 ) (ClientResult, error) {
 	res := ClientResult{Client: client}
 
-	// True RTT ordering of candidates.
-	type candRTT struct {
-		id  netsim.HostID
-		rtt float64
-	}
-	order := make([]candRTT, len(s.Candidates))
-	rtts := make(map[netsim.HostID]float64, len(s.Candidates))
-	for i, c := range s.Candidates {
-		rtt := s.TruthRTTMs(client, c, evalAt)
-		order[i] = candRTT{c, rtt}
-		rtts[c] = rtt
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].rtt != order[j].rtt {
-			return order[i].rtt < order[j].rtt
-		}
-		return order[i].id < order[j].id
-	})
-	rankOf := func(id netsim.HostID) int {
-		for i, c := range order {
-			if c.id == id {
-				return i
-			}
-		}
-		return len(order)
-	}
-	res.Optimal = order[0].rtt
+	order := s.TruthOrder(client, evalAt)
+	res.Optimal = order.RTT[order.Hosts[0]]
 
 	// CRP recommendations.
 	ranked := crp.RankBySimilarity(clientMap, candMaps)
@@ -169,8 +144,8 @@ func (s *Scenario) evaluateClient(
 	if !ok {
 		return res, fmt.Errorf("experiment: unknown candidate node %q", ranked[0].Node)
 	}
-	res.CRPTop1 = rtts[top1]
-	res.CRPTop1Rank = rankOf(top1)
+	res.CRPTop1 = order.RTT[top1]
+	res.CRPTop1Rank = order.Rank(top1)
 	k := topK
 	if k > len(ranked) {
 		k = len(ranked)
@@ -181,7 +156,7 @@ func (s *Scenario) evaluateClient(
 		if !ok {
 			return res, fmt.Errorf("experiment: unknown candidate node %q", ranked[i].Node)
 		}
-		sum += rtts[id]
+		sum += order.RTT[id]
 	}
 	res.CRPTopK = sum / float64(k)
 
@@ -190,8 +165,8 @@ func (s *Scenario) evaluateClient(
 	if err != nil {
 		return res, fmt.Errorf("meridian query for client %d: %w", client, err)
 	}
-	res.Meridian = rtts[rec]
-	res.MeridianRank = rankOf(rec)
+	res.Meridian = order.RTT[rec]
+	res.MeridianRank = order.Rank(rec)
 	return res, nil
 }
 

@@ -86,7 +86,7 @@ type ClusteringOutcome struct {
 // are collected for a set of broadly distributed DNS servers, clustered with
 // SMF at several thresholds, and compared against ASN-based clustering on
 // the same nodes with the same ground-truth distances.
-func (s *Scenario) RunClustering(cfg ClusteringConfig) (*ClusteringOutcome, error) {
+func (s *World) RunClustering(cfg ClusteringConfig) (*ClusteringOutcome, error) {
 	cfg.setDefaults()
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
@@ -153,7 +153,7 @@ func (s *Scenario) RunClustering(cfg ClusteringConfig) (*ClusteringOutcome, erro
 
 // clusterDistance builds the ground-truth DistanceFunc over the node set,
 // fully precomputed so cluster evaluation is cheap and consistent.
-func (s *Scenario) clusterDistance(nodes []netsim.HostID, at time.Duration, useKing bool) (crp.DistanceFunc, error) {
+func (s *World) clusterDistance(nodes []netsim.HostID, at time.Duration, useKing bool) (crp.DistanceFunc, error) {
 	var estimator *king.Estimator
 	if useKing {
 		var err error
@@ -192,7 +192,7 @@ func (s *Scenario) clusterDistance(nodes []netsim.HostID, at time.Duration, useK
 }
 
 // analyzeClusters computes a Table I row and the Figs. 6–7 statistics.
-func (s *Scenario) analyzeClusters(label string, clusters []crp.Cluster, total int, dist crp.DistanceFunc, maxDiameter float64) (AlgorithmResult, error) {
+func (s *World) analyzeClusters(label string, clusters []crp.Cluster, total int, dist crp.DistanceFunc, maxDiameter float64) (AlgorithmResult, error) {
 	stats, err := crp.EvaluateClusters(clusters, dist)
 	if err != nil {
 		return AlgorithmResult{}, err

@@ -15,19 +15,19 @@ import (
 // ask: when the substrate misbehaves — probes time out, the CDN's map
 // freezes across TTL windows, resolvers churn, a region storms — does CRP
 // positioning degrade gracefully, or silently mis-cluster? It runs the
-// same closest-node and SMF-clustering evaluation twice over identically
-// generated scenarios, once clean and once with a fault plane attached,
-// and reports both sides so tests can assert declared envelopes. Both runs
-// are bit-reproducible: the topology, the CDN and the fault plane all
-// derive every decision from seeds.
+// same closest-node and SMF-clustering evaluation twice over one world,
+// once clean and once with a fault plane attached, and reports both sides
+// so tests can assert declared envelopes. Both runs are bit-reproducible:
+// the topology, the CDN and the fault plane all derive every decision from
+// seeds.
 
 // DegradationConfig parameterizes one degradation run.
 type DegradationConfig struct {
-	// Params sizes the scenario (reduced scale is fine: the suite compares
+	// Params sizes the world (reduced scale is fine: the suite compares
 	// faulted vs clean under identical conditions rather than reproducing
-	// paper numbers). MeridianFailures is forced off — Meridian is not
-	// under test here.
-	Params ScenarioParams
+	// paper numbers). No Meridian overlay is built — it is not under test
+	// here.
+	Params WorldParams
 	// Schedule drives probe collection. Zero value: 12 probes at 10-minute
 	// intervals.
 	Schedule ProbeSchedule
@@ -41,9 +41,8 @@ type DegradationConfig struct {
 
 func (c *DegradationConfig) setDefaults() {
 	if c.Params.NumClients == 0 && c.Params.NumCandidates == 0 && c.Params.NumReplicas == 0 {
-		c.Params = ScenarioParams{Seed: 1, NumClients: 40, NumCandidates: 60, NumReplicas: 150}
+		c.Params = WorldParams{Seed: 1, NumClients: 40, NumCandidates: 60, NumReplicas: 150}
 	}
-	c.Params.MeridianFailures = false
 	if c.Schedule.Interval == 0 {
 		c.Schedule.Interval = 10 * time.Minute
 	}
@@ -125,34 +124,30 @@ func (o *DegradationOutcome) Check(env Envelope) error {
 	return nil
 }
 
-// RunDegradation builds two identical scenarios from cfg.Params, attaches
-// the fault plane to the second, evaluates closest-node accuracy and SMF
-// cluster quality on both, and returns the comparison.
+// RunDegradation builds the world from cfg.Params, evaluates closest-node
+// accuracy and SMF cluster quality on it clean, attaches the fault plane,
+// evaluates again, and returns the comparison.
 func RunDegradation(cfg DegradationConfig) (*DegradationOutcome, error) {
 	cfg.setDefaults()
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
 	}
 
-	clean, err := NewScenario(cfg.Params)
+	w, err := NewWorld(cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	cleanM, err := evalPositioning(clean, cfg)
+	cleanM, err := evalPositioning(w, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("clean run: %w", err)
 	}
 
-	faulted, err := NewScenario(cfg.Params)
+	plane, err := faults.New(w.Topo, cfg.Faults)
 	if err != nil {
 		return nil, err
 	}
-	plane, err := faults.New(faulted.Topo, cfg.Faults)
-	if err != nil {
-		return nil, err
-	}
-	faulted.AttachFaults(plane)
-	faultedM, err := evalPositioning(faulted, cfg)
+	w.AttachFaults(plane)
+	faultedM, err := evalPositioning(w, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("faulted run: %w", err)
 	}
@@ -165,11 +160,11 @@ func RunDegradation(cfg DegradationConfig) (*DegradationOutcome, error) {
 }
 
 // evalPositioning runs the reduced closest-node + clustering evaluation on
-// one scenario. Evaluation-side ground truth must not see the fault
+// the world as it stands. Evaluation-side ground truth must not see the fault
 // plane's latency perturbations (we score against the network the paper's
 // King measurements would see, not against the storm), so the perturbation
 // is detached around truth RTT evaluation.
-func evalPositioning(s *Scenario, cfg DegradationConfig) (DegradationMetrics, error) {
+func evalPositioning(s *World, cfg DegradationConfig) (DegradationMetrics, error) {
 	var m DegradationMetrics
 	evalAt := cfg.Schedule.End() + time.Minute
 
@@ -217,30 +212,12 @@ func evalPositioning(s *Scenario, cfg DegradationConfig) (DegradationMetrics, er
 			noSignal++
 		}
 
-		// True ordering of candidates for this client.
-		order := make([]netsim.HostID, len(s.Candidates))
-		copy(order, s.Candidates)
-		rtts := make(map[netsim.HostID]float64, len(order))
-		for _, c := range order {
-			rtts[c] = truth(client, c)
-		}
-		sort.Slice(order, func(i, j int) bool {
-			if rtts[order[i]] != rtts[order[j]] {
-				return rtts[order[i]] < rtts[order[j]]
-			}
-			return order[i] < order[j]
-		})
-
+		order := s.TruthOrder(client, evalAt)
 		top1, ok := s.HostOf(ranked[0].Node)
 		if !ok {
 			return m, fmt.Errorf("experiment: unknown candidate %q", ranked[0].Node)
 		}
-		for i, c := range order {
-			if c == top1 {
-				m.MeanTop1Rank += float64(i)
-				break
-			}
-		}
+		m.MeanTop1Rank += float64(order.Rank(top1))
 		k := cfg.TopK
 		if k > len(ranked) {
 			k = len(ranked)
@@ -251,10 +228,10 @@ func evalPositioning(s *Scenario, cfg DegradationConfig) (DegradationMetrics, er
 			if !ok {
 				return m, fmt.Errorf("experiment: unknown candidate %q", ranked[i].Node)
 			}
-			sum += rtts[id]
+			sum += order.RTT[id]
 		}
 		m.MeanTopKRTTMs += sum / float64(k)
-		m.MeanOptimalRTTMs += rtts[order[0]]
+		m.MeanOptimalRTTMs += order.RTT[order.Hosts[0]]
 	}
 	n := float64(m.Clients)
 	m.MeanTop1Rank /= n

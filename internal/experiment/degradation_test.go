@@ -15,7 +15,7 @@ import (
 // so paper-scale populations are unnecessary.
 func smallDegradation(sc faults.Scenario) DegradationConfig {
 	return DegradationConfig{
-		Params:   ScenarioParams{Seed: 1, NumClients: 25, NumCandidates: 30, NumReplicas: 80},
+		Params:   WorldParams{Seed: 1, NumClients: 25, NumCandidates: 30, NumReplicas: 80},
 		Schedule: ProbeSchedule{Interval: 10 * time.Minute, Probes: 10},
 		Faults:   sc,
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cdn"
 	"repro/internal/drift"
 	"repro/internal/faults"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
@@ -162,7 +161,7 @@ type DriftDetection struct {
 
 // DriftCell is one (scenario, sensitivity) point of the sweep.
 type DriftCell struct {
-	Scenario    string  `json:"scenario"`
+	Name        string  `json:"scenario"` // the fault schedule this cell ran under
 	Sensitivity float64 `json:"sensitivity"`
 	Frames      int     `json:"frames"`
 
@@ -201,14 +200,12 @@ type DriftOutcome struct {
 // RunDrift executes the sensitivity × intensity sweep.
 func RunDrift(p DriftParams) (*DriftOutcome, error) {
 	p.setDefaults()
-	tp := netsim.DefaultParams()
-	tp.Seed = p.Seed
-	tp.NumClients = p.NumClients
-	tp.NumCandidates = 10
-	tp.NumReplicas = p.NumReplicas
-	topo, err := netsim.Generate(tp)
+	w, err := NewWorld(
+		WorldParams{Seed: p.Seed, NumClients: p.NumClients, NumCandidates: 10, NumReplicas: p.NumReplicas},
+		cdn.Config{Namespace: DriftPrimaryNS},
+		cdn.Config{Namespace: DriftSecondaryNS, LoadScale: p.SecondaryLoadScale})
 	if err != nil {
-		return nil, fmt.Errorf("generate topology: %w", err)
+		return nil, err
 	}
 
 	out := &DriftOutcome{
@@ -221,7 +218,7 @@ func RunDrift(p DriftParams) (*DriftOutcome, error) {
 		scenario := faults.Scenario{Seed: uint64(p.Seed), Faults: sc.faults}
 		truth := scenario.CDNEventSchedule(cdn.DefaultMappingEpoch, p.Horizon())
 		out.Truth[sc.name] = truth
-		frames, err := collectDriftFrames(p, topo, scenario)
+		frames, err := collectDriftFrames(p, w, scenario)
 		if err != nil {
 			return nil, fmt.Errorf("drift cell %s: %w", sc.name, err)
 		}
@@ -245,61 +242,27 @@ func RunDrift(p DriftParams) (*DriftOutcome, error) {
 
 // collectDriftFrames drives the probe loop for one fault scenario and taps
 // a snapshot frame every TicksPerFrame ticks.
-func collectDriftFrames(p DriftParams, topo *netsim.Topology, scenario faults.Scenario) ([]crp.DriftFrame, error) {
-	fleet, err := cdn.NewFleet(topo, []cdn.Config{
-		{Namespace: DriftPrimaryNS},
-		{Namespace: DriftSecondaryNS, LoadScale: p.SecondaryLoadScale},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	plane, err := faults.New(topo, scenario, faults.WithRegistry(obs.NewRegistry()))
+func collectDriftFrames(p DriftParams, w *World, scenario faults.Scenario) ([]crp.DriftFrame, error) {
+	plane, err := faults.New(w.Topo, scenario, faults.WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		return nil, fmt.Errorf("fault plane: %w", err)
 	}
-	for _, ns := range fleet.Namespaces() {
-		if err := fleet.SetMapHook(ns, plane.MapHookFor(ns)); err != nil {
-			return nil, err
-		}
-	}
+	w.AttachFaults(plane)
 	svc := crp.NewService(crp.WithWindow(p.Window))
-	epoch := time.Date(2006, 11, 12, 0, 0, 0, 0, time.UTC)
-	clients := topo.Clients()
-	members := fleet.Members()
 	var frames []crp.DriftFrame
 	for t := 0; t < p.Ticks; t++ {
 		at := time.Duration(t) * p.Interval
-		for _, host := range clients {
-			if plane.ProbeLost(host, at) {
-				continue
-			}
-			ldns := plane.ResolverFor(host, at)
-			node := crp.NodeID(topo.Host(host).Name)
-			for _, m := range members {
-				ns := crp.Namespace(m.Namespace())
-				for _, name := range m.Names() {
-					replicas, err := m.Redirect(name, ldns, at)
-					if err != nil {
-						return nil, fmt.Errorf("redirect %s/%s: %w", ns, name, err)
-					}
-					ids := make([]crp.ReplicaID, 0, len(replicas))
-					for _, r := range replicas {
-						if m.IsFallback(r) {
-							continue
-						}
-						ids = append(ids, crp.Qualify(ns, crp.ReplicaID(topo.Host(r).Name)))
-					}
-					if len(ids) == 0 {
-						continue
-					}
-					if err := svc.Observe(node, epoch.Add(at), ids...); err != nil {
-						return nil, err
-					}
-				}
+		for _, host := range w.Clients {
+			node := w.NodeID(host)
+			err := w.Probe(host, at, AllMembers, func(l Lookup) error {
+				return svc.Observe(node, l.At, l.IDs...)
+			})
+			if err != nil {
+				return nil, err
 			}
 		}
 		if (t+1)%p.TicksPerFrame == 0 {
-			frames = append(frames, svc.DriftFrame(epoch.Add(at)))
+			frames = append(frames, svc.DriftFrame(w.At(at)))
 		}
 	}
 	return frames, nil
@@ -315,8 +278,7 @@ func scoreDriftCell(name string, sens float64, frames []crp.DriftFrame, truth fa
 	if err != nil {
 		return nil, err
 	}
-	epoch := time.Date(2006, 11, 12, 0, 0, 0, 0, time.UTC)
-	cell := &DriftCell{Scenario: name, Sensitivity: sens, Frames: len(frames), Truth: len(truth.Events)}
+	cell := &DriftCell{Name: name, Sensitivity: sens, Frames: len(frames), Truth: len(truth.Events)}
 	matched := make([]bool, len(truth.Events))
 	latencySum := 0.0
 	for _, f := range frames {
@@ -377,7 +339,7 @@ func driftGates(p DriftParams, cells []DriftCell) []DriftGate {
 		if c.Sensitivity != p.DefaultSensitivity {
 			continue
 		}
-		if churnNames[c.Scenario] {
+		if churnNames[c.Name] {
 			churnAlarms += c.Matched + c.FalseAlarms
 			continue
 		}
@@ -428,7 +390,7 @@ func RenderDrift(o *DriftOutcome) string {
 		"scenario", "sens", "truth", "matched", "missed", "false", "precision", "recall", "latency(s)")
 	for _, c := range o.Cells {
 		fmt.Fprintf(&b, "%-12s %6.2f %7d %8d %7d %6d %10.3f %10.3f %12.1f\n",
-			c.Scenario, c.Sensitivity, c.Truth, c.Matched, c.Missed, c.FalseAlarms,
+			c.Name, c.Sensitivity, c.Truth, c.Matched, c.Missed, c.FalseAlarms,
 			c.Precision, c.Recall, c.MeanLatencySec)
 	}
 	for _, g := range o.Gates {

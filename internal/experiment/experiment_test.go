@@ -24,17 +24,17 @@ var cosine = crp.CosineSimilarity
 
 var (
 	scenarioOnce sync.Once
-	sharedSc     *Scenario
+	sharedSc     *PaperWorld
 	scenarioErr  error
 )
 
-func testScenario(t *testing.T) *Scenario {
+func testScenario(t *testing.T) *PaperWorld {
 	t.Helper()
 	scenarioOnce.Do(func() {
 		// Candidate and replica densities are kept close to the paper's
 		// (240 candidates, dense CDN): CRP's Top-K averaging needs several
 		// candidates per metro to be meaningful, exactly as on PlanetLab.
-		sharedSc, scenarioErr = NewScenario(ScenarioParams{
+		sharedSc, scenarioErr = NewPaperWorld(WorldParams{
 			Seed:             1,
 			NumClients:       150,
 			NumCandidates:    240,
@@ -43,7 +43,7 @@ func testScenario(t *testing.T) *Scenario {
 		})
 	})
 	if scenarioErr != nil {
-		t.Fatalf("NewScenario: %v", scenarioErr)
+		t.Fatalf("NewPaperWorld: %v", scenarioErr)
 	}
 	return sharedSc
 }
@@ -57,7 +57,7 @@ func TestNewScenarioDefaultsAndErrors(t *testing.T) {
 	if len(s.Clients) != 150 || len(s.Candidates) != 240 {
 		t.Errorf("scenario sizes: %d clients, %d candidates", len(s.Clients), len(s.Candidates))
 	}
-	if s.CDN == nil || s.Meridian == nil {
+	if s.Fleet == nil || s.Meridian == nil {
 		t.Fatal("scenario missing subsystems")
 	}
 	// Node/host round trip.
@@ -106,8 +106,8 @@ func TestCollectTrackerProducesNormalizedMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trw.Len(); got != 5*len(s.CDN.Names()) {
-		t.Errorf("windowed tracker holds %d lookups, want %d", got, 5*len(s.CDN.Names()))
+	if got := trw.Len(); got != 5*len(s.Fleet.Members()[0].Names()) {
+		t.Errorf("windowed tracker holds %d lookups, want %d", got, 5*len(s.Fleet.Members()[0].Names()))
 	}
 }
 
@@ -144,7 +144,7 @@ func TestNearbyClientsHaveHigherSimilarity(t *testing.T) {
 	}
 }
 
-func simOf(maps map[netsimHostID]ratioMap, a, b netsimHostID, s *Scenario) float64 {
+func simOf(maps map[netsimHostID]ratioMap, a, b netsimHostID, s *PaperWorld) float64 {
 	return cosine(maps[a], maps[b])
 }
 

@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/crp"
@@ -144,32 +143,32 @@ type FusionOutcome struct {
 	Cells  []FusionCell `json:"cells"`
 }
 
+// world sizes the evaluation world the fusion parameters describe.
+func (p FusionParams) world() WorldParams {
+	return WorldParams{Seed: p.Seed, NumClients: p.NumClients, NumCandidates: p.NumCandidates, NumReplicas: p.NumReplicas}
+}
+
 // RunFusion evaluates fused multi-CDN positioning against the single-CDN
 // paths across the density × coverage grid.
 func RunFusion(p FusionParams) (*FusionOutcome, error) {
 	p.setDefaults()
-	topo, err := fusionTopology(p)
-	if err != nil {
-		return nil, err
-	}
 	out := &FusionOutcome{Params: p}
 	for _, density := range []struct {
 		name string
 		frac float64
 	}{{"dense", p.DenseFraction}, {"sparse", p.SparseFraction}} {
-		fleet, err := cdn.NewFleet(topo, []cdn.Config{
-			{Namespace: FusionPrimaryNS},
-			{Namespace: FusionSecondaryNS, ReplicaFraction: density.frac, LoadScale: p.SecondaryLoadScale},
-		})
+		w, err := NewWorld(p.world(),
+			cdn.Config{Namespace: FusionPrimaryNS},
+			cdn.Config{Namespace: FusionSecondaryNS, ReplicaFraction: density.frac, LoadScale: p.SecondaryLoadScale})
 		if err != nil {
-			return nil, fmt.Errorf("fusion fleet (%s): %w", density.name, err)
+			return nil, fmt.Errorf("fusion world (%s): %w", density.name, err)
 		}
 		for _, coverage := range []struct {
 			name   string
 			probes int
 			split  bool
 		}{{"rich", p.RichProbes, false}, {"sparse", p.SparseProbes, true}} {
-			cell, err := runFusionCell(p, topo, fleet, coverage.probes, coverage.split)
+			cell, err := runFusionCell(p, w, coverage.probes, coverage.split)
 			if err != nil {
 				return nil, fmt.Errorf("fusion cell %s/%s: %w", density.name, coverage.name, err)
 			}
@@ -180,20 +179,6 @@ func RunFusion(p FusionParams) (*FusionOutcome, error) {
 		}
 	}
 	return out, nil
-}
-
-// fusionTopology generates the shared substrate.
-func fusionTopology(p FusionParams) (*netsim.Topology, error) {
-	tp := netsim.DefaultParams()
-	tp.Seed = p.Seed
-	tp.NumClients = p.NumClients
-	tp.NumCandidates = p.NumCandidates
-	tp.NumReplicas = p.NumReplicas
-	topo, err := netsim.Generate(tp)
-	if err != nil {
-		return nil, fmt.Errorf("generate topology: %w", err)
-	}
-	return topo, nil
 }
 
 // fusionServices is the set of positioning services one cell compares: the
@@ -239,76 +224,59 @@ const domFusionPick uint64 = 0xF0_51_0001
 // passive collection, where a step sees whichever CDN the client's
 // applications happened to touch. The fused service then holds the union of
 // complementary half-signals no single-CDN path sees.
-func (fs *fusionServices) collect(topo *netsim.Topology, fleet *cdn.Fleet, hosts []netsim.HostID, candidate map[netsim.HostID]bool, probes int, interval time.Duration, split bool, seed int64) error {
-	epoch := time.Date(2006, 11, 12, 0, 0, 0, 0, time.UTC)
-	members := fleet.Members()
-	for _, host := range hosts {
-		node := crp.NodeID(topo.Host(host).Name)
+func (fs *fusionServices) collect(w *World, probes int, interval time.Duration, split bool) error {
+	members := uint64(len(w.Fleet.Members()))
+	feed := func(host netsim.HostID, candidate bool) error {
+		node := w.NodeID(host)
 		for i := 0; i < probes; i++ {
-			at := time.Duration(i) * interval
-			pick := -1
+			pick := AllMembers
 			if split {
-				pick = int(netsim.Mix(uint64(seed), domFusionPick, uint64(host), uint64(i)) % uint64(len(members)))
+				pick = int(netsim.Mix(uint64(w.Params.Seed), domFusionPick, uint64(host), uint64(i)) % members)
 			}
-			for mi, n := range members {
-				if split && mi != pick {
-					continue
+			err := w.Probe(host, time.Duration(i)*interval, pick, func(l Lookup) error {
+				svcs := []*crp.Service{fs.fused, fs.byNS[l.NS]}
+				if candidate {
+					svcs = append(svcs, fs.fusedCand, fs.byNSCand[l.NS])
 				}
-				ns := n.Namespace()
-				for _, name := range n.Names() {
-					replicas, err := n.Redirect(name, host, at)
-					if err != nil {
-						return fmt.Errorf("redirect %q under %q for host %d: %w", name, ns, host, err)
-					}
-					ids := make([]crp.ReplicaID, 0, len(replicas))
-					for _, r := range replicas {
-						if n.IsFallback(r) {
-							continue
-						}
-						ids = append(ids, crp.Qualify(crp.Namespace(ns), crp.ReplicaID(topo.Host(r).Name)))
-					}
-					if len(ids) == 0 {
-						continue
-					}
-					when := epoch.Add(at)
-					if err := fs.fused.Observe(node, when, ids...); err != nil {
+				for _, svc := range svcs {
+					if err := svc.Observe(node, l.At, l.IDs...); err != nil {
 						return err
 					}
-					if err := fs.byNS[ns].Observe(node, when, ids...); err != nil {
-						return err
-					}
-					if candidate[host] {
-						if err := fs.fusedCand.Observe(node, when, ids...); err != nil {
-							return err
-						}
-						if err := fs.byNSCand[ns].Observe(node, when, ids...); err != nil {
-							return err
-						}
-					}
 				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
+		}
+		return nil
+	}
+	for _, host := range w.Clients {
+		if err := feed(host, false); err != nil {
+			return err
+		}
+	}
+	for _, host := range w.Candidates {
+		if err := feed(host, true); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // runFusionCell collects one (fleet, schedule) cell and scores it.
-func runFusionCell(p FusionParams, topo *netsim.Topology, fleet *cdn.Fleet, probes int, split bool) (*FusionCell, error) {
-	namespaces := fleet.Namespaces()
+func runFusionCell(p FusionParams, w *World, probes int, split bool) (*FusionCell, error) {
+	namespaces := w.Fleet.Namespaces()
 	fs, err := newFusionServices(namespaces)
 	if err != nil {
 		return nil, err
 	}
-	clients := topo.Clients()
-	candidates := topo.Candidates()
-	candSet := make(map[netsim.HostID]bool, len(candidates))
+	clients, candidates := w.Clients, w.Candidates
 	candIDs := make([]crp.NodeID, len(candidates))
 	for i, c := range candidates {
-		candSet[c] = true
-		candIDs[i] = crp.NodeID(topo.Host(c).Name)
+		candIDs[i] = w.NodeID(c)
 	}
-	hosts := append(append([]netsim.HostID(nil), clients...), candidates...)
-	if err := fs.collect(topo, fleet, hosts, candSet, probes, p.Interval, split, p.Seed); err != nil {
+	if err := fs.collect(w, probes, p.Interval, split); err != nil {
 		return nil, err
 	}
 	evalAt := time.Duration(probes)*p.Interval + time.Minute
@@ -339,17 +307,17 @@ func runFusionCell(p FusionParams, topo *netsim.Topology, fleet *cdn.Fleet, prob
 	sumFused := 0.0
 	sumNS := make(map[string]float64, len(namespaces))
 	for _, client := range clients {
-		rankOf := fusionTruthOrder(topo, client, candidates, evalAt)
-		clientID := crp.NodeID(topo.Host(client).Name)
+		order := w.TruthOrder(client, evalAt)
+		clientID := w.NodeID(client)
 
-		if r, ok := fusionRank(fs.fused, clientID, fusedCands, topo, rankOf); ok {
+		if r, ok := fusionRank(w, fs.fused, clientID, fusedCands, order); ok {
 			sumFused += r
 		} else {
 			sumFused += blind
 			cell.NoSignalFused++
 		}
 		for _, ns := range namespaces {
-			if r, ok := fusionRank(fs.byNS[ns], clientID, nsCands[ns], topo, rankOf); ok {
+			if r, ok := fusionRank(w, fs.byNS[ns], clientID, nsCands[ns], order); ok {
 				sumNS[ns] += r
 			} else {
 				sumNS[ns] += blind
@@ -373,60 +341,19 @@ func runFusionCell(p FusionParams, topo *netsim.Topology, fleet *cdn.Fleet, prob
 
 	// SMF clustering quality over the candidates.
 	ccfg := crp.ClusterConfig{Threshold: crp.DefaultThreshold}
-	rtt, pairs, clusters, err := fusionSMF(fs.fusedCand, topo, evalAt, ccfg)
+	rtt, pairs, clusters, err := fusionSMF(w, fs.fusedCand, evalAt, ccfg)
 	if err != nil {
 		return nil, err
 	}
 	cell.SMFIntraRTTFused, cell.SMFIntraPairsFused, cell.SMFClustersFused = rtt, pairs, clusters
 	for _, ns := range namespaces {
-		rtt, _, _, err := fusionSMF(fs.byNSCand[ns], topo, evalAt, ccfg)
+		rtt, _, _, err := fusionSMF(w, fs.byNSCand[ns], evalAt, ccfg)
 		if err != nil {
 			return nil, err
 		}
 		cell.SMFIntraRTTNS[ns] = rtt
 	}
 	return cell, nil
-}
-
-// fusionTruthOrder computes the true RTT ordering of the candidates for one
-// client (ties break on host ID) and returns a rank lookup.
-func fusionTruthOrder(topo *netsim.Topology, client netsim.HostID, candidates []netsim.HostID, evalAt time.Duration) func(netsim.HostID) int {
-	type candRTT struct {
-		id  netsim.HostID
-		rtt float64
-	}
-	order := make([]candRTT, len(candidates))
-	for i, c := range candidates {
-		order[i] = candRTT{c, fusionTruthRTT(topo, client, c, evalAt)}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].rtt != order[j].rtt {
-			return order[i].rtt < order[j].rtt
-		}
-		return order[i].id < order[j].id
-	})
-	rank := make(map[netsim.HostID]int, len(order))
-	for i, c := range order {
-		rank[c.id] = i
-	}
-	return func(id netsim.HostID) int {
-		if r, ok := rank[id]; ok {
-			return r
-		}
-		return len(order)
-	}
-}
-
-// fusionTruthRTT mirrors Scenario.TruthRTTMs: the mean of three closely
-// spaced true RTT samples.
-func fusionTruthRTT(topo *netsim.Topology, a, b netsim.HostID, at time.Duration) float64 {
-	const samples = 3
-	const spacing = 2 * time.Minute
-	sum := 0.0
-	for i := 0; i < samples; i++ {
-		sum += topo.RTTMs(a, b, at+time.Duration(i)*spacing)
-	}
-	return sum / samples
 }
 
 // knownCandidates filters the candidate list to the nodes the service holds
@@ -448,22 +375,22 @@ func knownCandidates(svc *crp.Service, candidates []crp.NodeID) []crp.NodeID {
 // fusionRank returns the 0-based true-RTT rank of the service's top-1
 // recommendation for the client, or ok=false when the service cannot
 // position the client (unknown node or zero similarity everywhere).
-func fusionRank(svc *crp.Service, client crp.NodeID, candidates []crp.NodeID, topo *netsim.Topology, rankOf func(netsim.HostID) int) (float64, bool) {
+func fusionRank(w *World, svc *crp.Service, client crp.NodeID, candidates []crp.NodeID, order *TruthOrder) (float64, bool) {
 	best, ok, err := svc.ClosestTo(client, candidates)
 	if err != nil || !ok || best.Similarity <= 0 {
 		return 0, false
 	}
-	host, found := topo.HostByName(string(best.Node))
+	host, found := w.HostOf(best.Node)
 	if !found {
 		return 0, false
 	}
-	return float64(rankOf(host)), true
+	return float64(order.Rank(host)), true
 }
 
 // fusionSMF clusters the service's whole population with SMF and returns the
 // mean true intra-cluster RTT across member pairs, the pair count and the
 // cluster count.
-func fusionSMF(svc *crp.Service, topo *netsim.Topology, evalAt time.Duration, cfg crp.ClusterConfig) (meanRTT float64, pairs, clusters int, err error) {
+func fusionSMF(w *World, svc *crp.Service, evalAt time.Duration, cfg crp.ClusterConfig) (meanRTT float64, pairs, clusters int, err error) {
 	cls, err := svc.ClusterAll(cfg)
 	if err != nil {
 		return 0, 0, 0, err
@@ -471,16 +398,16 @@ func fusionSMF(svc *crp.Service, topo *netsim.Topology, evalAt time.Duration, cf
 	sum := 0.0
 	for _, c := range cls {
 		for i := 0; i < len(c.Members); i++ {
-			hi, ok := topo.HostByName(string(c.Members[i]))
+			hi, ok := w.HostOf(c.Members[i])
 			if !ok {
 				continue
 			}
 			for j := i + 1; j < len(c.Members); j++ {
-				hj, ok := topo.HostByName(string(c.Members[j]))
+				hj, ok := w.HostOf(c.Members[j])
 				if !ok {
 					continue
 				}
-				sum += fusionTruthRTT(topo, hi, hj, evalAt)
+				sum += w.TruthRTTMs(hi, hj, evalAt)
 				pairs++
 			}
 		}
@@ -499,11 +426,7 @@ func fusionSMF(svc *crp.Service, topo *netsim.Topology, evalAt time.Duration, cf
 func FusionIdentityCheck(seed int64, numClients, numCandidates, numReplicas, probes int) error {
 	p := FusionParams{Seed: seed, NumClients: numClients, NumCandidates: numCandidates, NumReplicas: numReplicas}
 	p.setDefaults()
-	topo, err := fusionTopology(p)
-	if err != nil {
-		return err
-	}
-	network, err := cdn.New(cdn.Config{Topo: topo})
+	w, err := NewWorld(p.world())
 	if err != nil {
 		return err
 	}
@@ -513,44 +436,28 @@ func FusionIdentityCheck(seed int64, numClients, numCandidates, numReplicas, pro
 		return err
 	}
 
-	epoch := time.Date(2006, 11, 12, 0, 0, 0, 0, time.UTC)
-	hosts := append(topo.Clients(), topo.Candidates()...)
+	hosts := append(append([]netsim.HostID(nil), w.Clients...), w.Candidates...)
 	for _, host := range hosts {
-		node := crp.NodeID(topo.Host(host).Name)
+		node := w.NodeID(host)
 		for i := 0; i < probes; i++ {
-			at := time.Duration(i) * p.Interval
-			for _, name := range network.Names() {
-				replicas, err := network.Redirect(name, host, at)
-				if err != nil {
+			err := w.Probe(host, time.Duration(i)*p.Interval, AllMembers, func(l Lookup) error {
+				if err := plain.Observe(node, l.At, l.IDs...); err != nil {
 					return err
 				}
-				ids := make([]crp.ReplicaID, 0, len(replicas))
-				for _, r := range replicas {
-					if network.IsFallback(r) {
-						continue
-					}
-					ids = append(ids, crp.ReplicaID(topo.Host(r).Name))
-				}
-				if len(ids) == 0 {
-					continue
-				}
-				when := epoch.Add(at)
-				if err := plain.Observe(node, when, ids...); err != nil {
-					return err
-				}
-				if err := fused.Observe(node, when, ids...); err != nil {
-					return err
-				}
+				return fused.Observe(node, l.At, l.IDs...)
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}
 
-	candIDs := make([]crp.NodeID, 0, numCandidates)
-	for _, c := range topo.Candidates() {
-		candIDs = append(candIDs, crp.NodeID(topo.Host(c).Name))
+	candIDs := make([]crp.NodeID, len(w.Candidates))
+	for i, c := range w.Candidates {
+		candIDs[i] = w.NodeID(c)
 	}
 	for _, host := range hosts {
-		node := crp.NodeID(topo.Host(host).Name)
+		node := w.NodeID(host)
 		pm, perr := plain.RatioMap(node)
 		fm, ferr := fused.RatioMap(node)
 		if (perr == nil) != (ferr == nil) {

@@ -28,7 +28,7 @@ type NameSelectionRow struct {
 // all names — recording redirections and bootstrap pings — and runs the
 // paper's two §VI selection rules. The regular names must survive and the
 // global name must be rejected.
-func (s *Scenario) RunNameSelection(sampleClients, bootstrapProbes int) ([]NameSelectionRow, error) {
+func (s *World) RunNameSelection(sampleClients, bootstrapProbes int) ([]NameSelectionRow, error) {
 	if sampleClients <= 0 {
 		sampleClients = 30
 	}

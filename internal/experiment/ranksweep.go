@@ -72,23 +72,20 @@ type lookupHistory struct {
 }
 
 // collectHistory gathers a host's lookups under the schedule.
-func (s *Scenario) collectHistory(host netsim.HostID, ps ProbeSchedule) (lookupHistory, error) {
+func (s *World) collectHistory(host netsim.HostID, ps ProbeSchedule) (lookupHistory, error) {
 	if err := ps.Validate(); err != nil {
 		return lookupHistory{}, err
 	}
 	var h lookupHistory
 	for i := 0; i < ps.Probes; i++ {
 		at := ps.Start + time.Duration(i)*ps.Interval
-		for _, name := range s.CDN.Names() {
-			ids, err := s.lookup(name, host, at)
-			if err != nil {
-				return lookupHistory{}, err
-			}
-			if len(ids) == 0 {
-				continue // lookup yielded only filtered fallback answers
-			}
+		err := s.Probe(host, at, AllMembers, func(l Lookup) error {
 			h.times = append(h.times, at)
-			h.sets = append(h.sets, ids)
+			h.sets = append(h.sets, l.IDs)
+			return nil
+		})
+		if err != nil {
+			return lookupHistory{}, err
 		}
 	}
 	return h, nil
@@ -121,43 +118,23 @@ func (h lookupHistory) mapUpTo(t time.Duration, window int) crp.RatioMap {
 // decision time, shared across all series of a sweep.
 type rankContext struct {
 	decisions []time.Duration
-	// rankAt[d][candidate] is the candidate's rank at decision d.
-	rankAt []map[netsim.HostID]int
+	orders    []*TruthOrder
 }
 
-func (s *Scenario) newRankContext(client netsim.HostID, cfg RankSweepConfig) rankContext {
+func (s *World) newRankContext(client netsim.HostID, cfg RankSweepConfig) rankContext {
 	ctx := rankContext{}
 	for i := 0; i < cfg.DecisionPoints; i++ {
 		frac := 0.5 + 0.5*float64(i+1)/float64(cfg.DecisionPoints)
-		ctx.decisions = append(ctx.decisions, time.Duration(float64(cfg.Duration)*frac))
-	}
-	for _, at := range ctx.decisions {
-		type candRTT struct {
-			id  netsim.HostID
-			rtt float64
-		}
-		order := make([]candRTT, len(s.Candidates))
-		for i, c := range s.Candidates {
-			order[i] = candRTT{c, s.TruthRTTMs(client, c, at)}
-		}
-		sort.Slice(order, func(i, j int) bool {
-			if order[i].rtt != order[j].rtt {
-				return order[i].rtt < order[j].rtt
-			}
-			return order[i].id < order[j].id
-		})
-		ranks := make(map[netsim.HostID]int, len(order))
-		for i, c := range order {
-			ranks[c.id] = i
-		}
-		ctx.rankAt = append(ctx.rankAt, ranks)
+		at := time.Duration(float64(cfg.Duration) * frac)
+		ctx.decisions = append(ctx.decisions, at)
+		ctx.orders = append(ctx.orders, s.TruthOrder(client, at))
 	}
 	return ctx
 }
 
 // avgRank evaluates one client's average Top-1 rank for a history+window
 // combination. ok is false when CRP had no signal at every decision point.
-func (s *Scenario) avgRank(
+func (s *World) avgRank(
 	ctx rankContext,
 	h lookupHistory,
 	window int,
@@ -177,7 +154,7 @@ func (s *Scenario) avgRank(
 		if !found {
 			continue
 		}
-		sum += float64(ctx.rankAt[di][id])
+		sum += float64(ctx.orders[di].Rank(id))
 		n++
 	}
 	if n == 0 {
@@ -196,7 +173,7 @@ func scheduleFor(interval, duration time.Duration) ProbeSchedule {
 // RunProbeIntervalSweep reproduces Fig. 8: the average rank of CRP's Top-1
 // recommendation under different probe intervals (the paper uses 20, 100,
 // 500 and 2000 minutes) with an unbounded window.
-func (s *Scenario) RunProbeIntervalSweep(intervals []time.Duration, cfg RankSweepConfig) ([]RankSeries, error) {
+func (s *World) RunProbeIntervalSweep(intervals []time.Duration, cfg RankSweepConfig) ([]RankSeries, error) {
 	cfg.setDefaults()
 	if len(intervals) == 0 {
 		return nil, fmt.Errorf("experiment: no intervals")
@@ -230,7 +207,7 @@ func (s *Scenario) RunProbeIntervalSweep(intervals []time.Duration, cfg RankSwee
 // RunWindowSweep reproduces Fig. 9: the average rank of CRP's Top-1
 // recommendation under different probe window sizes (the paper uses all, 30,
 // 10 and 5 probes) with a fixed probe interval (the paper uses 10 minutes).
-func (s *Scenario) RunWindowSweep(windows []int, probeInterval time.Duration, cfg RankSweepConfig) ([]RankSeries, error) {
+func (s *World) RunWindowSweep(windows []int, probeInterval time.Duration, cfg RankSweepConfig) ([]RankSeries, error) {
 	cfg.setDefaults()
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("experiment: no windows")

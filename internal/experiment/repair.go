@@ -58,7 +58,7 @@ type RepairOutcome struct {
 
 // RunPathRepair builds NumPaths quality overlay paths among the clients,
 // fails each path's relay and repairs it under each policy.
-func (s *Scenario) RunPathRepair(cfg RepairConfig) (*RepairOutcome, error) {
+func (s *World) RunPathRepair(cfg RepairConfig) (*RepairOutcome, error) {
 	if cfg.NumPaths <= 0 {
 		cfg.NumPaths = 200
 	}

@@ -49,7 +49,7 @@ func TestRunPathRepairShape(t *testing.T) {
 }
 
 func TestRunPathRepairValidation(t *testing.T) {
-	sc, err := NewScenario(ScenarioParams{Seed: 1, NumClients: 3, NumCandidates: 5, NumReplicas: 20})
+	sc, err := NewPaperWorld(WorldParams{Seed: 1, NumClients: 3, NumCandidates: 5, NumReplicas: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

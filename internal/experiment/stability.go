@@ -42,7 +42,7 @@ type StabilityOutcome struct {
 
 // RunClusterStability clusters the same nodes from two disjoint observation
 // windows and measures assignment agreement.
-func (s *Scenario) RunClusterStability(cfg StabilityConfig) (*StabilityOutcome, error) {
+func (s *World) RunClusterStability(cfg StabilityConfig) (*StabilityOutcome, error) {
 	if cfg.NumNodes <= 0 {
 		cfg.NumNodes = 120
 	}

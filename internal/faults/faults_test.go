@@ -288,14 +288,14 @@ func TestMapEpochFreezePinsEpoch(t *testing.T) {
 	wantEpoch := uint64(start / epochLen)
 
 	// Before the window: identity transform.
-	e, es := plane.MapEpoch(h, 10*time.Minute, epochLen, uint64(10*time.Minute/epochLen))
+	e, es := plane.MapHookFor("")(h, 10*time.Minute, epochLen, uint64(10*time.Minute/epochLen))
 	if e != uint64(10*time.Minute/epochLen) || es != time.Duration(e)*epochLen {
 		t.Fatalf("pre-window transform changed the epoch: %d/%v", e, es)
 	}
 	// Inside: pinned to the epoch containing start, at every instant.
 	for off := time.Duration(0); off < 10*time.Minute; off += 97 * time.Second {
 		at := start + off
-		e, es := plane.MapEpoch(h, at, epochLen, uint64(at/epochLen))
+		e, es := plane.MapHookFor("")(h, at, epochLen, uint64(at/epochLen))
 		if e != wantEpoch {
 			t.Fatalf("epoch at %v = %d, want frozen %d", at, e, wantEpoch)
 		}
@@ -318,9 +318,9 @@ func TestMapEpochFlapRehashesPerPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := topo.Clients()[0]
-	e1, _ := plane.MapEpoch(h, time.Minute, epochLen, uint64(time.Minute/epochLen))
-	e1b, _ := plane.MapEpoch(h, 2*time.Minute, epochLen, uint64(2*time.Minute/epochLen))
-	e2, _ := plane.MapEpoch(h, 6*time.Minute, epochLen, uint64(6*time.Minute/epochLen))
+	e1, _ := plane.MapHookFor("")(h, time.Minute, epochLen, uint64(time.Minute/epochLen))
+	e1b, _ := plane.MapHookFor("")(h, 2*time.Minute, epochLen, uint64(2*time.Minute/epochLen))
+	e2, _ := plane.MapHookFor("")(h, 6*time.Minute, epochLen, uint64(6*time.Minute/epochLen))
 	if e1 != e1b {
 		t.Fatalf("flap identity changed within one period: %d vs %d", e1, e1b)
 	}

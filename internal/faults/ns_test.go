@@ -6,8 +6,8 @@ import (
 )
 
 // TestMapHookForCDNScope: a cdn-freeze scoped to one namespace applies
-// through that namespace's hook only — the sibling's hook and the legacy
-// single-CDN MapEpoch both see an identity transform — while an unscoped
+// through that namespace's hook only — the sibling's hook and the unnamed
+// single-CDN member's both see an identity transform — while an unscoped
 // fault applies everywhere.
 func TestMapHookForCDNScope(t *testing.T) {
 	topo := testTopo(t)
@@ -30,8 +30,8 @@ func TestMapHookForCDNScope(t *testing.T) {
 	if e, es := plane.MapHookFor("cdnB")(h, at, epochLen, natural); e != natural || es != time.Duration(natural)*epochLen {
 		t.Fatalf("cdnB hook perturbed by cdnA's fault: %d/%v", e, es)
 	}
-	if e, _ := plane.MapEpoch(h, at, epochLen, natural); e != natural {
-		t.Fatalf("legacy MapEpoch perturbed by a CDN-scoped fault: %d", e)
+	if e, _ := plane.MapHookFor("")(h, at, epochLen, natural); e != natural {
+		t.Fatalf("unnamed member's hook perturbed by a CDN-scoped fault: %d", e)
 	}
 
 	// Unscoped: the fault is fleet-wide and reaches every hook.
@@ -44,7 +44,7 @@ func TestMapHookForCDNScope(t *testing.T) {
 	for _, hook := range []func(h2 time.Duration) uint64{
 		func(time.Duration) uint64 { e, _ := wide.MapHookFor("cdnA")(h, at, epochLen, natural); return e },
 		func(time.Duration) uint64 { e, _ := wide.MapHookFor("cdnB")(h, at, epochLen, natural); return e },
-		func(time.Duration) uint64 { e, _ := wide.MapEpoch(h, at, epochLen, natural); return e },
+		func(time.Duration) uint64 { e, _ := wide.MapHookFor("")(h, at, epochLen, natural); return e },
 	} {
 		if e := hook(at); e != frozen {
 			t.Fatalf("fleet-wide freeze missed a hook: epoch %d, want %d", e, frozen)
@@ -73,8 +73,8 @@ func TestMapHookForCDNFlapScope(t *testing.T) {
 	if e, _ := plane.MapHookFor("cdnA")(h, at, epochLen, natural); e != natural {
 		t.Fatalf("cdnA hook perturbed by cdnB's flap: %d", e)
 	}
-	if e, _ := plane.MapEpoch(h, at, epochLen, natural); e != natural {
-		t.Fatalf("legacy MapEpoch perturbed by a CDN-scoped flap: %d", e)
+	if e, _ := plane.MapHookFor("")(h, at, epochLen, natural); e != natural {
+		t.Fatalf("unnamed member's hook perturbed by a CDN-scoped flap: %d", e)
 	}
 }
 

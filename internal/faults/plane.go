@@ -224,56 +224,43 @@ func (p *Plane) ResolverFor(h netsim.HostID, at time.Duration) netsim.HostID {
 
 // --- CDN mapping hook -------------------------------------------------------
 
-// MapEpoch implements cdn.MapHook: it freezes the mapping state to the
+// MapHookFor returns the cdn.MapHook for the fleet member named ns ("" is
+// the unnamed single-CDN member). The hook freezes the mapping state to the
 // epoch containing a cdn-freeze fault's start, and rehashes the epoch
 // identity every cdn-flap period, producing abrupt wholesale re-mappings.
-// It is the hook of the unnamed (single-CDN) network; CDN-scoped faults do
-// not apply through it.
-func (p *Plane) MapEpoch(ldns netsim.HostID, at, epochLen time.Duration, epoch uint64) (uint64, time.Duration) {
-	return p.mapEpochNS("", ldns, at, epochLen, epoch)
-}
-
-// MapHookFor returns the cdn.MapHook for the fleet member named ns: only
-// cdn-freeze/cdn-flap faults whose CDN scope is empty (fleet-wide) or
-// exactly ns apply, so one scenario can freeze CDN A's mapping while CDN B
-// keeps flapping on its own schedule. Install per member via
-// cdn.Fleet.SetMapHook.
+// Only faults whose CDN scope is empty (fleet-wide) or exactly ns apply, so
+// one scenario can freeze CDN A's mapping while CDN B keeps flapping on its
+// own schedule.
 func (p *Plane) MapHookFor(ns string) func(ldns netsim.HostID, at, epochLen time.Duration, epoch uint64) (uint64, time.Duration) {
 	return func(ldns netsim.HostID, at, epochLen time.Duration, epoch uint64) (uint64, time.Duration) {
-		return p.mapEpochNS(ns, ldns, at, epochLen, epoch)
-	}
-}
-
-// mapEpochNS is the shared mapping-hook body: MapEpoch with a CDN-namespace
-// filter.
-func (p *Plane) mapEpochNS(ns string, ldns netsim.HostID, at, epochLen time.Duration, epoch uint64) (uint64, time.Duration) {
-	epochStart := time.Duration(epoch) * epochLen
-	for i := range p.sc.Faults {
-		f := &p.sc.Faults[i]
-		if !f.active(at) || !p.hostMatch(f, ldns) {
-			continue
-		}
-		if f.CDN != "" && f.CDN != ns {
-			continue
-		}
-		switch f.Kind {
-		case CDNFreeze:
-			epoch = uint64(f.Start.D() / epochLen)
-			epochStart = time.Duration(epoch) * epochLen
-			p.fired(i)
-		case CDNFlap:
-			bucket := uint64(0)
-			if f.Period > 0 {
-				bucket = uint64((at - f.Start.D()) / f.Period.D())
+		epochStart := time.Duration(epoch) * epochLen
+		for i := range p.sc.Faults {
+			f := &p.sc.Faults[i]
+			if !f.active(at) || !p.hostMatch(f, ldns) {
+				continue
 			}
-			// Preserve the epoch's time meaning but replace its identity,
-			// so every epoch-keyed draw (monitor salt, load, spread)
-			// changes at once — an abrupt re-mapping event.
-			epoch = netsim.Mix(p.sc.Seed, domFlap, uint64(i), bucket)
-			p.fired(i)
+			if f.CDN != "" && f.CDN != ns {
+				continue
+			}
+			switch f.Kind {
+			case CDNFreeze:
+				epoch = uint64(f.Start.D() / epochLen)
+				epochStart = time.Duration(epoch) * epochLen
+				p.fired(i)
+			case CDNFlap:
+				bucket := uint64(0)
+				if f.Period > 0 {
+					bucket = uint64((at - f.Start.D()) / f.Period.D())
+				}
+				// Preserve the epoch's time meaning but replace its identity,
+				// so every epoch-keyed draw (monitor salt, load, spread)
+				// changes at once — an abrupt re-mapping event.
+				epoch = netsim.Mix(p.sc.Seed, domFlap, uint64(i), bucket)
+				p.fired(i)
+			}
 		}
+		return epoch, epochStart
 	}
-	return epoch, epochStart
 }
 
 // --- packet-path decisions (consulted by WrapPacketConn) --------------------

@@ -122,7 +122,7 @@ type Fault struct {
 	// CDN scopes a cdn-freeze/cdn-flap fault to one CDN namespace in a
 	// multi-CDN fleet: the fault only applies through the MapHookFor hook of
 	// that namespace. Empty applies to every CDN (and is the only shape the
-	// single-CDN MapEpoch hook sees).
+	// unnamed single-CDN member's hook sees).
 	CDN string `json:"cdn,omitempty"`
 	// Rate is the per-decision activation probability in (0,1] for the
 	// probabilistic kinds (probe-loss, ldns-churn, pkt-loss/dup/reorder;

@@ -21,7 +21,7 @@
 //     packet-loss rate below 100%.
 //
 // Deletions propagate as tombstones and are garbage-collected after a
-// configured horizon; DESIGN.md §8 develops the convergence argument and
+// configured horizon; DESIGN.md "Gossip" develops the convergence argument and
 // the GC trade-offs. All sockets are plain net.PacketConns, so the fault
 // plane's WrapPacketConn applies loss/dup/delay/reorder scenarios to gossip
 // links exactly as it does to the daemon's query path.

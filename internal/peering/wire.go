@@ -8,7 +8,7 @@ import (
 )
 
 // Gossip wire protocol: one Msg per UDP datagram, in the one frame format
-// binwire.go defines (DESIGN.md §9). The bounds discipline is the crpd
+// binwire.go defines (DESIGN.md "Gossip"). The bounds discipline is the crpd
 // request path's (internal/crpdaemon/decode.go): every field that sizes an
 // allocation, keys a map or indexes a slice is bounded in the decode path
 // before any handler logic runs, so a hostile or corrupted datagram costs
