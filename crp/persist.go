@@ -10,9 +10,8 @@ import (
 // Service snapshots: a CRP deployment accumulates redirection history over
 // hours (the paper's bootstrap time is ~100 minutes), so a restarting
 // service daemon must not start cold. Snapshots serialize every node's
-// probe history; restoring replays the probes through fresh trackers, so
-// window and age bounds are re-applied under the restoring service's
-// configuration.
+// probe history; restoring replays the probes through fresh trackers, so the
+// window bound is re-applied under the restoring service's configuration.
 
 // Probe is one recorded redirection observation.
 type Probe struct {
@@ -49,12 +48,8 @@ const snapshotVersion = 1
 // WriteSnapshot serializes the service's full observation state.
 func (s *Service) WriteSnapshot(w io.Writer) error {
 	snap := serviceSnapshot{Version: snapshotVersion}
-	for _, id := range s.Nodes() {
-		tr, ok := s.store.get(id)
-		if !ok {
-			continue
-		}
-		snap.Nodes = append(snap.Nodes, nodeSnapshot{Node: id, Probes: tr.Probes()})
+	for _, r := range records(s.store.shards, live) {
+		snap.Nodes = append(snap.Nodes, nodeSnapshot{Node: r.Node, Probes: r.t.Probes()})
 	}
 	return json.NewEncoder(w).Encode(snap)
 }

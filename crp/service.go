@@ -3,6 +3,7 @@ package crp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -106,33 +107,28 @@ func (s *Service) Observe(node NodeID, at time.Time, replicas ...ReplicaID) erro
 	if len(replicas) == 0 {
 		return nil
 	}
+	var route aggRoute // aggUnkeyed unless the aggregation plane says otherwise
+	var seeds []probeSeed
 	if s.agg != nil {
-		route, seeds := s.agg.observe(node, at, replicas)
-		switch route {
-		case aggAbsorbed:
-			svcMetrics.observes.Inc()
-			s.obsSeq.Add(1)
-			return nil
-		case aggPerClient:
-			if len(seeds) > 0 {
-				// The demoting probe is the reservoir's newest entry, so
-				// replaying the seeds replays it too.
-				s.store.observe(node, func(t *Tracker) {
-					for _, p := range seeds {
-						t.Observe(p.at, p.replicas...)
-					}
-				})
-				svcMetrics.observes.Inc()
-				s.obsSeq.Add(1)
-				return nil
-			}
-		}
-		// aggUnkeyed, or a previously demoted client: per-client path.
+		route, seeds = s.agg.observe(node, at, replicas)
 	}
-	s.store.observe(node, func(t *Tracker) { t.Observe(at, replicas...) })
+	switch {
+	case route == aggAbsorbed:
+	case route == aggPerClient && len(seeds) > 0:
+		// The demoting probe is the reservoir's newest entry, so replaying
+		// the seeds replays it too.
+		s.store.observe(node, func(t *Tracker) {
+			for _, p := range seeds {
+				t.Observe(p.at, p.replicas...)
+			}
+		})
+	default:
+		// Unkeyed, or a previously demoted client: per-client path.
+		s.store.observe(node, func(t *Tracker) { t.Observe(at, replicas...) })
+		s.nsObs.bump(replicas)
+	}
 	svcMetrics.observes.Inc()
 	s.obsSeq.Add(1)
-	s.nsObs.bump(replicas)
 	return nil
 }
 
@@ -219,35 +215,39 @@ func (s *Service) pair(sim simFunc, a, b NodeID) (float64, error) {
 	return sim(va, vb), nil
 }
 
-// clientVec returns the compiled ratio vector of one known node. Per-client
-// state wins when both exist (a demoted client's tracker is authoritative);
-// otherwise a keyed client resolves through its aggregate. The hit/fallback
-// accounting only sees keyed clients, so the fallback ratio measures how
-// often aggregation failed to absorb a client it claimed, not how much
-// non-client (candidate) traffic the service carries.
-func (s *Service) clientVec(node NodeID) (ratioVec, error) {
-	tr, ok := s.store.get(node)
-	if ok {
-		if s.agg != nil && s.agg.keyed(node) {
-			noteResolution(true)
-		}
-		return tr.vec(), nil
+// resolve is the one node → vector lookup: the compiled ratio vector of a
+// known node and whether its own tracker supplied it. Per-client state wins
+// when both exist (a demoted client's tracker is authoritative); otherwise a
+// keyed client resolves through its aggregate.
+func (s *Service) resolve(node NodeID) (v ratioVec, tracked bool, err error) {
+	if tr, ok := s.store.get(node); ok {
+		return tr.vec(), true, nil
 	}
 	if s.agg != nil {
 		if v, ok := s.agg.vecFor(node); ok {
-			noteResolution(false)
-			return v, nil
+			return v, false, nil
 		}
 	}
-	return ratioVec{}, fmt.Errorf("%w: %q", ErrUnknownNode, node)
+	return ratioVec{}, false, fmt.Errorf("%w: %q", ErrUnknownNode, node)
+}
+
+// clientVec resolves a query's subject and keeps the hit/fallback accounting,
+// which only sees keyed clients: the fallback ratio measures how often
+// aggregation failed to absorb a client it claimed, not how much non-client
+// (candidate) traffic the service carries.
+func (s *Service) clientVec(node NodeID) (ratioVec, error) {
+	v, tracked, err := s.resolve(node)
+	if err == nil && (!tracked || (s.agg != nil && s.agg.keyed(node))) {
+		noteResolution(tracked)
+	}
+	return v, err
 }
 
 // candidateVecs snapshots the compiled ratio vectors of an explicit
 // candidate list (an empty non-nil list means "no candidates"),
 // deduplicating repeated IDs. The nil ("all nodes") case never reaches this
 // path — it is served by the store's stitched snapshot; see rank.
-// Aggregated clients are valid candidates too: a store miss falls back to
-// the client's aggregate vector before erroring.
+// Aggregated clients are valid candidates too.
 func (s *Service) candidateVecs(nodes []NodeID) ([]nodeVec, error) {
 	out := make([]nodeVec, 0, len(nodes))
 	seen := make(map[NodeID]bool, len(nodes))
@@ -256,17 +256,11 @@ func (s *Service) candidateVecs(nodes []NodeID) ([]nodeVec, error) {
 			continue
 		}
 		seen[id] = true
-		if tr, ok := s.store.get(id); ok {
-			out = append(out, nodeVec{id: id, vec: tr.vec()})
-			continue
+		v, _, err := s.resolve(id)
+		if err != nil {
+			return nil, err
 		}
-		if s.agg != nil {
-			if v, ok := s.agg.vecFor(id); ok {
-				out = append(out, nodeVec{id: id, vec: v})
-				continue
-			}
-		}
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
+		out = append(out, nodeVec{id: id, vec: v})
 	}
 	return out, nil
 }
@@ -327,65 +321,36 @@ func (s *Service) ClusterAll(cfg ClusterConfig) ([]Cluster, error) {
 // given config (§IV-B query 1: "given a node identifier, find the other
 // nodes that belong to the same cluster" — e.g., BitTorrent peers on low-RTT
 // paths).
+//
+// SMF never sees an aggregated client (clustering runs on the per-client
+// snapshot), so such a client is assigned to the cluster of the tracked node
+// most similar to its aggregate vector, and that cluster's members are its
+// peers. No signal among the tracked nodes means no assignment — an empty
+// result, like a tracked singleton's.
 func (s *Service) SameCluster(node NodeID, cfg ClusterConfig) ([]NodeID, error) {
-	if _, known := s.store.get(node); !known {
-		if s.agg != nil {
-			if v, ok := s.agg.vecFor(node); ok {
-				noteResolution(false)
-				return s.sameClusterVia(node, v, cfg)
-			}
+	v, tracked, err := s.resolve(node)
+	if err != nil {
+		return nil, err
+	}
+	anchor := node
+	if !tracked {
+		noteResolution(false)
+		best, ok := bestOf(topSnap(v, s.store.snapshot(), 1, node, s.simFn()))
+		if !ok {
+			return nil, nil
 		}
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, node)
+		anchor = best.Node
 	}
 	clusters, err := s.ClusterAll(cfg)
 	if err != nil {
 		return nil, err
 	}
 	for _, c := range clusters {
-		for _, m := range c.Members {
-			if m == node {
-				others := make([]NodeID, 0, len(c.Members)-1)
-				for _, o := range c.Members {
-					if o != node {
-						others = append(others, o)
-					}
-				}
-				return others, nil
-			}
-		}
-	}
-	return nil, nil
-}
-
-// sameClusterVia answers SameCluster for an aggregated client, which SMF
-// never sees (clustering runs on the per-client snapshot): the client is
-// assigned to the cluster of the tracked node most similar to its aggregate
-// vector, and that cluster's members are its peers. No signal among the
-// tracked nodes means no assignment — an empty result, like a tracked
-// singleton's.
-func (s *Service) sameClusterVia(node NodeID, v ratioVec, cfg ClusterConfig) ([]NodeID, error) {
-	best, ok := bestOf(topSnap(v, s.store.snapshot(), 1, node, s.simFn()))
-	if !ok {
-		return nil, nil
-	}
-	clusters, err := s.ClusterAll(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range clusters {
-		for _, m := range c.Members {
-			if m == best.Node {
-				// The client is not itself a member, so the whole cluster —
-				// minus the client on the off chance an ID collides — is
-				// "the other nodes in its cluster".
-				others := make([]NodeID, 0, len(c.Members))
-				for _, o := range c.Members {
-					if o != node {
-						others = append(others, o)
-					}
-				}
-				return others, nil
-			}
+		if slices.Contains(c.Members, anchor) {
+			// An aggregated client is not itself a member, so the filter
+			// only matters for a tracked node — or on the off chance an ID
+			// collides.
+			return slices.DeleteFunc(slices.Clone(c.Members), func(o NodeID) bool { return o == node }), nil
 		}
 	}
 	return nil, nil

@@ -2,17 +2,19 @@ package crp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
 // TestServiceChurnStress interleaves every mutation and query the daemon
-// exposes — Observe, Forget, TopK, ClosestTo, Similarity, ClusterAll,
-// Nodes — across goroutines, under three store shapes. Run with -race (the
-// repo's make check does) this is the concurrency gate for the sharded
-// store: snapshot stitching, per-shard patching and structural rebuilds all
-// race against ingestion here.
+// and the peering layer expose — Observe, Forget, ForgetNamespace,
+// ApplyDelta, TopK, ClosestTo, Similarity, ClusterAll, Nodes — across
+// goroutines, under three store shapes. Run with -race (the repo's make
+// check does) this is the concurrency gate for the sharded store: snapshot
+// stitching, per-shard patching, structural rebuilds and the publish step's
+// overtaken-observe retry all race against ingestion here.
 func TestServiceChurnStress(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -44,10 +46,10 @@ func TestServiceChurnStress(t *testing.T) {
 					defer wg.Done()
 					node := NodeID(fmt.Sprintf("churn-%d", w%4))
 					for i := 0; i < iters; i++ {
-						switch i % 6 {
+						switch i % 8 {
 						case 0:
 							if err := s.Observe(node, at.Add(time.Duration(i)*time.Second),
-								ReplicaID(fmt.Sprintf("r%d", i%5))); err != nil {
+								ReplicaID(fmt.Sprintf("r%d", i%5)), ReplicaID(fmt.Sprintf("cdnB!r%d", i%3))); err != nil {
 								errs <- err
 								return
 							}
@@ -77,6 +79,20 @@ func TestServiceChurnStress(t *testing.T) {
 							} else {
 								_ = s.Nodes()
 							}
+						case 6:
+							if _, err := s.ForgetNamespace(node, "cdnB"); err != nil {
+								errs <- err
+								return
+							}
+						case 7:
+							d := NodeDelta{NodeMeta: NodeMeta{Node: node, Origin: "peer", Version: uint64(i), Deleted: w%4 == 3}}
+							if !d.Deleted {
+								d.Probes = []Probe{{At: at, Replicas: []ReplicaID{"r0", "cdnB!r0"}}}
+							}
+							if _, err := s.ApplyDelta(d); err != nil {
+								errs <- err
+								return
+							}
 						}
 					}
 				}(w)
@@ -86,8 +102,27 @@ func TestServiceChurnStress(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			if n := len(s.Nodes()); n < 24 {
+			nodes := s.Nodes()
+			if n := len(nodes); n < 24 {
 				t.Errorf("lost seed nodes under churn: %d < 24", n)
+			}
+			// Whatever the interleaving, listing and replication agree on
+			// which nodes are live.
+			var live []NodeID
+			for i := 0; i < s.ShardCount(); i++ {
+				metas, err := s.ShardMetas(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range metas {
+					if !m.Deleted {
+						live = append(live, m.Node)
+					}
+				}
+			}
+			slices.Sort(live)
+			if !slices.Equal(nodes, live) {
+				t.Errorf("Nodes() = %v, live ShardMetas entries = %v", nodes, live)
 			}
 		})
 	}

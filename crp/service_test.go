@@ -294,6 +294,53 @@ func TestServiceCandidateListEdgeCases(t *testing.T) {
 	if _, _, err := s.ClosestTo("west-0", []NodeID{"nope"}); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("ClosestTo with unknown candidate: err=%v, want ErrUnknownNode", err)
 	}
+
+	// With aggregation on, every lookup goes through one resolver, and the
+	// hit/fallback accounting must stay where it was: a query's subject
+	// counts (a hit when its aggregate answered, a fallback when a keyed
+	// client had to be answered from its own tracker), SameCluster counts
+	// only the aggregate path, and candidates never count.
+	if err := s.EnableAggregation(AggregatorConfig{KeyOf: groupByFirstByte}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []NodeID{"cW-0", "cW-1"} {
+		if err := s.Observe(c, t0, "rw1"); err != nil { // absorbed: no tracker
+			t.Fatal(err)
+		}
+	}
+	// A keyed client with a tracker of its own, as a demotion leaves it.
+	s.store.observe("cW-9", func(tr *Tracker) { tr.Observe(t0, "rw1") })
+	cfg := ClusterConfig{Threshold: DefaultThreshold}
+	for _, row := range []struct {
+		name            string
+		query           func() error
+		hits, fallbacks uint64
+	}{
+		{"aggregated client", func() error { _, err := s.TopK("cW-0", nil, 3); return err }, 1, 0},
+		{"keyed client with a tracker", func() error { _, err := s.TopK("cW-9", nil, 3); return err }, 0, 1},
+		{"unkeyed client", func() error { _, err := s.TopK("west-0", nil, 3); return err }, 0, 0},
+		{"candidate list", func() error {
+			_, err := s.TopK("west-0", []NodeID{"cW-0", "cW-1", "cW-9", "east-0"}, 3)
+			return err
+		}, 0, 0},
+		{"pair", func() error { _, err := s.Similarity("cW-0", "cW-9"); return err }, 1, 1},
+		{"SameCluster of an aggregated client", func() error { _, err := s.SameCluster("cW-0", cfg); return err }, 1, 0},
+		{"SameCluster of a tracked keyed client", func() error { _, err := s.SameCluster("cW-9", cfg); return err }, 0, 0},
+		{"SameCluster of an unknown node", func() error {
+			if _, err := s.SameCluster("cZ-0", cfg); !errors.Is(err, ErrUnknownNode) {
+				return fmt.Errorf("err=%v, want ErrUnknownNode", err)
+			}
+			return nil
+		}, 0, 0},
+	} {
+		hits, fallbacks := aggMetrics.hits.Value(), aggMetrics.fallbacks.Value()
+		if err := row.query(); err != nil {
+			t.Errorf("%s: %v", row.name, err)
+		}
+		if h, f := aggMetrics.hits.Value()-hits, aggMetrics.fallbacks.Value()-fallbacks; h != row.hits || f != row.fallbacks {
+			t.Errorf("%s: crp.aggregate.hits +%d fallbacks +%d, want +%d +%d", row.name, h, f, row.hits, row.fallbacks)
+		}
+	}
 }
 
 // TestServiceQueriesSeeNewObservations guards the snapshot cache: a query

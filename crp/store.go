@@ -1,9 +1,10 @@
 package crp
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,18 +14,21 @@ import (
 
 // The sharded tracker store is the Service's storage core. The paper frames
 // CRP as a shared positioning service under continuous probe traffic
-// (§III-B); with a single tracker map and a single compiled all-nodes
-// snapshot, every Observe invalidates the snapshot *globally* and the next
-// query repays an O(N) recompile — under steady ingestion the snapshot hit
-// ratio collapses to zero. Here NodeIDs hash to S shards (a power of two,
-// ~4× GOMAXPROCS), each shard owning its tracker submap, its own lock, a
-// version counter and a compiled sub-snapshot of nodeVecs. A mutation
-// dirties only its shard, so snapshot assembly recompiles only the dirty
-// shards and stitches the immutable per-shard slices back into the global
-// candidate set: the steady-state cost of one mutation drops from O(N) to
-// O(N/S) — and usually to O(N/S copy + 1 recompile), because a shard whose
-// membership did not change patches its previous sub-snapshot in place
-// instead of re-collecting and re-sorting it.
+// (§III-B), so the store is built around what one write costs: NodeIDs hash
+// to S shards (a power of two, ~4× GOMAXPROCS), each shard owning one map of
+// node records, its own lock, a version counter and a compiled sub-snapshot
+// of nodeVecs. A write dirties only its shard, so snapshot assembly
+// recompiles only the dirty shards and stitches the immutable per-shard
+// slices back into the global candidate set: one write costs O(N/S) — and
+// usually O(N/S copy + 1 recompile), because a shard whose membership did
+// not change patches its previous sub-snapshot instead of re-collecting and
+// re-sorting it.
+//
+// A node has exactly one record (nodeEntry): its replication stamp and its
+// tracker, a nil tracker meaning the record is a deletion tombstone. Every
+// change to a record — observe, namespace forget, forget, delta apply,
+// tombstone GC — goes through one step, publish, and everything that lists
+// nodes reads the same map through one sorted walk, records.
 
 // StoreConfig tunes the Service's sharded tracker store. It exists for
 // benchmarks and tests that need to pin a specific store shape — production
@@ -45,7 +49,7 @@ type StoreConfig struct {
 // feed the collector. Measured at PR 3 (DESIGN.md "Store"): at 50k nodes under
 // a 1.5k/s observe stream, going from 64 to 256 shards nearly halves query
 // p99 on a single-core host. Per-shard fixed overhead
-// (two small maps, a gauge, three words of sync state) is a few hundred
+// (one small map, a gauge, three words of sync state) is a few hundred
 // bytes, so even a store holding a handful of nodes pays nothing noticeable
 // for an oversized shard table.
 func defaultShardCount() int {
@@ -70,22 +74,33 @@ func shardCount(n int) int {
 	return p
 }
 
-// entryMeta is the replication metadata of one node entry: which daemon's
-// mutation produced the entry's current probe window (origin), how many
-// mutations the entry has seen (version, monotonic per node), and whether
-// the entry is a deletion tombstone awaiting garbage collection. Tombstones
-// keep a deletion time so the GC horizon can reclaim them once every peer
-// has had a chance to learn about the forget.
+// entryMeta is the replication stamp of one node record: which daemon's
+// write produced the record's current probe window (origin), how many writes
+// the record has seen (version, monotonic per node) and, for a tombstone,
+// when the node was deleted — the GC horizon reclaims a tombstone once every
+// peer has had a chance to learn about the forget.
 type entryMeta struct {
 	origin    string
 	version   uint64
-	deleted   bool
 	deletedAt time.Time
 }
 
-// meta converts the internal record to the exported NodeMeta form.
-func (e entryMeta) meta(node NodeID) NodeMeta {
-	return NodeMeta{Node: node, Origin: e.origin, Version: e.version, Deleted: e.deleted}
+// nodeEntry is the one record a shard keeps per node, guarded by the shard
+// lock and changed only by publish. The zero record — version 0, no tracker
+// — is what an unknown node looks like.
+type nodeEntry struct {
+	// t is the node's tracker; nil makes the record a deletion tombstone. A
+	// tracker pointer that has left its record never returns to one, which
+	// is what lets an in-flight observe detect that it was overtaken. It
+	// comes first so a query's lookup, which wants nothing else, reads the
+	// bytes next to the key.
+	t *Tracker
+	entryMeta
+}
+
+// meta converts the record to the exported NodeMeta form.
+func (e nodeEntry) meta(node NodeID) NodeMeta {
+	return NodeMeta{Node: node, Origin: e.origin, Version: e.version, Deleted: e.t == nil}
 }
 
 // store is the sharded tracker map plus the stitched-snapshot cache.
@@ -120,21 +135,20 @@ type store struct {
 
 // storeShard owns one partition of the node space.
 type storeShard struct {
-	mu       sync.RWMutex
-	trackers map[NodeID]*Tracker
-	// dirty holds nodes whose tracker changed since the last sub-snapshot
-	// build; structural records membership changes (add/forget), which force
-	// a full re-collect. Both are guarded by mu. A node's dirty mark is set
-	// strictly after its tracker mutation lands, so a rebuild that consumes
-	// the mark always compiles the post-mutation vector.
-	dirty      map[NodeID]struct{}
+	mu sync.RWMutex
+	// entries holds the record of every node this shard knows, live or
+	// tombstoned — by value, so the walks that read every record (digest,
+	// tombstone GC) stream through the map instead of chasing a pointer per
+	// node.
+	entries map[NodeID]nodeEntry
+	// dirty lists the nodes whose tracker was written since the last
+	// sub-snapshot build (a node may be listed more than once); structural
+	// records a membership change (a record gaining or losing its tracker),
+	// which forces a full re-collect. A node is listed strictly after its
+	// tracker write lands, so a rebuild that consumes the list always
+	// compiles the post-write vector.
+	dirty      []NodeID
 	structural bool
-
-	// meta carries the replication metadata of every entry this shard has
-	// ever learned about, including tombstones for forgotten nodes (which
-	// have no tracker). Guarded by mu. Invariant: every key of trackers has
-	// a meta record with deleted == false; deleted records have no tracker.
-	meta map[NodeID]entryMeta
 
 	// version counts completed mutations to this shard, bumped after the
 	// mutation lands (same publication rule as store.version).
@@ -203,9 +217,7 @@ func newStore(cfg StoreConfig, opts []TrackerOption) *store {
 		now:    time.Now,
 	}
 	for i := range st.shards {
-		st.shards[i].trackers = make(map[NodeID]*Tracker)
-		st.shards[i].dirty = make(map[NodeID]struct{})
-		st.shards[i].meta = make(map[NodeID]entryMeta)
+		st.shards[i].entries = make(map[NodeID]nodeEntry)
 		st.shards[i].nodes = obs.Default().Gauge(fmt.Sprintf("crp.service.shard.%03d.nodes", i))
 	}
 	svcMetrics.shardWidth.Set(int64(n))
@@ -222,137 +234,191 @@ func (st *store) shardFor(id NodeID) *storeShard {
 	return &st.shards[st.shardIndex(id)]
 }
 
-// observe records one probe for node, creating its tracker on first sight
-// (or resurrecting it over a tombstone), and publishes the mutation: tracker
-// update, then dirty mark and metadata stamp, then the version bumps. Only
-// node's shard is invalidated. The metadata stamp happens under the shard
-// lock together with the dirty mark, so concurrent observes of the same node
-// each advance the entry version by exactly one and the final version always
-// describes the final probe window.
-func (st *store) observe(node NodeID, tr func(*Tracker)) {
-	sh := st.shardFor(node)
-	sh.mu.Lock()
-	t, ok := sh.trackers[node]
-	if !ok {
-		t = NewTracker(st.opts...)
-		sh.trackers[node] = t
-		sh.structural = true
-		sh.nodes.Inc()
-	}
-	sh.mu.Unlock()
-
-	tr(t)
-
-	sh.mu.Lock()
-	sh.dirty[node] = struct{}{}
-	m := sh.meta[node]
-	m.origin, m.version = st.origin, m.version+1
-	m.deleted, m.deletedAt = false, time.Time{}
-	sh.meta[node] = m
-	sh.mu.Unlock()
-	sh.version.Add(1)
-	st.version.Add(1)
-	if st.onMutate != nil {
-		st.onMutate(node)
-	}
+// change is a node's next record as publish installs it.
+type change struct {
+	// t is the node's tracker from here on; nil leaves a tombstone.
+	t *Tracker
+	// remote marks a replicated write: meta arrived in a delta and is
+	// installed verbatim, and the mutation hook stays quiet — the peering
+	// layer decides itself whether to forward an applied delta, and firing
+	// the hook would re-stamp the record as a local write. Otherwise the
+	// write is this daemon's own and publish stamps it: origin, the record's
+	// next version and, for a tombstone, the deletion time.
+	remote bool
+	meta   entryMeta
+	// reclaim removes the record outright (an expired tombstone).
+	reclaim bool
 }
 
-// mutate runs fn against node's existing tracker and, when fn reports it
-// changed something, publishes the mutation exactly like observe: dirty mark
-// and metadata stamp under the shard lock, then the version bumps and the
-// mutation hook. Unlike observe it never creates a tracker — a mutation of
-// an unknown node is a no-op — and a no-change fn leaves every version
-// untouched, so idempotent re-application (a replayed namespaced forget)
-// does not churn snapshots or gossip. Returns whether a mutation was
-// published.
-func (st *store) mutate(node NodeID, fn func(*Tracker) bool) bool {
+// publish is the store's one write step. Under node's shard lock it shows
+// next the node's current record (known is false, and cur zero, when the
+// store has none) and, unless next declines, installs the change it returns:
+// the tracker, the stamp, the dirty listing, the membership bookkeeping.
+// Then it makes the write visible, in this order — shard version, store
+// version, mutation hook. Both versions move strictly after the record (and,
+// before it, the tracker) changed, so a sub-snapshot, digest or stitched
+// snapshot built concurrently is tagged with the older version and rebuilt
+// on the next read. It reports whether anything was written; a declined
+// change leaves every version untouched.
+func (st *store) publish(node NodeID, next func(cur nodeEntry, known bool) (change, bool)) bool {
 	sh := st.shardFor(node)
-	sh.mu.RLock()
-	t, ok := sh.trackers[node]
-	sh.mu.RUnlock()
-	if !ok {
-		return false
-	}
-
-	if !fn(t) {
-		return false
-	}
-
 	sh.mu.Lock()
-	sh.dirty[node] = struct{}{}
-	m := sh.meta[node]
-	m.origin, m.version = st.origin, m.version+1
-	m.deleted, m.deletedAt = false, time.Time{}
-	sh.meta[node] = m
+	e, known := sh.entries[node]
+	c, ok := next(e, known)
+	switch {
+	case !ok:
+		sh.mu.Unlock()
+		return false
+	case c.reclaim:
+		delete(sh.entries, node)
+	default:
+		if (e.t == nil) != (c.t == nil) {
+			sh.structural = true
+			if c.t != nil {
+				sh.nodes.Inc()
+			} else {
+				sh.nodes.Dec()
+			}
+		}
+		if c.t != nil {
+			// Past one listing per record a full re-collect is the cheaper
+			// rebuild, and the list stays bounded with no reader around.
+			if len(sh.dirty) > len(sh.entries) {
+				sh.structural, sh.dirty = true, sh.dirty[:0]
+			}
+			sh.dirty = append(sh.dirty, node)
+		}
+		if c.remote {
+			e.entryMeta = c.meta
+		} else {
+			e.entryMeta = entryMeta{origin: st.origin, version: e.version + 1}
+			if c.t == nil {
+				e.deletedAt = st.now()
+			}
+		}
+		e.t = c.t
+		sh.entries[node] = e
+	}
 	sh.mu.Unlock()
 	sh.version.Add(1)
 	st.version.Add(1)
-	if st.onMutate != nil {
+	if !c.remote && !c.reclaim && st.onMutate != nil {
 		st.onMutate(node)
 	}
 	return true
 }
 
+// commit publishes t as node's tracker under a local stamp, provided the
+// record still holds the tracker the caller started from (was; nil for "no
+// live record"). The caller changed t outside the shard lock, so a forget or
+// a delta may have replaced the record meanwhile; commit then declines and
+// the caller starts over from the new record, which is what makes the
+// outcome one that some serial order of the two calls produces — never a
+// live record without its tracker, never a forgotten window brought back.
+func (st *store) commit(node NodeID, was, t *Tracker) bool {
+	return st.publish(node, func(cur nodeEntry, _ bool) (change, bool) {
+		return change{t: t}, cur.t == was
+	})
+}
+
+// observe records one probe for node: tr runs against the node's tracker —
+// a fresh one on first sight or over a tombstone — and the result is
+// published, invalidating only node's shard. Concurrent observes of one node
+// share its tracker and each advance the record version by exactly one, so
+// the final version always describes the final probe window. tr runs again,
+// on the record's new tracker, when a forget or a delta overtook it.
+func (st *store) observe(node NodeID, tr func(*Tracker)) {
+	for {
+		was, _ := st.get(node)
+		t := was
+		if t == nil {
+			t = NewTracker(st.opts...)
+		}
+		tr(t)
+		if st.commit(node, was, t) {
+			return
+		}
+	}
+}
+
+// mutate runs fn against node's existing tracker and, when fn reports it
+// changed something, publishes exactly like observe. Unlike observe it never
+// creates a tracker — a mutation of an unknown node is a no-op — and a
+// no-change fn publishes nothing, so idempotent re-application (a replayed
+// namespaced forget) does not churn snapshots or gossip. Returns whether a
+// mutation was published.
+func (st *store) mutate(node NodeID, fn func(*Tracker) bool) bool {
+	for {
+		t, ok := st.get(node)
+		if !ok || !fn(t) {
+			return false
+		}
+		if st.commit(node, t, t) {
+			return true
+		}
+	}
+}
+
 // forget removes a node, leaving a deletion tombstone so the forget can
-// propagate to gossip peers before the GC horizon reclaims it. Like the
-// pre-sharding design, the versions bump even when the node was unknown, so
-// forget is always a snapshot barrier; the tombstone is written either way,
-// making a forget-by-name effective mesh-wide even when issued on a daemon
-// that never observed the node.
+// propagate to gossip peers before the GC horizon reclaims it. The tombstone
+// is written and the versions bump even when the node was unknown, so forget
+// is always a snapshot barrier and a forget-by-name is effective mesh-wide
+// even when issued on a daemon that never observed the node.
 func (st *store) forget(node NodeID) {
-	sh := st.shardFor(node)
-	sh.mu.Lock()
-	if _, ok := sh.trackers[node]; ok {
-		delete(sh.trackers, node)
-		sh.structural = true
-		sh.nodes.Dec()
-	}
-	delete(sh.dirty, node)
-	m := sh.meta[node]
-	m.origin, m.version = st.origin, m.version+1
-	m.deleted, m.deletedAt = true, st.now()
-	sh.meta[node] = m
-	sh.mu.Unlock()
-	sh.version.Add(1)
-	st.version.Add(1)
-	if st.onMutate != nil {
-		st.onMutate(node)
-	}
+	st.publish(node, func(nodeEntry, bool) (change, bool) { return change{}, true })
 }
 
 // get returns node's tracker.
 func (st *store) get(node NodeID) (*Tracker, bool) {
 	sh := st.shardFor(node)
 	sh.mu.RLock()
-	t, ok := sh.trackers[node]
+	t := sh.entries[node].t
 	sh.mu.RUnlock()
-	return t, ok
+	return t, t != nil
 }
 
-// len returns the number of known nodes.
-func (st *store) len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.trackers)
-		sh.mu.RUnlock()
-	}
-	return n
+// nodeRec is one record as records copies it out.
+type nodeRec struct {
+	NodeMeta
+	t *Tracker
 }
 
-// nodeIDs returns every known node ID in ascending order.
-func (st *store) nodeIDs() []NodeID {
-	out := make([]NodeID, 0, st.len())
-	for i := range st.shards {
-		sh := &st.shards[i]
+// records is the one sorted walk over the node map: a copy of every record
+// in shards (the whole store, or one shard for the anti-entropy diff) that
+// keep accepts — nil accepts all, tombstones included — in ascending node
+// order. keep runs under the shard's read lock.
+func records(shards []storeShard, keep func(nodeEntry) bool) []nodeRec {
+	var out []nodeRec
+	for i := range shards {
+		sh := &shards[i]
 		sh.mu.RLock()
-		for id := range sh.trackers {
-			out = append(out, id)
+		if keep == nil {
+			// One exact allocation for the shard digest's walk, which runs
+			// per dirty shard per gossip tick; a filtered walk grows as it
+			// finds records (usually none, for tombstone GC).
+			out = slices.Grow(out, len(sh.entries))
+		}
+		for id, e := range sh.entries {
+			if keep == nil || keep(e) {
+				out = append(out, nodeRec{e.meta(id), e.t})
+			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.SortFunc(out, func(a, b nodeRec) int { return cmp.Compare(a.Node, b.Node) })
+	return out
+}
+
+// live is the records filter that skips tombstones.
+func live(e nodeEntry) bool { return e.t != nil }
+
+// nodeIDs returns every known node ID in ascending order.
+func (st *store) nodeIDs() []NodeID {
+	recs := records(st.shards, live)
+	out := make([]NodeID, len(recs))
+	for i := range recs {
+		out[i] = recs[i].Node
+	}
 	return out
 }
 
@@ -379,10 +445,11 @@ func (st *store) snapshot() storeSnap {
 	return st.stitched
 }
 
-// vecs returns the shard's compiled sub-snapshot, rebuilding it if a
-// mutation landed since the last build. When the shard's membership is
-// unchanged (no adds or forgets), the rebuild patches only the dirty nodes'
-// vectors into a copy of the previous slice — no re-collect, no re-sort.
+// vecs returns the shard's compiled sub-snapshot, rebuilding it if a write
+// landed since the last build. When the shard's membership is unchanged (no
+// record gained or lost its tracker), the rebuild patches only the dirty
+// nodes' vectors into a copy of the previous slice — no re-collect, no
+// re-sort.
 func (sh *storeShard) vecs() []nodeVec {
 	v := sh.version.Load()
 	sh.snapMu.Lock()
@@ -392,68 +459,57 @@ func (sh *storeShard) vecs() []nodeVec {
 	}
 	svcMetrics.shardRebuilds.Inc()
 
-	// Consume the dirty set under the shard lock. Every consumed mark was
-	// published after its tracker mutation, so compiling below (after the
-	// version load above) observes the mutated state; marks published later
-	// stay for the next rebuild, which the post-mutation version bump
-	// guarantees will happen.
+	// Consume the dirty list under the shard lock: the live nodes to compile
+	// are every one after a membership change, the listed ones otherwise.
+	// Every consumed listing was published after its tracker write, so
+	// compiling below (after the version load above) observes the written
+	// state; nodes listed later stay for the next rebuild, which the
+	// post-write version bump guarantees will happen.
 	sh.mu.Lock()
 	structural := sh.structural || sh.snapVecs == nil
 	sh.structural = false
-	var dirtyTrackers []nodeVec // id + tracker vec to patch in
+	n := len(sh.dirty)
 	if structural {
-		clear(sh.dirty)
-	} else {
-		dirtyTrackers = make([]nodeVec, 0, len(sh.dirty))
-		for id := range sh.dirty {
-			// Membership didn't change, so every dirty node is still present.
-			dirtyTrackers = append(dirtyTrackers, nodeVec{id: id})
-		}
-		clear(sh.dirty)
+		n = len(sh.entries)
 	}
-	var entries []nodeVec
-	var trackers []*Tracker
-	if structural {
-		entries = make([]nodeVec, 0, len(sh.trackers))
-		trackers = make([]*Tracker, 0, len(sh.trackers))
-		for id, t := range sh.trackers {
-			entries = append(entries, nodeVec{id: id})
+	vecs := make([]nodeVec, 0, n)
+	trackers := make([]*Tracker, 0, n)
+	collect := func(id NodeID, t *Tracker) {
+		if t != nil { // a tombstone, or a listed node reclaimed since
+			vecs = append(vecs, nodeVec{id: id})
 			trackers = append(trackers, t)
 		}
+	}
+	if structural {
+		for id, e := range sh.entries {
+			collect(id, e.t)
+		}
 	} else {
-		trackers = make([]*Tracker, len(dirtyTrackers))
-		for i := range dirtyTrackers {
-			trackers[i] = sh.trackers[dirtyTrackers[i].id]
+		for _, id := range sh.dirty {
+			collect(id, sh.entries[id].t)
 		}
 	}
+	clear(sh.dirty) // release the ID strings; the backing array is reused
+	sh.dirty = sh.dirty[:0]
 	sh.mu.Unlock()
 
 	// Compile outside the shard lock: vec() is usually a per-tracker cache
 	// hit, and a rebuild must never block the shard's writers.
+	for i := range vecs {
+		vecs[i].vec = trackers[i].vec()
+	}
 	if structural {
-		sort.Sort(&vecSorter{entries, trackers})
-		for i := range entries {
-			entries[i].vec = trackers[i].vec()
-		}
-		sh.snapVecs, sh.snapVersion = entries, v
-		return entries
+		slices.SortFunc(vecs, func(a, b nodeVec) int { return cmp.Compare(a.id, b.id) })
+		sh.snapVecs, sh.snapVersion = vecs, v
+		return vecs
 	}
 
 	patched := make([]nodeVec, len(sh.snapVecs))
 	copy(patched, sh.snapVecs)
-	for i := range dirtyTrackers {
-		id := dirtyTrackers[i].id
-		if trackers[i] == nil {
-			// A forget raced in after the structural check; it bumped the
-			// version after setting structural, so the next rebuild
-			// re-collects. Skip the vanished node here.
-			continue
+	for _, nv := range vecs {
+		if pos, ok := slices.BinarySearchFunc(patched, nv.id, func(p nodeVec, id NodeID) int { return cmp.Compare(p.id, id) }); ok {
+			patched[pos].vec = nv.vec
 		}
-		pos := sort.Search(len(patched), func(j int) bool { return patched[j].id >= id })
-		if pos >= len(patched) || patched[pos].id != id {
-			continue // same race, add side: the pending structural rebuild will pick it up
-		}
-		patched[pos].vec = trackers[i].vec()
 	}
 	sh.snapVecs, sh.snapVersion = patched, v
 	return patched
@@ -464,10 +520,7 @@ func (sh *storeShard) vecs() []nodeVec {
 // window is replaced wholesale — deltas carry the origin's full window, so
 // replication never interleaves probe histories and every replica of an entry
 // version is byte-identical. Returns false when the delta is stale or
-// idempotent (local meta equal or newer). Unlike observe/forget this does NOT
-// fire the mutation hook: the peering layer decides itself whether to forward
-// an applied delta (rumor TTL), and firing the hook here would re-stamp the
-// entry as a local mutation.
+// idempotent (local record equal or newer).
 func (st *store) applyDelta(d NodeDelta) bool {
 	// Build the replacement tracker outside the shard lock; replaying the
 	// probe window touches no shared state.
@@ -478,43 +531,14 @@ func (st *store) applyDelta(d NodeDelta) bool {
 			t.Observe(p.At, p.Replicas...)
 		}
 	}
-
-	sh := st.shardFor(d.Node)
-	sh.mu.Lock()
-	cur, known := sh.meta[d.Node]
-	if known && !d.NodeMeta.Supersedes(cur.meta(d.Node)) {
-		sh.mu.Unlock()
-		return false
-	}
-	_, hadTracker := sh.trackers[d.Node]
+	meta := entryMeta{origin: d.Origin, version: d.Version}
 	if d.Deleted {
-		if hadTracker {
-			delete(sh.trackers, d.Node)
-			sh.structural = true
-			sh.nodes.Dec()
-		}
-		delete(sh.dirty, d.Node)
-		sh.meta[d.Node] = entryMeta{
-			origin: d.Origin, version: d.Version,
-			deleted: true, deletedAt: d.DeletedAt,
-		}
-	} else {
-		sh.trackers[d.Node] = t
-		if !hadTracker {
-			sh.structural = true
-			sh.nodes.Inc()
-		} else {
-			// Wholesale replacement of an existing tracker: a dirty mark
-			// suffices, because the patch rebuild re-reads sh.trackers under
-			// the lock and so compiles the new tracker's vector.
-			sh.dirty[d.Node] = struct{}{}
-		}
-		sh.meta[d.Node] = entryMeta{origin: d.Origin, version: d.Version}
+		meta.deletedAt = d.DeletedAt
 	}
-	sh.mu.Unlock()
-	sh.version.Add(1)
-	st.version.Add(1)
-	return true
+	return st.publish(d.Node, func(cur nodeEntry, known bool) (change, bool) {
+		return change{t: t, remote: true, meta: meta},
+			!known || d.NodeMeta.Supersedes(cur.meta(d.Node))
+	})
 }
 
 // exportDelta packages node's full current state — replication metadata plus
@@ -523,15 +547,14 @@ func (st *store) applyDelta(d NodeDelta) bool {
 func (st *store) exportDelta(node NodeID) (NodeDelta, bool) {
 	sh := st.shardFor(node)
 	sh.mu.RLock()
-	m, known := sh.meta[node]
-	t := sh.trackers[node]
+	e, known := sh.entries[node]
 	sh.mu.RUnlock()
 	if !known {
 		return NodeDelta{}, false
 	}
-	d := NodeDelta{NodeMeta: m.meta(node), DeletedAt: m.deletedAt}
-	if t != nil {
-		d.Probes = t.Probes()
+	d := NodeDelta{NodeMeta: e.meta(node), DeletedAt: e.deletedAt}
+	if e.t != nil {
+		d.Probes = e.t.Probes()
 	}
 	return d, true
 }
@@ -540,14 +563,11 @@ func (st *store) exportDelta(node NodeID) (NodeDelta, bool) {
 // tombstoned) in shard i, sorted by node ID. The peering layer ships these
 // flat lists when two peers' shard digests disagree.
 func (st *store) shardMetas(i int) []NodeMeta {
-	sh := &st.shards[i]
-	sh.mu.RLock()
-	out := make([]NodeMeta, 0, len(sh.meta))
-	for id, m := range sh.meta {
-		out = append(out, m.meta(id))
+	recs := records(st.shards[i:i+1], nil)
+	out := make([]NodeMeta, len(recs))
+	for j := range recs {
+		out[j] = recs[j].NodeMeta
 	}
-	sh.mu.RUnlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
 	return out
 }
 
@@ -573,13 +593,12 @@ func (st *store) shardDigest(i int) uint64 {
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	metas := st.shardMetas(i)
 	h := uint64(offset64)
 	mix := func(b byte) {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	for _, m := range metas {
+	for _, m := range records(st.shards[i:i+1], nil) {
 		for j := 0; j < len(m.Node); j++ {
 			mix(m.Node[j])
 		}
@@ -613,49 +632,24 @@ func (st *store) digests() []uint64 {
 // gcTombstones deletes tombstones whose deletion time is before the horizon
 // and returns how many it reclaimed. Although reclamation touches no tracker
 // and no compiled vector, it DOES change the metadata set the shard digest
-// folds over, so every shard that reclaimed something publishes like any
-// other mutation: delete under the lock, then bump the shard and store
-// versions. Without the bump the cached digest keeps describing the
-// pre-GC set, and an anti-entropy round against a peer that GC'd on a
-// different schedule would compare a stale word — agreeing shards would
-// look different (wasted metadata exchanges) and, worse, differing shards
-// could look identical and never re-sync. Shards that reclaimed nothing
-// publish nothing, so the routine stays free for the common empty tick. A
-// peer that somehow missed the deletion for longer than the GC horizon can
-// briefly resurrect the entry through anti-entropy — the horizon is the
-// declared replication deadline, and DESIGN.md "Gossip" documents the trade.
+// folds over, so each one publishes like any other write. Without the version
+// bump the cached digest keeps describing the pre-GC set, and an anti-entropy
+// round against a peer that GC'd on a different schedule would compare a
+// stale word — agreeing shards would look different (wasted metadata
+// exchanges) and, worse, differing shards could look identical and never
+// re-sync. A tick that finds nothing expired publishes nothing. A peer that
+// somehow missed the deletion for longer than the GC horizon can briefly
+// resurrect the entry through anti-entropy — the horizon is the declared
+// replication deadline, and DESIGN.md "Gossip" documents the trade.
 func (st *store) gcTombstones(horizon time.Time) int {
+	expired := func(e nodeEntry) bool { return e.t == nil && e.deletedAt.Before(horizon) }
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		reclaimed := 0
-		for id, m := range sh.meta {
-			if m.deleted && m.deletedAt.Before(horizon) {
-				delete(sh.meta, id)
-				reclaimed++
-			}
-		}
-		sh.mu.Unlock()
-		if reclaimed > 0 {
-			sh.version.Add(1)
-			st.version.Add(1)
-			n += reclaimed
+	for _, r := range records(st.shards, expired) {
+		if st.publish(r.Node, func(cur nodeEntry, known bool) (change, bool) {
+			return change{reclaim: true}, known && expired(cur)
+		}) {
+			n++
 		}
 	}
 	return n
-}
-
-// vecSorter sorts a nodeVec slice by ID while keeping a parallel tracker
-// slice aligned, so the compile loop after sorting indexes both coherently.
-type vecSorter struct {
-	entries  []nodeVec
-	trackers []*Tracker
-}
-
-func (s *vecSorter) Len() int           { return len(s.entries) }
-func (s *vecSorter) Less(i, j int) bool { return s.entries[i].id < s.entries[j].id }
-func (s *vecSorter) Swap(i, j int) {
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-	s.trackers[i], s.trackers[j] = s.trackers[j], s.trackers[i]
 }

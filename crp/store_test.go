@@ -423,3 +423,140 @@ func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveRacingForget drives the interleaving a remap produces — a
+// forget, a namespaced forget or a superseding delta landing while an observe
+// of the same node sits between reading the node's tracker and publishing —
+// deterministically: the store runs the observe/mutate callback exactly in
+// that gap, so the racing call is issued from inside it. Whatever the
+// interleaving, the store must end in a state some serial order of the two
+// calls produces, listing and replication must agree on which nodes are
+// live, and a peer fed the store's deltas must end byte-identical to it.
+func TestObserveRacingForget(t *testing.T) {
+	const node = NodeID("n")
+	at := time.Unix(1000, 0)
+	fresh := func(origin string) *Service {
+		s := NewServiceWithStore(StoreConfig{Shards: 4}, WithWindow(8))
+		s.SetOrigin(origin)
+		s.SetClock(func() time.Time { return at })
+		return s
+	}
+	seeded := func() *Service {
+		s := fresh("local")
+		for _, n := range []NodeID{node, "bystander"} {
+			if err := s.Observe(n, at, "cdnA!r1", "cdnB!r1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	observe := func(st *store, gap func()) {
+		st.observe(node, func(tr *Tracker) {
+			gap()
+			tr.Observe(at.Add(time.Minute), "cdnA!r2")
+		})
+	}
+	dropA := func(st *store, gap func()) {
+		st.mutate(node, func(tr *Tracker) bool {
+			gap()
+			return tr.DropNamespace("cdnA")
+		})
+	}
+	forget := func(st *store) { st.forget(node) }
+	delta := func(deleted bool) func(*store) {
+		d := NodeDelta{NodeMeta: NodeMeta{Node: node, Origin: "peer", Version: 5, Deleted: deleted}}
+		if deleted {
+			d.DeletedAt = at.Add(time.Second)
+		} else {
+			d.Probes = []Probe{{At: at.Add(2 * time.Second), Replicas: []ReplicaID{"cdnA!r7"}}}
+		}
+		return func(st *store) {
+			if !st.applyDelta(d) {
+				t.Error("superseding delta was refused")
+			}
+		}
+	}
+
+	rows := []struct {
+		name  string
+		call  func(st *store, gap func())
+		racer func(st *store)
+	}{
+		{"observe-vs-forget", observe, forget},
+		{"namespace-forget-vs-forget", dropA, forget},
+		{"observe-vs-delta", observe, delta(false)},
+		{"observe-vs-tombstone-delta", observe, delta(true)},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			export := func(s *Service) NodeDelta {
+				d, ok := s.ExportDelta(node)
+				if !ok {
+					t.Fatal("the node's record vanished")
+				}
+				return d
+			}
+			callFirst, racerFirst := seeded(), seeded()
+			row.call(callFirst.store, func() {})
+			row.racer(callFirst.store)
+			row.racer(racerFirst.store)
+			row.call(racerFirst.store, func() {})
+
+			raced := seeded()
+			once := true
+			row.call(raced.store, func() {
+				if once { // a retried callback must not race again
+					once = false
+					row.racer(raced.store)
+				}
+			})
+			got := export(raced)
+			if a, b := export(callFirst), export(racerFirst); !reflect.DeepEqual(got, a) && !reflect.DeepEqual(got, b) {
+				t.Errorf("raced record matches no serial order:\n raced        %+v\n call, racer  %+v\n racer, call  %+v", got, a, b)
+			}
+
+			// Listing and replication read one record, so they agree; and a
+			// peer built from nothing but this store's deltas is its copy.
+			peer := fresh("peer")
+			var live []NodeID
+			for i := 0; i < raced.ShardCount(); i++ {
+				metas, err := raced.ShardMetas(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range metas {
+					d, ok := raced.ExportDelta(m.Node)
+					if !ok || d.NodeMeta != m {
+						t.Fatalf("ExportDelta(%q) = %+v, %v; ShardMetas lists %+v", m.Node, d.NodeMeta, ok, m)
+					}
+					if !m.Deleted {
+						live = append(live, m.Node)
+						if len(d.Probes) == 0 {
+							t.Errorf("live entry %q exports no probes", m.Node)
+						}
+					}
+					if _, err := peer.ApplyDelta(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			slices.Sort(live)
+			if nodes := raced.Nodes(); !slices.Equal(nodes, live) {
+				t.Errorf("Nodes() = %v, live ShardMetas entries = %v", nodes, live)
+			}
+			var want, have bytes.Buffer
+			if err := raced.WriteSnapshot(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := peer.WriteSnapshot(&have); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), have.Bytes()) {
+				t.Errorf("peer fed the exported deltas diverges:\n store %s peer  %s", want.Bytes(), have.Bytes())
+			}
+			if !slices.Equal(raced.ShardDigests(), peer.ShardDigests()) {
+				t.Error("shard digests differ between the store and its delta-fed peer")
+			}
+		})
+	}
+}

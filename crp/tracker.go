@@ -23,16 +23,14 @@ type probe struct {
 // paper's formulation requires.
 type Tracker struct {
 	mu     sync.Mutex
-	window int           // max probes kept; 0 = unbounded ("all probes")
-	maxAge time.Duration // max probe age relative to the newest; 0 = unbounded
+	window int // max probes kept; 0 = unbounded ("all probes")
 	probes []probe
 
 	// Derived state, rebuilt lazily: the compiled vector of the ratio map is
 	// cached between observations so repeated queries (the steady state of a
 	// positioning service) stop rebuilding it from the probe window. dirty
-	// is set by Observe, DropNamespace and Reset. Expiry keys off the newest
-	// probe, not the wall clock, so a cached vector never goes stale between
-	// probes.
+	// is set by Observe and DropNamespace; nothing expires with the wall
+	// clock, so a cached vector never goes stale between probes.
 	dirty     bool
 	cachedVec ratioVec
 }
@@ -51,19 +49,6 @@ func WithWindow(n int) TrackerOption {
 	}
 }
 
-// WithMaxAge drops probes older than d relative to the most recent probe,
-// bounding how much stale redirection history can influence the map. The
-// paper observes that in dynamic environments long histories hurt; a time
-// bound is the natural complement to the probe-count window.
-func WithMaxAge(d time.Duration) TrackerOption {
-	return func(t *Tracker) {
-		if d < 0 {
-			d = 0
-		}
-		t.maxAge = d
-	}
-}
-
 // NewTracker returns an empty tracker.
 func NewTracker(opts ...TrackerOption) *Tracker {
 	t := &Tracker{dirty: true}
@@ -74,9 +59,8 @@ func NewTracker(opts ...TrackerOption) *Tracker {
 }
 
 // Observe records one probe: the replica servers a single CDN lookup
-// returned at the given time. Probes must be supplied in non-decreasing
-// time order; out-of-order probes are accepted but age-based expiry keys off
-// the newest probe seen. A probe with no replicas is ignored.
+// returned at the given time. The window keeps the most recently recorded
+// probes, whatever their timestamps. A probe with no replicas is ignored.
 func (t *Tracker) Observe(at time.Time, replicas ...ReplicaID) {
 	if len(replicas) == 0 {
 		return
@@ -91,40 +75,14 @@ func (t *Tracker) Observe(at time.Time, replicas ...ReplicaID) {
 	t.dirty = true
 }
 
-// compactLocked enforces the probe-count and age windows. Both filters
-// compact in place; the vacated tail of the backing array is zeroed so the
-// dropped probes' replica slices become collectable — a long-lived tracker
-// must not pin its entire history through the array tail.
+// compactLocked enforces the probe-count window, compacting in place; the
+// vacated tail of the backing array is zeroed so the dropped probes' replica
+// slices become collectable — a long-lived tracker must not pin its entire
+// history through the array tail.
 func (t *Tracker) compactLocked() {
-	before := len(t.probes)
-	if t.window > 0 && len(t.probes) > t.window {
-		drop := len(t.probes) - t.window
-		t.probes = append(t.probes[:0], t.probes[drop:]...)
-	}
-	if t.maxAge > 0 && len(t.probes) > 0 {
-		newest := t.probes[0].at
-		for _, p := range t.probes {
-			if p.at.After(newest) {
-				newest = p.at
-			}
-		}
-		cutoff := newest.Add(-t.maxAge)
-		kept := t.probes[:0]
-		for _, p := range t.probes {
-			if !p.at.Before(cutoff) {
-				kept = append(kept, p)
-			}
-		}
-		t.probes = kept
-	}
-	if n := len(t.probes); n < before {
-		if cap(t.probes) >= 64 && n < cap(t.probes)/4 {
-			// A large expiry (long maxAge gap) leaves a mostly-empty backing
-			// array; reallocate instead of carrying it forever.
-			t.probes = append(make([]probe, 0, n), t.probes...)
-		} else {
-			clear(t.probes[n:before])
-		}
+	if n := len(t.probes); t.window > 0 && n > t.window {
+		t.probes = append(t.probes[:0], t.probes[n-t.window:]...)
+		clear(t.probes[t.window:n])
 	}
 }
 
@@ -174,23 +132,6 @@ func (t *Tracker) refreshLocked() {
 	t.dirty = false
 }
 
-// LastProbe returns the time of the most recent probe and whether one
-// exists.
-func (t *Tracker) LastProbe() (time.Time, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.probes) == 0 {
-		return time.Time{}, false
-	}
-	newest := t.probes[0].at
-	for _, p := range t.probes {
-		if p.at.After(newest) {
-			newest = p.at
-		}
-	}
-	return newest, true
-}
-
 // DropNamespace removes every replica belonging to namespace ns from the
 // probe window, discarding probes left empty, and reports whether anything
 // was removed. Sibling namespaces' probes are untouched — this is the
@@ -223,13 +164,4 @@ func (t *Tracker) DropNamespace(ns Namespace) bool {
 		t.dirty = true
 	}
 	return changed
-}
-
-// Reset discards all recorded probes.
-func (t *Tracker) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.probes = nil
-	t.dirty = true
-	t.cachedVec = ratioVec{}
 }

@@ -89,24 +89,6 @@ func TestTrackerUnboundedWindow(t *testing.T) {
 	}
 }
 
-func TestTrackerMaxAge(t *testing.T) {
-	tr := NewTracker(WithMaxAge(30 * time.Minute))
-	tr.Observe(t0, "old")
-	tr.Observe(t0.Add(20*time.Minute), "mid")
-	tr.Observe(t0.Add(45*time.Minute), "new")
-	// Newest probe is at +45m, so the 30m age window keeps probes from +15m on.
-	m := tr.RatioMap()
-	if _, ok := m["old"]; ok {
-		t.Error("probe older than MaxAge survived")
-	}
-	if _, ok := m["mid"]; !ok {
-		t.Error("probe within MaxAge dropped")
-	}
-	if _, ok := m["new"]; !ok {
-		t.Error("newest probe dropped")
-	}
-}
-
 func TestTrackerIgnoresEmptyProbe(t *testing.T) {
 	tr := NewTracker()
 	tr.Observe(t0)
@@ -119,23 +101,6 @@ func TestTrackerEmptyRatioMap(t *testing.T) {
 	tr := NewTracker()
 	if m := tr.RatioMap(); len(m) != 0 {
 		t.Errorf("empty tracker map = %v", m)
-	}
-	if _, ok := tr.LastProbe(); ok {
-		t.Error("LastProbe on empty tracker reported ok")
-	}
-}
-
-func TestTrackerLastProbeAndReset(t *testing.T) {
-	tr := NewTracker()
-	tr.Observe(t0, "r1")
-	tr.Observe(t0.Add(time.Hour), "r2")
-	last, ok := tr.LastProbe()
-	if !ok || !last.Equal(t0.Add(time.Hour)) {
-		t.Errorf("LastProbe = %v, %v", last, ok)
-	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Error("Reset did not clear probes")
 	}
 }
 
@@ -151,12 +116,12 @@ func TestTrackerObserveCopiesReplicaSlice(t *testing.T) {
 }
 
 func TestTrackerNegativeOptionsClamped(t *testing.T) {
-	tr := NewTracker(WithWindow(-5), WithMaxAge(-time.Hour))
+	tr := NewTracker(WithWindow(-5))
 	for i := 0; i < 20; i++ {
 		tr.Observe(t0.Add(time.Duration(i)*time.Minute), "r")
 	}
 	if got := tr.Len(); got != 20 {
-		t.Errorf("negative options should mean unbounded; Len = %d", got)
+		t.Errorf("a negative window should mean unbounded; Len = %d", got)
 	}
 }
 
@@ -244,26 +209,5 @@ func TestTrackerCompactReleasesDroppedProbes(t *testing.T) {
 	m := tr.RatioMap()
 	if !almostEqual(m.Sum(), 1, 1e-9) {
 		t.Errorf("ratio map sum = %v after compaction, want 1", m.Sum())
-	}
-}
-
-// Same leak through the age-based filter: a mass expiry (long probe gap)
-// must not keep the expired probes reachable, whether compaction clears the
-// tail in place or reallocates.
-func TestTrackerMaxAgeCompactReleasesExpiredProbes(t *testing.T) {
-	tr := NewTracker(WithMaxAge(30 * time.Minute))
-	for i := 0; i < 200; i++ {
-		tr.Observe(t0.Add(timeMinutes(i)), "r1", "r2")
-	}
-	// One probe far in the future expires everything before it.
-	tr.Observe(t0.Add(1000*time.Hour), "r9")
-	if got := tr.Len(); got != 1 {
-		t.Fatalf("tracker holds %d probes after mass expiry, want 1", got)
-	}
-	if leaked := leakedTailEntries(tr); leaked != 0 {
-		t.Errorf("%d expired probes still referenced in the backing array tail", leaked)
-	}
-	if got := tr.RatioMap()["r9"]; !almostEqual(got, 1, 1e-12) {
-		t.Errorf("r9 ratio = %v after mass expiry, want 1", got)
 	}
 }

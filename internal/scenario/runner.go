@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,6 +107,9 @@ type runner struct {
 	// order — the seed of every driven group's target pool.
 	providersOn [][]string
 	maxProbes   int
+	// planClock is the time the plan's fault windows run on: the offset
+	// since the driven window's start, set by the transport loops.
+	planClock *netsim.Clock
 }
 
 // Run executes a plan and returns its report. The returned error covers
@@ -130,6 +134,7 @@ func Run(p *Plan, opt Options) (*Report, error) {
 		logf:        logf,
 		tickD:       p.Tick.D(),
 		providersOn: make([][]string, p.Daemons),
+		planClock:   netsim.NewClock(),
 	}
 	for i := range p.Groups {
 		g := &p.Groups[i]
@@ -334,7 +339,7 @@ func (r *runner) faultPlane() (*faults.Plane, error) {
 	if len(r.p.Faults.Faults) == 0 {
 		return nil, nil
 	}
-	return faults.New(nil, r.p.Faults)
+	return faults.New(nil, r.p.Faults, faults.WithClock(r.planClock))
 }
 
 // ---------------------------------------------------------------------------
@@ -472,19 +477,6 @@ func (r *runner) runMem() (*Report, error) {
 			}
 		}
 	}
-	converged := func() bool {
-		ref := svcs[0].ShardDigests()
-		for _, svc := range svcs[1:] {
-			got := svc.ShardDigests()
-			for i := range ref {
-				if got[i] != ref[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
 	wallStart := time.Now()
 
 	// Provider seeding: one virtual minute per probe round, through the
@@ -504,6 +496,7 @@ func (r *runner) runMem() (*Report, error) {
 	ticks := p.Ticks()
 	for t := 0; t < ticks; t++ {
 		now = seedEnd.Add(time.Duration(t) * r.tickD)
+		r.planClock.Set(now.Sub(seedEnd))
 		ops := r.buildTick(t)
 		for i := range ops {
 			if err := exec(&ops[i]); err != nil {
@@ -529,13 +522,14 @@ func (r *runner) runMem() (*Report, error) {
 		if maxRounds == 0 {
 			maxRounds = 50
 		}
-		if converged() {
+		if digestsEqual(svcs) {
 			det.Converged = true
 		} else {
 			for rd := 1; rd <= maxRounds; rd++ {
 				now = now.Add(r.tickD)
+				r.planClock.Set(now.Sub(seedEnd))
 				round()
-				if converged() {
+				if digestsEqual(svcs) {
 					det.Converged = true
 					det.ConvergeRounds = rd
 					break
@@ -811,6 +805,7 @@ func (r *runner) runUDP() (*Report, error) {
 		if wait := time.Until(loadStart.Add(time.Duration(t) * r.tickD)); wait > 0 {
 			time.Sleep(wait)
 		}
+		r.planClock.Set(time.Duration(t) * r.tickD)
 		ops := r.buildTick(t)
 		if err := dispatch(ops); err != nil {
 			return nil, err
@@ -862,14 +857,13 @@ func (r *runner) runUDP() (*Report, error) {
 	return rep, nil
 }
 
+// digestsEqual reports whether every daemon's shard digests equal daemon
+// 0's: the convergence test of both transports.
 func digestsEqual(svcs []*crp.Service) bool {
 	ref := svcs[0].ShardDigests()
 	for _, svc := range svcs[1:] {
-		got := svc.ShardDigests()
-		for i := range ref {
-			if got[i] != ref[i] {
-				return false
-			}
+		if !slices.Equal(svc.ShardDigests(), ref) {
+			return false
 		}
 	}
 	return true

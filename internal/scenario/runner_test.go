@@ -3,11 +3,12 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -48,17 +49,39 @@ func decodeTestPlan(t *testing.T, raw string) *Plan {
 // byte-identical Det slices — the property the CI rerun gate builds on —
 // plus passing verdicts and exported scenario.group.* and peering.* counters,
 // at the plan's 5 % gossip loss and at 30 %, where anti-entropy does the
-// repair.
+// repair. The late-start and early-stop rows window the fault on the plan
+// clock: it must fire, but less often than the always-on fault does.
 func TestScenarioMemDeterministic(t *testing.T) {
-	for _, loss := range []float64{0.05, 0.3} {
-		t.Run(fmt.Sprintf("loss-%v", loss), func(t *testing.T) { testMemDeterministic(t, loss) })
+	for _, row := range []struct {
+		name        string
+		loss        float64
+		start, stop time.Duration
+	}{
+		{name: "loss-0.05", loss: 0.05},
+		{name: "loss-0.3", loss: 0.3},
+		{name: "late-start", loss: 0.3, start: 10 * time.Second},
+		{name: "early-stop", loss: 0.3, stop: 10 * time.Second},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			f := faults.Fault{Kind: faults.PacketLoss, Rate: row.loss, Target: "gossip"}
+			alwaysOn := testMemDeterministic(t, f)
+			if row.start == 0 && row.stop == 0 {
+				return
+			}
+			f.Start, f.Stop = faults.Duration(row.start), faults.Duration(row.stop)
+			if got := testMemDeterministic(t, f); got >= alwaysOn {
+				t.Errorf("windowed fault fired %d times, the always-on one %d: the window was not evaluated", got, alwaysOn)
+			}
+		})
 	}
 }
 
-func testMemDeterministic(t *testing.T, loss float64) {
+// testMemDeterministic runs memPlanJSON under fault f and returns how often
+// the fault fired.
+func testMemDeterministic(t *testing.T, f faults.Fault) uint64 {
 	runOnce := func() (*Report, []byte) {
 		p := decodeTestPlan(t, memPlanJSON)
-		p.Faults.Faults[0].Rate = loss
+		p.Faults.Faults[0] = f
 		rep, err := Run(p, Options{Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -103,6 +126,7 @@ func testMemDeterministic(t *testing.T, loss float64) {
 	if got := rep1.Det.Groups[0].Offered; got != 36*4 {
 		t.Errorf("provider offered = %d, want %d", got, 36*4)
 	}
+	return rep1.Det.Activations["pkt-loss"]
 }
 
 // TestScenarioSingleDaemon: a daemons=1 plan runs without a gossip plane
