@@ -9,7 +9,7 @@
 //
 // Experiments register in the table in registry.go; -exp list prints every
 // registered experiment with the flags it accepts. The paper experiments
-// (fig4..ablations, or all) share one simulated-scenario build. The
+// (fig4..ablations, or all) share one evaluation world. The
 // standalone experiments are this repository's own: faults sweeps the
 // deterministic fault-injection plane; scale ingests a million-client
 // population with prefix aggregation on and off; fusion scores the fused
@@ -77,7 +77,7 @@ func run(args []string) error {
 	return runPaper(*exp, a)
 }
 
-// runPaper executes the paper experiments off one shared scenario build;
+// runPaper executes the paper experiments off one shared world;
 // exp "all" runs every figure in sequence.
 func runPaper(exp string, a benchArgs) error {
 	params := experiment.DefaultWorldParams()

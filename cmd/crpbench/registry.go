@@ -23,7 +23,7 @@ type benchArgs struct {
 type experimentSpec struct {
 	name string
 	desc string
-	// paper experiments share one simulated-scenario build in main and run
+	// paper experiments share one evaluation world built in main and run
 	// through the figure dispatcher; run is nil for them.
 	paper bool
 	// flags lists the optional flag names this experiment honors beyond
@@ -63,19 +63,19 @@ func (s *experimentSpec) validateFlags(set map[string]bool) error {
 }
 
 // paperSpec registers a figure/table experiment driven by the shared
-// scenario build.
+// evaluation world.
 func paperSpec(name, desc string) experimentSpec {
 	return experimentSpec{name: name, desc: desc, paper: true, flags: []string{"quick", "seed"}}
 }
 
 // experiments is the registry, in display order for -exp list.
 var experiments = []experimentSpec{
-	paperSpec("all", "every paper experiment below, off one scenario build"),
-	paperSpec("fig4", "closest-node rank CDF vs the latency ground truth"),
-	paperSpec("fig5", "closest-node rank vs candidate-set size"),
+	paperSpec("all", "every paper experiment below, off one world"),
+	paperSpec("fig4", "closest-node selection: latency to the selected server vs Meridian and optimal"),
+	paperSpec("fig5", "closest-node selection: relative error vs optimal"),
 	paperSpec("table1", "SMF clustering quality vs the metro ground truth"),
-	paperSpec("fig6", "cluster count vs similarity threshold"),
-	paperSpec("fig7", "cluster quality vs similarity threshold"),
+	paperSpec("fig6", "intra- vs inter-cluster distance CDF, one t=0.1 clustering"),
+	paperSpec("fig7", "good clusters per diameter bucket, CRP vs ASN, one t=0.1 clustering"),
 	paperSpec("fig8", "average rank vs probe interval"),
 	paperSpec("fig9", "average rank vs probe window size"),
 	paperSpec("repair", "path-repair candidate ranking study"),

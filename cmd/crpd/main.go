@@ -4,6 +4,10 @@
 // closest nodes and clusters. The protocol is one JSON object per UDP
 // datagram — deliberately minimal, mirroring the paper's argument that a
 // CRP service is easy to integrate through well-known interfaces.
+// Programs can send compact binary frames instead (internal/crpdaemon);
+// each reply uses its request's codec. {"op":"batch","batch":[...]}
+// carries up to 64 requests per datagram and answers them in order. An
+// optional "ns" scopes ratio_map, similarity and closest to one CDN.
 //
 // Usage:
 //
@@ -79,6 +83,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -307,18 +312,37 @@ func loadState(svc *crp.Service, path string) error {
 	return nil
 }
 
-func saveState(svc *crp.Service, path string) error {
+// saveState writes the snapshot through a tmp file that is synced before it
+// is renamed over path; the directory is synced after, so the rename itself
+// survives a crash. A failed write leaves no tmp file behind.
+func saveState(svc *crp.Service, path string) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := svc.WriteSnapshot(f); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			_ = os.Remove(tmp) // the save already failed; nothing to remove once renamed
+		}
+	}()
+	err = svc.WriteSnapshot(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer dir.Close()
+	return dir.Sync()
 }

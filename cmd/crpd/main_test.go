@@ -50,6 +50,21 @@ func TestStateSaveAndLoad(t *testing.T) {
 	}
 }
 
+// TestStateSaveFailureLeavesNoTmp: a save whose rename fails (the target is
+// a non-empty directory) reports the error and removes its tmp file.
+func TestStateSaveFailureLeavesNoTmp(t *testing.T) {
+	path := t.TempDir() + "/state"
+	if err := os.MkdirAll(path+"/occupied", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveState(seedService(t), path); err == nil {
+		t.Fatal("saveState over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("tmp file left behind: stat err = %v", err)
+	}
+}
+
 func TestLoadStateMissingFileIsFirstRun(t *testing.T) {
 	svc := crp.NewService()
 	if err := loadState(svc, t.TempDir()+"/nonexistent.json"); err != nil {

@@ -71,29 +71,6 @@ const (
 	respHasDrift
 )
 
-// binOpCodes maps Request.Op to its wire opcode ("batch" is a frame kind,
-// not an opcode); binOpNames is the inverse.
-var binOpCodes = map[string]byte{
-	"observe": 0, "ratio_map": 1, "similarity": 2, "closest": 3,
-	"nodes": 4, "stats": 5, "same_cluster": 6, "distinct_clusters": 7,
-	"peer-join": 8, "peer-status": 9, "drift-status": 10,
-}
-
-var binOpNames = func() map[byte]string {
-	m := make(map[byte]string, len(binOpCodes))
-	for name, code := range binOpCodes {
-		m[code] = name
-	}
-	return m
-}()
-
-// DecodeRequest parses and bounds-checks one wire request in either codec,
-// routed by the first byte. It is the same path the daemon runs on every
-// datagram, exported so benches and tools can measure and exercise it.
-func DecodeRequest(raw []byte) (Request, bool, error) {
-	return decodeRequest(raw)
-}
-
 // EncodeRequest marshals one request in the chosen codec, validating it
 // first so anything encoded is also decodable. Clients (and the bench) use
 // this; the daemon only decodes requests.
@@ -125,22 +102,13 @@ func EncodeRequest(req *Request, bin bool) ([]byte, error) {
 }
 
 func encodeRequestBody(e *binwire.Enc, req *Request) error {
-	code, ok := binOpCodes[req.Op]
-	if !ok {
-		return fmt.Errorf("unknown op %q", req.Op)
+	op, err := lookupOp(req.Op)
+	if err != nil {
+		return err
 	}
-	e.U8(code)
-	var flags byte
-	if req.Threshold != nil {
-		flags |= 1
-	}
-	if req.Candidates != nil {
-		flags |= 2
-	}
-	if req.NS != "" {
-		flags |= 4
-	}
-	e.U8(flags)
+	e.U8(byte(op))
+	flags := presence(req.Threshold != nil, req.Candidates != nil, req.NS != "")
+	e.U8(byte(flags))
 	e.String(req.Node)
 	e.String(req.A)
 	e.String(req.B)
@@ -161,10 +129,41 @@ func encodeRequestBody(e *binwire.Enc, req *Request) error {
 	if req.Threshold != nil {
 		e.F64(*req.Threshold)
 	}
-	if req.NS != "" {
+	if flags&4 != 0 {
 		e.String(req.NS)
 	}
 	return nil
+}
+
+// presence packs one flag bit per field, the first argument in bit 0.
+func presence(set ...bool) (flags uint64) {
+	for i, ok := range set {
+		if ok {
+			flags |= 1 << i
+		}
+	}
+	return flags
+}
+
+// decodeHeader reads the three bytes every frame opens with — the magic
+// (already sniffed by the caller), the version and the frame kind — and
+// returns the kind. what names the frame in errors.
+func decodeHeader(d *binwire.Dec, what string) (byte, error) {
+	_, err := d.U8()
+	var ver, kind byte
+	if err == nil {
+		ver, err = d.U8()
+	}
+	if err == nil && ver != binVersion {
+		return 0, fmt.Errorf("unsupported binary version %d", ver)
+	}
+	if err == nil {
+		kind, err = d.U8()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("bad %s: %v", what, err)
+	}
+	return kind, nil
 }
 
 // decodeBinaryRequest parses a binary-codec request datagram. Structural
@@ -173,19 +172,9 @@ func encodeRequestBody(e *binwire.Enc, req *Request) error {
 func decodeBinaryRequest(raw []byte) (Request, error) {
 	var req Request
 	d := binwire.NewDec(raw)
-	if _, err := d.U8(); err != nil { // magic, already sniffed by the caller
-		return req, fmt.Errorf("bad request: %v", err)
-	}
-	ver, err := d.U8()
+	kind, err := decodeHeader(d, "request")
 	if err != nil {
-		return req, fmt.Errorf("bad request: %v", err)
-	}
-	if ver != binVersion {
-		return req, fmt.Errorf("unsupported binary version %d", ver)
-	}
-	kind, err := d.U8()
-	if err != nil {
-		return req, fmt.Errorf("bad request: %v", err)
+		return req, err
 	}
 	switch kind {
 	case kindReq:
@@ -193,12 +182,10 @@ func decodeBinaryRequest(raw []byte) (Request, error) {
 			return req, err
 		}
 	case kindBatchReq:
+		// An empty batch decodes; checkRequest refuses it.
 		n, err := d.Count(MaxBatch, 2)
 		if err != nil {
 			return req, fmt.Errorf("batch: %v", err)
-		}
-		if n == 0 {
-			return req, fmt.Errorf("batch request carries no sub-requests")
 		}
 		req.Op = "batch"
 		req.Batch = make([]Request, n)
@@ -221,11 +208,10 @@ func decodeRequestBody(d *binwire.Dec, req *Request) error {
 	if err != nil {
 		return err
 	}
-	op, ok := binOpNames[code]
-	if !ok {
+	if code >= byte(opBatch) {
 		return fmt.Errorf("unknown opcode %d", code)
 	}
-	req.Op = op
+	req.Op = opTable[code].name
 	flags, err := d.U8()
 	if err != nil {
 		return err
@@ -288,12 +274,20 @@ func decodeRequestBody(d *binwire.Dec, req *Request) error {
 	return nil
 }
 
-// encodeResponse marshals one response in the chosen codec. Encoding a
-// response cannot fail: the daemon built it, and unrepresentable shapes
-// don't occur (JSON falls back to a static error, matching marshal).
-func encodeResponse(resp *Response, bin bool) []byte {
+// EncodeResponseWire marshals one response in the chosen codec. It cannot
+// fail: the daemon built the response, and unrepresentable shapes don't
+// occur. It carries no reply-size policy — the daemon's own replies go
+// through encodeBounded, which adds the oversize degradation on top — and is
+// exported so benches and tools can produce representative reply datagrams.
+func EncodeResponseWire(resp *Response, bin bool) []byte {
 	if !bin {
-		return marshal(*resp)
+		// By value: a pointer would move every encoded response to the heap.
+		b, err := json.Marshal(*resp)
+		if err != nil {
+			// Unreachable; fail closed with a static error.
+			return []byte(`{"ok":false,"error":"internal marshal failure"}`)
+		}
+		return b
 	}
 	var e binwire.Enc
 	e.U8(binMagic)
@@ -312,34 +306,9 @@ func encodeResponse(resp *Response, bin bool) []byte {
 }
 
 func encodeResponseBody(e *binwire.Enc, resp *Response) {
-	var flags uint64
-	if resp.OK {
-		flags |= respOK
-	}
-	if resp.TimedOut {
-		flags |= respTimedOut
-	}
-	if resp.Similarity != nil {
-		flags |= respHasSimilarity
-	}
-	if resp.RatioMap != nil {
-		flags |= respHasRatioMap
-	}
-	if resp.Nodes != nil {
-		flags |= respHasNodes
-	}
-	if resp.Ranked != nil {
-		flags |= respHasRanked
-	}
-	if resp.Stats != nil {
-		flags |= respHasStats
-	}
-	if resp.Peering != nil {
-		flags |= respHasPeering
-	}
-	if resp.Drift != nil {
-		flags |= respHasDrift
-	}
+	// One bit per field, in the order of the resp* constants.
+	flags := presence(resp.OK, resp.TimedOut, resp.Similarity != nil, resp.RatioMap != nil,
+		resp.Nodes != nil, resp.Ranked != nil, resp.Stats != nil, resp.Peering != nil, resp.Drift != nil)
 	e.Uvarint(flags)
 	e.String(resp.Error)
 	if resp.Similarity != nil {
@@ -370,35 +339,16 @@ func encodeResponseBody(e *binwire.Enc, resp *Response) {
 			e.F64(r.Similarity)
 		}
 	}
-	if resp.Stats != nil {
-		b, err := json.Marshal(resp.Stats)
-		if err != nil {
-			b = []byte("{}")
+	// The JSON blobs, in wire order; their flag bits are consecutive.
+	for i, doc := range [...]any{resp.Stats, resp.Peering, resp.Drift} {
+		if flags&(respHasStats<<i) != 0 {
+			b, err := json.Marshal(doc)
+			if err != nil {
+				b = []byte("{}")
+			}
+			e.Blob(b)
 		}
-		e.Blob(b)
 	}
-	if resp.Peering != nil {
-		b, err := json.Marshal(resp.Peering)
-		if err != nil {
-			b = []byte("{}")
-		}
-		e.Blob(b)
-	}
-	if resp.Drift != nil {
-		b, err := json.Marshal(resp.Drift)
-		if err != nil {
-			b = []byte("{}")
-		}
-		e.Blob(b)
-	}
-}
-
-// EncodeResponseWire marshals one response in the chosen codec without the
-// daemon's reply-size policy — exported so benches and tools can produce
-// representative reply datagrams. The daemon's own replies go through
-// encodeBounded, which adds the oversize degradation on top of this.
-func EncodeResponseWire(resp *Response, bin bool) []byte {
-	return encodeResponse(resp, bin)
 }
 
 // DecodeResponse parses one reply in either codec, routed by the first
@@ -422,19 +372,9 @@ func decodeBinaryResponse(raw []byte) (Response, error) {
 		return resp, fmt.Errorf("response too large: %d bytes exceeds the %d-byte limit", len(raw), MaxReplySize)
 	}
 	d := binwire.NewDec(raw)
-	if _, err := d.U8(); err != nil {
-		return resp, fmt.Errorf("bad response: %v", err)
-	}
-	ver, err := d.U8()
+	kind, err := decodeHeader(d, "response")
 	if err != nil {
-		return resp, fmt.Errorf("bad response: %v", err)
-	}
-	if ver != binVersion {
-		return resp, fmt.Errorf("unsupported binary version %d", ver)
-	}
-	kind, err := d.U8()
-	if err != nil {
-		return resp, fmt.Errorf("bad response: %v", err)
+		return resp, err
 	}
 	switch kind {
 	case kindResp:
@@ -528,34 +468,34 @@ func decodeResponseBody(d *binwire.Dec, resp *Response) error {
 		}
 	}
 	if flags&respHasStats != 0 {
-		b, err := d.Blob(maxBlobBytes)
-		if err != nil {
+		if resp.Stats, err = decodeBlob[obs.Snapshot](d, "stats"); err != nil {
 			return err
-		}
-		resp.Stats = new(obs.Snapshot)
-		if err := json.Unmarshal(b, resp.Stats); err != nil {
-			return fmt.Errorf("stats blob: %v", err)
 		}
 	}
 	if flags&respHasPeering != 0 {
-		b, err := d.Blob(maxBlobBytes)
-		if err != nil {
+		if resp.Peering, err = decodeBlob[peering.StatusReport](d, "peering"); err != nil {
 			return err
-		}
-		resp.Peering = new(peering.StatusReport)
-		if err := json.Unmarshal(b, resp.Peering); err != nil {
-			return fmt.Errorf("peering blob: %v", err)
 		}
 	}
 	if flags&respHasDrift != 0 {
-		b, err := d.Blob(maxBlobBytes)
-		if err != nil {
+		if resp.Drift, err = decodeBlob[drift.Status](d, "drift"); err != nil {
 			return err
-		}
-		resp.Drift = new(drift.Status)
-		if err := json.Unmarshal(b, resp.Drift); err != nil {
-			return fmt.Errorf("drift blob: %v", err)
 		}
 	}
 	return nil
+}
+
+// decodeBlob reads one length-prefixed JSON document. It returns the
+// document: filling a Response field through a pointer would move every
+// decoded reply to the heap.
+func decodeBlob[T any](d *binwire.Dec, name string) (*T, error) {
+	b, err := d.Blob(maxBlobBytes)
+	if err != nil {
+		return nil, err
+	}
+	doc := new(T)
+	if err := json.Unmarshal(b, doc); err != nil {
+		return nil, fmt.Errorf("%s blob: %v", name, err)
+	}
+	return doc, nil
 }

@@ -91,7 +91,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		if raw[0] != binMagic {
 			t.Fatalf("%s: first byte 0x%02x, want the binary magic", r.Op, raw[0])
 		}
-		got, bin, err := decodeRequest(raw)
+		got, bin, err := DecodeRequest(raw)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", r.Op, err)
 		}
@@ -168,11 +168,11 @@ func TestCrossCodecRequest(t *testing.T) {
 			t.Fatalf("case %d (%s): binary %d bytes, JSON %d — binary must be smaller",
 				i, r.Op, len(binRaw), len(jsonRaw))
 		}
-		fromJSON, bin, err := decodeRequest(jsonRaw)
+		fromJSON, bin, err := DecodeRequest(jsonRaw)
 		if err != nil || bin {
 			t.Fatalf("case %d: json decode: bin=%v err=%v", i, bin, err)
 		}
-		fromBin, bin, err := decodeRequest(binRaw)
+		fromBin, bin, err := DecodeRequest(binRaw)
 		if err != nil || !bin {
 			t.Fatalf("case %d: binary decode: bin=%v err=%v", i, bin, err)
 		}
@@ -180,8 +180,8 @@ func TestCrossCodecRequest(t *testing.T) {
 			t.Fatalf("case %d: codecs disagree:\n json %s\n bin  %s",
 				i, reqJSON(t, fromJSON), reqJSON(t, fromBin))
 		}
-		binAllocs := testing.AllocsPerRun(10, func() { _, _, _ = decodeRequest(binRaw) })
-		jsonAllocs := testing.AllocsPerRun(10, func() { _, _, _ = decodeRequest(jsonRaw) })
+		binAllocs := testing.AllocsPerRun(10, func() { _, _, _ = DecodeRequest(binRaw) })
+		jsonAllocs := testing.AllocsPerRun(10, func() { _, _, _ = DecodeRequest(jsonRaw) })
 		if binAllocs >= jsonAllocs {
 			t.Fatalf("case %d (%s): binary decode %v allocs, JSON %v — binary must allocate less",
 				i, r.Op, binAllocs, jsonAllocs)
@@ -211,7 +211,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, resp := range cases {
-		raw := encodeResponse(&resp, true)
+		raw := EncodeResponseWire(&resp, true)
 		got, bin, err := DecodeResponse(raw)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
@@ -225,10 +225,10 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: round trip mismatch:\n got %s\nwant %s", i, have, want)
 		}
 		// Canonical: re-encode is byte-identical (sorted ratio-map keys).
-		if again := encodeResponse(&got, true); string(again) != string(raw) {
+		if again := EncodeResponseWire(&got, true); string(again) != string(raw) {
 			t.Fatalf("case %d: re-encode not byte-identical", i)
 		}
-		jsonRaw := encodeResponse(&resp, false)
+		jsonRaw := EncodeResponseWire(&resp, false)
 		binAllocs := testing.AllocsPerRun(10, func() { _, _, _ = DecodeResponse(raw) })
 		jsonAllocs := testing.AllocsPerRun(10, func() { _, _, _ = DecodeResponse(jsonRaw) })
 		if binAllocs >= jsonAllocs {
@@ -264,47 +264,47 @@ func TestBinaryRequestBounds(t *testing.T) {
 	}
 
 	t.Run("replicas at limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "observe", Node: "n", Replicas: ids(MaxListEntries)})); err != nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "observe", Node: "n", Replicas: ids(MaxListEntries)})); err != nil {
 			t.Fatalf("MaxListEntries replicas rejected: %v", err)
 		}
 	})
 	t.Run("replicas over limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "observe", Node: "n", Replicas: ids(MaxListEntries + 1)})); err == nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "observe", Node: "n", Replicas: ids(MaxListEntries + 1)})); err == nil {
 			t.Fatal("replicas over limit accepted")
 		}
 	})
 	t.Run("candidates at limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "closest", Client: "c", Candidates: ids(MaxListEntries)})); err != nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "closest", Client: "c", Candidates: ids(MaxListEntries)})); err != nil {
 			t.Fatalf("MaxListEntries candidates rejected: %v", err)
 		}
 	})
 	t.Run("candidates over limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "closest", Client: "c", Candidates: ids(MaxListEntries + 1)})); err == nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "closest", Client: "c", Candidates: ids(MaxListEntries + 1)})); err == nil {
 			t.Fatal("candidates over limit accepted")
 		}
 	})
 	t.Run("id at limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "observe", Node: strings.Repeat("x", MaxIDBytes)})); err != nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "observe", Node: strings.Repeat("x", MaxIDBytes)})); err != nil {
 			t.Fatalf("MaxIDBytes node rejected: %v", err)
 		}
 	})
 	t.Run("id over limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "observe", Node: strings.Repeat("x", MaxIDBytes+1)})); err == nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "observe", Node: strings.Repeat("x", MaxIDBytes+1)})); err == nil {
 			t.Fatal("oversized node id accepted")
 		}
 	})
 	t.Run("k at limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "closest", Client: "c", K: MaxK})); err != nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "closest", Client: "c", K: MaxK})); err != nil {
 			t.Fatalf("MaxK rejected: %v", err)
 		}
 	})
 	t.Run("k over limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "closest", Client: "c", K: MaxK + 1})); err == nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "closest", Client: "c", K: MaxK + 1})); err == nil {
 			t.Fatal("k over limit accepted")
 		}
 	})
 	t.Run("n over limit", func(t *testing.T) {
-		if _, _, err := decodeRequest(encode(&Request{Op: "distinct_clusters", N: MaxN + 1})); err == nil {
+		if _, _, err := DecodeRequest(encode(&Request{Op: "distinct_clusters", N: MaxN + 1})); err == nil {
 			t.Fatal("n over limit accepted")
 		}
 	})
@@ -317,7 +317,7 @@ func TestBinaryRequestBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodeRequest(raw); err != nil {
+		if _, _, err := DecodeRequest(raw); err != nil {
 			t.Fatalf("MaxBatch batch rejected: %v", err)
 		}
 	})
@@ -332,7 +332,7 @@ func TestBinaryRequestBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := decodeRequest(e.Bytes()); err == nil {
+		if _, _, err := DecodeRequest(e.Bytes()); err == nil {
 			t.Fatal("batch over limit accepted")
 		}
 	})
@@ -342,7 +342,7 @@ func TestBinaryRequestBounds(t *testing.T) {
 		e.U8(binVersion)
 		e.U8(kindBatchReq)
 		e.Uvarint(0)
-		if _, _, err := decodeRequest(e.Bytes()); err == nil {
+		if _, _, err := DecodeRequest(e.Bytes()); err == nil {
 			t.Fatal("empty batch accepted")
 		}
 	})
@@ -350,7 +350,7 @@ func TestBinaryRequestBounds(t *testing.T) {
 		// The binary framing cannot even express nesting (the kind byte is
 		// per-datagram), so the nesting check is reachable only via JSON.
 		raw := []byte(`{"op":"batch","batch":[{"op":"batch","batch":[{"op":"stats"}]}]}`)
-		_, _, err := decodeRequest(raw)
+		_, _, err := DecodeRequest(raw)
 		if err == nil || !strings.Contains(err.Error(), "nest") {
 			t.Fatalf("nested batch: err = %v, want nesting rejection", err)
 		}
@@ -361,21 +361,21 @@ func TestBinaryRequestBounds(t *testing.T) {
 		e.U8(binVersion)
 		e.U8(kindReq)
 		e.U8(200) // no such opcode
-		if _, _, err := decodeRequest(e.Bytes()); err == nil {
+		if _, _, err := DecodeRequest(e.Bytes()); err == nil {
 			t.Fatal("unknown opcode accepted")
 		}
 	})
 	t.Run("reserved flags", func(t *testing.T) {
 		raw := encode(&Request{Op: "stats"})
 		raw[4] |= 0x80 // flags byte follows the opcode
-		if _, _, err := decodeRequest(raw); err == nil {
+		if _, _, err := DecodeRequest(raw); err == nil {
 			t.Fatal("reserved flag bits accepted")
 		}
 	})
 	t.Run("unknown version", func(t *testing.T) {
 		raw := encode(&Request{Op: "stats"})
 		raw[1] = binVersion + 1
-		if _, _, err := decodeRequest(raw); err == nil {
+		if _, _, err := DecodeRequest(raw); err == nil {
 			t.Fatal("unknown binary version accepted")
 		}
 	})
@@ -384,20 +384,20 @@ func TestBinaryRequestBounds(t *testing.T) {
 		e.U8(binMagic)
 		e.U8(binVersion)
 		e.U8(kindResp)
-		if _, _, err := decodeRequest(e.Bytes()); err == nil {
+		if _, _, err := DecodeRequest(e.Bytes()); err == nil {
 			t.Fatal("response frame accepted as a request")
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
 		raw := append(encode(&Request{Op: "stats"}), 0)
-		if _, _, err := decodeRequest(raw); err == nil {
+		if _, _, err := DecodeRequest(raw); err == nil {
 			t.Fatal("trailing bytes accepted")
 		}
 	})
 	t.Run("oversized payload", func(t *testing.T) {
 		raw := make([]byte, MaxRequestSize+1)
 		raw[0] = binMagic
-		_, bin, err := decodeRequest(raw)
+		_, bin, err := DecodeRequest(raw)
 		if err == nil || !strings.Contains(err.Error(), "request too large") {
 			t.Fatalf("err = %v, want size rejection", err)
 		}
@@ -412,7 +412,7 @@ func TestBinaryRequestBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			for cut := 0; cut < len(raw); cut++ {
-				if _, _, err := decodeRequest(raw[:cut]); err == nil {
+				if _, _, err := DecodeRequest(raw[:cut]); err == nil {
 					t.Fatalf("%s truncated to %d/%d bytes accepted", r.Op, cut, len(raw))
 				}
 			}
@@ -628,6 +628,91 @@ func TestOversizedDatagramCounted(t *testing.T) {
 	if got := reg.Snapshot().Counters["crpd.oversized_requests"]; got != 1 {
 		t.Fatalf("crpd.oversized_requests = %d, want 1", got)
 	}
+
+	// The same bytes through Handle — the entry point a mem-transport plan
+	// serves through — are counted and answered the same way.
+	hreg := obs.NewRegistry()
+	h, err := New(crp.NewService(), Config{Registry: hreg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, bin, err := DecodeResponse(h.Handle(payload))
+	if err != nil || !bin || resp.OK || !strings.Contains(resp.Error, "request too large") {
+		t.Fatalf("Handle oversize reply = %+v bin=%v err=%v", resp, bin, err)
+	}
+	counters := hreg.Snapshot().Counters
+	if counters["crpd.oversized_requests"] != 1 || counters["crpd.bad_requests"] != 0 {
+		t.Fatalf("Handle: oversized_requests = %d, bad_requests = %d; want 1, 0",
+			counters["crpd.oversized_requests"], counters["crpd.bad_requests"])
+	}
+}
+
+// TestOpTable pins the op table's wire contract: every op's binary opcode,
+// the pool and ns-scoping sets, and the per-op instrument names a daemon
+// registers.
+func TestOpTable(t *testing.T) {
+	codes := map[string]byte{
+		"observe": 0, "ratio_map": 1, "similarity": 2, "closest": 3,
+		"nodes": 4, "stats": 5, "same_cluster": 6, "distinct_clusters": 7,
+		"peer-join": 8, "peer-status": 9, "drift-status": 10,
+	}
+	for name, code := range codes {
+		raw, err := EncodeRequest(&Request{Op: name}, true)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if raw[3] != code { // the opcode follows magic, version and kind
+			t.Errorf("%s: opcode %d, want %d", name, raw[3], code)
+		}
+	}
+	if int(opBatch) != len(codes) || len(opTable) != len(codes)+1 {
+		t.Fatalf("opTable has %d rows with batch at %d; want %d ops then batch", len(opTable), opBatch, len(codes))
+	}
+
+	var heavy, scoped []string
+	for _, row := range opTable {
+		if row.heavy {
+			heavy = append(heavy, row.name)
+		}
+		if row.ns {
+			scoped = append(scoped, row.name)
+		}
+	}
+	slices.Sort(heavy)
+	slices.Sort(scoped)
+	if got := strings.Join(heavy, ","); got != "distinct_clusters,same_cluster" {
+		t.Errorf("heavy ops = %s", got)
+	}
+	if got := strings.Join(scoped, ","); got != "closest,ratio_map,similarity" {
+		t.Errorf("ns-scoped ops = %s", got)
+	}
+
+	reg := obs.NewRegistry()
+	if _, err := New(crp.NewService(), Config{Registry: reg}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	var got []string
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "crpd.requests.") || strings.HasPrefix(name, "crpd.errors.") {
+			got = append(got, name)
+		}
+	}
+	for name := range snap.Histograms {
+		if strings.HasPrefix(name, "crpd.latency.") {
+			got = append(got, name)
+		}
+	}
+	var want []string
+	for op := range codes {
+		want = append(want, "crpd.requests."+op, "crpd.errors."+op, "crpd.latency."+op)
+	}
+	want = append(want, "crpd.requests.batch", "crpd.errors.batch", "crpd.latency.batch")
+	slices.Sort(got)
+	slices.Sort(want)
+	if len(want) != 36 || !slices.Equal(got, want) {
+		t.Fatalf("per-op instruments:\n got %v\nwant %v", got, want)
+	}
 }
 
 // corruptedRequestSeeds returns hand-built malformed binary requests for the
@@ -673,7 +758,7 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 	f.Cleanup(func() { d.Close() })
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		req, bin, err := decodeRequest(raw)
+		req, bin, err := DecodeRequest(raw)
 		if err != nil {
 			return
 		}
@@ -687,7 +772,7 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decoded request unencodable: %v", err)
 			}
-			req2, _, err := decodeRequest(re)
+			req2, _, err := DecodeRequest(re)
 			if err != nil {
 				t.Fatalf("re-encoded request undecodable: %v", err)
 			}

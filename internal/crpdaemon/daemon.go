@@ -1,5 +1,11 @@
 // Package crpdaemon implements the CRP positioning daemon behind cmd/crpd:
-// a JSON-over-UDP front end to a crp.Service, built for concurrent load.
+// a UDP front end to a crp.Service, built for concurrent load.
+//
+// A request datagram is one JSON object or one binary frame (magic byte
+// 0xCB, see binwire.go); the reply goes back in the request's codec. Op
+// "batch" carries up to MaxBatch sub-requests in one datagram and gets one
+// reply with their results in order. An optional "ns" scopes ratio_map,
+// similarity and closest to one CDN namespace.
 //
 // Requests are read by a single socket loop and dispatched to one of two
 // bounded worker pools: cheap ops (observe, similarity, closest, ...) and
@@ -18,7 +24,6 @@
 package crpdaemon
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -148,13 +153,85 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// opcode indexes opTable. Below opBatch it is also the op's binary wire
+// code, so those rows never move.
+type opcode uint8
+
+// opRow is everything the daemon knows about one op.
+type opRow struct {
+	name  string
+	heavy bool // a full SMF clustering pass over every node: the heavy pool
+	ns    bool // accepts ns scoping
+	run   func(d *Daemon, req Request) Response
+}
+
+// opBatch is the row of op "batch". It has no wire opcode — the binary
+// codec frames a batch by its kind byte — and no handler: dispatch runs
+// its sub-requests. It is the last row, so every index below it is a wire
+// opcode; a new op takes its index and batch moves up.
+const opBatch opcode = 11
+
+// opTable is crpd's operation set, one row per op.
+var opTable = [...]opRow{
+	{name: "observe", run: (*Daemon).observe},
+	{name: "ratio_map", ns: true, run: (*Daemon).ratioMap},
+	{name: "similarity", ns: true, run: (*Daemon).similarity},
+	{name: "closest", ns: true, run: (*Daemon).closest},
+	{name: "nodes", run: (*Daemon).nodes},
+	{name: "stats", run: (*Daemon).stats},
+	{name: "same_cluster", heavy: true, run: (*Daemon).sameCluster},
+	{name: "distinct_clusters", heavy: true, run: (*Daemon).distinctClusters},
+	{name: "peer-join", run: (*Daemon).peerJoin},
+	{name: "peer-status", run: (*Daemon).peerStatus},
+	{name: "drift-status", run: (*Daemon).driftStatus},
+	opBatch: {name: "batch"},
+}
+
+// opNamed indexes opTable by op name.
+var opNamed = func() map[string]opcode {
+	m := make(map[string]opcode, len(opTable))
+	for i := range opTable {
+		m[opTable[i].name] = opcode(i)
+	}
+	return m
+}()
+
+// lookupOp resolves an op name to its row: the one unknown-op check,
+// behind both codecs' decoders and the encoder.
+func lookupOp(name string) (opcode, error) {
+	op, ok := opNamed[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown op %q", name)
+	}
+	return op, nil
+}
+
+// batchHeavy reports whether any sub-request routes to the heavy pool: one
+// clustering sub-query makes the whole datagram heavy, since the batch runs
+// as one unit and must not head-of-line-block the cheap pool.
+func batchHeavy(req *Request) bool {
+	for i := range req.Batch {
+		if opTable[opNamed[req.Batch[i].Op]].heavy {
+			return true
+		}
+	}
+	return false
+}
+
 // task is one admitted request moving through a worker pool.
 type task struct {
 	req      Request
+	op       opcode
 	from     net.Addr
 	deadline time.Time
 	// bin records the request's codec; the reply goes back the same way.
 	bin bool
+}
+
+// opStats are one op's instruments; Daemon.opStats is indexed by opcode.
+type opStats struct {
+	requests, errors *obs.Counter
+	latency          *obs.Histogram
 }
 
 // Daemon serves a crp.Service over a PacketConn. Create it with Serve and
@@ -187,39 +264,7 @@ type Daemon struct {
 	rejected     *obs.Counter
 	timeouts     *obs.Counter
 	oversized    *obs.Counter
-	reqCount     map[string]*obs.Counter
-	errCount     map[string]*obs.Counter
-	latency      map[string]*obs.Histogram
-}
-
-// ops is the full operation set; heavy ops run a full SMF clustering pass
-// over every known node and get their own pool.
-var ops = map[string]bool{ // op -> heavy
-	"observe":           false,
-	"ratio_map":         false,
-	"similarity":        false,
-	"closest":           false,
-	"nodes":             false,
-	"stats":             false,
-	"same_cluster":      true,
-	"distinct_clusters": true,
-	"peer-join":         false,
-	"peer-status":       false,
-	"drift-status":      false,
-	// A batch runs as one unit; batchHeavy reclassifies it per datagram.
-	"batch": false,
-}
-
-// batchHeavy reports whether any sub-request routes to the heavy pool: one
-// clustering sub-query makes the whole datagram heavy, since the batch runs
-// as one unit and must not head-of-line-block the cheap pool.
-func batchHeavy(req *Request) bool {
-	for i := range req.Batch {
-		if ops[req.Batch[i].Op] {
-			return true
-		}
-	}
-	return false
+	opStats      []opStats
 }
 
 // New builds a socketless daemon: Handle serves requests synchronously with
@@ -247,14 +292,14 @@ func New(svc *crp.Service, cfg Config) (*Daemon, error) {
 		rejected:     cfg.Registry.Counter("crpd.rejected"),
 		timeouts:     cfg.Registry.Counter("crpd.timeouts"),
 		oversized:    cfg.Registry.Counter("crpd.oversized_replies"),
-		reqCount:     make(map[string]*obs.Counter, len(ops)),
-		errCount:     make(map[string]*obs.Counter, len(ops)),
-		latency:      make(map[string]*obs.Histogram, len(ops)),
+		opStats:      make([]opStats, len(opTable)),
 	}
-	for op := range ops {
-		d.reqCount[op] = cfg.Registry.Counter("crpd.requests." + op)
-		d.errCount[op] = cfg.Registry.Counter("crpd.errors." + op)
-		d.latency[op] = cfg.Registry.Histogram("crpd.latency."+op, nil)
+	for i, row := range opTable {
+		d.opStats[i] = opStats{
+			requests: cfg.Registry.Counter("crpd.requests." + row.name),
+			errors:   cfg.Registry.Counter("crpd.errors." + row.name),
+			latency:  cfg.Registry.Histogram("crpd.latency."+row.name, nil),
+		}
 	}
 	return d, nil
 }
@@ -308,9 +353,24 @@ func (d *Daemon) Close() error {
 	return d.closeErr
 }
 
-// readLoop is the single socket reader: it parses, classifies and admits
-// requests. A failed read or an unparseable datagram never terminates the
-// loop — only closing the daemon does.
+// intake is the one admission step behind both entry points, readLoop and
+// Handle: DecodeRequest (size bound, codec, bounds, op) and the counting of
+// what it refuses — an oversized datagram as crpd.oversized_requests, any
+// other as crpd.bad_requests. A non-nil error is the client's reply.
+func (d *Daemon) intake(raw []byte) (Request, opcode, bool, error) {
+	req, bin, err := DecodeRequest(raw)
+	switch {
+	case errors.Is(err, errTooLarge):
+		d.oversizeReqs.Inc()
+	case err != nil:
+		d.badReqs.Inc()
+	}
+	return req, opNamed[req.Op], bin, err
+}
+
+// readLoop is the single socket reader: it admits requests through intake
+// and routes them to a pool. A failed read or an unparseable datagram never
+// terminates the loop — only closing the daemon does.
 func (d *Daemon) readLoop() {
 	defer d.wg.Done()
 	// Workers exit when their queue is closed and drained; only readLoop
@@ -321,7 +381,7 @@ func (d *Daemon) readLoop() {
 	// One byte over the request bound: a datagram that fills a
 	// MaxRequestSize buffer exactly would be indistinguishable from a
 	// kernel-truncated larger one, so the extra byte makes oversize
-	// detectable and the loop rejects it without decoding truncated bytes.
+	// detectable and intake rejects it without decoding truncated bytes.
 	buf := make([]byte, MaxRequestSize+1)
 	for {
 		n, from, err := d.pc.ReadFrom(buf)
@@ -346,40 +406,22 @@ func (d *Daemon) readLoop() {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		if n > MaxRequestSize {
-			d.oversizeReqs.Inc()
-			bin := buf[0] == binMagic
-			d.reply(from, Response{Error: fmt.Sprintf(
-				"request too large: exceeds the %d-byte limit", MaxRequestSize)}, bin)
-			continue
-		}
 
-		req, bin, err := decodeRequest(buf[:n])
+		req, op, bin, err := d.intake(buf[:n])
 		if err != nil {
-			d.badReqs.Inc()
 			d.reply(from, Response{Error: err.Error()}, bin)
 			continue
 		}
-		heavy, known := ops[req.Op]
-		if !known {
-			d.badReqs.Inc()
-			d.reply(from, Response{Error: fmt.Sprintf("unknown op %q", req.Op)}, bin)
-			continue
-		}
-		if req.Op == "batch" {
-			heavy = batchHeavy(&req)
-		}
-
 		q := d.cheapQ
-		if heavy {
+		if opTable[op].heavy || op == opBatch && batchHeavy(&req) {
 			q = d.heavyQ
 		}
-		t := task{req: req, from: from, deadline: d.now().Add(d.cfg.Timeout), bin: bin}
+		t := task{req: req, op: op, from: from, deadline: d.now().Add(d.cfg.Timeout), bin: bin}
 		select {
 		case q <- t:
 		default:
 			d.rejected.Inc()
-			d.errCount[req.Op].Inc()
+			d.opStats[op].errors.Inc()
 			d.reply(from, Response{Error: fmt.Sprintf("server busy: %s queue full", req.Op)}, bin)
 		}
 	}
@@ -388,27 +430,23 @@ func (d *Daemon) readLoop() {
 func (d *Daemon) worker(q chan task) {
 	defer d.wg.Done()
 	for t := range q {
-		d.process(t)
+		d.reply(t.from, d.serve(t.op, t.req, t.deadline), t.bin)
 	}
 }
 
-func (d *Daemon) process(t task) {
-	d.reply(t.from, d.serve(t.req, t.deadline), t.bin)
-}
-
 // serve is the one instrumented request step behind both entry points: the
-// worker path (process) and the synchronous path (Handle) count, time and
-// dispatch a request identically. A zero deadline means none; otherwise a
-// request that aged out in the queue, or whose handler finished late, gets a
-// structured timeout in place of its answer.
-func (d *Daemon) serve(req Request, deadline time.Time) Response {
-	op := req.Op
+// worker path and the synchronous path (Handle) count, time and dispatch a
+// request identically. A zero deadline means none; otherwise a request that
+// aged out in the queue, or whose handler finished late, gets a structured
+// timeout in place of its answer.
+func (d *Daemon) serve(op opcode, req Request, deadline time.Time) Response {
+	name, st := opTable[op].name, &d.opStats[op]
 	d.inflight.Inc()
 	defer d.inflight.Dec()
-	d.reqCount[op].Inc()
+	st.requests.Inc()
 
 	if d.cfg.Hook != nil {
-		d.cfg.Hook(op)
+		d.cfg.Hook(name)
 	}
 
 	start := d.now()
@@ -416,28 +454,28 @@ func (d *Daemon) serve(req Request, deadline time.Time) Response {
 		// The request aged out waiting in the queue; don't burn a worker
 		// computing an answer the client has stopped waiting for.
 		d.timeouts.Inc()
-		d.errCount[op].Inc()
+		st.errors.Inc()
 		return Response{
-			Error:    fmt.Sprintf("deadline exceeded: %s queued longer than %v", op, d.cfg.Timeout),
+			Error:    fmt.Sprintf("deadline exceeded: %s queued longer than %v", name, d.cfg.Timeout),
 			TimedOut: true,
 		}
 	}
 
-	resp := d.dispatch(req)
+	resp := d.dispatch(op, req)
 	elapsed := d.now().Sub(start)
-	d.latency[op].ObserveDuration(elapsed)
+	st.latency.ObserveDuration(elapsed)
 	if !resp.OK {
-		d.errCount[op].Inc()
+		st.errors.Inc()
 	}
 	if end := start.Add(elapsed); !deadline.IsZero() && end.After(deadline) {
 		// The handler finished past the deadline: reply with a structured
 		// timeout so the client can tell "slow server" from packet loss.
 		d.timeouts.Inc()
 		if resp.OK {
-			d.errCount[op].Inc()
+			st.errors.Inc()
 		}
 		resp = Response{
-			Error:    fmt.Sprintf("deadline exceeded: %s took %v (limit %v)", op, elapsed.Round(time.Microsecond), d.cfg.Timeout),
+			Error:    fmt.Sprintf("deadline exceeded: %s took %v (limit %v)", name, elapsed.Round(time.Microsecond), d.cfg.Timeout),
 			TimedOut: true,
 		}
 	}
@@ -469,7 +507,7 @@ func (d *Daemon) reply(to net.Addr, resp Response, bin bool) {
 // reach the client. A too-large single reply becomes the structured
 // oversize error, as before.
 func (d *Daemon) encodeBounded(resp Response, bin bool) []byte {
-	wire := encodeResponse(&resp, bin)
+	wire := EncodeResponseWire(&resp, bin)
 	if len(wire) <= MaxReplySize {
 		return wire
 	}
@@ -482,7 +520,7 @@ func (d *Daemon) encodeBounded(resp Response, bin bool) []byte {
 				if replaced[i] {
 					continue
 				}
-				if n := len(encodeResponse(&resp.Batch[i], bin)); n > size {
+				if n := len(EncodeResponseWire(&resp.Batch[i], bin)); n > size {
 					largest, size = i, n
 				}
 			}
@@ -492,215 +530,195 @@ func (d *Daemon) encodeBounded(resp Response, bin bool) []byte {
 			resp.Batch[largest] = Response{Error: fmt.Sprintf(
 				"response too large: sub-response was %d bytes; narrow the query", size)}
 			replaced[largest] = true
-			if wire = encodeResponse(&resp, bin); len(wire) <= MaxReplySize {
+			if wire = EncodeResponseWire(&resp, bin); len(wire) <= MaxReplySize {
 				return wire
 			}
 		}
 	}
-	return encodeResponse(&Response{
+	return EncodeResponseWire(&Response{
 		Error: fmt.Sprintf("response too large: %d bytes exceeds the %d-byte UDP limit; narrow the query", len(wire), MaxReplySize),
 	}, bin)
 }
 
 // Handle processes one raw request and returns the encoded reply in the
-// request's codec, applying the same oversize policy as the wire path. It
-// is the synchronous core used by unit tests and by callers embedding the
-// daemon in-process.
+// request's codec, through the same intake and oversize policy as the wire
+// path. It is the synchronous core used by unit tests and by callers
+// embedding the daemon in-process.
 func (d *Daemon) Handle(raw []byte) []byte {
-	req, bin, err := decodeRequest(raw)
+	req, op, bin, err := d.intake(raw)
 	if err != nil {
-		d.badReqs.Inc()
 		return d.encodeBounded(Response{Error: err.Error()}, bin)
 	}
-	if _, known := ops[req.Op]; !known {
-		d.badReqs.Inc()
-		return d.encodeBounded(Response{Error: fmt.Sprintf("unknown op %q", req.Op)}, bin)
-	}
-	return d.encodeBounded(d.serve(req, time.Time{}), bin)
+	return d.encodeBounded(d.serve(op, req, time.Time{}), bin)
 }
 
-func (d *Daemon) dispatch(req Request) Response {
-	fail := func(err error) Response { return Response{Error: err.Error()} }
+// dispatch runs one decoded request through its row. A batch's
+// sub-requests run in order, and the envelope is OK; each sub-response
+// carries its own verdict. Requests travel by value: a pointer through the
+// handler table would move every request to the heap.
+func (d *Daemon) dispatch(op opcode, req Request) Response {
+	row := &opTable[op]
+	if !row.ns && req.NS != "" {
+		return Response{Error: fmt.Sprintf("op %q does not support ns scoping", row.name)}
+	}
+	if op != opBatch {
+		return row.run(d, req)
+	}
+	out := make([]Response, len(req.Batch))
+	for i := range req.Batch {
+		out[i] = d.dispatch(opNamed[req.Batch[i].Op], req.Batch[i])
+	}
+	return Response{OK: true, Batch: out}
+}
+
+// inScope is the one ns branch, shared by the three ops whose row accepts
+// ns: an unscoped request runs all, a scoped one runs in on its namespace.
+func inScope[T any](ns string, all func() (T, error), in func(crp.Namespace) (T, error)) (T, error) {
+	if ns == "" {
+		return all()
+	}
+	return in(crp.Namespace(ns))
+}
+
+func fail(err error) Response { return Response{Error: err.Error()} }
+
+func (d *Daemon) observe(req Request) Response {
+	replicas := make([]crp.ReplicaID, len(req.Replicas))
+	for i, r := range req.Replicas {
+		replicas[i] = crp.ReplicaID(r)
+	}
+	if err := d.svc.Observe(crp.NodeID(req.Node), d.now(), replicas...); err != nil {
+		return fail(err)
+	}
+	return Response{OK: true}
+}
+
+func (d *Daemon) ratioMap(req Request) Response {
+	node := crp.NodeID(req.Node)
+	m, err := inScope(req.NS,
+		func() (crp.RatioMap, error) { return d.svc.RatioMap(node) },
+		func(ns crp.Namespace) (crp.RatioMap, error) { return d.svc.RatioMapIn(ns, node) })
+	if err != nil {
+		return fail(err)
+	}
+	out := make(map[string]float64, len(m))
+	for r, f := range m {
+		out[string(r)] = f
+	}
+	return Response{OK: true, RatioMap: out}
+}
+
+func (d *Daemon) similarity(req Request) Response {
+	a, b := crp.NodeID(req.A), crp.NodeID(req.B)
+	sim, err := inScope(req.NS,
+		func() (float64, error) { return d.svc.Similarity(a, b) },
+		func(ns crp.Namespace) (float64, error) { return d.svc.SimilarityIn(ns, a, b) })
+	if err != nil {
+		return fail(err)
+	}
+	return Response{OK: true, Similarity: &sim}
+}
+
+func (d *Daemon) closest(req Request) Response {
+	client, k := crp.NodeID(req.Client), max(req.K, 1)
+	// Preserve the nil-vs-empty distinction across the wire: an absent
+	// candidates field means "rank against every known node" (TopK's nil
+	// semantics), while an explicit empty list means "no candidates".
+	var cands []crp.NodeID
+	if req.Candidates != nil {
+		cands = make([]crp.NodeID, len(req.Candidates))
+		for i, c := range req.Candidates {
+			cands[i] = crp.NodeID(c)
+		}
+	}
+	ranked, err := inScope(req.NS,
+		func() ([]crp.Scored, error) { return d.svc.TopK(client, cands, k) },
+		func(ns crp.Namespace) ([]crp.Scored, error) { return d.svc.TopKIn(ns, client, cands, k) })
+	if err != nil {
+		return fail(err)
+	}
+	out := make([]RankedNode, len(ranked))
+	for i, s := range ranked {
+		out[i] = RankedNode{Node: string(s.Node), Similarity: s.Similarity}
+	}
+	return Response{OK: true, Ranked: out}
+}
+
+func (d *Daemon) nodes(Request) Response { return nodesReply(d.svc.Nodes(), nil) }
+
+func (d *Daemon) sameCluster(req Request) Response {
+	return nodesReply(d.svc.SameCluster(crp.NodeID(req.Node), clusterConfig(req)))
+}
+
+func (d *Daemon) distinctClusters(req Request) Response {
+	return nodesReply(d.svc.DistinctClusters(max(req.N, 1), clusterConfig(req)))
+}
+
+// clusterConfig is the SMF configuration a clustering request asks for.
+func clusterConfig(req Request) crp.ClusterConfig {
 	cfg := crp.ClusterConfig{Threshold: crp.DefaultThreshold, SecondPass: true}
 	if req.Threshold != nil {
 		// Presence-detected: an explicit 0 is the valid boundary threshold,
 		// not a request for the default.
 		cfg.Threshold = *req.Threshold
 	}
-
-	if req.NS != "" {
-		switch req.Op {
-		case "ratio_map", "similarity", "closest":
-		default:
-			return Response{Error: fmt.Sprintf("op %q does not support ns scoping", req.Op)}
-		}
-	}
-
-	switch req.Op {
-	case "batch":
-		// One datagram, N queries, N results in request order. The envelope
-		// is OK; each sub-response carries its own verdict.
-		out := make([]Response, len(req.Batch))
-		for i := range req.Batch {
-			out[i] = d.dispatch(req.Batch[i])
-		}
-		return Response{OK: true, Batch: out}
-
-	case "observe":
-		replicas := make([]crp.ReplicaID, len(req.Replicas))
-		for i, r := range req.Replicas {
-			replicas[i] = crp.ReplicaID(r)
-		}
-		if err := d.svc.Observe(crp.NodeID(req.Node), d.now(), replicas...); err != nil {
-			return fail(err)
-		}
-		return Response{OK: true}
-
-	case "ratio_map":
-		var m crp.RatioMap
-		var err error
-		if req.NS != "" {
-			m, err = d.svc.RatioMapIn(crp.Namespace(req.NS), crp.NodeID(req.Node))
-		} else {
-			m, err = d.svc.RatioMap(crp.NodeID(req.Node))
-		}
-		if err != nil {
-			return fail(err)
-		}
-		out := make(map[string]float64, len(m))
-		for r, f := range m {
-			out[string(r)] = f
-		}
-		return Response{OK: true, RatioMap: out}
-
-	case "similarity":
-		var sim float64
-		var err error
-		if req.NS != "" {
-			sim, err = d.svc.SimilarityIn(crp.Namespace(req.NS), crp.NodeID(req.A), crp.NodeID(req.B))
-		} else {
-			sim, err = d.svc.Similarity(crp.NodeID(req.A), crp.NodeID(req.B))
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Similarity: &sim}
-
-	case "closest":
-		k := req.K
-		if k <= 0 {
-			k = 1
-		}
-		// Preserve the nil-vs-empty distinction across the wire: an absent
-		// candidates field means "rank against every known node" (TopK's nil
-		// semantics), while an explicit empty list means "no candidates".
-		var cands []crp.NodeID
-		if req.Candidates != nil {
-			cands = make([]crp.NodeID, len(req.Candidates))
-			for i, c := range req.Candidates {
-				cands[i] = crp.NodeID(c)
-			}
-		}
-		var ranked []crp.Scored
-		var err error
-		if req.NS != "" {
-			ranked, err = d.svc.TopKIn(crp.Namespace(req.NS), crp.NodeID(req.Client), cands, k)
-		} else {
-			ranked, err = d.svc.TopK(crp.NodeID(req.Client), cands, k)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Ranked: toRanked(ranked)}
-
-	case "same_cluster":
-		peers, err := d.svc.SameCluster(crp.NodeID(req.Node), cfg)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Nodes: toStrings(peers)}
-
-	case "distinct_clusters":
-		n := req.N
-		if n <= 0 {
-			n = 1
-		}
-		nodes, err := d.svc.DistinctClusters(n, cfg)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Nodes: toStrings(nodes)}
-
-	case "nodes":
-		return Response{OK: true, Nodes: toStrings(d.svc.Nodes())}
-
-	case "stats":
-		snap := d.reg.Snapshot()
-		// The per-shard node gauges scale with the store width (up to 1024
-		// shards); at the wide end the raw family alone overflows the UDP
-		// reply budget, so the exported copy carries a six-field summary
-		// instead. The in-process registry keeps the full family.
-		snap.SummarizeGaugeFamily("crp.service.shard.", ".nodes", "crp.service.shard_nodes")
-		// Same treatment for the per-namespace families a fused multi-CDN
-		// deployment grows: however many namespaces the service has seen,
-		// the exported reply carries one six-field summary per family.
-		snap.SummarizeGaugeFamily("crp.service.ns.", ".observes", "crp.service.ns_observes")
-		snap.SummarizeGaugeFamily("cdn.ns.", ".replicas", "cdn.ns_replicas")
-		return Response{OK: true, Stats: &snap}
-
-	case "peer-join":
-		if d.cfg.Peering == nil {
-			return Response{Error: "peering disabled: daemon started without a gossip engine"}
-		}
-		if req.Addr == "" {
-			return Response{Error: "peer-join requires addr"}
-		}
-		if err := d.cfg.Peering.Join(req.Addr); err != nil {
-			return fail(err)
-		}
-		return Response{OK: true}
-
-	case "peer-status":
-		if d.cfg.Peering == nil {
-			return Response{Error: "peering disabled: daemon started without a gossip engine"}
-		}
-		st := d.cfg.Peering.Status()
-		return Response{OK: true, Peering: &st}
-
-	case "drift-status":
-		if d.cfg.Drift == nil {
-			return Response{Error: "drift disabled: daemon started without a drift monitor"}
-		}
-		st := d.cfg.Drift.Status()
-		return Response{OK: true, Drift: &st}
-
-	default:
-		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
-	}
+	return cfg
 }
 
-func toStrings(ids []crp.NodeID) []string {
+// nodesReply answers the ops whose result is a node list.
+func nodesReply(ids []crp.NodeID, err error) Response {
+	if err != nil {
+		return fail(err)
+	}
 	out := make([]string, len(ids))
 	for i, id := range ids {
 		out[i] = string(id)
 	}
-	return out
+	return Response{OK: true, Nodes: out}
 }
 
-func toRanked(scored []crp.Scored) []RankedNode {
-	out := make([]RankedNode, len(scored))
-	for i, s := range scored {
-		out[i] = RankedNode{Node: string(s.Node), Similarity: s.Similarity}
-	}
-	return out
+func (d *Daemon) stats(Request) Response {
+	snap := d.reg.Snapshot()
+	// The per-shard node gauges scale with the store width (up to 1024
+	// shards); at the wide end the raw family alone overflows the UDP
+	// reply budget, so the exported copy carries a six-field summary
+	// instead. The in-process registry keeps the full family.
+	snap.SummarizeGaugeFamily("crp.service.shard.", ".nodes", "crp.service.shard_nodes")
+	// Same treatment for the per-namespace families a fused multi-CDN
+	// deployment grows: however many namespaces the service has seen,
+	// the exported reply carries one six-field summary per family.
+	snap.SummarizeGaugeFamily("crp.service.ns.", ".observes", "crp.service.ns_observes")
+	snap.SummarizeGaugeFamily("cdn.ns.", ".replicas", "cdn.ns_replicas")
+	return Response{OK: true, Stats: &snap}
 }
 
-func marshal(resp Response) []byte {
-	b, err := json.Marshal(resp)
-	if err != nil {
-		// The Response type contains nothing unmarshalable; this is
-		// unreachable, but fail closed with a static error.
-		return []byte(`{"ok":false,"error":"internal marshal failure"}`)
+const errNoPeering = "peering disabled: daemon started without a gossip engine"
+
+func (d *Daemon) peerJoin(req Request) Response {
+	switch {
+	case d.cfg.Peering == nil:
+		return Response{Error: errNoPeering}
+	case req.Addr == "":
+		return Response{Error: "peer-join requires addr"}
 	}
-	return b
+	if err := d.cfg.Peering.Join(req.Addr); err != nil {
+		return fail(err)
+	}
+	return Response{OK: true}
+}
+
+func (d *Daemon) peerStatus(Request) Response {
+	if d.cfg.Peering == nil {
+		return Response{Error: errNoPeering}
+	}
+	st := d.cfg.Peering.Status()
+	return Response{OK: true, Peering: &st}
+}
+
+func (d *Daemon) driftStatus(Request) Response {
+	if d.cfg.Drift == nil {
+		return Response{Error: "drift disabled: daemon started without a drift monitor"}
+	}
+	st := d.cfg.Drift.Status()
+	return Response{OK: true, Drift: &st}
 }

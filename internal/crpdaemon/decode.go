@@ -2,6 +2,7 @@ package crpdaemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/crp"
@@ -37,24 +38,29 @@ const (
 	MaxNSBytes = 64
 )
 
-// decodeRequest parses and bounds-checks one wire request in either codec,
+// errTooLarge refuses a request over MaxRequestSize. It carries no byte
+// count: a datagram the socket loop read is cut at MaxRequestSize+1.
+var errTooLarge = fmt.Errorf("request too large: exceeds the %d-byte limit", MaxRequestSize)
+
+// DecodeRequest parses and bounds-checks one wire request in either codec,
 // routed by the first byte (binMagic means binary; JSON starts with '{').
-// It is the single decode path for both the socket loop and Handle, so the
-// bounds hold on every route into a worker. The returned bin flag reports
-// the request codec — replies go back the same way.
-func decodeRequest(raw []byte) (Request, bool, error) {
-	var req Request
+// It is the daemon's one decoder — its intake runs it on every datagram
+// from the socket loop and Handle alike — exported so benches and tools can
+// measure and exercise it. The returned bin flag reports the request codec;
+// replies go back the same way.
+func DecodeRequest(raw []byte) (Request, bool, error) {
+	bin := len(raw) > 0 && raw[0] == binMagic
 	if len(raw) > MaxRequestSize {
-		return req, len(raw) > 0 && raw[0] == binMagic,
-			fmt.Errorf("request too large: %d bytes exceeds the %d-byte limit", len(raw), MaxRequestSize)
+		return Request{}, bin, errTooLarge
 	}
-	if len(raw) > 0 && raw[0] == binMagic {
+	if bin {
 		req, err := decodeBinaryRequest(raw)
 		if err != nil {
 			return req, true, err
 		}
 		return req, true, checkRequest(&req)
 	}
+	var req Request
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return req, false, fmt.Errorf("bad request: %v", err)
 	}
@@ -62,36 +68,40 @@ func decodeRequest(raw []byte) (Request, bool, error) {
 }
 
 // checkRequest validates the decoded fields against the wire bounds. A
-// batch request validates its envelope and then every sub-request; batches
-// cannot nest.
+// batch request validates its envelope and then every sub-request.
 func checkRequest(req *Request) error {
-	if req.Op == "batch" {
-		if len(req.Batch) == 0 {
-			return fmt.Errorf("batch request carries no sub-requests")
+	if req.Op != "batch" {
+		if len(req.Batch) > 0 {
+			return fmt.Errorf("op %q cannot carry sub-requests", req.Op)
 		}
-		if len(req.Batch) > MaxBatch {
-			return fmt.Errorf("batch has %d sub-requests, limit %d", len(req.Batch), MaxBatch)
-		}
-		for i := range req.Batch {
-			if req.Batch[i].Op == "batch" {
-				return fmt.Errorf("batch[%d]: batches cannot nest", i)
-			}
-			if err := checkSingleRequest(&req.Batch[i]); err != nil {
-				return fmt.Errorf("batch[%d]: %v", i, err)
-			}
-		}
-		return nil
+		return checkSingleRequest(req)
 	}
-	if len(req.Batch) > 0 {
-		return fmt.Errorf("op %q cannot carry sub-requests", req.Op)
+	if len(req.Batch) == 0 {
+		return fmt.Errorf("batch request carries no sub-requests")
 	}
-	return checkSingleRequest(req)
+	if len(req.Batch) > MaxBatch {
+		return fmt.Errorf("batch has %d sub-requests, limit %d", len(req.Batch), MaxBatch)
+	}
+	for i := range req.Batch {
+		if err := checkSingleRequest(&req.Batch[i]); err != nil {
+			return fmt.Errorf("batch[%d]: %v", i, err)
+		}
+	}
+	return nil
 }
 
-// checkSingleRequest validates one non-batch request's fields.
+// checkSingleRequest validates one non-batch request: its op must name a
+// row — so an unknown op fails here, in both codecs, alone or in a batch
+// slot — and not "batch", since batches cannot nest; its fields must be in
+// bounds.
 func checkSingleRequest(req *Request) error {
+	if op, err := lookupOp(req.Op); err != nil {
+		return err
+	} else if op == opBatch {
+		return errors.New("batches cannot nest")
+	}
 	for _, f := range []struct{ name, v string }{
-		{"op", req.Op}, {"node", req.Node}, {"a", req.A}, {"b", req.B},
+		{"node", req.Node}, {"a", req.A}, {"b", req.B},
 		{"client", req.Client}, {"addr", req.Addr},
 	} {
 		if err := binwire.CheckID(f.name, f.v, MaxIDBytes); err != nil {

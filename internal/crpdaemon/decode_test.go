@@ -19,7 +19,9 @@ func TestDecodeRequestBounds(t *testing.T) {
 	}{
 		{"valid", `{"op":"observe","node":"n1","replicas":["r1","r2"]}`, ""},
 		{"valid utf8 id", `{"op":"observe","node":"nœud-1","replicas":["r1"]}`, ""},
-		{"empty object", `{}`, ""}, // op dispatch rejects it downstream
+		{"empty object", `{}`, `unknown op ""`},
+		{"unknown op", `{"op":"warp"}`, `unknown op "warp"`},
+		{"unknown op in batch", `{"op":"batch","batch":[{"op":"stats"},{"op":"warp"}]}`, `batch[1]: unknown op "warp"`},
 		{"truncated json", `{"op":"obs`, "bad request"},
 		{"truncated mid-list", `{"op":"observe","replicas":["r1",`, "bad request"},
 		{"empty payload", ``, "bad request"},
@@ -37,15 +39,15 @@ func TestDecodeRequestBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := decodeRequest([]byte(tc.raw))
+			_, _, err := DecodeRequest([]byte(tc.raw))
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("decodeRequest(%q) = %v, want ok", truncate(tc.raw), err)
+					t.Fatalf("DecodeRequest(%q) = %v, want ok", truncate(tc.raw), err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("decodeRequest(%q) accepted, want error containing %q", truncate(tc.raw), tc.wantErr)
+				t.Fatalf("DecodeRequest(%q) accepted, want error containing %q", truncate(tc.raw), tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error = %q, want substring %q", err, tc.wantErr)
@@ -115,7 +117,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Cleanup(func() { d.Close() })
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		req, bin, err := decodeRequest(raw)
+		req, bin, err := DecodeRequest(raw)
 		if err != nil {
 			return
 		}

@@ -55,7 +55,7 @@ func TestRequestNSBounds(t *testing.T) {
 	}
 	for _, c := range cases {
 		for codec, enc := range map[string]func(string) []byte{"json": jsonReq, "bin": binReq} {
-			req, _, err := decodeRequest(enc(c.ns))
+			req, _, err := DecodeRequest(enc(c.ns))
 			if c.ok && err != nil {
 				t.Errorf("%s/%s: rejected: %v", codec, c.name, err)
 			}
@@ -79,11 +79,11 @@ func TestRequestNSBounds(t *testing.T) {
 	if raw[4] != 7 { // flags byte follows the opcode
 		t.Fatalf("flags byte = %d, want 7", raw[4])
 	}
-	if _, _, err := decodeRequest(raw); err != nil {
+	if _, _, err := DecodeRequest(raw); err != nil {
 		t.Fatalf("flags=7 request rejected: %v", err)
 	}
 	raw[4] = 8
-	if _, _, err := decodeRequest(raw); err == nil {
+	if _, _, err := DecodeRequest(raw); err == nil {
 		t.Fatal("reserved flag bit 8 accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestNSRequestBackCompat(t *testing.T) {
 	e.U8(binMagic)
 	e.U8(binVersion)
 	e.U8(kindReq)
-	e.U8(binOpCodes["ratio_map"])
+	e.U8(1) // ratio_map's opcode
 	e.U8(0) // flags: nothing present
 	for _, s := range []string{"n1", "", "", "", ""} {
 		e.String(s)
@@ -109,7 +109,7 @@ func TestNSRequestBackCompat(t *testing.T) {
 	e.Uvarint(0) // replicas
 	e.Uvarint(0) // k
 	e.Uvarint(0) // n
-	req, bin, err := decodeRequest(e.Bytes())
+	req, bin, err := DecodeRequest(e.Bytes())
 	if err != nil || !bin {
 		t.Fatalf("pre-namespace frame: bin=%v err=%v", bin, err)
 	}
@@ -142,7 +142,7 @@ func TestNSRequestBackCompat(t *testing.T) {
 		}
 		// Corruption seeds must keep failing; valid seeds must keep
 		// round-tripping. Either way: no panic, no drift.
-		req, bin, err := decodeRequest([]byte(raw))
+		req, bin, err := DecodeRequest([]byte(raw))
 		if err != nil {
 			continue
 		}

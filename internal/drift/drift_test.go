@@ -100,6 +100,43 @@ func TestDetectorFiresOnceOnPersistentShift(t *testing.T) {
 	}
 }
 
+// TestDetectorCommonModeAndLoneNamespace pins both sides of the common-mode
+// rejection (effectiveDrift) with one step shift. Fed to cdnA and cdnB of
+// one group at once it reads as client-side churn: no remap. Fed to a lone
+// cdnA stream there is no peer to subtract, so the same shift is one remap
+// — the single-namespace blind spot in DESIGN.md "Decisions".
+func TestDetectorCommonModeAndLoneNamespace(t *testing.T) {
+	remaps := func(frames []crp.DriftFrame) int {
+		det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, f := range frames {
+			for _, ev := range det.ObserveFrame(f) {
+				if ev.Kind == KindRemap {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	lone := stepFrames(60, 30, 1)
+	both := make([]crp.DriftFrame, len(lone))
+	for i, f := range lone {
+		peer := f.Streams[0]
+		peer.NS = "cdnB"
+		f.Streams = []crp.FrameStream{f.Streams[0], peer}
+		both[i] = f
+	}
+	if n := remaps(both); n != 0 {
+		t.Errorf("common-mode shift on cdnA and cdnB: %d remaps, want 0", n)
+	}
+	if n := remaps(lone); n != 1 {
+		t.Errorf("shift on a lone cdnA stream: %d remaps, want 1", n)
+	}
+}
+
 func TestDetectorRefiresAfterRearm(t *testing.T) {
 	det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
 	if err != nil {
