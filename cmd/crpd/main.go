@@ -40,6 +40,11 @@
 // clustering ops), so clustering load never head-of-line-blocks the cheap
 // queries; see internal/crpdaemon.
 //
+// With -state FILE set, the daemon restores FILE at startup and rewrites it on
+// shutdown as the gossip delta stream (internal/peering WriteState), so it
+// restarts as the replica it was, with -window re-applied; a record no delta
+// can carry (e.g. past 4096 probes under -window 0) is left out and named.
+//
 // With -gossip-listen set, the daemon also joins a replication mesh: every
 // locally observed or forgotten node gossips to its peers and anti-entropy
 // keeps the stores converged (see internal/peering and DESIGN.md "Gossip"). Peers
@@ -50,8 +55,8 @@
 // mode; see DESIGN.md "Aggregate"): probes collapse into per-prefix ratio maps,
 // queries fall back per-client only for divergent clients, and the "stats"
 // op reports group count, fallback ratio and a state-size proxy under
-// crp.aggregate.*. Aggregated clients live outside the sharded store, so
-// they are neither gossiped to peers nor written to -state snapshots.
+// crp.aggregate.*. Prefix groups are neither gossiped nor written to -state;
+// a demoted client, being a store record, is both.
 //
 // With -fusion set, the daemon runs the fused multi-CDN similarity kernel:
 // replica IDs of the form "ns!replica" carry their CDN namespace, and every
@@ -79,6 +84,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"os"
@@ -105,7 +111,7 @@ func run(args []string) error {
 	flags := flag.NewFlagSet("crpd", flag.ContinueOnError)
 	listen := flags.String("listen", "127.0.0.1:5353", "UDP address to listen on")
 	window := flags.Int("window", 10, "probe window per node (0 = unbounded)")
-	statePath := flags.String("state", "", "snapshot file: loaded at startup, written on shutdown")
+	statePath := flags.String("state", "", "state file (gossip delta frames): restored at startup, written on shutdown")
 	cheapWorkers := flags.Int("cheap-workers", 0, "workers for cheap ops (0 = max(4, NumCPU))")
 	heavyWorkers := flags.Int("heavy-workers", 0, "workers for clustering ops (0 = max(1, NumCPU/2))")
 	queueDepth := flags.Int("queue", 0, "per-pool queue depth (0 = 256)")
@@ -297,25 +303,35 @@ func parseFusionWeights(s string) (map[crp.Namespace]float64, error) {
 }
 
 func loadState(svc *crp.Service, path string) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil // first run
 	}
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := svc.LoadSnapshot(f); err != nil {
+	if err := peering.ReadState(data, svc); err != nil {
 		return fmt.Errorf("load state %q: %w", path, err)
 	}
 	fmt.Printf("crpd restored %d nodes from %s\n", len(svc.Nodes()), path)
 	return nil
 }
 
-// saveState writes the snapshot through a tmp file that is synced before it
-// is renamed over path; the directory is synced after, so the rename itself
-// survives a crash. A failed write leaves no tmp file behind.
-func saveState(svc *crp.Service, path string) (err error) {
+// saveState checkpoints svc to path as the gossip delta stream. Its error
+// also names each record no delta can carry, which the checkpoint leaves out.
+func saveState(svc *crp.Service, path string) error {
+	var skipped error
+	err := replaceFile(path, func(w io.Writer) (err error) {
+		skipped, err = peering.WriteState(w, svc)
+		return err
+	})
+	return errors.Join(err, skipped)
+}
+
+// replaceFile writes path through a tmp file, synced before it is renamed
+// over path, then syncs the directory so the rename survives a crash too. A
+// failed write leaves path as it was and no tmp file behind.
+func replaceFile(path string, write func(io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -326,7 +342,7 @@ func saveState(svc *crp.Service, path string) (err error) {
 			_ = os.Remove(tmp) // the save already failed; nothing to remove once renamed
 		}
 	}()
-	err = svc.WriteSnapshot(f)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}

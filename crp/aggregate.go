@@ -25,12 +25,12 @@ import (
 // Divergent clients are the accuracy escape hatch: a deterministic 1-in-N
 // sample of clients keeps a small probe reservoir, and a sampled client
 // whose recent redirections disagree with its group's map (cosine below
-// MinAgreement) is demoted to an ordinary per-client tracker, seeded from
-// the reservoir. Queries resolve per-client state first and fall back to
-// the aggregate, so demotion is transparent to callers. DESIGN.md "Aggregate"
-// develops the design and its limits (aggregates are a local ingest
-// compaction: they are not replicated by the peering plane and not
-// persisted by WriteSnapshot).
+// MinAgreement) is demoted: the reservoir becomes its store record, and a
+// keyed client is per-client exactly when the store holds a live record for
+// it, however the record got there. Queries resolve the store first, so
+// demotion is transparent to callers. DESIGN.md "Aggregate" develops the
+// design and its limits (groups are a local ingest compaction: they are
+// neither replicated nor checkpointed).
 
 // AggregatorConfig shapes the Service's aggregation plane; see
 // Service.EnableAggregation.
@@ -68,12 +68,12 @@ func (c *AggregatorConfig) setDefaults() {
 type AggregateInfo struct {
 	Enabled  bool
 	Groups   int64 // live aggregate ratio maps
-	Demoted  int64 // clients demoted to per-client tracking
+	Demoted  int64 // demotions to per-client tracking this plane made
 	Monitors int64 // clients under divergence monitoring
 	Interned int64 // distinct replica IDs in the intern table
 	// StateBytes is the plane's bookkeeping estimate of its own footprint
-	// (groups, monitors, demotion set, intern table) — the RSS proxy the
-	// scale bench and the daemon's stats op report.
+	// (groups, monitors, intern table) — the RSS proxy the scale bench and
+	// the daemon's stats op report.
 	StateBytes int64
 }
 
@@ -368,13 +368,12 @@ func (m *aggMonitor) counts() ([]uint32, []float32) {
 	return ids, counts
 }
 
-// aggShard owns one partition of the aggregation key space: its groups, the
-// monitored clients whose keys hash here, and the demotion set.
+// aggShard owns one partition of the aggregation key space: its groups and
+// the monitored clients whose keys hash here.
 type aggShard struct {
 	mu       sync.Mutex
 	groups   map[string]*aggGroup
 	monitors map[NodeID]*aggMonitor
-	demoted  map[NodeID]struct{}
 }
 
 // aggregator is the aggregation plane of one Service.
@@ -382,6 +381,7 @@ type aggregator struct {
 	cfg    AggregatorConfig
 	intern internTable
 	shards [aggShardCount]aggShard
+	store  *store // the Service's: a live record makes a client per-client
 
 	// bytes is the running footprint estimate (the RSS proxy): slice slots,
 	// map entries and interned names are charged as they are created.
@@ -391,14 +391,13 @@ type aggregator struct {
 	monitorN atomic.Int64
 }
 
-func newAggregator(cfg AggregatorConfig) *aggregator {
+func newAggregator(cfg AggregatorConfig, st *store) *aggregator {
 	cfg.setDefaults()
-	a := &aggregator{cfg: cfg}
+	a := &aggregator{cfg: cfg, store: st}
 	a.intern.idx = make(map[ReplicaID]uint32)
 	for i := range a.shards {
 		a.shards[i].groups = make(map[string]*aggGroup)
 		a.shards[i].monitors = make(map[NodeID]*aggMonitor)
-		a.shards[i].demoted = make(map[NodeID]struct{})
 	}
 	return a
 }
@@ -411,7 +410,6 @@ const (
 	aggSlotBytes    = 8   // one (uint32 id, float32 weight) SoA slot
 	aggMonitorBytes = 112 // struct + map entry
 	aggProbeBytes   = 48  // monProbe header + a few interned IDs
-	aggDemotedBytes = 56  // map entry + ID string
 	aggInternBytes  = 40  // name string + map entry + slice slot
 )
 
@@ -442,33 +440,15 @@ func (a *aggregator) monitored(node NodeID) bool {
 	return fnvKey(string(node))%uint32(a.cfg.MonitorEvery) == 0
 }
 
-// aggRoute says where Service.Observe should send a probe after consulting
-// the aggregation plane.
-type aggRoute int
-
-const (
-	aggUnkeyed   aggRoute = iota // KeyOf declined: ordinary per-client path
-	aggAbsorbed                  // probe absorbed into an aggregate; done
-	aggPerClient                 // demoted client: per-client path (+ seeds on the demoting probe)
-)
-
-// probeSeed is one reservoir probe released on demotion, replayed into the
-// client's fresh per-client tracker.
-type probeSeed struct {
-	at       time.Time
-	replicas []ReplicaID
-}
-
-// observe routes one probe through the aggregation plane. For keyed,
-// non-demoted clients the probe is absorbed into the client's aggregate
-// group (creating it on first sight); sampled clients additionally maintain
-// their divergence reservoir, and a reservoir that disagrees with the group
-// demotes the client, returning its probes as seeds for the per-client
-// tracker (the demoting probe included — it is not absorbed).
-func (a *aggregator) observe(node NodeID, at time.Time, replicas []ReplicaID) (aggRoute, []probeSeed) {
+// observe reports whether the plane took a probe: absorbed into the client's
+// group or, when a sampled client's reservoir disagrees with it, written with
+// the reservoir as the client's store record. It declines unkeyed clients and
+// those with a live record, checked under the aggregate shard lock (order:
+// aggregate shard → store shard → hook) so no probe slips past a demotion.
+func (a *aggregator) observe(node NodeID, at time.Time, replicas []ReplicaID) bool {
 	key, ok := a.cfg.KeyOf(node)
 	if !ok {
-		return aggUnkeyed, nil
+		return false
 	}
 	interned := make([]uint32, len(replicas))
 	for i, r := range replicas {
@@ -478,8 +458,8 @@ func (a *aggregator) observe(node NodeID, at time.Time, replicas []ReplicaID) (a
 	sh := a.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, demoted := sh.demoted[node]; demoted {
-		return aggPerClient, nil
+	if _, tracked := a.store.get(node); tracked {
+		return false
 	}
 	g := sh.groups[key]
 	if g == nil {
@@ -504,26 +484,24 @@ func (a *aggregator) observe(node NodeID, at time.Time, replicas []ReplicaID) (a
 		// Divergence is only meaningful once the reservoir is full and the
 		// group holds more history than this client alone could have
 		// contributed to it.
-		if m.full && g.probes > uint64(2*a.cfg.MonitorProbes) {
-			ids, counts := m.counts()
-			if g.cosineCounts(ids, counts) < a.cfg.MinAgreement {
-				seeds := make([]probeSeed, 0, len(m.probes))
-				for _, p := range m.chronological() {
+		if m.full && g.probes > uint64(2*a.cfg.MonitorProbes) &&
+			g.cosineCounts(m.counts()) < a.cfg.MinAgreement {
+			probes := m.chronological()
+			a.store.observe(node, func(t *Tracker) {
+				for _, p := range probes {
 					names := make([]ReplicaID, len(p.ids))
 					for i, id := range p.ids {
 						names[i] = a.intern.name(id)
 					}
-					seeds = append(seeds, probeSeed{at: p.at, replicas: names})
+					t.Observe(p.at, names...)
 				}
-				delete(sh.monitors, node)
-				aggMetrics.monitors.Set(a.monitorN.Add(-1))
-				a.addBytes(-int64(aggMonitorBytes + len(node) + len(seeds)*aggProbeBytes))
-				sh.demoted[node] = struct{}{}
-				aggMetrics.demoted.Set(a.demotedN.Add(1))
-				a.addBytes(aggDemotedBytes + int64(len(node)))
-				aggMetrics.demotions.Inc()
-				return aggPerClient, seeds
-			}
+			})
+			delete(sh.monitors, node)
+			aggMetrics.monitors.Set(a.monitorN.Add(-1))
+			a.addBytes(-int64(aggMonitorBytes + len(node) + len(probes)*aggProbeBytes))
+			aggMetrics.demoted.Set(a.demotedN.Add(1))
+			aggMetrics.demotions.Inc()
+			return true
 		}
 	}
 
@@ -533,12 +511,12 @@ func (a *aggregator) observe(node NodeID, at time.Time, replicas []ReplicaID) (a
 		a.addBytes(int64(grew) * aggSlotBytes)
 	}
 	aggMetrics.observes.Inc()
-	return aggAbsorbed, nil
+	return true
 }
 
 // vecFor resolves a client to its aggregate's served vector. ok is false for
-// unkeyed clients, demoted clients (their per-client tracker is
-// authoritative) and keys with no aggregate.
+// unkeyed clients and keys with no aggregate. Callers consult the store
+// first: a client with a live record is answered from it.
 func (a *aggregator) vecFor(node NodeID) (ratioVec, bool) {
 	key, ok := a.cfg.KeyOf(node)
 	if !ok {
@@ -547,9 +525,6 @@ func (a *aggregator) vecFor(node NodeID) (ratioVec, bool) {
 	sh := a.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, demoted := sh.demoted[node]; demoted {
-		return ratioVec{}, false
-	}
 	g := sh.groups[key]
 	if g == nil || len(g.ids) == 0 {
 		return ratioVec{}, false
@@ -567,7 +542,7 @@ func (a *aggregator) keyed(node NodeID) bool {
 }
 
 // invalidate drops the aggregate group for key, returning whether one
-// existed. Member clients fall back to per-client state (demoted clients)
+// existed. Member clients fall back to their store record if they have one
 // or, until re-observed, to ErrUnknownNode — queries racing an invalidation
 // see either the old vector or a clean miss, never a torn one.
 func (a *aggregator) invalidate(key string) bool {
@@ -626,7 +601,7 @@ func (s *Service) EnableAggregation(cfg AggregatorConfig) error {
 	if s.agg != nil {
 		return errors.New("crp: aggregation already enabled")
 	}
-	s.agg = newAggregator(cfg)
+	s.agg = newAggregator(cfg, s.store)
 	return nil
 }
 

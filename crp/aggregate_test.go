@@ -261,6 +261,129 @@ func TestDivergentClientDemoted(t *testing.T) {
 	}
 }
 
+// seedConsensus gives group cA its consensus: ten siblings, five probes
+// each, all redirected to R1.
+func seedConsensus(t *testing.T, svc *Service, base time.Time) {
+	t.Helper()
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 5; j++ {
+			if err := svc.Observe(NodeID(fmt.Sprintf("cA-s%d", i)), base, "R1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// A keyed client whose live record arrived from a peer (it was demoted
+// there) is per-client here too: its next local probe lands in the record,
+// not in the group that resolve would no longer answer it from.
+func TestReplicatedRecordTakesLocalProbes(t *testing.T) {
+	base := time.Unix(5_000, 0)
+	cfg := AggregatorConfig{KeyOf: groupByFirstByte, MonitorEvery: 1, MonitorProbes: 4}
+	peer, local := NewService(), NewService()
+	for _, svc := range []*Service{peer, local} {
+		if err := svc.EnableAggregation(cfg); err != nil {
+			t.Fatal(err)
+		}
+		seedConsensus(t, svc, base)
+	}
+	peer.SetOrigin("peer")
+	div := NodeID("cA-div")
+	for i := 0; peer.AggregateInfo().Demoted == 0; i++ {
+		if i == 8 {
+			t.Fatal("the peer never demoted the divergent client")
+		}
+		if err := peer.Observe(div, base.Add(time.Duration(i)*time.Second), "R9"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, ok := peer.ExportDelta(div)
+	if !ok {
+		t.Fatal("the demoted client has no record on the peer")
+	}
+	if applied, err := local.ApplyDelta(d); err != nil || !applied {
+		t.Fatalf("ApplyDelta = %v, %v", applied, err)
+	}
+
+	absorbed := aggMetrics.observes.Value()
+	if err := local.Observe(div, base.Add(time.Hour), "R7"); err != nil {
+		t.Fatal(err)
+	}
+	if got := aggMetrics.observes.Value() - absorbed; got != 0 {
+		t.Fatalf("the group absorbed %d probes of a client with a live record", got)
+	}
+	tr, ok := local.store.get(div)
+	if !ok || tr.Len() != len(d.Probes)+1 {
+		t.Fatalf("record holds %v probes, want the replicated %d plus the local one", tr.Len(), len(d.Probes))
+	}
+	if m, err := local.RatioMap(div); err != nil || m["R7"] == 0 {
+		t.Fatalf("RatioMap = %v, %v; want the local R7 probe in it", m, err)
+	}
+}
+
+// Eight goroutines observe one divergent client across its demotion. The
+// live-record check and the demotion's write share the aggregate shard lock,
+// so no probe that lost the race re-creates the client's monitor or lands in
+// its group, and every probe issued after the demotion is in the record
+// (the window is unbounded). Run under -race via make check.
+func TestDemotionUnderConcurrentObserves(t *testing.T) {
+	base := time.Unix(5_000, 0)
+	const workers, probes = 8, 40
+	for trial := 0; trial < 20; trial++ {
+		svc := NewService()
+		if err := svc.EnableAggregation(AggregatorConfig{KeyOf: groupByFirstByte, MonitorEvery: 1, MonitorProbes: 4}); err != nil {
+			t.Fatal(err)
+		}
+		seedConsensus(t, svc, base)
+		monitors := svc.AggregateInfo().Monitors
+		div := NodeID("cA-div")
+
+		var wg sync.WaitGroup
+		after := make([][]time.Time, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < probes; i++ {
+					at := base.Add(time.Duration(w*probes+i) * time.Second)
+					demoted := svc.AggregateInfo().Demoted > 0
+					if err := svc.Observe(div, at, "R9"); err != nil {
+						t.Error(err)
+						return
+					}
+					if demoted {
+						after[w] = append(after[w], at)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		info := svc.AggregateInfo()
+		if info.Demoted != 1 {
+			t.Fatalf("trial %d: demoted = %d, want 1", trial, info.Demoted)
+		}
+		if info.Monitors != monitors {
+			t.Fatalf("trial %d: %d monitors, want %d: a probe re-created the demoted client's monitor", trial, info.Monitors, monitors)
+		}
+		tr, ok := svc.store.get(div)
+		if !ok {
+			t.Fatalf("trial %d: the demoted client has no record", trial)
+		}
+		recorded := make(map[time.Time]bool)
+		for _, p := range tr.Probes() {
+			recorded[p.At] = true
+		}
+		for _, ats := range after {
+			for _, at := range ats {
+				if !recorded[at] {
+					t.Fatalf("trial %d: probe at %v, issued after the demotion, is not in the record", trial, at)
+				}
+			}
+		}
+	}
+}
+
 // On a clean topology — every client in a prefix behaves identically — the
 // aggregate answers the closest-node query exactly as per-client tracking
 // would: quantized group maps preserve the argmax.

@@ -58,17 +58,11 @@ func TestSnapshotWithDirtyShardsEqualsQuiescent(t *testing.T) {
 }
 
 // TestSnapshotRoundTripAcrossStoreShapes restores a sharded service's
-// snapshot into every store shape (sharded, single-shard, default) and
+// records into every store shape (sharded, single-shard, default) and
 // asserts identical node sets and ratio maps: persistence is
 // store-shape-agnostic in both directions.
 func TestSnapshotRoundTripAcrossStoreShapes(t *testing.T) {
 	src := seedShardedService(t, 48)
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap := buf.Bytes()
-
 	shapes := map[string]StoreConfig{
 		"sharded-8":    {Shards: 8},
 		"single":       {Shards: 1},
@@ -77,10 +71,7 @@ func TestSnapshotRoundTripAcrossStoreShapes(t *testing.T) {
 	}
 	for name, cfg := range shapes {
 		t.Run(name, func(t *testing.T) {
-			dst := NewServiceWithStore(cfg, WithWindow(10))
-			if err := dst.LoadSnapshot(bytes.NewReader(snap)); err != nil {
-				t.Fatalf("LoadSnapshot: %v", err)
-			}
+			dst := restoredFrom(t, src, cfg, WithWindow(10))
 			if !reflect.DeepEqual(src.Nodes(), dst.Nodes()) {
 				t.Fatalf("node sets differ: %d vs %d nodes", len(src.Nodes()), len(dst.Nodes()))
 			}
@@ -106,9 +97,10 @@ func TestSnapshotRoundTripAcrossStoreShapes(t *testing.T) {
 }
 
 // TestSnapshotDuringConcurrentChurn hammers a sharded service with
-// concurrent observes and queries while snapshots are being written; every
-// snapshot must decode and restore cleanly. Run under -race this also
-// asserts WriteSnapshot's reads are synchronized with shard mutation.
+// concurrent observes and queries while snapshots are written and records
+// exported; every restore must come out whole. Run under -race this also
+// asserts WriteSnapshot's and ExportDelta's reads are synchronized with
+// shard mutation.
 func TestSnapshotDuringConcurrentChurn(t *testing.T) {
 	s := seedShardedService(t, 32)
 	stop := make(chan struct{})
@@ -147,10 +139,7 @@ func TestSnapshotDuringConcurrentChurn(t *testing.T) {
 		if err := s.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("WriteSnapshot %d under churn: %v", i, err)
 		}
-		dst := NewServiceWithStore(StoreConfig{Shards: 4}, WithWindow(10))
-		if err := dst.LoadSnapshot(&buf); err != nil {
-			t.Fatalf("LoadSnapshot %d under churn: %v", i, err)
-		}
+		dst := restoredFrom(t, s, StoreConfig{Shards: 4}, WithWindow(10))
 		if got := len(dst.Nodes()); got != 32 {
 			t.Fatalf("snapshot %d restored %d nodes, want 32", i, got)
 		}

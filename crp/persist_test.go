@@ -1,9 +1,7 @@
 package crp
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -25,17 +23,12 @@ func TestTrackerProbesCopy(t *testing.T) {
 	}
 }
 
+// TestServiceSnapshotRoundTrip restores a populated service through its
+// deltas: same nodes, same ratio maps, same replication metadata.
 func TestServiceSnapshotRoundTrip(t *testing.T) {
 	src := populateService(t)
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-
-	dst := NewService(WithWindow(10))
-	if err := dst.LoadSnapshot(&buf); err != nil {
-		t.Fatalf("LoadSnapshot: %v", err)
-	}
+	src.Forget("asia-2")
+	dst := restoredFrom(t, src, StoreConfig{}, WithWindow(10))
 
 	if !reflect.DeepEqual(src.Nodes(), dst.Nodes()) {
 		t.Fatalf("node sets differ: %v vs %v", src.Nodes(), dst.Nodes())
@@ -53,10 +46,13 @@ func TestServiceSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("node %q maps differ:\n%v\n%v", id, a, b)
 		}
 	}
+	if !reflect.DeepEqual(src.ShardDigests(), dst.ShardDigests()) {
+		t.Error("restored shard digests differ: replication metadata was not carried")
+	}
 }
 
 func TestServiceSnapshotReappliesWindow(t *testing.T) {
-	// A snapshot from an unbounded service restored into a windowed one is
+	// Records of an unbounded service restored into a windowed one are
 	// re-trimmed by the window.
 	src := NewService()
 	for i := 0; i < 50; i++ {
@@ -64,58 +60,12 @@ func TestServiceSnapshotReappliesWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewService(WithWindow(5))
-	if err := dst.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	dst := restoredFrom(t, src, StoreConfig{}, WithWindow(5))
 	tr, ok := dst.store.get("n")
 	if !ok {
 		t.Fatal("restored service does not know node n")
 	}
 	if got := tr.Len(); got != 5 {
 		t.Errorf("restored tracker holds %d probes, want window of 5", got)
-	}
-}
-
-func TestServiceSnapshotMerges(t *testing.T) {
-	a := NewService()
-	if err := a.Observe("n", t0, "r1"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := a.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := NewService()
-	if err := b.Observe("n", t0.Add(time.Minute), "r2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := b.RatioMap("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 2 {
-		t.Errorf("merged map = %v, want both replicas", m)
-	}
-}
-
-func TestLoadSnapshotErrors(t *testing.T) {
-	s := NewService()
-	if err := s.LoadSnapshot(strings.NewReader("{oops")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if err := s.LoadSnapshot(strings.NewReader(`{"version":99}`)); err == nil {
-		t.Error("unknown version accepted")
-	}
-	if err := s.LoadSnapshot(strings.NewReader(
-		`{"version":1,"nodes":[{"node":"","probes":[]}]}`)); err == nil {
-		t.Error("empty node ID accepted")
 	}
 }

@@ -94,12 +94,10 @@ func NewServiceWithStore(cfg StoreConfig, opts ...TrackerOption) *Service {
 // with no replicas carries no redirection and is ignored entirely: it creates
 // no node, publishes no mutation and counts nowhere.
 //
-// With aggregation enabled, probes of keyed clients are absorbed into their
-// prefix's aggregate ratio map instead of a per-client tracker (aggregate.go)
-// — such probes do not touch the sharded store, so they are invisible to the
-// peering plane's replication and to WriteSnapshot. A keyed client demoted
-// for divergence goes back to the ordinary per-client path, its fresh tracker
-// seeded from the divergence reservoir.
+// With aggregation enabled, a keyed client with no live store record is the
+// aggregation plane's (aggregate.go): its probes go into its prefix group,
+// which is neither replicated nor checkpointed, until a demotion writes its
+// store record. Every other probe lands in the node's store record.
 func (s *Service) Observe(node NodeID, at time.Time, replicas ...ReplicaID) error {
 	if node == "" {
 		return errors.New("crp: empty node ID")
@@ -107,23 +105,7 @@ func (s *Service) Observe(node NodeID, at time.Time, replicas ...ReplicaID) erro
 	if len(replicas) == 0 {
 		return nil
 	}
-	var route aggRoute // aggUnkeyed unless the aggregation plane says otherwise
-	var seeds []probeSeed
-	if s.agg != nil {
-		route, seeds = s.agg.observe(node, at, replicas)
-	}
-	switch {
-	case route == aggAbsorbed:
-	case route == aggPerClient && len(seeds) > 0:
-		// The demoting probe is the reservoir's newest entry, so replaying
-		// the seeds replays it too.
-		s.store.observe(node, func(t *Tracker) {
-			for _, p := range seeds {
-				t.Observe(p.at, p.replicas...)
-			}
-		})
-	default:
-		// Unkeyed, or a previously demoted client: per-client path.
+	if s.agg == nil || !s.agg.observe(node, at, replicas) {
 		s.store.observe(node, func(t *Tracker) { t.Observe(at, replicas...) })
 		s.nsObs.bump(replicas)
 	}
@@ -171,7 +153,7 @@ func (s *Service) EnableFusion(cfg FusionConfig) error {
 // FusionEnabled reports whether the fused similarity kernel is installed.
 func (s *Service) FusionEnabled() bool { return s.fus != nil }
 
-// Forget removes a node and its history.
+// Forget removes a node and its history (a keyed client returns to its group).
 func (s *Service) Forget(node NodeID) {
 	s.store.forget(node)
 }
@@ -216,9 +198,9 @@ func (s *Service) pair(sim simFunc, a, b NodeID) (float64, error) {
 }
 
 // resolve is the one node → vector lookup: the compiled ratio vector of a
-// known node and whether its own tracker supplied it. Per-client state wins
-// when both exist (a demoted client's tracker is authoritative); otherwise a
-// keyed client resolves through its aggregate.
+// known node and whether its own tracker supplied it. A live store record
+// wins (for a keyed client it is what makes the client per-client);
+// otherwise a keyed client resolves through its aggregate.
 func (s *Service) resolve(node NodeID) (v ratioVec, tracked bool, err error) {
 	if tr, ok := s.store.get(node); ok {
 		return tr.vec(), true, nil

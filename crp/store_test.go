@@ -189,19 +189,27 @@ func TestStoreSnapshotSingleFlight(t *testing.T) {
 	}
 }
 
-// restoredFrom returns a fresh service holding src's WriteSnapshot. Nothing
-// has queried it, so its first snapshot() re-collects and re-sorts every
-// shard: it is the always-re-collect reference the in-place patch path of
-// src is checked against.
+// restoredFrom returns a fresh service holding every record of src,
+// tombstones included, applied through ExportDelta/ApplyDelta: crpd's
+// state-file restore without the frame codec, which lives in
+// internal/peering. Nothing has queried it, so its first snapshot()
+// re-collects and re-sorts every shard: it is the always-re-collect
+// reference the in-place patch path of src is checked against.
 func restoredFrom(t testing.TB, src *Service, cfg StoreConfig, opts ...TrackerOption) *Service {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
 	dst := NewServiceWithStore(cfg, opts...)
-	if err := dst.LoadSnapshot(&buf); err != nil {
-		t.Fatalf("LoadSnapshot: %v", err)
+	for i := 0; i < src.ShardCount(); i++ {
+		metas, err := src.ShardMetas(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metas {
+			if d, ok := src.ExportDelta(m.Node); ok {
+				if _, err := dst.ApplyDelta(d); err != nil {
+					t.Fatalf("ApplyDelta(%s): %v", m.Node, err)
+				}
+			}
+		}
 	}
 	return dst
 }

@@ -3,6 +3,7 @@ package crpdaemon
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/binwire"
@@ -261,8 +262,8 @@ func decodeRequestBody(d *binwire.Dec, req *Request) error {
 	req.N = int(nn)
 	if flags&1 != 0 {
 		t, err := d.F64()
-		if err != nil {
-			return err
+		if err != nil || math.IsNaN(t) || math.IsInf(t, 0) {
+			return fmt.Errorf("threshold: bad value") // finite, as JSON carries it
 		}
 		req.Threshold = &t
 	}

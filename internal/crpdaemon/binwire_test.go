@@ -3,6 +3,7 @@ package crpdaemon
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -306,6 +307,13 @@ func TestBinaryRequestBounds(t *testing.T) {
 	t.Run("n over limit", func(t *testing.T) {
 		if _, _, err := DecodeRequest(encode(&Request{Op: "distinct_clusters", N: MaxN + 1})); err == nil {
 			t.Fatal("n over limit accepted")
+		}
+	})
+	t.Run("threshold not finite", func(t *testing.T) {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, _, err := DecodeRequest(encode(&Request{Op: "same_cluster", A: "a", B: "b", Threshold: &v})); err == nil {
+				t.Fatalf("threshold %v accepted", v)
+			}
 		}
 	})
 	t.Run("batch at limit", func(t *testing.T) {

@@ -166,6 +166,43 @@ func binDeltaSize(d *crp.NodeDelta) int {
 	return n
 }
 
+// packDeltas exports the named entries in order and cuts them into chunks
+// that each fill one delta message, for the link and the state file alike.
+// An entry no message can carry — one checkDelta refuses, or over the byte
+// budget alone — is left out and named in skipped.
+func packDeltas(svc *crp.Service, nodes []crp.NodeID) (chunks [][]crp.NodeDelta, skipped []error) {
+	budget := MaxMsgSize - binOverhead
+	deltas := make([]crp.NodeDelta, 0, len(nodes))
+	for _, node := range nodes {
+		d, ok := svc.ExportDelta(node)
+		if !ok {
+			continue
+		}
+		err := checkDelta(0, &d)
+		if n := binDeltaSize(&d); err == nil && n > budget {
+			err = fmt.Errorf("%d bytes exceeds the %d-byte delta budget", n, budget)
+		}
+		if err != nil {
+			skipped = append(skipped, fmt.Errorf("peering: record %q: %w", node, err))
+			continue
+		}
+		deltas = append(deltas, d)
+	}
+	start, used := 0, 0
+	for i := range deltas {
+		n := binDeltaSize(&deltas[i])
+		if i > start && (used+n > budget || i-start >= MaxDeltas) {
+			chunks = append(chunks, deltas[start:i])
+			start, used = i, 0
+		}
+		used += n
+	}
+	if start < len(deltas) {
+		chunks = append(chunks, deltas[start:])
+	}
+	return chunks, skipped
+}
+
 // decodePeerMsg parses and bounds-checks one gossip datagram. It is the
 // single decode path — the socket loop and the deterministic in-memory
 // harness both route through it. Structural bounds (string lengths, counts

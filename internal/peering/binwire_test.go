@@ -609,13 +609,14 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deltas := make([]crp.NodeDelta, 600)
-	for i := range deltas {
-		deltas[i] = crp.NodeDelta{NodeMeta: crp.NodeMeta{
-			Node: crp.NodeID(fmt.Sprintf("node-%04d", i)), Origin: "pack-self", Version: 1,
-		}}
+	nodes := make([]crp.NodeID, 600)
+	for i := range nodes {
+		nodes[i] = crp.NodeID(fmt.Sprintf("node-%04d", i))
+		if _, err := svc.ApplyDelta(crp.NodeDelta{NodeMeta: crp.NodeMeta{Node: nodes[i], Origin: "pack-self", Version: 1}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p.sendDeltas(p.peerByID("pack-peer"), deltas, 1)
+	p.pushDeltas(p.peerByID("pack-peer"), nodes)
 
 	buf := make([]byte, MaxMsgSize+1)
 	msgs, total := 0, 0
@@ -696,7 +697,7 @@ func FuzzDecodeBinaryPeerMsg(f *testing.F) {
 			p.HandleDatagram(raw, memAddr("binfuzz-peer")) // must not panic on rejects either
 			return
 		}
-		if !validTypes[m.Type] || len(m.From) > MaxIDBytes || m.TTL > MaxTTL || m.ShardCount > MaxShardCount ||
+		if _, ok := binTypeCodes[m.Type]; !ok || len(m.From) > MaxIDBytes || m.TTL > MaxTTL || m.ShardCount > MaxShardCount ||
 			len(m.Digests) > MaxShardCount || len(m.Deltas) > MaxDeltas ||
 			len(m.Metas) > MaxMetas || len(m.Nodes) > MaxPullNodes {
 			t.Fatalf("decoder accepted out-of-bounds message: %+v", m)

@@ -30,8 +30,10 @@ package peering
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -462,42 +464,25 @@ func (p *Peering) Tick(now time.Time) {
 		}
 		return out
 	}
-	var pushes []struct {
-		to     *peerState
-		deltas []crp.NodeDelta
-		ttl    int
-	}
+	var pushes []func() // sends, made after the lock is released
 	if queue != nil && len(p.order) > 0 {
 		// Partition the queue by remaining TTL (a message carries one TTL),
-		// sorted for determinism. Chunking into datagrams is deferred to
-		// sendDeltas, which packs to the wire budget.
+		// sorted for determinism; packDeltas chunks each batch into
+		// datagrams, packed to the wire budget.
 		byTTL := map[int][]crp.NodeID{}
 		for node, ttl := range queue {
 			byTTL[ttl] = append(byTTL[ttl], node)
 		}
-		ttls := make([]int, 0, len(byTTL))
-		for ttl := range byTTL {
-			ttls = append(ttls, ttl)
-		}
-		sort.Ints(ttls)
-		for _, ttl := range ttls {
+		for _, ttl := range slices.Sorted(maps.Keys(byTTL)) {
 			nodes := byTTL[ttl]
-			sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-			deltas := make([]crp.NodeDelta, 0, len(nodes))
-			for _, node := range nodes {
-				if d, ok := p.svc.ExportDelta(node); ok {
-					deltas = append(deltas, d)
-				}
-			}
-			if len(deltas) == 0 {
+			slices.Sort(nodes)
+			chunks, skipped := packDeltas(p.svc, nodes)
+			p.sendErrors.add(uint64(len(skipped)))
+			if len(chunks) == 0 {
 				continue
 			}
 			for _, ps := range targetsPerTTL() {
-				pushes = append(pushes, struct {
-					to     *peerState
-					deltas []crp.NodeDelta
-					ttl    int
-				}{ps, deltas, ttl})
+				pushes = append(pushes, func() { p.sendDeltas(ps, chunks, ttl) })
 			}
 		}
 	}
@@ -510,7 +495,7 @@ func (p *Peering) Tick(now time.Time) {
 	p.mu.Unlock()
 
 	for _, push := range pushes {
-		p.sendDeltas(push.to, push.deltas, push.ttl)
+		push()
 	}
 	if aeTarget != nil {
 		msg := Msg{
@@ -561,33 +546,14 @@ func (p *Peering) send(addr net.Addr, msg Msg) (int, error) {
 	return len(raw), nil
 }
 
-// sendDeltas packs entries to the wire budget — size-driven batching, not a
-// fixed per-message count — and sends one datagram per chunk. An entry too
-// large for any datagram is isolated in its own chunk so the encoder's size
-// check rejects it alone (a send error) without dragging down its batch.
-func (p *Peering) sendDeltas(ps *peerState, deltas []crp.NodeDelta, ttl int) {
-	budget := MaxMsgSize - binOverhead
-	var chunk []crp.NodeDelta
-	used := 0
-	flush := func() {
-		if len(chunk) == 0 {
-			return
-		}
+// sendDeltas sends each packDeltas chunk to one peer as one datagram.
+func (p *Peering) sendDeltas(ps *peerState, chunks [][]crp.NodeDelta, ttl int) {
+	for _, chunk := range chunks {
 		msg := Msg{Type: MsgDelta, From: p.cfg.Self, Deltas: chunk, TTL: ttl}
 		if _, err := p.send(ps.addr, msg); err == nil {
 			p.deltasSent.add(uint64(len(chunk)))
 		}
-		chunk, used = nil, 0
 	}
-	for i := range deltas {
-		n := binDeltaSize(&deltas[i])
-		if len(chunk) > 0 && (used+n > budget || len(chunk) >= MaxDeltas) {
-			flush()
-		}
-		chunk = append(chunk, deltas[i])
-		used += n
-	}
-	flush()
 }
 
 // HandleDatagram processes one inbound gossip datagram synchronously. The
@@ -769,7 +735,7 @@ func (p *Peering) handleDiff(msg Msg) {
 			localNodes = append(localNodes, lm.Node)
 		}
 	}
-	sort.Slice(localNodes, func(i, j int) bool { return localNodes[i] < localNodes[j] })
+	slices.Sort(localNodes)
 
 	var push []crp.NodeID
 	for _, node := range localNodes {
@@ -778,13 +744,8 @@ func (p *Peering) handleDiff(msg Msg) {
 			push = append(push, node)
 		}
 	}
-	remoteNodes := make([]crp.NodeID, 0, len(remote))
-	for node := range remote {
-		remoteNodes = append(remoteNodes, node)
-	}
-	sort.Slice(remoteNodes, func(i, j int) bool { return remoteNodes[i] < remoteNodes[j] })
 	var pull []string
-	for _, node := range remoteNodes {
+	for _, node := range slices.Sorted(maps.Keys(remote)) {
 		if !shardSet[p.svc.ShardOf(node)] {
 			continue // meta for a shard the diff doesn't claim to cover
 		}
@@ -794,12 +755,8 @@ func (p *Peering) handleDiff(msg Msg) {
 		}
 	}
 	p.pushDeltas(ps, push)
-	for start := 0; start < len(pull); start += maxPullPerMsg {
-		end := start + maxPullPerMsg
-		if end > len(pull) {
-			end = len(pull)
-		}
-		if _, err := p.send(ps.addr, Msg{Type: MsgPull, From: p.cfg.Self, Nodes: pull[start:end]}); err == nil {
+	for nodes := range slices.Chunk(pull, maxPullPerMsg) {
+		if _, err := p.send(ps.addr, Msg{Type: MsgPull, From: p.cfg.Self, Nodes: nodes}); err == nil {
 			p.pulls.inc()
 		}
 	}
@@ -819,20 +776,16 @@ func (p *Peering) handlePull(msg Msg) {
 }
 
 // pushDeltas exports and sends the named entries to one peer, packed to the
-// wire budget by sendDeltas, with a one-hop budget (anti-entropy repairs are
+// wire budget by packDeltas, with a one-hop budget (anti-entropy repairs are
 // point-to-point; rumor fan-out is Tick's job).
 func (p *Peering) pushDeltas(ps *peerState, nodes []crp.NodeID) {
 	if len(nodes) == 0 {
 		return
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	deltas := make([]crp.NodeDelta, 0, len(nodes))
-	for _, node := range nodes {
-		if d, ok := p.svc.ExportDelta(node); ok {
-			deltas = append(deltas, d)
-		}
-	}
-	p.sendDeltas(ps, deltas, 1)
+	slices.Sort(nodes)
+	chunks, skipped := packDeltas(p.svc, nodes)
+	p.sendErrors.add(uint64(len(skipped)))
+	p.sendDeltas(ps, chunks, 1)
 }
 
 // peerByID looks up a known peer.

@@ -104,15 +104,9 @@ type Msg struct {
 	TTL int
 }
 
-// validTypes gates Msg.Type.
-var validTypes = map[string]bool{
-	MsgJoin: true, MsgJoinAck: true, MsgDelta: true,
-	MsgDigest: true, MsgDiff: true, MsgPull: true,
-}
-
 // checkPeerMsg validates the decoded fields against the wire bounds.
 func checkPeerMsg(m *Msg) error {
-	if !validTypes[m.Type] {
+	if _, ok := binTypeCodes[m.Type]; !ok {
 		return fmt.Errorf("unknown message type %q", m.Type)
 	}
 	if err := binwire.CheckID("from", m.From, MaxIDBytes); err != nil {
@@ -177,16 +171,17 @@ func checkPeerMsg(m *Msg) error {
 	return nil
 }
 
-// checkDelta bounds one carried node entry.
+// checkDelta bounds one carried node entry, formatting a field name only once
+// its check fails: the link checks every delta it sends as well as receives.
 func checkDelta(i int, d *crp.NodeDelta) error {
-	if err := binwire.CheckID(fmt.Sprintf("deltas[%d].node", i), string(d.Node), MaxIDBytes); err != nil {
-		return err
+	if binwire.CheckID("", string(d.Node), MaxIDBytes) != nil {
+		return binwire.CheckID(fmt.Sprintf("deltas[%d].node", i), string(d.Node), MaxIDBytes)
 	}
 	if d.Node == "" {
 		return fmt.Errorf("deltas[%d] has an empty node ID", i)
 	}
-	if err := binwire.CheckID(fmt.Sprintf("deltas[%d].origin", i), d.Origin, MaxIDBytes); err != nil {
-		return err
+	if binwire.CheckID("", d.Origin, MaxIDBytes) != nil {
+		return binwire.CheckID(fmt.Sprintf("deltas[%d].origin", i), d.Origin, MaxIDBytes)
 	}
 	if len(d.Probes) > MaxProbesPerDelta {
 		return fmt.Errorf("deltas[%d] has %d probes, limit %d", i, len(d.Probes), MaxProbesPerDelta)
@@ -197,8 +192,8 @@ func checkDelta(i int, d *crp.NodeDelta) error {
 				i, j, len(d.Probes[j].Replicas), MaxReplicasPerProbe)
 		}
 		for k, r := range d.Probes[j].Replicas {
-			if err := binwire.CheckID(fmt.Sprintf("deltas[%d].probes[%d].replicas[%d]", i, j, k), string(r), MaxIDBytes); err != nil {
-				return err
+			if binwire.CheckID("", string(r), MaxIDBytes) != nil {
+				return binwire.CheckID(fmt.Sprintf("deltas[%d].probes[%d].replicas[%d]", i, j, k), string(r), MaxIDBytes)
 			}
 		}
 	}
