@@ -8,15 +8,12 @@ package repro
 
 import (
 	"fmt"
-	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/crp"
-	"repro/internal/dnswire"
 	"repro/internal/experiment"
-	"repro/internal/king"
 )
 
 var (
@@ -449,32 +446,6 @@ func BenchmarkRTTModel(b *testing.B) {
 	}
 }
 
-func BenchmarkDNSPackUnpack(b *testing.B) {
-	msg := &dnswire.Message{
-		Header: dnswire.Header{ID: 1, Response: true, Authoritative: true},
-		Questions: []dnswire.Question{
-			{Name: "us.i1.yimg.cdn.sim.", Type: dnswire.TypeA, Class: dnswire.ClassIN},
-		},
-		Answers: []dnswire.Record{
-			{Name: "us.i1.yimg.cdn.sim.", Type: dnswire.TypeCNAME, Class: dnswire.ClassIN, TTL: 20,
-				Data: &dnswire.CNAMERecord{Target: "g.cdn.sim."}},
-			{Name: "g.cdn.sim.", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 20,
-				Data: &dnswire.ARecord{Addr: mustAddr("10.1.2.3")}},
-		},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wire, err := msg.Pack()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dnswire.Unpack(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMeridianQuery(b *testing.B) {
 	sc := benchScenario(b)
 	overlay := sc.Meridian
@@ -486,34 +457,6 @@ func BenchmarkMeridianQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkKingEstimate(b *testing.B) {
-	sc := benchScenario(b)
-	// King over the scenario's topology directly.
-	est := mustKing(b, sc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := est.EstimateMs(sc.Clients[i%len(sc.Clients)], sc.Clients[(i*3+1)%len(sc.Clients)], 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Helpers.
-
-func mustAddr(s string) netip.Addr {
-	return netip.MustParseAddr(s)
-}
-
-func mustKing(b *testing.B, sc *experiment.PaperWorld) *king.Estimator {
-	b.Helper()
-	est, err := king.New(sc.Topo, sc.Candidates[0], 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return est
 }
 
 // BenchmarkPathRepair runs the §IV-B overlay path-repair study.

@@ -90,6 +90,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -135,8 +136,11 @@ func run(args []string) error {
 	if !*driftOn && *driftConfig != "" {
 		return errors.New("-drift-config requires -drift")
 	}
+	if *window < 0 {
+		return fmt.Errorf("-window %d: must be >= 0 (0 = unbounded)", *window)
+	}
 	if *aggregate < 0 || *aggregate > 32 {
-		return fmt.Errorf("-aggregate %d: prefix length must be in 1..32", *aggregate)
+		return fmt.Errorf("-aggregate %d: prefix length must be in 0..32 (0 = off)", *aggregate)
 	}
 
 	var opts []crp.TrackerOption
@@ -290,8 +294,8 @@ func parseFusionWeights(s string) (map[crp.Namespace]float64, error) {
 		if !ok {
 			return nil, fmt.Errorf("-fusion-weights: %q is not ns=weight", part)
 		}
-		var v float64
-		if _, err := fmt.Sscanf(w, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(w, 64)
+		if err != nil {
 			return nil, fmt.Errorf("-fusion-weights: bad weight %q: %v", w, err)
 		}
 		if err := crp.Namespace(ns).Valid(); err != nil {

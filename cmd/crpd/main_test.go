@@ -298,8 +298,43 @@ func TestPeersFlagRequiresGossipListen(t *testing.T) {
 
 func TestAggregateFlagValidation(t *testing.T) {
 	for _, bad := range []string{"-1", "33", "64"} {
-		if err := run([]string{"-aggregate", bad}); err == nil {
-			t.Errorf("-aggregate %s accepted", bad)
+		err := run([]string{"-aggregate", bad})
+		if err == nil || !strings.Contains(err.Error(), "0..32 (0 = off)") {
+			t.Errorf("-aggregate %s: err = %v, want the 0..32 range error", bad, err)
+		}
+	}
+}
+
+// TestFlagBounds runs crpd up to its listen step: the unusable -listen
+// address makes every accepted configuration fail there, after all flag
+// checks, instead of serving forever.
+func TestFlagBounds(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string // "" = accepted: run fails at listen
+	}{
+		{[]string{"-window", "-5"}, "-window -5"},
+		{[]string{"-window", "0"}, ""},
+		{[]string{"-window", "10"}, ""},
+		{[]string{"-aggregate", "0"}, ""},
+		{[]string{"-aggregate", "32"}, ""},
+		{[]string{"-fusion", "-fusion-weights", "cdnA=NaN"}, "not finite"},
+		{[]string{"-fusion", "-fusion-weights", "cdnA=+Inf"}, "not finite"},
+		{[]string{"-fusion", "-fusion-weights", "cdnA=-Inf"}, "not finite"},
+		{[]string{"-fusion", "-fusion-weights", "cdnA=1abc"}, "bad weight"},
+		{[]string{"-fusion", "-fusion-weights", "cdnA="}, "bad weight"},
+		{[]string{"-fusion", "-fusion-weights", "cdnA=0.5,cdnB=0,cdnC=-1"}, ""},
+	} {
+		err := run(append(tc.args, "-listen", "no-port"))
+		if err == nil {
+			t.Fatalf("%v: run returned nil", tc.args)
+		}
+		if tc.wantErr == "" {
+			if !strings.Contains(err.Error(), "no-port") {
+				t.Errorf("%v: err = %v, want only the listen failure", tc.args, err)
+			}
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.wantErr)
 		}
 	}
 }

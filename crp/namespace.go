@@ -125,7 +125,8 @@ func (m RatioMap) Namespaces() []Namespace {
 // thin two-sided coverage is down-weighted proportionally.
 type FusionConfig struct {
 	// Weights optionally scales each namespace's contribution to the mix; an
-	// absent namespace weighs 1. Zero or negative weight mutes a namespace.
+	// absent namespace weighs 1. Zero or negative weight mutes a namespace;
+	// a NaN or infinite weight is refused.
 	Weights map[Namespace]float64
 }
 
@@ -135,9 +136,14 @@ type fusionKernel struct {
 }
 
 func newFusionKernel(cfg FusionConfig) (*fusionKernel, error) {
-	for ns := range cfg.Weights {
+	for ns, w := range cfg.Weights {
 		if err := ns.Valid(); err != nil {
 			return nil, err
+		}
+		// A non-finite weight turns every fused similarity into NaN, which
+		// has no place in the ranking order.
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("crp: fusion weight %v for namespace %q is not finite", w, ns)
 		}
 	}
 	k := &fusionKernel{}

@@ -174,19 +174,34 @@ func TestFusedCosineMixing(t *testing.T) {
 		t.Fatalf("weighted fused = %v, want %v", got2, want2)
 	}
 
-	// A zero static weight removes the namespace from the mix entirely.
-	got3, err := FusedCosineSimilarity(FusionConfig{Weights: map[Namespace]float64{"cdnB": 0}}, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got3 != cosA {
-		t.Fatalf("cdnB-muted fused = %v, want pure cdnA cosine %v", got3, cosA)
+	// A zero or negative static weight removes the namespace from the mix
+	// entirely.
+	for _, w := range []float64{0, -1} {
+		got3, err := FusedCosineSimilarity(FusionConfig{Weights: map[Namespace]float64{"cdnB": w}}, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got3 != cosA {
+			t.Fatalf("cdnB weight %v: fused = %v, want pure cdnA cosine %v", w, got3, cosA)
+		}
 	}
 }
 
 func TestFusionConfigValidation(t *testing.T) {
 	if _, err := FusedCosineSimilarity(FusionConfig{Weights: map[Namespace]float64{"bad!ns": 1}}, RatioMap{}, RatioMap{}); err == nil {
 		t.Fatal("invalid weight namespace accepted")
+	}
+	// A non-finite weight would make every fused similarity NaN.
+	a := RatioMap{"cdnA!r1": 0.5, "cdnB!s1": 0.5}
+	b := RatioMap{"cdnA!r1": 0.5, "cdnB!s2": 0.5}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := FusionConfig{Weights: map[Namespace]float64{"cdnA": w}}
+		if sim, err := FusedCosineSimilarity(cfg, a, b); err == nil {
+			t.Errorf("weight %v: FusedCosineSimilarity = %v, want an error", w, sim)
+		}
+		if err := NewService().EnableFusion(cfg); err == nil {
+			t.Errorf("weight %v: EnableFusion accepted", w)
+		}
 	}
 	svc := NewService()
 	if err := svc.EnableFusion(FusionConfig{}); err != nil {

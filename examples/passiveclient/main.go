@@ -20,8 +20,6 @@ import (
 
 	"repro/crp"
 	"repro/internal/cdn"
-	"repro/internal/dnsserver"
-	"repro/internal/dnswire"
 	"repro/internal/netsim"
 )
 
@@ -32,32 +30,35 @@ func main() {
 	}
 }
 
-// browseQuerier simulates the client's stub resolver answering its browser:
-// it asks the CDN directly (in-process) on cache misses.
-type browseQuerier struct {
-	topo   *netsim.Topology
-	cdn    *cdn.Network
-	client netsim.HostID
-	now    func() time.Duration
+// ttlCache is the browser host's caching resolver: it answers a name from
+// its cache until the CDN's TTL runs out, and asks the CDN's mapping system
+// (in-process) on a miss.
+type ttlCache struct {
+	cdn     *cdn.Network
+	client  netsim.HostID
+	entries map[string]cachedAnswer
+
+	hits, misses int
 }
 
-func (q *browseQuerier) Query(name string, qtype dnswire.Type) (*dnswire.Message, error) {
-	replicas, err := q.cdn.Redirect(name, q.client, q.now())
+type cachedAnswer struct {
+	replicas []netsim.HostID
+	expires  time.Duration
+}
+
+// lookup resolves name at virtual time now.
+func (c *ttlCache) lookup(name string, now time.Duration) ([]netsim.HostID, error) {
+	if e, ok := c.entries[name]; ok && now < e.expires {
+		c.hits++
+		return e.replicas, nil
+	}
+	c.misses++
+	replicas, err := c.cdn.Redirect(name, c.client, now)
 	if err != nil {
 		return nil, err
 	}
-	msg := &dnswire.Message{
-		Header:    dnswire.Header{Response: true, Authoritative: true},
-		Questions: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
-	}
-	for _, r := range replicas {
-		msg.Answers = append(msg.Answers, dnswire.Record{
-			Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN,
-			TTL:  uint32(q.cdn.TTL() / time.Second),
-			Data: &dnswire.ARecord{Addr: q.topo.Host(r).Addr},
-		})
-	}
-	return msg, nil
+	c.entries[name] = cachedAnswer{replicas: replicas, expires: now + c.cdn.TTL()}
+	return replicas, nil
 }
 
 func run() error {
@@ -78,15 +79,9 @@ func run() error {
 	}
 	client := topo.Clients()[0]
 
-	// The browsing session drives DNS through a real TTL-honoring cache.
-	// (dnsserver.CachingClient is generic over any Querier; here the
-	// querier asks the CDN mapping system directly.)
-	clock := netsim.NewClock()
-	querier := &browseQuerier{topo: topo, cdn: network, client: client, now: clock.Now}
-	cache, err := newCache(querier, clock)
-	if err != nil {
-		return err
-	}
+	// The browsing session resolves names through a TTL-honoring cache.
+	cache := &ttlCache{cdn: network, client: client, entries: make(map[string]cachedAnswer)}
+	var now time.Duration // virtual time
 
 	// Passive side: service + name quality learning + owned-domain filter.
 	svc := crp.NewService(crp.WithWindow(30))
@@ -111,20 +106,16 @@ func run() error {
 		pageLoads := 1 + rng.IntN(5)
 		for p := 0; p < pageLoads; p++ {
 			for _, name := range network.Names() {
-				resp, _, err := cache.Query(name, dnswire.TypeA)
+				replicas, err := cache.lookup(name, now)
 				if err != nil {
 					return err
 				}
 				lookups++
-				var answers []crp.ReplicaID
-				for _, rec := range resp.Answers {
-					if a, ok := rec.Data.(*dnswire.ARecord); ok {
-						if id, ok := topo.HostByAddr(a.Addr); ok {
-							answers = append(answers, crp.ReplicaID(topo.Host(id).Name))
-						}
-					}
+				answers := make([]crp.ReplicaID, len(replicas))
+				for i, r := range replicas {
+					answers[i] = crp.ReplicaID(topo.Host(r).Name)
 				}
-				ok, err := monitor.ObserveDNS(epoch.Add(clock.Now()), name, answers...)
+				ok, err := monitor.ObserveDNS(epoch.Add(now), name, answers...)
 				if err != nil {
 					return err
 				}
@@ -132,14 +123,13 @@ func run() error {
 					recorded++
 				}
 			}
-			clock.Advance(time.Duration(5+rng.IntN(40)) * time.Second)
+			now += time.Duration(5+rng.IntN(40)) * time.Second
 		}
-		clock.Advance(time.Duration(10+rng.IntN(30)) * time.Minute)
+		now += time.Duration(10+rng.IntN(30)) * time.Minute
 	}
 
-	hits, misses := cache.Stats()
 	fmt.Printf("browsing session: %d lookups observed (%d cache hits, %d upstream), %d recorded into the ratio map\n",
-		lookups, hits, misses, recorded)
+		lookups, cache.hits, cache.misses, recorded)
 
 	fmt.Println("\nlearned name quality:")
 	for _, q := range selector.Qualities() {
@@ -189,15 +179,7 @@ func run() error {
 	fmt.Printf("\nzero-probe selection: %s = the %s server (similarity %.3f, signal %v)\n",
 		best.Node, verdict, best.Similarity, ok)
 	fmt.Printf("true RTTs: near %s %.1f ms, far %s %.1f ms\n",
-		topo.Host(near).Name, topo.RTTMs(client, near, clock.Now()),
-		topo.Host(far).Name, topo.RTTMs(client, far, clock.Now()))
+		topo.Host(near).Name, topo.RTTMs(client, near, now),
+		topo.Host(far).Name, topo.RTTMs(client, far, now))
 	return nil
-}
-
-// newCache adapts the virtual clock to the caching client's time source.
-func newCache(q dnsserver.Querier, clock *netsim.Clock) (*dnsserver.CachingClient, error) {
-	epoch := time.Now()
-	return dnsserver.NewCachingClient(q, dnsserver.WithCacheClock(func() time.Time {
-		return epoch.Add(clock.Now())
-	}))
 }

@@ -1,27 +1,30 @@
 // Quickstart: the smallest end-to-end CRP pipeline.
 //
-// It boots a simulated world (topology + Akamai-like CDN), serves the CDN
-// zone over a real UDP DNS server, lets three hosts collect their
-// redirections through actual DNS queries, and then uses the public crp
-// package to compare their ratio maps, select the closest of two servers
-// for a client, and cluster the trio — the paper's §III/§IV workflow in
-// miniature.
+// It boots a simulated world (topology + Akamai-like CDN), lets three hosts
+// collect their CDN redirections, and then uses the public crp package to
+// compare their ratio maps, select the closest of two servers for a client,
+// and cluster 40 clients — the paper's §III/§IV workflow in miniature. A
+// deployed CRP client reads the same redirections from its resolver's
+// answers; here they come from the CDN's mapping system in-process.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"sort"
 	"time"
 
 	"repro/crp"
 	"repro/internal/cdn"
-	"repro/internal/dnsserver"
-	"repro/internal/dnswire"
 	"repro/internal/netsim"
+)
+
+// Every host probes 12 times at a 10-minute (virtual) interval.
+const (
+	probes   = 12
+	interval = 10 * time.Minute
 )
 
 func main() {
@@ -46,21 +49,7 @@ func run() error {
 		return err
 	}
 
-	// 2. The CDN zone behind a real UDP DNS server.
-	clock := netsim.NewClock()
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	registry := dnsserver.NewRegistry()
-	srv, err := dnsserver.Serve(pc, &dnsserver.CDNBackend{Topo: topo, CDN: network, Clock: clock}, registry)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Printf("CDN authoritative server on %s, TTL %v\n\n", srv.Addr(), network.TTL())
-
-	// 3. A client in the CDN's best-covered region, and two candidate
+	// 2. A client in the CDN's best-covered region, and two candidate
 	// servers: the truly nearest and the truly farthest. CRP should tell
 	// them apart without the client ever probing either.
 	client := topo.Clients()[0]
@@ -80,42 +69,16 @@ func run() error {
 		}
 	}
 
-	// 4. Everyone watches their CDN redirections — via real DNS queries —
-	// for 12 probes at a 10-minute (virtual) interval.
+	// 3. Everyone watches their CDN redirections.
 	svc := crp.NewService(crp.WithWindow(10))
 	epoch := time.Now()
 	for _, h := range []netsim.HostID{client, near, far} {
-		cl, err := dnsserver.NewClient(srv.Addr(), registry, h)
-		if err != nil {
+		if err := observe(svc, topo, network, epoch, h); err != nil {
 			return err
 		}
-		clock.Set(0)
-		for i := 0; i < 12; i++ {
-			for _, name := range network.Names() {
-				resp, err := cl.Query(name, dnswire.TypeA)
-				if err != nil {
-					cl.Close()
-					return err
-				}
-				var ids []crp.ReplicaID
-				for _, rec := range resp.Answers {
-					if a, ok := rec.Data.(*dnswire.ARecord); ok {
-						if id, ok := topo.HostByAddr(a.Addr); ok {
-							ids = append(ids, crp.ReplicaID(topo.Host(id).Name))
-						}
-					}
-				}
-				if err := svc.Observe(nodeID(topo, h), epoch.Add(clock.Now()), ids...); err != nil {
-					cl.Close()
-					return err
-				}
-			}
-			clock.Advance(10 * time.Minute)
-		}
-		cl.Close()
 	}
 
-	// 5. Inspect the ratio maps and relative positions.
+	// 4. Inspect the ratio maps and relative positions.
 	for _, h := range []netsim.HostID{client, near, far} {
 		m, err := svc.RatioMap(nodeID(topo, h))
 		if err != nil {
@@ -134,34 +97,21 @@ func run() error {
 	fmt.Printf("\ncos_sim(client, near server) = %.3f\n", simNear)
 	fmt.Printf("cos_sim(client, far server)  = %.3f\n", simFar)
 
-	// 6. Closest-node selection, and the ground truth it should match.
+	// 5. Closest-node selection, and the ground truth it should match.
 	best, ok, err := svc.ClosestTo(nodeID(topo, client), []crp.NodeID{nodeID(topo, near), nodeID(topo, far)})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nCRP selects %s (similarity %.3f, signal=%v)\n", best.Node, best.Similarity, ok)
+	end := probes * interval
 	fmt.Printf("true RTTs: near %.1f ms, far %.1f ms\n",
-		topo.RTTMs(client, near, clock.Now()), topo.RTTMs(client, far, clock.Now()))
+		topo.RTTMs(client, near, end), topo.RTTMs(client, far, end))
 
-	// 7. Clustering: feed 40 clients' redirections through the fast
-	// in-process path (same mapping system as the DNS server) and group them
-	// with Strongest Mappings First.
+	// 6. Clustering: 40 clients watch their redirections the same way, and
+	// Strongest Mappings First groups them.
 	for _, h := range topo.Clients()[:40] {
-		for i := 0; i < 12; i++ {
-			at := time.Duration(i) * 10 * time.Minute
-			for _, name := range network.Names() {
-				replicas, err := network.Redirect(name, h, at)
-				if err != nil {
-					return err
-				}
-				ids := make([]crp.ReplicaID, len(replicas))
-				for j, r := range replicas {
-					ids[j] = crp.ReplicaID(topo.Host(r).Name)
-				}
-				if err := svc.Observe(nodeID(topo, h), epoch.Add(at), ids...); err != nil {
-					return err
-				}
-			}
+		if err := observe(svc, topo, network, epoch, h); err != nil {
+			return err
 		}
 	}
 	clusters, err := svc.ClusterAll(crp.ClusterConfig{Threshold: crp.DefaultThreshold, SecondPass: true})
@@ -180,6 +130,28 @@ func run() error {
 			}
 		}
 		fmt.Printf("  center %-22s %2d members, regions %v\n", c.Center, c.Size(), keys(regions))
+	}
+	return nil
+}
+
+// observe records host h's CDN redirections for every name, one probe per
+// interval from virtual time zero, into svc.
+func observe(svc *crp.Service, topo *netsim.Topology, network *cdn.Network, epoch time.Time, h netsim.HostID) error {
+	for i := 0; i < probes; i++ {
+		at := time.Duration(i) * interval
+		for _, name := range network.Names() {
+			replicas, err := network.Redirect(name, h, at)
+			if err != nil {
+				return err
+			}
+			ids := make([]crp.ReplicaID, len(replicas))
+			for j, r := range replicas {
+				ids[j] = crp.ReplicaID(topo.Host(r).Name)
+			}
+			if err := svc.Observe(nodeID(topo, h), epoch.Add(at), ids...); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

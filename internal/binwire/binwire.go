@@ -1,11 +1,10 @@
 // Package binwire holds the primitives shared by the repo's compact binary
 // wire codecs (the crpd query protocol and the gossip protocol): an
-// append-style encoder and a cursor-style decoder over one datagram, in the
-// same discipline as internal/dnswire — every read is bounds-checked against
-// the buffer before it happens, counts are validated against both a declared
-// ceiling and the bytes actually remaining, and a hostile or corrupted
-// datagram can only ever produce an error, never an out-of-range access or
-// an attacker-sized allocation.
+// append-style encoder and a cursor-style decoder over one datagram. Every
+// read is bounds-checked against the buffer before it happens, counts are
+// validated against both a declared ceiling and the bytes actually
+// remaining, and a hostile or corrupted datagram can only ever produce an
+// error, never an out-of-range access or an attacker-sized allocation.
 //
 // Scalars are unsigned LEB128 varints (signed values zig-zag first); strings
 // and byte blobs are length-prefixed; fixed-width words (digest hashes,
@@ -24,8 +23,7 @@ import (
 )
 
 // ErrShort is the uniform truncation error: any read past the end of the
-// datagram. Like dnswire's errShortMessage it carries no offset — decoders
-// wrap it with field context where that matters.
+// datagram. It carries no offset — decoders wrap it with field context where that matters.
 var ErrShort = errors.New("binwire: message truncated")
 
 // Enc appends wire-format fields to a buffer. The zero value is ready to

@@ -370,16 +370,6 @@ func (n *Network) Serves(name string, id netsim.HostID) bool {
 	return ri >= 0 && n.serves[ni][ri]
 }
 
-// FallbackSet returns the global default replica servers for name — the
-// answer the CDN hands to resolvers it cannot localize.
-func (n *Network) FallbackSet(name string) ([]netsim.HostID, error) {
-	ni, ok := n.nameIdx[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownName, name)
-	}
-	return append([]netsim.HostID(nil), n.fallback[ni]...), nil
-}
-
 // IsFallback reports whether id belongs to the global default server set of
 // any name — the distant "owned-domain" answers a CRP client may filter.
 func (n *Network) IsFallback(id netsim.HostID) bool {

@@ -13,9 +13,8 @@
 // cannot head-of-line-block the sub-millisecond queries. Every request
 // carries a deadline from the moment it is read; requests that overstay it
 // — in the queue or in a handler — get a structured timeout reply instead
-// of a silent drop. Close follows the managed-goroutine pattern of
-// dnsserver.Server: idempotent, stops the socket loop, and drains queued
-// and in-flight handlers before returning.
+// of a silent drop. Close is idempotent: it stops the socket loop and
+// drains queued and in-flight handlers before returning.
 //
 // Every stage is instrumented through internal/obs: per-op request/error
 // counts and latency histograms, an in-flight gauge, and counters for the

@@ -135,10 +135,7 @@ func (s *World) RunCenterAblation(cfg ClusteringConfig) ([]CenterAblationRow, er
 	cfg.setDefaults()
 	nodes := s.Clients[:cfg.NumNodes]
 	evalAt := cfg.Schedule.End() + 1
-	dist, err := s.clusterDistance(nodes, evalAt, false)
-	if err != nil {
-		return nil, err
-	}
+	dist := s.clusterDistance(nodes, evalAt)
 	maps, err := s.CollectRatioMaps(nodes, cfg.Schedule)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 
 	"repro/crp"
 	"repro/internal/asn"
-	"repro/internal/king"
 	"repro/internal/netsim"
 )
 
@@ -31,10 +30,6 @@ type ClusteringConfig struct {
 	MaxDiameterMs float64
 	// SecondPass enables SMF's optional second pass.
 	SecondPass bool
-	// UseKing, when set, measures ground-truth distances with the King
-	// technique (as the paper did) instead of reading the simulator's exact
-	// RTTs.
-	UseKing bool
 }
 
 func (c *ClusteringConfig) setDefaults() {
@@ -97,11 +92,7 @@ func (s *World) RunClustering(cfg ClusteringConfig) (*ClusteringOutcome, error) 
 	nodes := s.Clients[:cfg.NumNodes]
 	evalAt := cfg.Schedule.End() + time.Minute
 
-	dist, err := s.clusterDistance(nodes, evalAt, cfg.UseKing)
-	if err != nil {
-		return nil, err
-	}
-
+	dist := s.clusterDistance(nodes, evalAt)
 	maps, err := s.CollectRatioMaps(nodes, cfg.Schedule)
 	if err != nil {
 		return nil, err
@@ -153,15 +144,7 @@ func (s *World) RunClustering(cfg ClusteringConfig) (*ClusteringOutcome, error) 
 
 // clusterDistance builds the ground-truth DistanceFunc over the node set,
 // fully precomputed so cluster evaluation is cheap and consistent.
-func (s *World) clusterDistance(nodes []netsim.HostID, at time.Duration, useKing bool) (crp.DistanceFunc, error) {
-	var estimator *king.Estimator
-	if useKing {
-		var err error
-		estimator, err = king.New(s.Topo, s.Candidates[0], 0)
-		if err != nil {
-			return nil, err
-		}
-	}
+func (s *World) clusterDistance(nodes []netsim.HostID, at time.Duration) crp.DistanceFunc {
 	matrix := make(map[crp.NodeID]map[crp.NodeID]float64, len(nodes))
 	for _, id := range nodes {
 		matrix[s.NodeID(id)] = make(map[crp.NodeID]float64, len(nodes))
@@ -169,16 +152,7 @@ func (s *World) clusterDistance(nodes []netsim.HostID, at time.Duration, useKing
 	for i, a := range nodes {
 		for j := i + 1; j < len(nodes); j++ {
 			b := nodes[j]
-			var d float64
-			if useKing {
-				var err error
-				d, err = estimator.EstimateMs(a, b, at)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				d = s.TruthRTTMs(a, b, at)
-			}
+			d := s.TruthRTTMs(a, b, at)
 			matrix[s.NodeID(a)][s.NodeID(b)] = d
 			matrix[s.NodeID(b)][s.NodeID(a)] = d
 		}
@@ -188,7 +162,7 @@ func (s *World) clusterDistance(nodes []netsim.HostID, at time.Duration, useKing
 			return 0
 		}
 		return matrix[a][b]
-	}, nil
+	}
 }
 
 // analyzeClusters computes a Table I row and the Figs. 6–7 statistics.

@@ -257,23 +257,6 @@ func TestRunClusteringShape(t *testing.T) {
 	}
 }
 
-func TestRunClusteringWithKingGroundTruth(t *testing.T) {
-	s := testScenario(t)
-	outcome, err := s.RunClustering(ClusteringConfig{
-		NumNodes: 40,
-		Schedule: ProbeSchedule{Interval: 10 * time.Minute, Probes: 18},
-		UseKing:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// King noise shouldn't destroy the qualitative result.
-	focus := outcome.CRPRows[outcome.Focus]
-	if focus.Summary.NodesClustered == 0 {
-		t.Error("no nodes clustered under King ground truth")
-	}
-}
-
 func TestRunClusteringValidation(t *testing.T) {
 	s := testScenario(t)
 	if _, err := s.RunClustering(ClusteringConfig{NumNodes: 10_000}); err == nil {

@@ -15,8 +15,8 @@
 // hooks: netsim.Perturb for congestion storms and clock skew, cdn.MapHook
 // for frozen/flapping mapping state, per-probe predicates the experiment
 // harness consults for probe loss and LDNS outage/churn, and a wrapping
-// net.PacketConn for loss/duplication/reordering/delay on the dnsserver
-// and crpd UDP paths. Each fault exports an activation counter through
+// net.PacketConn for loss/duplication/reordering/delay on crpd's UDP
+// paths. Each fault exports an activation counter through
 // internal/obs so tests and benches can assert a fault actually fired.
 package faults
 

@@ -99,7 +99,6 @@ func LoadJSON(r io.Reader) (*Topology, error) {
 		seed:   uint64(in.Seed),
 		asByN:  make(map[ASN]*AS, len(in.ASes)),
 		byName: make(map[string]HostID, len(in.Hosts)),
-		byAddr: make(map[netip.Addr]HostID, len(in.Hosts)),
 	}
 
 	for i, m := range in.Metros {
@@ -137,6 +136,7 @@ func LoadJSON(r io.Reader) (*Topology, error) {
 		t.asByN[as.ASN] = as
 	}
 
+	addrs := make(map[netip.Addr]struct{}, len(in.Hosts))
 	for i, h := range in.Hosts {
 		if h.ID != i {
 			return nil, fmt.Errorf("netsim: host %d out of order (ID %d)", i, h.ID)
@@ -170,12 +170,12 @@ func LoadJSON(r io.Reader) (*Topology, error) {
 		if _, dup := t.byName[host.Name]; dup {
 			return nil, fmt.Errorf("netsim: duplicate host name %q", host.Name)
 		}
-		if _, dup := t.byAddr[host.Addr]; dup {
+		if _, dup := addrs[host.Addr]; dup {
 			return nil, fmt.Errorf("netsim: duplicate host address %v", host.Addr)
 		}
 		t.hosts = append(t.hosts, host)
 		t.byName[host.Name] = host.ID
-		t.byAddr[host.Addr] = host.ID
+		addrs[host.Addr] = struct{}{}
 		switch kind {
 		case KindReplica:
 			t.replicas = append(t.replicas, host.ID)

@@ -133,7 +133,6 @@ type Topology struct {
 	clients    []HostID
 
 	byName map[string]HostID
-	byAddr map[netip.Addr]HostID
 
 	// perturb holds the optional Perturb (wrapped in perturbBox) consulted
 	// by the time-varying latency model. See SetPerturb.
@@ -171,7 +170,6 @@ func Generate(p Params) (*Topology, error) {
 		seed:   uint64(p.Seed),
 		asByN:  make(map[ASN]*AS),
 		byName: make(map[string]HostID),
-		byAddr: make(map[netip.Addr]HostID),
 	}
 	rng := rand.New(rand.NewPCG(uint64(p.Seed), 0x9e3779b97f4a7c15))
 
@@ -363,7 +361,6 @@ func (t *Topology) generateHosts(rng *rand.Rand) error {
 			}
 			t.hosts = append(t.hosts, h)
 			t.byName[h.Name] = id
-			t.byAddr[h.Addr] = id
 			switch spec.kind {
 			case KindReplica:
 				t.replicas = append(t.replicas, id)
@@ -442,12 +439,6 @@ func (t *Topology) Clients() []HostID { return copyIDs(t.clients) }
 // HostByName resolves a synthetic DNS name to a host ID.
 func (t *Topology) HostByName(name string) (HostID, bool) {
 	id, ok := t.byName[name]
-	return id, ok
-}
-
-// HostByAddr resolves an address to a host ID.
-func (t *Topology) HostByAddr(addr netip.Addr) (HostID, bool) {
-	id, ok := t.byAddr[addr]
 	return id, ok
 }
 

@@ -124,9 +124,6 @@ func TestGenerateLookupTables(t *testing.T) {
 	if id, ok := topo.HostByName(h.Name); !ok || id != h.ID {
 		t.Errorf("HostByName(%q) = %v,%v; want %v,true", h.Name, id, ok, h.ID)
 	}
-	if id, ok := topo.HostByAddr(h.Addr); !ok || id != h.ID {
-		t.Errorf("HostByAddr(%v) = %v,%v; want %v,true", h.Addr, id, ok, h.ID)
-	}
 	if _, ok := topo.HostByName("nonexistent.sim."); ok {
 		t.Error("HostByName of unknown name should report !ok")
 	}

@@ -224,8 +224,8 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry. Library packages (crp,
-// dnsserver, cdn) register their instruments here, mirroring expvar's
+// Default returns the process-wide registry. Library packages (crp, cdn,
+// faults) register their instruments here, mirroring expvar's
 // model, so one snapshot shows the whole stack.
 func Default() *Registry { return defaultRegistry }
 

@@ -9,19 +9,20 @@ import (
 	"repro/crp"
 	"repro/internal/asn"
 	"repro/internal/cdn"
-	"repro/internal/dnsserver"
-	"repro/internal/dnswire"
-	"repro/internal/king"
+	"repro/internal/crpdaemon"
 	"repro/internal/meridian"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
-// TestSystemEndToEnd drives the complete CRP pipeline through its real
-// interfaces: a generated world, the CDN's authoritative zone served over
-// UDP, stub resolvers collecting redirections via actual DNS queries into a
-// crp.Service, and finally closest-node selection and clustering validated
+// TestSystemEndToEnd drives the complete CRP pipeline through its deployed
+// interface: a generated world, every host's CDN redirections sent as
+// observe requests to a crpd daemon on loopback UDP (half the hosts speak
+// the JSON codec, half the binary one), and closest-node and clustering
+// queries answered over the wire. Every reply must equal the answer of an
+// in-process crp.Service fed the same probes, and the answers are validated
 // against the simulator's ground truth. It is the cross-module integration
-// test: dnswire ↔ dnsserver ↔ cdn ↔ netsim ↔ crp.
+// test: cdn ↔ netsim ↔ crpdaemon ↔ crp.
 func TestSystemEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -40,86 +41,113 @@ func TestSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cdn.New: %v", err)
 	}
-	clock := netsim.NewClock()
-	backend := &dnsserver.CDNBackend{Topo: topo, CDN: network, Clock: clock}
 
-	// Wire path.
+	// Deployed path: crpd on loopback UDP. Reference: one in-process service.
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := dnsserver.NewRegistry()
-	srv, err := dnsserver.Serve(pc, backend, registry)
+	daemon, err := crpdaemon.Serve(pc, crp.NewService(crp.WithWindow(10)), crpdaemon.Config{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer daemon.Close()
+	conn, err := net.Dial("udp", daemon.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, crpdaemon.MaxReplySize)
+	call := func(req crpdaemon.Request, bin bool) crpdaemon.Response {
+		t.Helper()
+		raw, err := crpdaemon.EncodeRequest(&req, bin)
+		if err != nil {
+			t.Fatalf("encode %s: %v", req.Op, err)
+		}
+		if _, err := conn.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("read reply to %s: %v", req.Op, err)
+		}
+		resp, gotBin, err := crpdaemon.DecodeResponse(buf[:n])
+		if err != nil || gotBin != bin {
+			t.Fatalf("reply to %s: codec bin=%v (sent bin=%v), err %v", req.Op, gotBin, bin, err)
+		}
+		if !resp.OK {
+			t.Fatalf("%s failed: %s", req.Op, resp.Error)
+		}
+		return resp
+	}
+	ref := crp.NewService(crp.WithWindow(10))
 
-	// Everyone (a sample of clients + all candidates) collects redirections
-	// through real DNS queries.
-	svc := crp.NewService(crp.WithWindow(10))
+	// Everyone (a sample of clients + all candidates) reports its
+	// redirections to crpd, and the same probes feed the reference.
 	epoch := time.Now()
 	sample := topo.Clients()[:12]
 	participants := append(append([]netsim.HostID(nil), sample...), topo.Candidates()...)
-
-	for _, h := range participants {
-		cl, err := dnsserver.NewClient(srv.Addr(), registry, h, dnsserver.WithTimeout(2*time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		clock.Set(0)
+	nodeOf := func(h netsim.HostID) crp.NodeID { return crp.NodeID(topo.Host(h).Name) }
+	for i, h := range participants {
+		bin := i%2 == 1
 		for probe := 0; probe < 10; probe++ {
+			at := time.Duration(probe) * 10 * time.Minute
 			for _, name := range network.Names() {
-				resp, err := cl.Query(name, dnswire.TypeA)
+				replicas, err := network.Redirect(name, h, at)
 				if err != nil {
-					cl.Close()
-					t.Fatalf("query %q as host %d: %v", name, h, err)
-				}
-				if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) == 0 {
-					cl.Close()
-					t.Fatalf("bad answer for %q: %v, %d records", name, resp.RCode, len(resp.Answers))
+					t.Fatalf("redirect %q for host %d: %v", name, h, err)
 				}
 				var ids []crp.ReplicaID
-				for _, rec := range resp.Answers {
-					a, ok := rec.Data.(*dnswire.ARecord)
-					if !ok {
-						cl.Close()
-						t.Fatalf("non-A answer record: %v", rec)
-					}
-					id, ok := topo.HostByAddr(a.Addr)
-					if !ok || network.IsFallback(id) {
+				var names []string
+				for _, r := range replicas {
+					if network.IsFallback(r) {
 						continue
 					}
-					ids = append(ids, crp.ReplicaID(topo.Host(id).Name))
+					ids = append(ids, crp.ReplicaID(topo.Host(r).Name))
+					names = append(names, topo.Host(r).Name)
 				}
-				if err := svc.Observe(crp.NodeID(topo.Host(h).Name), epoch.Add(clock.Now()), ids...); err != nil {
-					cl.Close()
+				call(crpdaemon.Request{Op: "observe", Node: string(nodeOf(h)), Replicas: names}, bin)
+				if err := ref.Observe(nodeOf(h), epoch.Add(at), ids...); err != nil {
 					t.Fatal(err)
 				}
 			}
-			clock.Advance(10 * time.Minute)
 		}
-		cl.Close()
 	}
 
-	nodeOf := func(h netsim.HostID) crp.NodeID { return crp.NodeID(topo.Host(h).Name) }
 	candidates := make([]crp.NodeID, len(topo.Candidates()))
+	candNames := make([]string, len(topo.Candidates()))
 	for i, c := range topo.Candidates() {
 		candidates[i] = nodeOf(c)
+		candNames[i] = string(candidates[i])
 	}
 
-	// Closest-node selection through the service must clearly beat random
-	// assignment on true RTT.
-	evalAt := clock.Now()
+	// Closest-node selection over the wire must equal the reference ranking
+	// and clearly beat random assignment on true RTT.
+	evalAt := 100 * time.Minute
 	var crpSum, randSum float64
 	for i, client := range sample {
-		best, _, err := svc.ClosestTo(nodeOf(client), candidates)
+		resp := call(crpdaemon.Request{Op: "closest", Client: string(nodeOf(client)), Candidates: candNames, K: 5}, i%2 == 1)
+		want, err := ref.TopK(nodeOf(client), candidates, 5)
 		if err != nil {
-			t.Fatalf("ClosestTo: %v", err)
+			t.Fatalf("TopK: %v", err)
 		}
-		chosen, ok := topo.HostByName(string(best.Node))
+		if len(resp.Ranked) != len(want) {
+			t.Fatalf("closest for %s: %d ranked over the wire, %d in process", nodeOf(client), len(resp.Ranked), len(want))
+		}
+		for j, r := range resp.Ranked {
+			if crp.NodeID(r.Node) != want[j].Node || r.Similarity != want[j].Similarity {
+				t.Fatalf("closest for %s, rank %d: wire %v, in process %v", nodeOf(client), j, r, want[j])
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("closest for %s: no candidates ranked", nodeOf(client))
+		}
+		chosen, ok := topo.HostByName(string(want[0].Node))
 		if !ok {
-			t.Fatalf("selected unknown node %q", best.Node)
+			t.Fatalf("selected unknown node %q", want[0].Node)
 		}
 		crpSum += topo.RTTMs(client, chosen, evalAt)
 		randSum += topo.RTTMs(client, topo.Candidates()[(i*7)%len(topo.Candidates())], evalAt)
@@ -128,9 +156,39 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Errorf("CRP selection (total %.0f ms) no better than random (%.0f ms)", crpSum, randSum)
 	}
 
-	// Clustering through the service: members of multi-node clusters must be
-	// closer to their centers than the population average pair.
-	clusters, err := svc.ClusterAll(crp.ClusterConfig{Threshold: crp.DefaultThreshold, SecondPass: true})
+	// Clustering over the wire must equal the reference's SMF answers.
+	smf := crp.ClusterConfig{Threshold: crp.DefaultThreshold, SecondPass: true}
+	sameNodes := func(op string, got []string, want []crp.NodeID) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %v over the wire, %v in process", op, got, want)
+		}
+		for i := range got {
+			if crp.NodeID(got[i]) != want[i] {
+				t.Fatalf("%s: %v over the wire, %v in process", op, got, want)
+			}
+		}
+	}
+	for i, client := range sample {
+		resp := call(crpdaemon.Request{Op: "same_cluster", Node: string(nodeOf(client))}, i%2 == 1)
+		want, err := ref.SameCluster(nodeOf(client), smf)
+		if err != nil {
+			t.Fatalf("SameCluster: %v", err)
+		}
+		sameNodes("same_cluster "+string(nodeOf(client)), resp.Nodes, want)
+	}
+	for _, bin := range []bool{false, true} {
+		resp := call(crpdaemon.Request{Op: "distinct_clusters", N: 5}, bin)
+		want, err := ref.DistinctClusters(5, smf)
+		if err != nil {
+			t.Fatalf("DistinctClusters: %v", err)
+		}
+		sameNodes("distinct_clusters", resp.Nodes, want)
+	}
+
+	// Members of multi-node clusters must be closer to their centers than
+	// the population average pair.
+	clusters, err := ref.ClusterAll(smf)
 	if err != nil {
 		t.Fatalf("ClusterAll: %v", err)
 	}
@@ -166,14 +224,7 @@ func TestSystemEndToEnd(t *testing.T) {
 			intraSum/float64(intraN), allSum/float64(allN))
 	}
 
-	// The King module and the ASN table operate on the same world.
-	est, err := king.New(topo, topo.Candidates()[0], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := est.EstimateMs(sample[0], sample[1], evalAt); err != nil {
-		t.Fatalf("king estimate: %v", err)
-	}
+	// The ASN table operates on the same world.
 	table, err := asn.BuildTable(topo)
 	if err != nil {
 		t.Fatal(err)
