@@ -1,9 +1,9 @@
-// Package repro's benchmark harness regenerates every table and figure of
-// the CRP paper's evaluation as a testing.B benchmark, reporting the
-// headline numbers via b.ReportMetric so `go test -bench` output doubles as
-// a results table (EXPERIMENTS.md records a full-scale run made with
-// cmd/crpbench). Reduced-scale scenarios keep the default bench run fast;
-// the shapes match the full-scale runs.
+// Package repro's micro-benchmarks time the kernels under CRP's data paths
+// one at a time: cosine similarity (the public call and its Dot-and-Norms
+// core), tracker observe, SMF clustering, ranking, repeated Service.TopK, and
+// the simulator's CDN redirect, RTT model and Meridian query. They are a quick
+// local look at one kernel, not a gate. The paper's tables and figures come
+// from cmd/crpbench, and end-to-end timing from the benchmark directory.
 package repro
 
 import (
@@ -23,7 +23,7 @@ var (
 )
 
 // benchScenario is the shared reduced-scale world (same candidate density
-// as the paper).
+// as the paper) that the redirect, RTT and Meridian benchmarks draw from.
 func benchScenario(b *testing.B) *experiment.PaperWorld {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -40,244 +40,6 @@ func benchScenario(b *testing.B) *experiment.PaperWorld {
 	}
 	return benchSc
 }
-
-func benchProbeCfg() experiment.ClosestNodeConfig {
-	return experiment.ClosestNodeConfig{
-		Schedule: experiment.ProbeSchedule{Interval: 10 * time.Minute, Probes: 36},
-	}
-}
-
-func benchSweepCfg() experiment.RankSweepConfig {
-	return experiment.RankSweepConfig{
-		Duration:          2 * 24 * time.Hour,
-		CandidateInterval: 30 * time.Minute,
-		DecisionPoints:    3,
-	}
-}
-
-// BenchmarkFig4ClosestNodeLatency regenerates Fig. 4: latency of the server
-// selected by Meridian vs CRP Top-1 vs CRP Top-5 for every client.
-func BenchmarkFig4ClosestNodeLatency(b *testing.B) {
-	sc := benchScenario(b)
-	var st experiment.ClosestNodeStats
-	for i := 0; i < b.N; i++ {
-		outcome, err := sc.RunClosestNode(benchProbeCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		st = outcome.Stats()
-	}
-	b.ReportMetric(st.MeanOptimal, "optimal_ms")
-	b.ReportMetric(st.MeanCRPTop1, "crp_top1_ms")
-	b.ReportMetric(st.MeanCRPTopK, "crp_top5_ms")
-	b.ReportMetric(st.MeanMeridian, "meridian_ms")
-	b.ReportMetric(100*st.FracTopKNearMeridian, "near_meridian_pct")
-}
-
-// BenchmarkFig5RelativeError regenerates Fig. 5: selected-minus-optimal RTT
-// at the median and 90th percentile for CRP and Meridian.
-func BenchmarkFig5RelativeError(b *testing.B) {
-	sc := benchScenario(b)
-	var crpErr, merErr []float64
-	for i := 0; i < b.N; i++ {
-		outcome, err := sc.RunClosestNode(benchProbeCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		crpErr = outcome.SortedSeries(func(r experiment.ClientResult) float64 { return r.CRPTopK - r.Optimal })
-		merErr = outcome.SortedSeries(func(r experiment.ClientResult) float64 { return r.Meridian - r.Optimal })
-	}
-	b.ReportMetric(crpErr[len(crpErr)/2], "crp_err_p50_ms")
-	b.ReportMetric(crpErr[len(crpErr)*9/10], "crp_err_p90_ms")
-	b.ReportMetric(merErr[len(merErr)/2], "meridian_err_p50_ms")
-	b.ReportMetric(merErr[len(merErr)*9/10], "meridian_err_p90_ms")
-}
-
-func benchClusterCfg() experiment.ClusteringConfig {
-	return experiment.ClusteringConfig{
-		NumNodes:   120,
-		Schedule:   experiment.ProbeSchedule{Interval: 10 * time.Minute, Probes: 36},
-		SecondPass: true,
-	}
-}
-
-// BenchmarkTable1ClusteringSummary regenerates Table I: clustering summary
-// statistics for CRP at t ∈ {0.01, 0.1, 0.5} vs ASN-based clustering.
-func BenchmarkTable1ClusteringSummary(b *testing.B) {
-	sc := benchScenario(b)
-	var outcome *experiment.ClusteringOutcome
-	for i := 0; i < b.N; i++ {
-		var err error
-		outcome, err = sc.RunClustering(benchClusterCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	focus := outcome.CRPRows[outcome.Focus]
-	b.ReportMetric(float64(focus.Summary.NodesClustered), "crp_nodes_clustered")
-	b.ReportMetric(float64(focus.Summary.NumClusters), "crp_clusters")
-	b.ReportMetric(float64(outcome.ASN.Summary.NodesClustered), "asn_nodes_clustered")
-	b.ReportMetric(float64(outcome.ASN.Summary.NumClusters), "asn_clusters")
-}
-
-// BenchmarkFig6ClusterCDF regenerates Fig. 6: the intra/inter-cluster
-// distance distribution and the good-cluster fraction for CRP at t=0.1.
-func BenchmarkFig6ClusterCDF(b *testing.B) {
-	sc := benchScenario(b)
-	var outcome *experiment.ClusteringOutcome
-	for i := 0; i < b.N; i++ {
-		var err error
-		outcome, err = sc.RunClustering(benchClusterCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	focus := outcome.CRPRows[outcome.Focus]
-	intra, inter := focus.IntraCDF()
-	if len(intra) > 0 {
-		b.ReportMetric(intra[len(intra)/2], "intra_p50_ms")
-		b.ReportMetric(inter[len(inter)/2], "inter_p50_ms")
-	}
-	b.ReportMetric(100*focus.GoodFraction(), "good_pct")
-}
-
-// BenchmarkFig7GoodClusters regenerates Fig. 7: good-cluster counts per
-// diameter bucket for CRP vs ASN.
-func BenchmarkFig7GoodClusters(b *testing.B) {
-	sc := benchScenario(b)
-	var outcome *experiment.ClusteringOutcome
-	for i := 0; i < b.N; i++ {
-		var err error
-		outcome, err = sc.RunClustering(benchClusterCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	focus := outcome.CRPRows[outcome.Focus]
-	b.ReportMetric(float64(focus.GoodBuckets[0]), "crp_good_0_25")
-	b.ReportMetric(float64(focus.GoodBuckets[1]), "crp_good_25_75")
-	b.ReportMetric(float64(outcome.ASN.GoodBuckets[0]), "asn_good_0_25")
-	b.ReportMetric(float64(outcome.ASN.GoodBuckets[1]), "asn_good_25_75")
-}
-
-// BenchmarkFig8ProbeInterval regenerates Fig. 8: average recommendation
-// rank as the probe interval stretches from 20 to 2000 minutes.
-func BenchmarkFig8ProbeInterval(b *testing.B) {
-	sc := benchScenario(b)
-	intervals := []time.Duration{20 * time.Minute, 100 * time.Minute, 500 * time.Minute, 2000 * time.Minute}
-	var series []experiment.RankSeries
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = sc.RunProbeIntervalSweep(intervals, benchSweepCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i, iv := range []string{"rank_20min", "rank_100min", "rank_500min", "rank_2000min"} {
-		b.ReportMetric(series[i].Mean(), iv)
-	}
-	b.ReportMetric(float64(series[3].ClientsWithSignal), "clients_2000min")
-}
-
-// BenchmarkFig9WindowSize regenerates Fig. 9: average recommendation rank
-// for window sizes of all/30/10/5 probes at a 10-minute interval.
-func BenchmarkFig9WindowSize(b *testing.B) {
-	sc := benchScenario(b)
-	var series []experiment.RankSeries
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = sc.RunWindowSweep([]int{0, 30, 10, 5}, 10*time.Minute, benchSweepCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i, label := range []string{"rank_all", "rank_30", "rank_10", "rank_5"} {
-		b.ReportMetric(series[i].Mean(), label)
-	}
-}
-
-// BenchmarkAblationSimilarityMetrics compares cosine vs Jaccard vs raw
-// overlap for closest-node selection.
-func BenchmarkAblationSimilarityMetrics(b *testing.B) {
-	sc := benchScenario(b)
-	var rows []experiment.SimilarityAblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = sc.RunSimilarityAblation(benchProbeCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MeanRank, r.Label+"_rank")
-	}
-}
-
-// BenchmarkAblationClusterCenters compares SMF center selection vs random
-// centers.
-func BenchmarkAblationClusterCenters(b *testing.B) {
-	sc := benchScenario(b)
-	var rows []experiment.CenterAblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = sc.RunCenterAblation(benchClusterCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows[0].GoodBuckets[0]+rows[0].GoodBuckets[1]), "smf_good")
-	b.ReportMetric(float64(rows[1].GoodBuckets[0]+rows[1].GoodBuckets[1]), "random_good")
-}
-
-// BenchmarkAblationCoverage sweeps the CDN deployment size.
-func BenchmarkAblationCoverage(b *testing.B) {
-	var points []experiment.CoveragePoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = experiment.RunCoverageSweep(
-			experiment.WorldParams{Seed: 1, NumClients: 80, NumCandidates: 120},
-			[]int{120, 480},
-			experiment.ClosestNodeConfig{Schedule: experiment.ProbeSchedule{Interval: 10 * time.Minute, Probes: 24}},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(points[0].MeanCRPTopK, "sparse_cdn_ms")
-	b.ReportMetric(points[1].MeanCRPTopK, "dense_cdn_ms")
-}
-
-// BenchmarkAblationBaselines compares CRP, Meridian, Vivaldi and random
-// selection on one scenario.
-func BenchmarkAblationBaselines(b *testing.B) {
-	sc := benchScenario(b)
-	var rows []experiment.BaselineRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = sc.RunBaselineComparison(benchProbeCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.Label {
-		case "optimal":
-			b.ReportMetric(r.MeanRTT, "optimal_ms")
-		case "meridian":
-			b.ReportMetric(r.MeanRTT, "meridian_ms")
-		case "vivaldi":
-			b.ReportMetric(r.MeanRTT, "vivaldi_ms")
-		case "binning":
-			b.ReportMetric(r.MeanRTT, "binning_ms")
-		case "gnp":
-			b.ReportMetric(r.MeanRTT, "gnp_ms")
-		case "random":
-			b.ReportMetric(r.MeanRTT, "random_ms")
-		}
-	}
-}
-
-// --- Micro-benchmarks for the core data paths ---
 
 func BenchmarkCosineSimilarity(b *testing.B) {
 	a := crp.RatioMap{}
@@ -457,40 +219,4 @@ func BenchmarkMeridianQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPathRepair runs the §IV-B overlay path-repair study.
-func BenchmarkPathRepair(b *testing.B) {
-	sc := benchScenario(b)
-	var outcome *experiment.RepairOutcome
-	for i := 0; i < b.N; i++ {
-		var err error
-		outcome, err = sc.RunPathRepair(experiment.RepairConfig{
-			NumPaths: 100,
-			Schedule: experiment.ProbeSchedule{Interval: 10 * time.Minute, Probes: 24},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(outcome.MeanBefore, "before_ms")
-	b.ReportMetric(outcome.MeanOracle, "oracle_ms")
-	b.ReportMetric(outcome.MeanCRP, "crp_ms")
-	b.ReportMetric(outcome.MeanRandom, "random_ms")
-}
-
-// BenchmarkBootstrap runs the §VI cold-start study.
-func BenchmarkBootstrap(b *testing.B) {
-	sc := benchScenario(b)
-	var points []experiment.BootstrapPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = sc.RunBootstrap(experiment.BootstrapConfig{ProbeCounts: []int{1, 5, 10, 30}})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(points[0].MeanRank, "rank_1probe")
-	b.ReportMetric(points[2].MeanRank, "rank_10probes")
-	b.ReportMetric(points[3].MeanRank, "rank_30probes")
 }

@@ -108,7 +108,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	flags := flag.NewFlagSet("crpd", flag.ContinueOnError)
 	listen := flags.String("listen", "127.0.0.1:5353", "UDP address to listen on")
 	window := flags.Int("window", 10, "probe window per node (0 = unbounded)")
@@ -141,6 +141,22 @@ func run(args []string) error {
 	}
 	if *aggregate < 0 || *aggregate > 32 {
 		return fmt.Errorf("-aggregate %d: prefix length must be in 0..32 (0 = off)", *aggregate)
+	}
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{{"-timeout", *timeout}, {"-gossip-interval", *gossipInterval}, {"-drift-interval", *driftInterval}} {
+		if f.v <= 0 {
+			return fmt.Errorf("%s %s: must be > 0", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-cheap-workers", *cheapWorkers}, {"-heavy-workers", *heavyWorkers}, {"-queue", *queueDepth}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: must be >= 0 (0 = default)", f.name, f.v)
+		}
 	}
 
 	var opts []crp.TrackerOption
@@ -177,12 +193,42 @@ func run(args []string) error {
 		}
 	}
 
+	// One teardown for every exit from here on, a failed startup step and a
+	// signal alike: the drift monitor, then peering and its socket, then,
+	// once the daemon has served, the state save and Close, which drains
+	// in-flight handlers.
+	var (
+		peer     *peering.Peering
+		gossipPC net.PacketConn
+		mon      *drift.Monitor
+		d        *crpdaemon.Daemon
+	)
+	defer func() {
+		if mon != nil {
+			mon.Close()
+		}
+		if peer != nil {
+			peer.Close()
+		}
+		if gossipPC != nil {
+			gossipPC.Close()
+		}
+		if d == nil {
+			return
+		}
+		if *statePath != "" {
+			if err := saveState(svc, *statePath); err != nil {
+				fmt.Fprintln(os.Stderr, "crpd: save state:", err)
+			}
+		}
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}()
+
 	// The gossip engine must be wired before the service takes traffic so
 	// every local mutation is stamped and queued for rumor propagation.
-	var peer *peering.Peering
-	var gossipPC net.PacketConn
 	if *gossipListen != "" {
-		var err error
 		gossipPC, err = net.ListenPacket("udp", *gossipListen)
 		if err != nil {
 			return fmt.Errorf("gossip listen: %w", err)
@@ -198,12 +244,10 @@ func run(args []string) error {
 			Interval: *gossipInterval,
 		})
 		if err != nil {
-			gossipPC.Close()
 			return err
 		}
 		peer.Attach(gossipPC)
 		if err := peer.Start(); err != nil {
-			gossipPC.Close()
 			return err
 		}
 		fmt.Printf("crpd gossiping on %s as %q\n", gossipPC.LocalAddr(), id)
@@ -220,7 +264,6 @@ func run(args []string) error {
 	// The drift monitor taps the service's compiled snapshots on its own
 	// cadence; it starts before the daemon takes traffic so the baseline
 	// covers the whole run.
-	var mon *drift.Monitor
 	if *driftOn {
 		cfg := drift.DefaultConfig()
 		if *driftConfig != "" {
@@ -232,7 +275,6 @@ func run(args []string) error {
 				return fmt.Errorf("drift config %q: %w", *driftConfig, err)
 			}
 		}
-		var err error
 		mon, err = drift.NewMonitor(svc, cfg, drift.WithInterval(*driftInterval))
 		if err != nil {
 			return err
@@ -245,7 +287,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	d, err := crpdaemon.Serve(pc, svc, crpdaemon.Config{
+	d, err = crpdaemon.Serve(pc, svc, crpdaemon.Config{
 		CheapWorkers: *cheapWorkers,
 		HeavyWorkers: *heavyWorkers,
 		QueueDepth:   *queueDepth,
@@ -259,24 +301,12 @@ func run(args []string) error {
 	}
 	fmt.Printf("crpd listening on %s (window %d)\n", d.Addr(), *window)
 
-	// On SIGINT/SIGTERM: snapshot, then stop serving. Close drains
-	// in-flight handlers before returning.
+	// Serve until SIGINT/SIGTERM; the deferred teardown then snapshots and
+	// stops serving.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	if mon != nil {
-		mon.Close()
-	}
-	if peer != nil {
-		peer.Close()
-		gossipPC.Close()
-	}
-	if *statePath != "" {
-		if err := saveState(svc, *statePath); err != nil {
-			fmt.Fprintln(os.Stderr, "crpd: save state:", err)
-		}
-	}
-	return d.Close()
+	return nil
 }
 
 // parseFusionWeights parses the "ns=weight,ns=weight" flag form.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"reflect"
 	"strings"
@@ -324,6 +325,20 @@ func TestFlagBounds(t *testing.T) {
 		{[]string{"-fusion", "-fusion-weights", "cdnA=1abc"}, "bad weight"},
 		{[]string{"-fusion", "-fusion-weights", "cdnA="}, "bad weight"},
 		{[]string{"-fusion", "-fusion-weights", "cdnA=0.5,cdnB=0,cdnC=-1"}, ""},
+		{[]string{"-timeout", "0"}, "-timeout 0s: must be > 0"},
+		{[]string{"-timeout", "-1s"}, "-timeout -1s: must be > 0"},
+		{[]string{"-timeout", "1s"}, ""},
+		{[]string{"-gossip-interval", "0"}, "-gossip-interval 0s: must be > 0"},
+		{[]string{"-gossip-interval", "-1s"}, "-gossip-interval -1s: must be > 0"},
+		{[]string{"-drift", "-drift-interval", "-5s"}, "-drift-interval -5s: must be > 0"},
+		{[]string{"-drift", "-drift-interval", "0"}, "-drift-interval 0s: must be > 0"},
+		{[]string{"-drift", "-drift-interval", "1s"}, ""},
+		{[]string{"-cheap-workers", "-1"}, "-cheap-workers -1: must be >= 0"},
+		{[]string{"-cheap-workers", "0"}, ""},
+		{[]string{"-heavy-workers", "-1"}, "-heavy-workers -1: must be >= 0"},
+		{[]string{"-heavy-workers", "0"}, ""},
+		{[]string{"-queue", "-1"}, "-queue -1: must be >= 0"},
+		{[]string{"-queue", "0"}, ""},
 	} {
 		err := run(append(tc.args, "-listen", "no-port"))
 		if err == nil {
@@ -337,4 +352,26 @@ func TestFlagBounds(t *testing.T) {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.wantErr)
 		}
 	}
+}
+
+// TestFailedStartupReleasesGossipPort fails crpd at its listen step, after
+// peering and the drift monitor have started: the teardown must release the
+// gossip socket, so the port can be bound again at once.
+func TestFailedStartupReleasesGossipPort(t *testing.T) {
+	probe, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.LocalAddr().String()
+	probe.Close()
+
+	err = run([]string{"-gossip-listen", addr, "-drift", "-listen", "no-port"})
+	if err == nil || !strings.Contains(err.Error(), "no-port") {
+		t.Fatalf("run: err = %v, want the listen failure", err)
+	}
+	again, err := net.ListenPacket("udp", addr)
+	if err != nil {
+		t.Fatalf("gossip port %s still held after run returned: %v", addr, err)
+	}
+	again.Close()
 }

@@ -48,18 +48,6 @@ func (m *MemMesh) Resolve(s string) (net.Addr, error) {
 	return memAddr(s), nil
 }
 
-// Pending returns the total queued datagrams across the fabric, so a pump
-// knows when the mesh is quiescent.
-func (m *MemMesh) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, q := range m.queues {
-		n += len(q)
-	}
-	return n
-}
-
 // errMeshEmpty signals an empty receive queue. It satisfies net.Error with
 // Timeout() true so read loops treat it like a deadline miss.
 var errMeshEmpty = &meshEmptyError{}
