@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/netip"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,6 +157,9 @@ func (it *internTable) intern(r ReplicaID) uint32 {
 	if i, ok := it.idx[r]; ok {
 		return i
 	}
+	// The table outlives every request, so it keeps its own copy: r may be
+	// cut from a decoded list's shared backing.
+	r = ReplicaID(strings.Clone(string(r)))
 	i = uint32(len(it.names))
 	it.names = append(it.names, r)
 	it.idx[r] = i

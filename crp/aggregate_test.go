@@ -3,9 +3,11 @@ package crp
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // groupByFirstByte keys every node ID that starts with "c" to a group named
@@ -503,5 +505,21 @@ func TestPrefixKeyFunc(t *testing.T) {
 	}
 	if key, ok := PrefixKeyFunc(16)("10.1.2.77"); !ok || key != "10.1.0.0/16" {
 		t.Fatalf("PrefixKeyFunc/16 = %q, %v", key, ok)
+	}
+}
+
+// TestInternKeepsOwnCopy pins that the process-lifetime intern table does
+// not retain the string a name was cut from: a decoded replica list shares
+// one backing, and an interned name must not pin it.
+func TestInternKeepsOwnCopy(t *testing.T) {
+	it := internTable{idx: make(map[ReplicaID]uint32)}
+	backing := "r1.cdn.example" + strings.Repeat("x", 4096)
+	r := ReplicaID(backing[:len("r1.cdn.example")])
+	name := it.name(it.intern(r))
+	if name != r {
+		t.Fatalf("interned %q, got back %q", r, name)
+	}
+	if unsafe.StringData(string(name)) == unsafe.StringData(backing) {
+		t.Fatal("interned name shares the caller's backing")
 	}
 }

@@ -2,6 +2,7 @@ package crp
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -40,7 +41,9 @@ func (n *nsObserves) bump(replicas []ReplicaID) {
 		g, ok := n.gauges[ns]
 		if !ok {
 			g = obs.Default().Gauge(fmt.Sprintf("crp.service.ns.%03d.observes", len(n.gauges)))
-			n.gauges[ns] = g
+			// A long-lived key: ns is cut from r, which may share a
+			// decoded list's backing.
+			n.gauges[Namespace(strings.Clone(string(ns)))] = g
 		}
 		g.Inc()
 	}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 	"unicode/utf8"
 )
@@ -41,6 +42,17 @@ func (e *Enc) Bytes() []byte { return e.buf }
 
 // Len returns the current encoded size.
 func (e *Enc) Len() int { return len(e.buf) }
+
+// Grow makes room for n more bytes, so an encoder that knows a message's
+// size up front allocates once instead of doubling its way there. (Not
+// slices.Grow: under the race detector that allocates twice.)
+func (e *Enc) Grow(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		buf := make([]byte, len(e.buf), len(e.buf)+n)
+		copy(buf, e.buf)
+		e.buf = buf
+	}
+}
 
 // U8 appends one byte.
 func (e *Enc) U8(v byte) { e.buf = append(e.buf, v) }
@@ -179,19 +191,64 @@ func (d *Dec) Bool() (bool, error) {
 // validated against both the ceiling and the remaining buffer before the
 // copy, so a hostile length costs an error, not an allocation.
 func (d *Dec) String(max int) (string, error) {
-	n, err := d.Uvarint()
+	n, err := d.stringLen(max)
 	if err != nil {
 		return "", err
 	}
+	s := string(d.buf[d.off : d.off+n])
+	d.off += n
+	return s, nil
+}
+
+// stringLen reads a string's length prefix and checks it against max, then
+// against the bytes remaining.
+func (d *Dec) stringLen(max int) (int, error) {
+	n, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
 	if n > uint64(max) {
-		return "", fmt.Errorf("binwire: string of %d bytes exceeds the %d-byte limit", n, max)
+		return 0, fmt.Errorf("binwire: string of %d bytes exceeds the %d-byte limit", n, max)
 	}
 	if int(n) > d.Remaining() {
-		return "", ErrShort
+		return 0, ErrShort
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
+	return int(n), nil
+}
+
+// Strings reads n consecutive length-prefixed strings of at most max bytes
+// each. The result equals n calls to String — the same values, the same
+// error for the first bad entry, the same final offset — but the entries
+// are cut from one freshly allocated backing string, so a list costs two
+// allocations (the slice and the backing) instead of one per entry. Every
+// entry's length is validated before anything is allocated. The backing
+// is shared by this list only: retaining one entry retains the others, so
+// a holder that outlives the list keeps a strings.Clone of what it needs.
+func (d *Dec) Strings(n, max int) ([]string, error) {
+	start, total := d.off, 0
+	for i := 0; i < n; i++ {
+		l, err := d.stringLen(max)
+		if err != nil {
+			return nil, err
+		}
+		d.off += l
+		total += l
+	}
+	// Second pass over the validated entries. The builder holds exactly
+	// total bytes and never reallocates, so each entry cut from it stays
+	// valid while later ones are appended.
+	var b strings.Builder
+	b.Grow(total)
+	out := make([]string, n)
+	d.off = start
+	for i := range out {
+		l, _ := d.Uvarint()
+		from := b.Len()
+		b.Write(d.buf[d.off : d.off+int(l)])
+		out[i] = b.String()[from:]
+		d.off += int(l)
+	}
+	return out, nil
 }
 
 // Blob reads a length-prefixed byte blob of at most max bytes into a fresh
@@ -233,11 +290,21 @@ func (d *Dec) Count(max, minElemBytes int) (int, error) {
 	return int(n), nil
 }
 
+// Instants outside the years 0–9999 are refused: JSON (RFC 3339) cannot
+// carry them, and a decoded record must survive a JSON snapshot.
+var (
+	minTimeSec = time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	maxTimeSec = time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC).Unix()
+)
+
 // Time reads an instant written by Enc.Time, restored in UTC.
 func (d *Dec) Time() (time.Time, error) {
 	sec, err := d.Varint()
 	if err != nil {
 		return time.Time{}, err
+	}
+	if sec < minTimeSec || sec > maxTimeSec {
+		return time.Time{}, fmt.Errorf("binwire: instant %d s outside the years 0-9999", sec)
 	}
 	nsec, err := d.Uvarint()
 	if err != nil {

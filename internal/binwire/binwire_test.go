@@ -2,7 +2,10 @@ package binwire
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +145,22 @@ func TestBounds(t *testing.T) {
 	if _, err := NewDec(e.Bytes()).Time(); err == nil {
 		t.Fatal("Time accepted 1e9 nanoseconds")
 	}
+	// Instants are bounded to the years JSON can carry.
+	for _, c := range []struct {
+		at time.Time
+		ok bool
+	}{
+		{time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), true},
+		{time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), true},
+		{time.Date(-1, 12, 31, 23, 59, 59, 999999999, time.UTC), false},
+		{time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), false},
+	} {
+		e.Reset()
+		e.Time(c.at)
+		if _, err := NewDec(e.Bytes()).Time(); (err == nil) != c.ok {
+			t.Fatalf("Time(%v): err = %v, want ok=%v", c.at, err, c.ok)
+		}
+	}
 }
 
 // TestSizeHelpers pins the exact-size helpers against the encoder: packers
@@ -175,6 +194,75 @@ func TestSizeHelpers(t *testing.T) {
 		e.Time(at)
 		if got := TimeLen(at); got != e.Len() {
 			t.Fatalf("TimeLen(%v) = %d, encoder wrote %d", at, got, e.Len())
+		}
+	}
+}
+
+// TestStringsMatchesString is the property test for Dec.Strings: on seeded
+// lists, every truncation of them and an over-limit length at every entry,
+// Strings(n, max) must equal n calls to String(max) on values, error and
+// final offset.
+func TestStringsMatchesString(t *testing.T) {
+	const max = 12
+	// Every message opens with one byte of another field, so the list does
+	// not start at offset zero.
+	oneByOne := func(raw []byte, n int) ([]string, error, int) {
+		d := NewDec(raw)
+		d.U8()
+		out := make([]string, n)
+		for i := range out {
+			s, err := d.String(max)
+			if err != nil {
+				return nil, err, d.off
+			}
+			out[i] = s
+		}
+		return out, nil, d.off
+	}
+	check := func(name string, raw []byte, n int) {
+		t.Helper()
+		want, wantErr, wantOff := oneByOne(raw, n)
+		d := NewDec(raw)
+		d.U8()
+		got, err := d.Strings(n, max)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || errors.Is(err, ErrShort) != errors.Is(wantErr, ErrShort) {
+			t.Fatalf("%s: Strings error %v, String gives %v", name, err, wantErr)
+		}
+		if d.off != wantOff {
+			t.Fatalf("%s: Strings stops at offset %d, String at %d", name, d.off, wantOff)
+		}
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("%s: Strings = %q, String gives %q", name, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(34))
+	for c := 0; c < 200; c++ {
+		n := rng.Intn(8)
+		lens := make([]int, n)
+		var e Enc
+		e.U8(0xEE)
+		for i := range lens {
+			lens[i] = rng.Intn(max + 1)
+			b := make([]byte, lens[i])
+			rng.Read(b)
+			e.String(string(b))
+		}
+		e.U8(0xEE) // a trailing field Strings must not consume
+		raw := e.Bytes()
+		for cut := 1; cut <= len(raw); cut++ {
+			check(fmt.Sprintf("case %d cut %d/%d", c, cut, len(raw)), raw[:cut], n)
+		}
+		// An over-limit length at each entry, the rest of the list intact.
+		for bad := 0; bad < n; bad++ {
+			var o Enc
+			o.U8(0xEE)
+			for i, l := range lens {
+				if i == bad {
+					l = max + 1 + rng.Intn(3)
+				}
+				o.String(strings.Repeat("x", l))
+			}
+			check(fmt.Sprintf("case %d over-limit entry %d", c, bad), o.Bytes(), n)
 		}
 	}
 }

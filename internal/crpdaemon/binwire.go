@@ -3,7 +3,6 @@ package crpdaemon
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/binwire"
@@ -82,7 +81,14 @@ func EncodeRequest(req *Request, bin bool) ([]byte, error) {
 	if !bin {
 		return json.Marshal(req)
 	}
+	// Sized once, to an upper bound: the header, a batch count and every
+	// body (a batch envelope's own empty body included).
+	size := 3 + binwire.UvarintLen(uint64(len(req.Batch))) + requestBodyLen(req)
+	for i := range req.Batch {
+		size += requestBodyLen(&req.Batch[i])
+	}
 	var e binwire.Enc
+	e.Grow(size)
 	e.U8(binMagic)
 	e.U8(binVersion)
 	if req.Op == "batch" {
@@ -99,7 +105,34 @@ func EncodeRequest(req *Request, bin bool) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return append([]byte(nil), e.Bytes()...), nil
+	return e.Bytes(), nil
+}
+
+// requestBodyLen is the encoded size of one request body, as
+// encodeRequestBody writes it.
+func requestBodyLen(req *Request) int {
+	n := 2 + binwire.StringLen(req.Node) + binwire.StringLen(req.A) + binwire.StringLen(req.B) +
+		binwire.StringLen(req.Client) + binwire.StringLen(req.Addr) +
+		idsLen(req.Replicas) + binwire.UvarintLen(uint64(req.K)) + binwire.UvarintLen(uint64(req.N))
+	if req.Candidates != nil {
+		n += idsLen(req.Candidates)
+	}
+	if req.Threshold != nil {
+		n += 8
+	}
+	if req.NS != "" {
+		n += binwire.StringLen(req.NS)
+	}
+	return n
+}
+
+// idsLen is the encoded size of a counted string list.
+func idsLen(ids []string) int {
+	n := binwire.UvarintLen(uint64(len(ids)))
+	for _, id := range ids {
+		n += binwire.StringLen(id)
+	}
+	return n
 }
 
 func encodeRequestBody(e *binwire.Enc, req *Request) error {
@@ -225,16 +258,15 @@ func decodeRequestBody(d *binwire.Dec, req *Request) error {
 			return err
 		}
 	}
+	// Each ID list is cut from one string of its own, never from the
+	// datagram: a retained ID must not pin the frame.
 	n, err := d.Count(MaxListEntries, 1)
 	if err != nil {
 		return err
 	}
 	if n > 0 {
-		req.Replicas = make([]string, n)
-		for i := range req.Replicas {
-			if req.Replicas[i], err = d.String(MaxIDBytes); err != nil {
-				return err
-			}
+		if req.Replicas, err = d.Strings(n, MaxIDBytes); err != nil {
+			return err
 		}
 	}
 	if flags&2 != 0 {
@@ -243,11 +275,8 @@ func decodeRequestBody(d *binwire.Dec, req *Request) error {
 		}
 		// Present-but-empty stays a non-nil empty list: "no candidates",
 		// not "all nodes".
-		req.Candidates = make([]string, n)
-		for i := range req.Candidates {
-			if req.Candidates[i], err = d.String(MaxIDBytes); err != nil {
-				return err
-			}
+		if req.Candidates, err = d.Strings(n, MaxIDBytes); err != nil {
+			return err
 		}
 	}
 	k, err := d.Uvarint()
@@ -262,8 +291,8 @@ func decodeRequestBody(d *binwire.Dec, req *Request) error {
 	req.N = int(nn)
 	if flags&1 != 0 {
 		t, err := d.F64()
-		if err != nil || math.IsNaN(t) || math.IsInf(t, 0) {
-			return fmt.Errorf("threshold: bad value") // finite, as JSON carries it
+		if err != nil {
+			return fmt.Errorf("threshold: bad value")
 		}
 		req.Threshold = &t
 	}
@@ -290,7 +319,14 @@ func EncodeResponseWire(resp *Response, bin bool) []byte {
 		}
 		return b
 	}
+	// Sized once for everything but the JSON blobs, which are rare and
+	// grow the buffer themselves.
+	size := 3 + binwire.UvarintLen(uint64(len(resp.Batch))) + responseBodyLen(resp)
+	for i := range resp.Batch {
+		size += responseBodyLen(&resp.Batch[i])
+	}
 	var e binwire.Enc
+	e.Grow(size)
 	e.U8(binMagic)
 	e.U8(binVersion)
 	if len(resp.Batch) > 0 {
@@ -303,7 +339,32 @@ func EncodeResponseWire(resp *Response, bin bool) []byte {
 		e.U8(kindResp)
 		encodeResponseBody(&e, resp)
 	}
-	return append([]byte(nil), e.Bytes()...)
+	return e.Bytes()
+}
+
+// responseBodyLen is the encoded size of one response body's non-blob
+// fields, as encodeResponseBody writes them (flags fit in two bytes).
+func responseBodyLen(resp *Response) int {
+	n := 2 + binwire.StringLen(resp.Error)
+	if resp.Similarity != nil {
+		n += 8
+	}
+	if resp.RatioMap != nil {
+		n += binwire.UvarintLen(uint64(len(resp.RatioMap)))
+		for k := range resp.RatioMap {
+			n += binwire.StringLen(k) + 8
+		}
+	}
+	if resp.Nodes != nil {
+		n += idsLen(resp.Nodes)
+	}
+	if resp.Ranked != nil {
+		n += binwire.UvarintLen(uint64(len(resp.Ranked)))
+		for _, r := range resp.Ranked {
+			n += binwire.StringLen(r.Node) + 8
+		}
+	}
+	return n
 }
 
 func encodeResponseBody(e *binwire.Enc, resp *Response) {

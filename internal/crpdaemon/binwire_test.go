@@ -119,6 +119,7 @@ func TestCrossCodecRequest(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ops := []string{"observe", "ratio_map", "similarity", "closest", "nodes",
 		"stats", "same_cluster", "distinct_clusters", "peer-join", "peer-status"}
+	injected := false // a generated request carries a value both codecs must refuse
 	genSingle := func() Request {
 		r := Request{Op: ops[rng.Intn(len(ops))]}
 		if rng.Intn(2) == 0 {
@@ -146,24 +147,47 @@ func TestCrossCodecRequest(t *testing.T) {
 			th := float64(rng.Intn(100)) / 100
 			r.Threshold = &th
 		}
+		// Now and then a value one codec might carry and the other refuse.
+		switch rng.Intn(20) {
+		case 0:
+			th := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			r.Threshold = &th
+			injected = true
+		case 1:
+			r.Replicas = append(r.Replicas, "bad\x00id")
+			injected = true
+		case 2:
+			r.Candidates = append(r.Candidates, strings.Repeat("c", MaxIDBytes+1))
+			injected = true
+		}
 		return r
 	}
+	refused := 0
 	for i := 0; i < 300; i++ {
+		injected = false
 		r := genSingle()
 		if i%5 == 0 {
+			injected = false // r is dropped for the batch
 			batch := Request{Op: "batch"}
 			for j := 0; j < 1+rng.Intn(4); j++ {
 				batch.Batch = append(batch.Batch, genSingle())
 			}
 			r = batch
 		}
-		jsonRaw, err := EncodeRequest(&r, false)
-		if err != nil {
-			t.Fatalf("case %d: json encode: %v", i, err)
+		// A request with an injected bad value is refused by both codecs
+		// with one message; every other request encodes in both, and must
+		// then decode in each (below).
+		jsonRaw, jsonErr := EncodeRequest(&r, false)
+		binRaw, binErr := EncodeRequest(&r, true)
+		if injected {
+			if jsonErr == nil || binErr == nil || jsonErr.Error() != binErr.Error() {
+				t.Fatalf("case %d: bad value: json encode error %v, binary %v; want one refusal", i, jsonErr, binErr)
+			}
+			refused++
+			continue
 		}
-		binRaw, err := EncodeRequest(&r, true)
-		if err != nil {
-			t.Fatalf("case %d: binary encode: %v", i, err)
+		if jsonErr != nil || binErr != nil {
+			t.Fatalf("case %d: json encode error %v, binary %v", i, jsonErr, binErr)
 		}
 		if len(binRaw) >= len(jsonRaw) {
 			t.Fatalf("case %d (%s): binary %d bytes, JSON %d — binary must be smaller",
@@ -186,6 +210,115 @@ func TestCrossCodecRequest(t *testing.T) {
 		if binAllocs >= jsonAllocs {
 			t.Fatalf("case %d (%s): binary decode %v allocs, JSON %v — binary must allocate less",
 				i, r.Op, binAllocs, jsonAllocs)
+		}
+	}
+	if refused == 0 || refused > 100 {
+		t.Fatalf("%d of 300 cases carried a bad value; the generator should inject a few", refused)
+	}
+}
+
+// closestRequest is agg_closest's request shape: one client ranked against
+// n explicit candidates, k=3.
+func closestRequest(n int) Request {
+	cands := make([]string, n)
+	for i := range cands {
+		cands[i] = fmt.Sprintf("10.%d.%d.0", i/200, i%200)
+	}
+	return Request{Op: "closest", Client: "10.1.2.3", Candidates: cands, K: 3}
+}
+
+// observeBatch is ingest_heavy's request shape: n observes of two replicas.
+func observeBatch(n int) Request {
+	batch := Request{Op: "batch", Batch: make([]Request, n)}
+	for i := range batch.Batch {
+		batch.Batch[i] = Request{Op: "observe", Node: fmt.Sprintf("node-%d", i),
+			Replicas: []string{fmt.Sprintf("r%d.cdn.example", i), fmt.Sprintf("r%d.cdn.example", i+1)}}
+	}
+	return batch
+}
+
+// TestCodecAllocBudget pins the codec's allocations, which must not grow
+// with a request's size: no per-entry field name on a passing check, one
+// string per decoded ID list, and each binary encoder sized once.
+func TestCodecAllocBudget(t *testing.T) {
+	allocs := func(f func()) float64 { return testing.AllocsPerRun(20, f) }
+	mustEncode := func(r *Request, bin bool) []byte {
+		t.Helper()
+		raw, err := EncodeRequest(r, bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	decode := func(raw []byte) func() {
+		return func() {
+			if _, _, err := DecodeRequest(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	closest24, closest240, batch := closestRequest(24), closestRequest(240), observeBatch(32)
+	for name, r := range map[string]*Request{
+		"closest-240": &closest240,
+		"similarity":  {Op: "similarity", A: "n1", B: "n2"},
+		"batch 32x2":  &batch,
+	} {
+		if n := allocs(func() { mustEncode(r, true) }); n != 1 {
+			t.Errorf("EncodeRequest(%s): %v allocs, want 1", name, n)
+		}
+	}
+
+	bin24, bin240 := mustEncode(&closest24, true), mustEncode(&closest240, true)
+	d24, d240 := allocs(decode(bin24)), allocs(decode(bin240))
+	if d240 > 4 || d24 != d240 {
+		t.Errorf("binary DecodeRequest(closest): %v allocs at 24 candidates, %v at 240; want equal and <= 4", d24, d240)
+	}
+	if n := allocs(decode(mustEncode(&batch, true))); n > 1+3*32 {
+		t.Errorf("binary DecodeRequest(batch 32x2): %v allocs, want <= %d", n, 1+3*32)
+	}
+
+	// JSON decoding costs what json.Unmarshal costs, plus nothing per entry.
+	json240 := mustEncode(&closest240, false)
+	unmarshal := allocs(func() {
+		var r Request
+		if err := json.Unmarshal(json240, &r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	j240 := allocs(decode(json240))
+	if j240 > unmarshal+2 {
+		t.Errorf("JSON DecodeRequest(closest-240): %v allocs, json.Unmarshal alone %v", j240, unmarshal)
+	}
+	if d240 >= j240 {
+		t.Errorf("closest-240: binary decode %v allocs, JSON %v — binary must allocate less", d240, j240)
+	}
+
+	// Every reply shape is sized once by responseBodyLen, so a layout that
+	// drifts from encodeResponseBody regrows the buffer and shows here. A
+	// ratio map also pays for its sorted key slice.
+	sim := 0.5
+	ratios := map[string]float64{}
+	nodes := make([]string, 200)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("10.%d.%d.0", i/100, i%100)
+		ratios[nodes[i]+".cdn.example"] = 1 / float64(i+1)
+	}
+	ranked := []RankedNode{{"10.0.1.0", 0.9}, {"10.0.2.0", 0.5}, {"10.0.3.0", 0.1}}
+	for _, c := range []struct {
+		name string
+		resp *Response
+		want float64
+	}{
+		{"similarity", &Response{OK: true, Similarity: &sim}, 1},
+		{"ranked k=3", &Response{OK: true, Ranked: ranked}, 1},
+		{"nodes 200", &Response{OK: true, Nodes: nodes}, 1},
+		{"ratio_map 200", &Response{OK: true, RatioMap: ratios}, 2},
+		{"error", &Response{Error: strings.Repeat("e", 300)}, 1},
+		{"batch", &Response{OK: true, Batch: []Response{{OK: true, Similarity: &sim},
+			{OK: true, Ranked: ranked}, {OK: true, Nodes: nodes}, {Error: "unknown op"}}}, 1},
+	} {
+		if n := allocs(func() { EncodeResponseWire(c.resp, true) }); n != c.want {
+			t.Errorf("EncodeResponseWire(%s): %v allocs, want %v", c.name, n, c.want)
 		}
 	}
 }
@@ -311,8 +444,9 @@ func TestBinaryRequestBounds(t *testing.T) {
 	})
 	t.Run("threshold not finite", func(t *testing.T) {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			if _, _, err := DecodeRequest(encode(&Request{Op: "same_cluster", A: "a", B: "b", Threshold: &v})); err == nil {
-				t.Fatalf("threshold %v accepted", v)
+			_, _, err := DecodeRequest(encode(&Request{Op: "same_cluster", A: "a", B: "b", Threshold: &v}))
+			if err == nil || err.Error() != "threshold: bad value" {
+				t.Fatalf("threshold %v: err = %v, want threshold: bad value", v, err)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/crp"
 	"repro/internal/binwire"
@@ -114,15 +115,11 @@ func checkSingleRequest(req *Request) error {
 	if len(req.Candidates) > MaxListEntries {
 		return fmt.Errorf("candidates list has %d entries, limit %d", len(req.Candidates), MaxListEntries)
 	}
-	for i, r := range req.Replicas {
-		if err := binwire.CheckID(fmt.Sprintf("replicas[%d]", i), r, MaxIDBytes); err != nil {
-			return err
-		}
+	if err := checkIDs("replicas", req.Replicas); err != nil {
+		return err
 	}
-	for i, c := range req.Candidates {
-		if err := binwire.CheckID(fmt.Sprintf("candidates[%d]", i), c, MaxIDBytes); err != nil {
-			return err
-		}
+	if err := checkIDs("candidates", req.Candidates); err != nil {
+		return err
 	}
 	if req.NS != "" {
 		if err := crp.Namespace(req.NS).Valid(); err != nil {
@@ -134,6 +131,23 @@ func checkSingleRequest(req *Request) error {
 	}
 	if req.N < 0 || req.N > MaxN {
 		return fmt.Errorf("n %d outside [0, %d]", req.N, MaxN)
+	}
+	// Finite, as JSON carries it: the one check both codecs run when
+	// encoding and when decoding, so anything encoded is also decodable.
+	if t := req.Threshold; t != nil && (math.IsNaN(*t) || math.IsInf(*t, 0)) {
+		return errors.New("threshold: bad value")
+	}
+	return nil
+}
+
+// checkIDs bounds every entry of an ID list. The indexed field name
+// ("candidates[119]") is built only for the entry that fails, so a valid
+// list costs no allocation.
+func checkIDs(field string, ids []string) error {
+	for i, id := range ids {
+		if binwire.CheckID(field, id, MaxIDBytes) != nil {
+			return binwire.CheckID(fmt.Sprintf("%s[%d]", field, i), id, MaxIDBytes)
+		}
 	}
 	return nil
 }

@@ -2,10 +2,13 @@ package crpdaemon
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/crp"
+	"repro/internal/binwire"
 	"repro/internal/obs"
 )
 
@@ -53,6 +56,89 @@ func TestDecodeRequestBounds(t *testing.T) {
 				t.Fatalf("error = %q, want substring %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestThresholdMustBeFinite pins that a threshold neither codec can decode
+// is refused at encode, in both codecs, with the decoder's message: anything
+// EncodeRequest accepts must also decode.
+func TestThresholdMustBeFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, bin := range []bool{true, false} {
+			for _, r := range []Request{
+				{Op: "same_cluster", Node: "n", Threshold: &v},
+				{Op: "batch", Batch: []Request{{Op: "stats"}, {Op: "distinct_clusters", N: 2, Threshold: &v}}},
+			} {
+				want := "threshold: bad value"
+				if r.Op == "batch" {
+					want = "batch[1]: " + want
+				}
+				raw, err := EncodeRequest(&r, bin)
+				if err == nil || err.Error() != want {
+					t.Fatalf("threshold %v, bin=%v, %s: encoded %d bytes, err = %v; want %q",
+						v, bin, r.Op, len(raw), err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestIDListErrorsNameTheEntry pins the error for a bad entry in an ID list
+// — oversized, not UTF-8, carrying a NUL — at its first, middle and last
+// index, in both codecs, at encode and at decode. Field names are built
+// only when a check fails, so the messages must still name the index.
+func TestIDListErrorsNameTheEntry(t *testing.T) {
+	bad := []struct{ kind, id, msg string }{
+		{"oversized", strings.Repeat("x", MaxIDBytes+1), "is 256 bytes, limit 255"},
+		{"non-UTF-8", "r\xff\xfe", "is not valid UTF-8"},
+		{"NUL", "r\x00s", "contains a NUL byte"},
+	}
+	for _, field := range []string{"replicas", "candidates"} {
+		for _, at := range []int{0, 119, 239} {
+			for _, b := range bad {
+				ids := closestRequest(240).Candidates
+				ids[at] = b.id
+				r := Request{Op: "closest", Client: "c", Candidates: ids}
+				if field == "replicas" {
+					r = Request{Op: "observe", Node: "n", Replicas: ids}
+				}
+				name := fmt.Sprintf("%s[%d] %s", field, at, b.kind)
+				want := fmt.Sprintf("%s[%d] %s", field, at, b.msg)
+				for _, bin := range []bool{true, false} {
+					if _, err := EncodeRequest(&r, bin); err == nil || err.Error() != want {
+						t.Fatalf("%s: encode bin=%v: err = %v, want %q", name, bin, err, want)
+					}
+				}
+
+				// Decode, past the encoder's check. The binary decoder
+				// refuses an oversized entry while reading it; JSON
+				// cannot carry invalid UTF-8 (it decodes to U+FFFD).
+				var e binwire.Enc
+				e.U8(binMagic)
+				e.U8(binVersion)
+				e.U8(kindReq)
+				if err := encodeRequestBody(&e, &r); err != nil {
+					t.Fatal(err)
+				}
+				wantBin := want
+				if b.kind == "oversized" {
+					wantBin = "binwire: string of 256 bytes exceeds the 255-byte limit"
+				}
+				if _, _, err := DecodeRequest(e.Bytes()); err == nil || err.Error() != wantBin {
+					t.Fatalf("%s: binary decode: err = %v, want %q", name, err, wantBin)
+				}
+				if b.kind == "non-UTF-8" {
+					continue
+				}
+				raw, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := DecodeRequest(raw); err == nil || err.Error() != want {
+					t.Fatalf("%s: JSON decode: err = %v, want %q", name, err, want)
+				}
+			}
+		}
 	}
 }
 
