@@ -21,17 +21,16 @@ bench:
 	$(GO) run ./cmd/crpbench -exp fusion -out BENCH_fusion.json
 	$(GO) run ./cmd/crpbench -exp drift -out BENCH_drift.json
 
-# fuzz is a 10 s smoke over each of the six fuzz targets: the three wire
+# fuzz is a 10 s smoke over each of the five fuzz targets: the three wire
 # decoders (crpd JSON, crpd binary, gossip frame), crpd's state-file reader
-# and the two config decoders (scenario plan, drift config). CI checks that
-# this list names every Fuzz function in the tree.
+# and the scenario plan decoder. CI checks that this list names every Fuzz
+# function in the tree.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/crpdaemon/
 	$(GO) test -fuzz FuzzDecodeBinaryRequest -fuzztime 10s ./internal/crpdaemon/
 	$(GO) test -fuzz FuzzDecodeBinaryPeerMsg -fuzztime 10s ./internal/peering/
 	$(GO) test -fuzz FuzzReadState -fuzztime 10s ./internal/peering/
 	$(GO) test -fuzz FuzzDecodeScenario -fuzztime 10s ./internal/scenario/
-	$(GO) test -fuzz FuzzDecodeDriftConfig -fuzztime 10s ./internal/drift/
 
 vet:
 	$(GO) vet ./...

@@ -15,7 +15,7 @@
 //	     [-cheap-workers N] [-heavy-workers N] [-queue N] [-timeout 5s]
 //	     [-gossip-listen ADDR] [-peers ADDR,ADDR] [-gossip-interval 1s]
 //	     [-daemon-id ID] [-aggregate BITS] [-fusion] [-fusion-weights NS=W,..]
-//	     [-drift] [-drift-interval 30s] [-drift-config FILE]
+//	     [-drift] [-drift-interval 30s]
 //
 // Request shapes:
 //
@@ -76,8 +76,8 @@
 // when -aggregate is on) and flags mapping remaps and frozen-map staleness
 // while rejecting client-side LDNS churn. Alarm counts export under
 // drift.* in "stats"; the "drift-status" op returns the full detector
-// report. -drift-config points at a JSON file of detector knobs
-// (sensitivity, thresholds, windows) for tuning without a rebuild.
+// report. The detector runs at drift.DefaultSensitivity with the fixed
+// thresholds DESIGN.md "Drift" lists.
 package main
 
 import (
@@ -126,15 +126,11 @@ func run(args []string) (err error) {
 	fusionWeights := flags.String("fusion-weights", "", `per-namespace fusion weights, e.g. "cdnA=1,cdnB=0.5" (requires -fusion)`)
 	driftOn := flags.Bool("drift", false, "run the CDN-change drift detector over the ratio-map snapshot stream")
 	driftInterval := flags.Duration("drift-interval", drift.DefaultInterval, "snapshot cadence of the drift detector (requires -drift)")
-	driftConfig := flags.String("drift-config", "", "JSON file of drift detector knobs (requires -drift)")
 	if err := flags.Parse(args); err != nil {
 		return err
 	}
 	if *peers != "" && *gossipListen == "" {
 		return errors.New("-peers requires -gossip-listen")
-	}
-	if !*driftOn && *driftConfig != "" {
-		return errors.New("-drift-config requires -drift")
 	}
 	if *window < 0 {
 		return fmt.Errorf("-window %d: must be >= 0 (0 = unbounded)", *window)
@@ -265,17 +261,7 @@ func run(args []string) (err error) {
 	// cadence; it starts before the daemon takes traffic so the baseline
 	// covers the whole run.
 	if *driftOn {
-		cfg := drift.DefaultConfig()
-		if *driftConfig != "" {
-			blob, err := os.ReadFile(*driftConfig)
-			if err != nil {
-				return fmt.Errorf("drift config: %w", err)
-			}
-			if cfg, err = drift.DecodeConfig(blob); err != nil {
-				return fmt.Errorf("drift config %q: %w", *driftConfig, err)
-			}
-		}
-		mon, err = drift.NewMonitor(svc, cfg, drift.WithInterval(*driftInterval))
+		mon, err = drift.NewMonitor(svc, drift.DefaultSensitivity, drift.WithInterval(*driftInterval))
 		if err != nil {
 			return err
 		}

@@ -333,6 +333,7 @@ func TestFlagBounds(t *testing.T) {
 		{[]string{"-drift", "-drift-interval", "-5s"}, "-drift-interval -5s: must be > 0"},
 		{[]string{"-drift", "-drift-interval", "0"}, "-drift-interval 0s: must be > 0"},
 		{[]string{"-drift", "-drift-interval", "1s"}, ""},
+		{[]string{"-drift", "-drift-config", "drift.json"}, "flag provided but not defined: -drift-config"},
 		{[]string{"-cheap-workers", "-1"}, "-cheap-workers -1: must be >= 0"},
 		{[]string{"-cheap-workers", "0"}, ""},
 		{[]string{"-heavy-workers", "-1"}, "-heavy-workers -1: must be >= 0"},

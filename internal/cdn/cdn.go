@@ -52,61 +52,50 @@ const (
 // effect behind the paper's Fig. 8 probe-interval study.
 const slowLoadBucket = 4 * time.Hour
 
-// Default configuration values.
+// Mapping-system constants. Every CDN in the repo runs these values; the
+// per-CDN differences the experiments need are the Config fields.
 const (
-	DefaultTTL             = 20 * time.Second
-	DefaultMappingEpoch    = 30 * time.Second
-	DefaultNeighborSetSize = 30
-	DefaultAnswerCount     = 2
-	DefaultFallbackMs      = 140.0
+	// AnswerTTL is the DNS TTL of answers (Akamai uses 20 s).
+	AnswerTTL = 20 * time.Second
+	// MappingEpoch is how often the mapping system re-evaluates its answers.
+	MappingEpoch = 30 * time.Second
+	// neighborSetSize bounds how many nearby replicas the mapping system
+	// considers per LDNS.
+	neighborSetSize = 30
+	// answerCount is how many A records each response carries (Akamai
+	// returns two).
+	answerCount = 2
+	// fallbackThresholdMs: if even the best nearby replica measures worse
+	// than this, the CDN answers with its global default servers instead,
+	// modelling Akamai's distant "owned-domain" fallback answers that the
+	// paper suggests filtering out.
+	fallbackThresholdMs = 140.0
 )
 
-// DefaultNames are the CDN-accelerated names the paper drove CRP with
-// (the Yahoo image server and the Fox News site, both Akamai customers).
-var DefaultNames = []string{"us.i1.yimg.cdn.sim.", "www.foxnews.cdn.sim."}
+// servedNames are the CDN-accelerated names the paper drove CRP with (the
+// Yahoo image server and the Fox News site, both Akamai customers). Each
+// replica serves a random ~70% subset of names, so different names expose
+// overlapping but distinct server sets.
+var servedNames = []string{"us.i1.yimg.cdn.sim.", "www.foxnews.cdn.sim."}
 
 // Config parameterizes the CDN.
 type Config struct {
 	// Topo is the underlying topology; its replica hosts become this CDN's
 	// replica servers. Required.
 	Topo *netsim.Topology
-	// Names are the CDN-accelerated DNS names. Each replica serves a random
-	// ~70% subset of names, so different names expose overlapping but
-	// distinct server sets. Defaults to DefaultNames.
-	Names []string
 	// GlobalNames are CDN names answered exclusively from the global
 	// default server set regardless of the querying LDNS — like the
 	// Akamai-owned-domain answers the paper's §VI recommends filtering.
 	// They carry no positioning information and exist so that adaptive
 	// name selection (crp.NameSelector) has something to reject.
 	GlobalNames []string
-	// TTL is the DNS TTL of answers (Akamai uses 20 s). Defaults to
-	// DefaultTTL.
-	TTL time.Duration
-	// MappingEpoch is how often the mapping system re-evaluates its answers.
-	// Defaults to DefaultMappingEpoch.
-	MappingEpoch time.Duration
-	// NeighborSetSize bounds how many nearby replicas the mapping system
-	// considers per LDNS. Defaults to DefaultNeighborSetSize.
-	NeighborSetSize int
-	// AnswerCount is how many A records each response carries (Akamai
-	// returns two). Defaults to DefaultAnswerCount.
-	AnswerCount int
-	// FallbackThresholdMs: if even the best nearby replica measures worse
-	// than this, the CDN answers with its global default servers instead —
-	// modelling Akamai's distant "owned-domain" fallback answers that the
-	// paper suggests filtering out. Defaults to DefaultFallbackMs.
-	FallbackThresholdMs float64
 
 	// Namespace names this CDN when several run over one topology (see
-	// Fleet). It doubles as the default seed-domain salt, so two CDNs with
+	// Fleet). It doubles as the seed-domain salt, so two CDNs with
 	// otherwise identical configs produce independent deployments, mapping
 	// noise and load processes. Empty is the legacy single-CDN identity and
 	// changes nothing.
 	Namespace string
-	// SeedSalt, when non-zero, explicitly salts this CDN's hash-noise seed
-	// instead of the Namespace-derived default.
-	SeedSalt uint64
 	// ReplicaFraction deploys this CDN on a deterministic subset of the
 	// topology's replica hosts: each host joins with this probability
 	// (seeded by the CDN's salted seed, so different CDNs draw different
@@ -185,24 +174,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, errors.New("cdn: Config.Topo is required")
 	}
-	if len(cfg.Names) == 0 {
-		cfg.Names = DefaultNames
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = DefaultTTL
-	}
-	if cfg.MappingEpoch <= 0 {
-		cfg.MappingEpoch = DefaultMappingEpoch
-	}
-	if cfg.NeighborSetSize <= 0 {
-		cfg.NeighborSetSize = DefaultNeighborSetSize
-	}
-	if cfg.AnswerCount <= 0 {
-		cfg.AnswerCount = DefaultAnswerCount
-	}
-	if cfg.FallbackThresholdMs <= 0 {
-		cfg.FallbackThresholdMs = DefaultFallbackMs
-	}
 	if cfg.ReplicaFraction < 0 || cfg.ReplicaFraction > 1 {
 		return nil, fmt.Errorf("cdn: ReplicaFraction %v outside [0,1]", cfg.ReplicaFraction)
 	}
@@ -215,10 +186,7 @@ func New(cfg Config) (*Network, error) {
 	// and load processes. An unsalted config (the single-CDN legacy shape)
 	// keeps the bare topology seed, bit for bit.
 	seed := uint64(cfg.Topo.Seed())
-	switch {
-	case cfg.SeedSalt != 0:
-		seed ^= cfg.SeedSalt
-	case cfg.Namespace != "":
+	if cfg.Namespace != "" {
 		seed ^= fnv64str(cfg.Namespace)
 	}
 
@@ -241,8 +209,8 @@ func New(cfg Config) (*Network, error) {
 		topo:      cfg.Topo,
 		seed:      seed,
 		loadScale: cfg.LoadScale,
-		names:     append([]string(nil), cfg.Names...),
-		nameIdx:   make(map[string]int, len(cfg.Names)+len(cfg.GlobalNames)),
+		names:     append([]string(nil), servedNames...),
+		nameIdx:   make(map[string]int, len(servedNames)+len(cfg.GlobalNames)),
 		isGlobal:  make(map[string]bool, len(cfg.GlobalNames)),
 		replicas:  replicas,
 		neighbors: make(map[netsim.HostID][]netsim.HostID),
@@ -353,7 +321,7 @@ func (n *Network) Names() []string {
 }
 
 // TTL returns the DNS TTL the CDN attaches to answers.
-func (n *Network) TTL() time.Duration { return n.cfg.TTL }
+func (n *Network) TTL() time.Duration { return AnswerTTL }
 
 // Replicas returns the CDN's replica server host IDs.
 func (n *Network) Replicas() []netsim.HostID {
@@ -384,7 +352,7 @@ func (n *Network) IsFallback(id netsim.HostID) bool {
 }
 
 // neighborSet returns (computing and caching on first use) the replicas the
-// mapping system considers for an LDNS: the NeighborSetSize lowest base-RTT
+// mapping system considers for an LDNS: the neighborSetSize lowest base-RTT
 // replicas.
 func (n *Network) neighborSet(ldns netsim.HostID) []netsim.HostID {
 	n.mu.Lock()
@@ -401,7 +369,7 @@ func (n *Network) neighborSet(ldns netsim.HostID) []netsim.HostID {
 		all[i] = scored{r, n.topo.BaseRTTMs(ldns, r)}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].rtt < all[j].rtt })
-	k := n.cfg.NeighborSetSize
+	k := neighborSetSize
 	if k > len(all) {
 		k = len(all)
 	}
@@ -426,7 +394,7 @@ func (n *Network) loadMs(replica netsim.HostID, epoch uint64, at time.Duration) 
 	return base * n.loadScale
 }
 
-// Redirect returns the replica servers (AnswerCount of them, best first) the
+// Redirect returns the replica servers (answerCount of them, best first) the
 // CDN's mapping system directs ldns to for name at virtual time at.
 // The answer is deterministic within a mapping epoch.
 func (n *Network) Redirect(name string, ldns netsim.HostID, at time.Duration) ([]netsim.HostID, error) {
@@ -441,14 +409,14 @@ func (n *Network) Redirect(name string, ldns netsim.HostID, at time.Duration) ([
 	if n.isGlobal[name] {
 		metrics.globals.Inc()
 		out := n.fallback[ni]
-		k := min(n.cfg.AnswerCount, len(out))
+		k := min(answerCount, len(out))
 		return append([]netsim.HostID(nil), out[:k]...), nil
 	}
 
-	epoch := uint64(at / n.cfg.MappingEpoch)
-	epochStart := time.Duration(epoch) * n.cfg.MappingEpoch
+	epoch := uint64(at / MappingEpoch)
+	epochStart := time.Duration(epoch) * MappingEpoch
 	if hook := n.mapHookOf(); hook != nil {
-		epoch, epochStart = hook(ldns, at, n.cfg.MappingEpoch, epoch)
+		epoch, epochStart = hook(ldns, at, MappingEpoch, epoch)
 	}
 
 	type scored struct {
@@ -474,10 +442,10 @@ func (n *Network) Redirect(name string, ldns netsim.HostID, at time.Duration) ([
 
 	// Sparse-coverage fallback: if even the best answer is far, hand out the
 	// global default servers, as Akamai does for poorly-covered regions.
-	if len(ranked) == 0 || ranked[0].rtt > n.cfg.FallbackThresholdMs {
+	if len(ranked) == 0 || ranked[0].rtt > fallbackThresholdMs {
 		metrics.fallbacks.Inc()
 		out := n.fallback[ni]
-		k := min(n.cfg.AnswerCount, len(out))
+		k := min(answerCount, len(out))
 		return append([]netsim.HostID(nil), out[:k]...), nil
 	}
 
@@ -488,7 +456,7 @@ func (n *Network) Redirect(name string, ldns netsim.HostID, at time.Duration) ([
 	// some low-frequency replicas, giving cosine similarity its full
 	// dynamic range rather than a near/far binary.
 	metrics.redirects.Inc()
-	k := min(n.cfg.AnswerCount, len(ranked))
+	k := min(answerCount, len(ranked))
 	out := make([]netsim.HostID, 0, k)
 	used := make(map[int]bool, k)
 	for slot := 0; len(out) < k; slot++ {

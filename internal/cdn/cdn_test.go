@@ -21,6 +21,28 @@ func testTopology(t *testing.T) *netsim.Topology {
 	return topo
 }
 
+// splitTopology places every replica host in one region and half the
+// clients in a second region on the far side of the world, so those clients
+// have no replica within fallbackThresholdMs.
+func splitTopology(t *testing.T, replicas int) *netsim.Topology {
+	t.Helper()
+	p := netsim.DefaultParams()
+	p.NumClients = 60
+	p.NumCandidates = 10
+	p.NumReplicas = replicas
+	p.Regions = []netsim.Region{
+		{Name: "served", LatMin: 35, LatMax: 45, LonMin: -100, LonMax: -80,
+			HostWeight: 0.5, ReplicaWeight: 1, CandidateWeight: 1, Metros: 4},
+		{Name: "remote", LatMin: -40, LatMax: -30, LonMin: 140, LonMax: 150,
+			HostWeight: 0.5, Metros: 2},
+	}
+	topo, err := netsim.Generate(p)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	return topo
+}
+
 func testCDN(t *testing.T, topo *netsim.Topology) *Network {
 	t.Helper()
 	n, err := New(Config{Topo: topo})
@@ -35,7 +57,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("New without topology should fail")
 	}
 	topo := testTopology(t)
-	if _, err := New(Config{Topo: topo, Names: []string{"a.sim.", "a.sim."}}); err == nil {
+	if _, err := New(Config{Topo: topo, GlobalNames: []string{"a.sim.", "a.sim."}}); err == nil {
 		t.Error("New with duplicate names should fail")
 	}
 	p := netsim.DefaultParams()
@@ -52,11 +74,11 @@ func TestNewValidation(t *testing.T) {
 
 func TestNewDefaults(t *testing.T) {
 	n := testCDN(t, testTopology(t))
-	if got := n.TTL(); got != DefaultTTL {
-		t.Errorf("TTL = %v, want %v", got, DefaultTTL)
+	if got := n.TTL(); got != AnswerTTL {
+		t.Errorf("TTL = %v, want %v", got, AnswerTTL)
 	}
 	names := n.Names()
-	if len(names) != len(DefaultNames) {
+	if len(names) != len(servedNames) {
 		t.Fatalf("Names = %v, want defaults", names)
 	}
 }
@@ -71,8 +93,8 @@ func TestRedirectBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Redirect: %v", err)
 	}
-	if len(got) != DefaultAnswerCount {
-		t.Fatalf("Redirect returned %d replicas, want %d", len(got), DefaultAnswerCount)
+	if len(got) != answerCount {
+		t.Fatalf("Redirect returned %d replicas, want %d", len(got), answerCount)
 	}
 	for _, id := range got {
 		h := topo.Host(id)
@@ -236,13 +258,38 @@ func TestNearbyClientsSeeOverlappingReplicas(t *testing.T) {
 }
 
 func TestFallbackForUnservedRegions(t *testing.T) {
-	topo := testTopology(t)
-	// A tiny threshold forces every answer down the fallback path.
-	n, err := New(Config{Topo: topo, FallbackThresholdMs: 0.001})
-	if err != nil {
-		t.Fatal(err)
+	topo := splitTopology(t, 20)
+	n := testCDN(t, topo)
+	// A client whose nearest replica is a tenth past the threshold stays
+	// past it under the mapping system's ±7% measurement noise, so every
+	// answer it gets is a fallback.
+	remote := netsim.HostID(-1)
+	for _, c := range topo.Clients() {
+		nearest := -1.0
+		for _, r := range n.Replicas() {
+			if d := topo.BaseRTTMs(c, r); nearest < 0 || d < nearest {
+				nearest = d
+			}
+		}
+		if nearest > fallbackThresholdMs/0.9 {
+			remote = c
+			break
+		}
 	}
-	got, err := n.Redirect(n.Names()[0], topo.Clients()[0], 0)
+	if remote < 0 {
+		t.Fatal("no client far enough from every replica: the test topology is degenerate")
+	}
+	local := 0
+	for _, r := range n.Replicas() {
+		if !n.IsFallback(r) {
+			local++
+		}
+	}
+	if local == 0 {
+		t.Fatal("every replica is a fallback server: the check below would be vacuous")
+	}
+	before := metrics.fallbacks.Value()
+	got, err := n.Redirect(n.Names()[0], remote, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +297,9 @@ func TestFallbackForUnservedRegions(t *testing.T) {
 		if !n.IsFallback(id) {
 			t.Errorf("expected fallback replicas, got %v", id)
 		}
+	}
+	if metrics.fallbacks.Value() == before {
+		t.Error("the answer did not take the fallback path")
 	}
 }
 
@@ -302,7 +352,7 @@ func TestGlobalNamesAnswerFallbackOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Names()) != len(DefaultNames)+1 {
+	if len(n.Names()) != len(servedNames)+1 {
 		t.Fatalf("Names = %v", n.Names())
 	}
 	for i, client := range topo.Clients()[:20] {
@@ -320,7 +370,7 @@ func TestGlobalNamesAnswerFallbackOnly(t *testing.T) {
 
 func TestGlobalNameDuplicateRejected(t *testing.T) {
 	topo := testTopology(t)
-	if _, err := New(Config{Topo: topo, GlobalNames: []string{DefaultNames[0]}}); err == nil {
+	if _, err := New(Config{Topo: topo, GlobalNames: []string{servedNames[0]}}); err == nil {
 		t.Error("global name duplicating a regular name should fail")
 	}
 }
@@ -328,13 +378,15 @@ func TestGlobalNameDuplicateRejected(t *testing.T) {
 func TestRedirectTinyNeighborSet(t *testing.T) {
 	// Regression: with a tiny candidate set, the load-spreading walk could
 	// step past the end of the ranking when the tail index was already
-	// used; it must clamp to the best unused replica instead.
-	topo := testTopology(t)
-	n, err := New(Config{Topo: topo, NeighborSetSize: 2, AnswerCount: 2})
-	if err != nil {
-		t.Fatal(err)
+	// used; it must clamp to the best unused replica instead. Two replica
+	// hosts make every localized answer rank exactly two.
+	topo := splitTopology(t, 2)
+	n := testCDN(t, topo)
+	if len(n.Replicas()) != 2 {
+		t.Fatalf("topology has %d replicas, want 2", len(n.Replicas()))
 	}
 	name := n.Names()[0]
+	before := metrics.redirects.Value()
 	for _, client := range topo.Clients()[:20] {
 		for i := 0; i < 200; i++ {
 			got, err := n.Redirect(name, client, time.Duration(i)*time.Minute)
@@ -345,5 +397,8 @@ func TestRedirectTinyNeighborSet(t *testing.T) {
 				t.Fatalf("duplicate replicas in answer: %v", got)
 			}
 		}
+	}
+	if metrics.redirects.Value() == before {
+		t.Fatal("no answer was localized: the load-spreading walk never ran")
 	}
 }

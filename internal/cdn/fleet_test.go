@@ -70,7 +70,7 @@ func TestFleetMembersDivergeByNamespace(t *testing.T) {
 	}
 	a, _ := f.Get("cdnA")
 	b, _ := f.Get("cdnB")
-	name := DefaultNames[0]
+	name := servedNames[0]
 	differ := 0
 	for _, c := range topo.Clients()[:40] {
 		ra, err := a.Redirect(name, c, time.Minute)
@@ -156,14 +156,14 @@ func TestFleetSetMapHookIsolation(t *testing.T) {
 	a, _ := f.Get("cdnA")
 	b, _ := f.Get("cdnB")
 	c := topo.Clients()[0]
-	if _, err := a.Redirect(DefaultNames[0], c, time.Minute); err != nil {
+	if _, err := a.Redirect(servedNames[0], c, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() == 0 {
 		t.Fatal("hooked member redirected without consulting its hook")
 	}
 	before := calls.Load()
-	if _, err := b.Redirect(DefaultNames[0], c, time.Minute); err != nil {
+	if _, err := b.Redirect(servedNames[0], c, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != before {
@@ -174,7 +174,7 @@ func TestFleetSetMapHookIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = calls.Load()
-	if _, err := a.Redirect(DefaultNames[0], c, 2*time.Minute); err != nil {
+	if _, err := a.Redirect(servedNames[0], c, 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != before {

@@ -19,7 +19,7 @@ import (
 func TestDriftStatusOp(t *testing.T) {
 	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 16}, crp.WithWindow(10))
 	clock := time.Date(2006, 11, 12, 0, 0, 0, 0, time.UTC)
-	mon, err := drift.NewMonitor(svc, drift.Config{},
+	mon, err := drift.NewMonitor(svc, drift.DefaultSensitivity,
 		drift.WithRegistry(obs.NewRegistry()),
 		drift.WithClock(func() time.Time { return clock }))
 	if err != nil {
@@ -56,8 +56,8 @@ func TestDriftStatusOp(t *testing.T) {
 	if len(resp.Drift.Streams) != 1 || resp.Drift.Streams[0].NS != "cdnA" {
 		t.Fatalf("streams = %+v", resp.Drift.Streams)
 	}
-	if resp.Drift.Config.Sensitivity != drift.DefaultConfig().Sensitivity {
-		t.Fatalf("config not echoed: %+v", resp.Drift.Config)
+	if resp.Drift.Sensitivity != drift.DefaultSensitivity {
+		t.Fatalf("sensitivity not echoed: %v", resp.Drift.Sensitivity)
 	}
 
 	// The binary codec must carry the same report.

@@ -31,7 +31,7 @@ func startMeshDaemon(t *testing.T, id string) *meshDaemon {
 	}
 	p, err := peering.New(peering.Config{
 		Self: id, Addr: gpc.LocalAddr().String(), Service: svc,
-		Fanout: 2, Interval: 20 * time.Millisecond, TTL: 3,
+		Interval: 20 * time.Millisecond,
 		Registry: obs.NewRegistry(), Seed: 42,
 	})
 	if err != nil {

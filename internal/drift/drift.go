@@ -1,11 +1,89 @@
+// Package drift is the CDN-change detector: an unsupervised monitor over
+// the stream of compiled ratio-map snapshots (crp.DriftFrame) that flags
+// CDN remapping events — mass redirection shifts, replica-set churn, and
+// frozen maps going stale — while staying quiet under client-side LDNS
+// churn.
+//
+// Each (namespace, group) stream keeps an exponentially-decayed baseline
+// centroid and a short window of recent frames. Two drift statistics are
+// computed per frame against the baseline: the cosine distance of the
+// windowed recent centroid, and the Jaccard drift of the top-mass replica
+// sets. Client-side LDNS churn is rejected by common-mode subtraction:
+// churn re-homes clients and therefore moves every namespace's stream of
+// the same population together, while a CDN event moves only the faulted
+// namespace, so a stream's effective drift is capped at twice the part of
+// its raw drift that its quietest peer namespace (same group) cannot
+// explain. Either statistic crossing its threshold (scaled by the
+// configured sensitivity) raises a remap alarm; a near-identical map
+// persisting while the service keeps accepting probes raises a stale alarm.
+// Hysteresis makes one underlying event fire exactly once: an alarmed
+// stream re-arms only after the statistics stay calm for a fixed
+// number of frames, and the baseline keeps decaying toward the new regime
+// so a persistent shift is absorbed rather than re-reported.
+//
+// The detector is fully deterministic: it draws no randomness and iterates
+// every structure in sorted order, so the same frame sequence yields the
+// byte-identical event log and report.
 package drift
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"time"
 
 	"repro/crp"
+)
+
+// DefaultSensitivity is the trip-threshold scale crpd -drift and the
+// scenario runner use; the drift sweep also runs 0.5 and 2.
+const DefaultSensitivity = 1.0
+
+// Detector constants. Each was tuned once against the drift sweep
+// (BENCH_drift.json) and no caller has needed another value since.
+const (
+	// window is how many recent frames the drift centroid averages. Small
+	// windows react faster and keep event peaks sharp; large windows trade
+	// latency for noise suppression.
+	window = 2
+	// baselineAlpha is the EWMA weight of the newest frame in the decayed
+	// baseline centroid.
+	baselineAlpha = 0.25
+	// centroidThreshold is the base cosine-distance trip point between the
+	// recent centroid and the baseline, applied to the common-mode-rejected
+	// effective distance: 0.018 is roughly twice the sampling noise floor
+	// of a population aggregate and half a mapping flap's shift.
+	centroidThreshold = 0.018
+	// jaccardThreshold is the base trip point for 1 - Jaccard(topRecent,
+	// topBaseline) over the top-mass replica sets.
+	jaccardThreshold = 0.5
+	// topMass is the cumulative-mass quantile defining a stream's top
+	// replica set for the Jaccard statistic.
+	topMass = 0.5
+	// warmupFrames is how many frames a stream must deliver before its
+	// alarms arm; the decayed baseline is still converging early on and
+	// reads as drift. The baseline accumulates during warmup.
+	warmupFrames = 8
+	// calmFrames is how many consecutive calm frames (score below
+	// rearmFraction of the trip point) an alarmed stream needs before it
+	// can fire again.
+	calmFrames = 3
+	// rearmFraction: an alarmed stream counts a frame as calm only when its
+	// score drops below this fraction of the trip point, so the alarm
+	// doesn't chatter around the threshold.
+	rearmFraction = 0.6
+	// staleFrames is how many consecutive near-identical frames (see
+	// staleEpsilon), while the service keeps accepting probes, flag a
+	// stream's map as stale.
+	staleFrames = 6
+	// staleEpsilon is the frame-to-frame cosine distance at or below which
+	// two consecutive compiled maps count as "the same" for stale
+	// detection. Natural epoch rotation keeps consecutive frames well
+	// above it; a frozen mapping collapses an order of magnitude below.
+	staleEpsilon = 2e-4
+	// minSupport is the minimum stream support (tracked nodes, or absorbed
+	// probes for aggregation groups) for a frame's stream to be considered.
+	minSupport = 2
 )
 
 // EventKind labels a detected CDN mapping event. The values match the
@@ -18,7 +96,7 @@ const (
 	// or the top-mass replica set moved away from the decayed baseline.
 	KindRemap EventKind = "remap"
 	// KindStale is a frozen map: the stream's ratio map stayed within
-	// StaleEpsilon of itself across StaleFrames frames while the service
+	// staleEpsilon of itself across staleFrames frames while the service
 	// kept accepting probes.
 	KindStale EventKind = "stale"
 )
@@ -61,11 +139,11 @@ type StreamStatus struct {
 // Streams are sorted by (NS, Group) and Recent holds the last few events,
 // oldest first.
 type Status struct {
-	Config  Config         `json:"config"`
-	Frames  int            `json:"frames"`
-	Events  int            `json:"events"`
-	Streams []StreamStatus `json:"streams,omitempty"`
-	Recent  []Event        `json:"recent,omitempty"`
+	Sensitivity float64        `json:"sensitivity"`
+	Frames      int            `json:"frames"`
+	Events      int            `json:"events"`
+	Streams     []StreamStatus `json:"streams,omitempty"`
+	Recent      []Event        `json:"recent,omitempty"`
 }
 
 // maxRecentEvents bounds Status.Recent.
@@ -217,7 +295,7 @@ type streamState struct {
 	ns, group string
 	frames    int
 	support   int
-	ring      []svec // last Window frames, oldest first
+	ring      []svec // last window frames, oldest first
 	base      svec
 	haveBase  bool
 	alarmed   bool
@@ -236,29 +314,31 @@ type streamState struct {
 // concurrent use; Monitor wraps it with a lock and a clock for live
 // daemons.
 type Detector struct {
-	cfg     Config
-	effC    float64 // CentroidThreshold / Sensitivity
-	effJ    float64 // JaccardThreshold / Sensitivity
-	streams map[string]*streamState
-	order   []string // sorted stream keys, maintained on insert
-	frames  int
-	events  int
-	recent  []Event
-	m       metrics
+	sensitivity float64
+	effC        float64 // centroidThreshold / sensitivity
+	effJ        float64 // jaccardThreshold / sensitivity
+	streams     map[string]*streamState
+	order       []string // sorted stream keys, maintained on insert
+	frames      int
+	events      int
+	recent      []Event
+	m           metrics
 }
 
-// New builds a detector. The zero Config takes every default; see
-// DefaultConfig.
-func New(cfg Config, opts ...Option) (*Detector, error) {
-	cfg.applyDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// New builds a detector. sensitivity scales the trip thresholds: the
+// effective centroid and Jaccard thresholds are the base ones divided by
+// it, so 2 is twice as eager and 0.5 twice as tolerant. It must lie in
+// (0, 100].
+func New(sensitivity float64, opts ...Option) (*Detector, error) {
+	// Written so that NaN fails it: every comparison with NaN is false.
+	if !(sensitivity > 0 && sensitivity <= 100) {
+		return nil, fmt.Errorf("drift: sensitivity %v out of range (0, 100]", sensitivity)
 	}
 	d := &Detector{
-		cfg:     cfg,
-		effC:    cfg.CentroidThreshold / cfg.Sensitivity,
-		effJ:    cfg.JaccardThreshold / cfg.Sensitivity,
-		streams: make(map[string]*streamState),
+		sensitivity: sensitivity,
+		effC:        centroidThreshold / sensitivity,
+		effJ:        jaccardThreshold / sensitivity,
+		streams:     make(map[string]*streamState),
 	}
 	var o options
 	for _, opt := range opts {
@@ -297,7 +377,7 @@ func (d *Detector) ObserveFrame(f crp.DriftFrame) []Event {
 	var ms []measuredStream
 	for i := range f.Streams {
 		st := &f.Streams[i]
-		if st.Support < d.cfg.MinSupport || len(st.Map) == 0 {
+		if st.Support < minSupport || len(st.Map) == 0 {
 			continue
 		}
 		key := st.NS + "\x00" + st.Group
@@ -372,19 +452,18 @@ func (d *Detector) ingest(ss *streamState, st *crp.FrameStream, f crp.DriftFrame
 	ss.support = st.Support
 	cur := fromMap(st.Map)
 
-	// Staleness: consecutive compiled maps within StaleEpsilon of each
+	// Staleness: consecutive compiled maps within staleEpsilon of each
 	// other while the service keeps accepting probes. Natural epoch
 	// rotation keeps consecutive frames well above the epsilon; a frozen
 	// mapping collapses orders of magnitude below it.
-	if ss.haveLast && f.Observes > ss.lastObs && cosineDist(cur, ss.lastVec) <= d.cfg.StaleEpsilon {
+	if ss.haveLast && f.Observes > ss.lastObs && cosineDist(cur, ss.lastVec) <= staleEpsilon {
 		ss.staleRun++
 	} else {
 		ss.staleRun = 0
 		ss.staleOn = false
 	}
 	ss.lastVec, ss.haveLast, ss.lastObs = cur, true, f.Observes
-	if d.cfg.StaleFrames >= 0 && ss.staleRun >= d.cfg.StaleFrames && !ss.staleOn &&
-		ss.frames > d.cfg.WarmupFrames {
+	if ss.staleRun >= staleFrames && !ss.staleOn && ss.frames > warmupFrames {
 		ss.staleOn = true
 		ss.events++
 		d.m.stales.Inc()
@@ -396,23 +475,23 @@ func (d *Detector) ingest(ss *streamState, st *crp.FrameStream, f crp.DriftFrame
 
 	// Recent-window centroid vs the decayed baseline.
 	ss.ring = append(ss.ring, cur)
-	if len(ss.ring) > d.cfg.Window {
+	if len(ss.ring) > window {
 		ss.ring = ss.ring[1:]
 	}
 	if !ss.haveBase {
 		ss.base, ss.haveBase = cur, true
 		return out, 0, 0, false
 	}
-	if ss.frames > d.cfg.WarmupFrames {
+	if ss.frames > warmupFrames {
 		recent := centroid(ss.ring)
 		cd = cosineDist(recent, ss.base)
-		jd = jaccardDrift(topSet(recent, d.cfg.TopMass), topSet(ss.base, d.cfg.TopMass))
+		jd = jaccardDrift(topSet(recent, topMass), topSet(ss.base, topMass))
 		measured = true
 	}
 	// The baseline always decays toward the current regime, alarmed or
 	// not: a persistent shift is absorbed, the score falls, and the stream
 	// re-arms for the next event.
-	ss.base = ewma(ss.base, cur, d.cfg.BaselineAlpha)
+	ss.base = ewma(ss.base, cur, baselineAlpha)
 	return out, cd, jd, measured
 }
 
@@ -426,7 +505,7 @@ func (d *Detector) alarm(ss *streamState, cd, jd float64, f crp.DriftFrame) []Ev
 	if ss.alarmed {
 		if score < rearmFraction {
 			ss.calm++
-			if ss.calm >= d.cfg.CalmFrames {
+			if ss.calm >= calmFrames {
 				ss.alarmed, ss.calm = false, 0
 			}
 		} else {
@@ -512,9 +591,9 @@ func (d *Detector) Events() int { return d.events }
 // (NS, Group), the last few events oldest-first.
 func (d *Detector) Status() Status {
 	st := Status{
-		Config: d.cfg,
-		Frames: d.frames,
-		Events: d.events,
+		Sensitivity: d.sensitivity,
+		Frames:      d.frames,
+		Events:      d.events,
 	}
 	for _, key := range d.order {
 		ss := d.streams[key]

@@ -3,6 +3,7 @@ package drift
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -71,7 +72,7 @@ func stepFrames(n, switchAt int, seed int64) []crp.DriftFrame {
 }
 
 func TestDetectorFiresOnceOnPersistentShift(t *testing.T) {
-	det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
+	det, err := New(DefaultSensitivity, WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestDetectorFiresOnceOnPersistentShift(t *testing.T) {
 // — the single-namespace blind spot in DESIGN.md "Decisions".
 func TestDetectorCommonModeAndLoneNamespace(t *testing.T) {
 	remaps := func(frames []crp.DriftFrame) int {
-		det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
+		det, err := New(DefaultSensitivity, WithRegistry(obs.NewRegistry()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestDetectorCommonModeAndLoneNamespace(t *testing.T) {
 }
 
 func TestDetectorRefiresAfterRearm(t *testing.T) {
-	det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
+	det, err := New(DefaultSensitivity, WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestDetectorQuietUnderStationaryJitter(t *testing.T) {
 	// LDNS churn re-homes clients inside the same population, so the
 	// aggregate stream stays stationary up to sampling jitter. The
 	// detector must stay silent on such a stream even with generous noise.
-	det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
+	det, err := New(DefaultSensitivity, WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestDetectorQuietUnderStationaryJitter(t *testing.T) {
 }
 
 func TestDetectorFlagsStaleStream(t *testing.T) {
-	det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
+	det, err := New(DefaultSensitivity, WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestDetectorFlagsStaleStream(t *testing.T) {
 	}
 	if got := stales[0].Frame; got != 27 {
 		// Freeze starts at frame 21 (first repeat of frame 20's map);
-		// StaleFrames=6 identical repeats fire at frame 27.
+		// staleFrames=6 identical repeats fire at frame 27.
 		t.Fatalf("stale fired at frame %d, want 27", got)
 	}
 }
@@ -213,7 +214,7 @@ func TestDetectorFlagsStaleStream(t *testing.T) {
 func TestDetectorStaleNeedsIngest(t *testing.T) {
 	// The same frozen map without any new probes is "no traffic", not a
 	// stale mapping: no alarm.
-	det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
+	det, err := New(DefaultSensitivity, WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestDetectorStaleNeedsIngest(t *testing.T) {
 func TestDetectorDeterministicRerun(t *testing.T) {
 	frames := stepFrames(80, 40, 6)
 	run := func() ([]byte, []byte) {
-		det, err := New(Config{}, WithRegistry(obs.NewRegistry()))
+		det, err := New(DefaultSensitivity, WithRegistry(obs.NewRegistry()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func TestDetectorDeterministicRerun(t *testing.T) {
 }
 
 func TestDetectorSkipsThinStreams(t *testing.T) {
-	det, err := New(Config{MinSupport: 5}, WithRegistry(obs.NewRegistry()))
+	det, err := New(DefaultSensitivity, WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestDetectorSkipsThinStreams(t *testing.T) {
 func TestMonitorTickAgainstLiveService(t *testing.T) {
 	svc := crp.NewService(crp.WithWindow(8))
 	clock := t0
-	mon, err := NewMonitor(svc, Config{},
+	mon, err := NewMonitor(svc, DefaultSensitivity,
 		WithRegistry(obs.NewRegistry()),
 		WithClock(func() time.Time { return clock }))
 	if err != nil {
@@ -301,5 +302,21 @@ func TestMonitorTickAgainstLiveService(t *testing.T) {
 	}
 	if len(st.Streams) != 1 || st.Streams[0].NS != "cdnA" {
 		t.Fatalf("streams = %+v", st.Streams)
+	}
+}
+
+// TestNewRejectsSensitivityOutOfRange pins the (0, 100] bound, NaN
+// included: a NaN sensitivity makes both trip thresholds NaN, and the
+// detector then raises remap alarms on a constant stream.
+func TestNewRejectsSensitivityOutOfRange(t *testing.T) {
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 101} {
+		if _, err := New(s, WithRegistry(obs.NewRegistry())); err == nil {
+			t.Errorf("New(%v) accepted an out-of-range sensitivity", s)
+		}
+	}
+	for _, s := range []float64{0.5, DefaultSensitivity, 2, 100} {
+		if _, err := New(s, WithRegistry(obs.NewRegistry())); err != nil {
+			t.Errorf("New(%v): %v", s, err)
+		}
 	}
 }

@@ -52,13 +52,13 @@ func WithClock(now func() time.Time) Option {
 
 // NewMonitor wraps a fresh detector around svc. The monitor is inert until
 // Start (or explicit Tick) is called.
-func NewMonitor(svc *crp.Service, cfg Config, opts ...Option) (*Monitor, error) {
+func NewMonitor(svc *crp.Service, sensitivity float64, opts ...Option) (*Monitor, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
 	o.applyMonitorDefaults()
-	det, err := New(cfg, opts...)
+	det, err := New(sensitivity, opts...)
 	if err != nil {
 		return nil, err
 	}

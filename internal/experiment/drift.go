@@ -210,13 +210,13 @@ func RunDrift(p DriftParams) (*DriftOutcome, error) {
 
 	out := &DriftOutcome{
 		Params:      p,
-		EpochLenSec: cdn.DefaultMappingEpoch.Seconds(),
+		EpochLenSec: cdn.MappingEpoch.Seconds(),
 		HorizonSec:  p.Horizon().Seconds(),
 		Truth:       make(map[string]faults.EventSchedule),
 	}
 	for _, sc := range driftScenarios() {
 		scenario := faults.Scenario{Seed: uint64(p.Seed), Faults: sc.faults}
-		truth := scenario.CDNEventSchedule(cdn.DefaultMappingEpoch, p.Horizon())
+		truth := scenario.CDNEventSchedule(cdn.MappingEpoch, p.Horizon())
 		out.Truth[sc.name] = truth
 		frames, err := collectDriftFrames(p, w, scenario)
 		if err != nil {
@@ -274,7 +274,7 @@ func collectDriftFrames(p DriftParams, w *World, scenario faults.Scenario) ([]cr
 // kind whose CDN scope covers the alarm's namespace and whose
 // [At, Deadline] window contains the alarm time.
 func scoreDriftCell(name string, sens float64, frames []crp.DriftFrame, truth faults.EventSchedule) (*DriftCell, error) {
-	det, err := drift.New(drift.Config{Sensitivity: sens}, drift.WithRegistry(obs.NewRegistry()))
+	det, err := drift.New(sens, drift.WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		return nil, err
 	}

@@ -117,7 +117,7 @@ const webBrowsingHoursPerDay = 2.0
 // none at all.
 func OverheadTable(ttl time.Duration, intervals []time.Duration) []OverheadRow {
 	if ttl <= 0 {
-		ttl = cdn.DefaultTTL
+		ttl = cdn.AnswerTTL
 	}
 	web := webBrowsingHoursPerDay * float64(time.Hour/ttl)
 	rows := []OverheadRow{

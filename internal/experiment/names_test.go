@@ -57,7 +57,7 @@ func TestRenderNameSelection(t *testing.T) {
 }
 
 func TestOverheadTable(t *testing.T) {
-	rows := OverheadTable(cdn.DefaultTTL, []time.Duration{100 * time.Minute, 10 * time.Minute})
+	rows := OverheadTable(cdn.AnswerTTL, []time.Duration{100 * time.Minute, 10 * time.Minute})
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}

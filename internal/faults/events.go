@@ -67,8 +67,8 @@ type EventSchedule struct {
 // A remap event's Deadline is the next event boundary of the same fault
 // (the window close for the last one); a thaw remap's Deadline is the
 // horizon. A stale event's window is [first epoch boundary after Start,
-// window close). epochLen is the CDN's mapping epoch (cdn.DefaultMappingEpoch
-// unless overridden) and horizon clips open-ended windows.
+// window close). epochLen is the CDN's mapping epoch (cdn.MappingEpoch)
+// and horizon clips open-ended windows.
 func (s Scenario) CDNEventSchedule(epochLen, horizon time.Duration) EventSchedule {
 	sched := EventSchedule{
 		Seed:     s.Seed,

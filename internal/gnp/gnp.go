@@ -24,10 +24,10 @@ import (
 // sufficient and uses Simplex minimization; plain gradient descent with a
 // decaying step reaches comparable quality on these scales.
 const (
-	DefaultDim        = 5
-	DefaultIterations = 3000
-	initialStep       = 0.05
-	saltGNP           = 0x676e70
+	dim         = 5
+	iterations  = 3000
+	initialStep = 0.05
+	saltGNP     = 0x676e70
 )
 
 // Config parameterizes an embedding.
@@ -35,9 +35,6 @@ type Config struct {
 	Topo      *netsim.Topology
 	Landmarks []netsim.HostID
 	Seed      int64
-	Dim       int
-	// Iterations is the descent iteration count for each solve.
-	Iterations int
 	// At is the virtual time measurements are taken.
 	At time.Duration
 }
@@ -59,14 +56,8 @@ func New(cfg Config) (*System, error) {
 	if len(cfg.Landmarks) < 3 {
 		return nil, errors.New("gnp: need at least three landmarks")
 	}
-	if cfg.Dim <= 0 {
-		cfg.Dim = DefaultDim
-	}
-	if cfg.Dim >= len(cfg.Landmarks) {
-		return nil, fmt.Errorf("gnp: dimension %d requires more than %d landmarks", cfg.Dim, len(cfg.Landmarks))
-	}
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = DefaultIterations
+	if dim >= len(cfg.Landmarks) {
+		return nil, fmt.Errorf("gnp: dimension %d requires more than %d landmarks", dim, len(cfg.Landmarks))
 	}
 	for _, l := range cfg.Landmarks {
 		if cfg.Topo.Host(l) == nil {
@@ -97,12 +88,12 @@ func New(cfg Config) (*System, error) {
 	rng := rand.New(rand.NewPCG(uint64(cfg.Seed), 0x676e70_1))
 	s.lcoords = make([][]float64, n)
 	for i := range s.lcoords {
-		s.lcoords[i] = randomVec(rng, cfg.Dim, 50)
+		s.lcoords[i] = randomVec(rng, dim, 50)
 	}
-	for it := 0; it < cfg.Iterations; it++ {
-		step := initialStep * (1 - float64(it)/float64(cfg.Iterations))
+	for it := 0; it < iterations; it++ {
+		step := initialStep * (1 - float64(it)/float64(iterations))
 		for i := 0; i < n; i++ {
-			grad := make([]float64, cfg.Dim)
+			grad := make([]float64, dim)
 			for j := 0; j < n; j++ {
 				if i == j {
 					continue
@@ -159,10 +150,10 @@ func (s *System) Embed(hosts []netsim.HostID) error {
 		for i, l := range s.landmarks {
 			targets[i] = s.cfg.Topo.MeasureRTTMs(h, l, s.cfg.At, saltGNP+uint64(100+i))
 		}
-		x := randomVec(rng, s.cfg.Dim, 50)
-		for it := 0; it < s.cfg.Iterations; it++ {
-			step := initialStep * (1 - float64(it)/float64(s.cfg.Iterations))
-			grad := make([]float64, s.cfg.Dim)
+		x := randomVec(rng, dim, 50)
+		for it := 0; it < iterations; it++ {
+			step := initialStep * (1 - float64(it)/float64(iterations))
+			grad := make([]float64, dim)
 			for i := range s.landmarks {
 				addGradient(grad, x, s.lcoords[i], targets[i])
 			}

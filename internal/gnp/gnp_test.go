@@ -49,7 +49,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Topo: topo, Landmarks: []netsim.HostID{-1, 2, 3}}); err == nil {
 		t.Error("unknown landmark should fail")
 	}
-	if _, err := New(Config{Topo: topo, Landmarks: topo.Candidates()[:4], Dim: 9}); err == nil {
+	if _, err := New(Config{Topo: topo, Landmarks: topo.Candidates()[:dim]}); err == nil {
 		t.Error("dim >= landmarks should fail")
 	}
 }
@@ -139,7 +139,7 @@ func TestCoordCopy(t *testing.T) {
 	topo := testTopology(t)
 	sys := embeddedSystem(t, topo)
 	c, ok := sys.Coord(topo.Clients()[0])
-	if !ok || len(c) != DefaultDim {
+	if !ok || len(c) != dim {
 		t.Fatalf("Coord = %v, %v", c, ok)
 	}
 	c[0] = 1e9

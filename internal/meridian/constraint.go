@@ -95,11 +95,11 @@ func (o *Overlay) SatisfyConstraints(entry netsim.HostID, constraints []Constrai
 	}
 
 	curViolation := consider(cur.id)
-	for hops := 0; len(hits) < max && hops < o.cfg.NumRings; hops++ {
+	for hops := 0; len(hits) < max && hops < numRings; hops++ {
 		// Probe all of the current node's ring members; forward to the one
 		// with the smallest remaining violation.
 		bestNext, bestViolation := netsim.HostID(-1), curViolation
-		for ri := 1; ri <= o.cfg.NumRings; ri++ {
+		for ri := 1; ri <= numRings; ri++ {
 			for _, peer := range cur.rings[ri] {
 				if seen[peer] {
 					continue

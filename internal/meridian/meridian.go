@@ -25,16 +25,16 @@ import (
 	"repro/internal/netsim"
 )
 
-// Default Meridian parameters, following the SIGCOMM paper.
+// Meridian parameters, following the SIGCOMM paper.
 const (
-	DefaultNumRings = 9
-	DefaultRingBase = 2.0 // s: ring i spans (α·s^(i-1), α·s^i]
-	DefaultAlphaMs  = 1.0 // α: radius of the innermost ring
-	DefaultRingK    = 8   // primary members per ring
-	DefaultBeta     = 0.5 // acceptance threshold
+	numRings = 9
+	ringBase = 2.0 // s: ring i spans (α·s^(i-1), α·s^i]
+	alphaMs  = 1.0 // α: radius of the innermost ring
+	ringK    = 8   // primary members per ring
+	beta     = 0.5 // acceptance threshold
 
-	DefaultGossipRounds = 12
-	gossipSampleSize    = 6
+	gossipRounds     = 12
+	gossipSampleSize = 6
 )
 
 // saltMeridian decorrelates Meridian's probes from other measurement
@@ -46,14 +46,6 @@ type Config struct {
 	Topo    *netsim.Topology
 	Members []netsim.HostID // overlay nodes (the paper's PlanetLab hosts)
 	Seed    int64
-
-	NumRings int
-	RingBase float64
-	AlphaMs  float64
-	RingK    int
-	Beta     float64
-
-	GossipRounds int
 
 	// Failure injection (fractions of Members):
 	// SelfishFraction of nodes are stuck bootstrapping and answer every
@@ -101,24 +93,6 @@ func Build(cfg Config) (*Overlay, error) {
 	if len(cfg.Members) == 0 {
 		return nil, errors.New("meridian: no members")
 	}
-	if cfg.NumRings <= 0 {
-		cfg.NumRings = DefaultNumRings
-	}
-	if cfg.RingBase <= 1 {
-		cfg.RingBase = DefaultRingBase
-	}
-	if cfg.AlphaMs <= 0 {
-		cfg.AlphaMs = DefaultAlphaMs
-	}
-	if cfg.RingK <= 0 {
-		cfg.RingK = DefaultRingK
-	}
-	if cfg.Beta <= 0 || cfg.Beta >= 1 {
-		cfg.Beta = DefaultBeta
-	}
-	if cfg.GossipRounds <= 0 {
-		cfg.GossipRounds = DefaultGossipRounds
-	}
 	if cfg.SelfishFraction < 0 || cfg.SelfishFraction > 1 ||
 		cfg.DeadFraction < 0 || cfg.DeadFraction > 1 {
 		return nil, errors.New("meridian: failure fractions outside [0,1]")
@@ -142,7 +116,7 @@ func Build(cfg Config) (*Overlay, error) {
 		}
 		o.nodes[id] = &node{
 			id:          id,
-			rings:       make([][]netsim.HostID, cfg.NumRings+1),
+			rings:       make([][]netsim.HostID, numRings+1),
 			known:       make(map[netsim.HostID]bool),
 			partnerOnly: -1,
 		}
@@ -198,7 +172,7 @@ func (o *Overlay) gossip(rng *rand.Rand) {
 		}
 	}
 
-	for round := 0; round < o.cfg.GossipRounds; round++ {
+	for round := 0; round < gossipRounds; round++ {
 		for _, id := range healthy {
 			n := o.nodes[id]
 			if len(n.known) == 0 {
@@ -270,7 +244,7 @@ func (o *Overlay) buildRings() {
 		}
 		for ri := range n.rings {
 			sort.Slice(n.rings[ri], func(i, j int) bool { return n.rings[ri][i] < n.rings[ri][j] })
-			if len(n.rings[ri]) > o.cfg.RingK {
+			if len(n.rings[ri]) > ringK {
 				n.rings[ri] = o.polishRing(n.rings[ri])
 			}
 		}
@@ -280,15 +254,15 @@ func (o *Overlay) buildRings() {
 // ringIndex maps an RTT to its ring: ring i spans (α·s^(i-1), α·s^i], with
 // everything beyond the outermost bound folded into the last ring.
 func (o *Overlay) ringIndex(rttMs float64) int {
-	if rttMs <= o.cfg.AlphaMs {
+	if rttMs <= alphaMs {
 		return 1
 	}
-	i := int(math.Ceil(math.Log(rttMs/o.cfg.AlphaMs) / math.Log(o.cfg.RingBase)))
+	i := int(math.Ceil(math.Log(rttMs/alphaMs) / math.Log(ringBase)))
 	if i < 1 {
 		i = 1
 	}
-	if i > o.cfg.NumRings {
-		i = o.cfg.NumRings
+	if i > numRings {
+		i = numRings
 	}
 	return i
 }
@@ -299,7 +273,7 @@ func (o *Overlay) ringIndex(rttMs float64) int {
 // cheaper surrogate form (the hypervolume of the polytope grows with the
 // spread of its vertices).
 func (o *Overlay) polishRing(members []netsim.HostID) []netsim.HostID {
-	k := o.cfg.RingK
+	k := ringK
 	if len(members) <= k {
 		return members
 	}
@@ -377,10 +351,10 @@ func (o *Overlay) ClosestTo(entry, target netsim.HostID, at time.Duration) (nets
 	for {
 		// Probe ring members with latency to cur within [(1-β)d, (1+β)d]:
 		// only they can plausibly be closer to the target by factor β.
-		lo, hi := (1-o.cfg.Beta)*d, (1+o.cfg.Beta)*d
+		lo, hi := (1-beta)*d, (1+beta)*d
 		var candBest netsim.HostID = -1
 		candD := math.Inf(1)
-		for ri := 1; ri <= o.cfg.NumRings; ri++ {
+		for ri := 1; ri <= numRings; ri++ {
 			for _, peer := range cur.rings[ri] {
 				if visited[peer] {
 					continue
@@ -404,7 +378,7 @@ func (o *Overlay) ClosestTo(entry, target netsim.HostID, at time.Duration) (nets
 		}
 		// Forward only when the best candidate improves by the acceptance
 		// factor β; otherwise this node's best answer stands.
-		if candBest < 0 || candD > o.cfg.Beta*d {
+		if candBest < 0 || candD > beta*d {
 			return bestID, stats, nil
 		}
 		next := o.nodes[candBest]

@@ -59,7 +59,7 @@ func TestRingIndex(t *testing.T) {
 		want int
 	}{
 		{0.5, 1}, {1, 1}, {1.5, 1}, {2, 1}, {2.1, 2}, {4, 2}, {5, 3},
-		{250, 8}, {400, 9}, {1e6, DefaultNumRings},
+		{250, 8}, {400, 9}, {1e6, numRings},
 	}
 	for _, tt := range tests {
 		if got := o.ringIndex(tt.rtt); got != tt.want {
@@ -75,8 +75,8 @@ func TestBuildRingsNonOverlappingAndBounded(t *testing.T) {
 		n := o.nodes[id]
 		seen := map[netsim.HostID]bool{}
 		for ri, ring := range n.rings {
-			if len(ring) > DefaultRingK {
-				t.Errorf("node %d ring %d has %d members, cap %d", id, ri, len(ring), DefaultRingK)
+			if len(ring) > ringK {
+				t.Errorf("node %d ring %d has %d members, cap %d", id, ri, len(ring), ringK)
 			}
 			for _, m := range ring {
 				if m == id {

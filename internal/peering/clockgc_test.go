@@ -20,9 +20,8 @@ func TestTombstoneGCUsesInjectedClock(t *testing.T) {
 	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
 	p, err := New(Config{
 		Self: "vclk-self", Addr: "vclk-self", Service: svc,
-		TombstoneGC: 10 * time.Minute,
-		Now:         func() time.Time { return vt },
-		Registry:    obs.NewRegistry(), Resolve: mesh.Resolve, Seed: 1,
+		Now:      func() time.Time { return vt },
+		Registry: obs.NewRegistry(), Resolve: mesh.Resolve, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

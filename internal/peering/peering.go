@@ -10,7 +10,7 @@
 //
 //   - rumor mongering: every local Observe/Forget enqueues its node; each
 //     Tick pushes the queued entries, with a decrementing hop budget (TTL),
-//     to Fanout randomly chosen peers. Fresh updates spread in O(log N)
+//     to fanout randomly chosen peers. Fresh updates spread in O(log N)
 //     rounds with high probability.
 //   - push-pull anti-entropy: each Tick also sends one round-robin peer a
 //     compact per-shard digest of the full replicated state. The receiver
@@ -21,7 +21,7 @@
 //     packet-loss rate below 100%.
 //
 // Deletions propagate as tombstones and are garbage-collected after a
-// configured horizon; DESIGN.md "Gossip" develops the convergence argument and
+// fixed horizon; DESIGN.md "Gossip" develops the convergence argument and
 // the GC trade-offs. All sockets are plain net.PacketConns, so the fault
 // plane's WrapPacketConn applies loss/dup/delay/reorder scenarios to gossip
 // links exactly as it does to the daemon's query path.
@@ -44,6 +44,19 @@ import (
 	"repro/internal/obs"
 )
 
+// Rumor-mongering and GC constants. Every daemon, plan and benchmark runs
+// these values.
+const (
+	// fanout is how many peers each rumor push targets.
+	fanout = 2
+	// rumorTTL is the initial rumor hop budget of a local mutation.
+	rumorTTL = 3
+	// tombstoneGC is the deletion-tombstone retention horizon. A peer
+	// partitioned for longer than this may resurrect forgotten entries
+	// through anti-entropy.
+	tombstoneGC = 10 * time.Minute
+)
+
 // Config shapes one daemon's peering engine.
 type Config struct {
 	// Self is this daemon's ID, stamped as the origin of its local
@@ -54,16 +67,8 @@ type Config struct {
 	// Service is the replicated store. Required. New() takes ownership of
 	// its replication hooks (SetOrigin/SetClock/SetMutationHook).
 	Service *crp.Service
-	// Fanout is how many peers each rumor push targets. Default 2.
-	Fanout int
 	// Interval is the Tick cadence of Start's background loop. Default 1s.
 	Interval time.Duration
-	// TTL is the initial rumor hop budget of a local mutation. Default 3.
-	TTL int
-	// TombstoneGC is the deletion-tombstone retention horizon. A peer
-	// partitioned for longer than this may resurrect forgotten entries
-	// through anti-entropy. Default 10m.
-	TombstoneGC time.Duration
 	// Seed feeds the fanout-selection RNG; same seed + same event order =
 	// same peer choices, which is what makes the bench harness replayable.
 	Seed uint64
@@ -186,20 +191,8 @@ func New(cfg Config) (*Peering, error) {
 		// of silently livelocking (see the MaxShardCount sizing note).
 		return nil, fmt.Errorf("peering: store has %d shards, wire limit %d", sc, MaxShardCount)
 	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 2
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 3
-	}
-	if cfg.TTL > MaxTTL {
-		cfg.TTL = MaxTTL
-	}
-	if cfg.TombstoneGC <= 0 {
-		cfg.TombstoneGC = 10 * time.Minute
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -252,7 +245,7 @@ func New(cfg Config) (*Peering, error) {
 // full hop budget. Installed as the service's mutation hook.
 func (p *Peering) noteMutation(node crp.NodeID) {
 	p.mu.Lock()
-	p.pending[node] = p.cfg.TTL
+	p.pending[node] = rumorTTL
 	p.mu.Unlock()
 }
 
@@ -454,7 +447,7 @@ func (p *Peering) Tick(now time.Time) {
 		// One independent fanout draw per TTL batch: rng.Perm over the
 		// sorted peer order keeps the choice deterministic for a given
 		// seed and call sequence.
-		k := p.cfg.Fanout
+		k := fanout
 		if k > len(p.order) {
 			k = len(p.order)
 		}
@@ -518,7 +511,7 @@ func (p *Peering) Tick(now time.Time) {
 	// timestamps and silently GC live tombstones, un-replicating forgets.
 	// The now parameter still drives the gossip round itself (rumor and
 	// digest scheduling), where both timelines only affect pacing.
-	if n := p.svc.GCTombstones(p.now().Add(-p.cfg.TombstoneGC)); n > 0 {
+	if n := p.svc.GCTombstones(p.now().Add(-tombstoneGC)); n > 0 {
 		p.gced.add(uint64(n))
 	}
 }

@@ -21,7 +21,7 @@ type testMesh struct {
 	clock   time.Time
 }
 
-func newTestMesh(t testing.TB, n int, shape crp.StoreConfig, fanout int) *testMesh {
+func newTestMesh(t testing.TB, n int, shape crp.StoreConfig) *testMesh {
 	t.Helper()
 	tm := &testMesh{mesh: NewMemMesh(), clock: time.Unix(1_800_000_000, 0)}
 	now := func() time.Time { return tm.clock }
@@ -30,8 +30,8 @@ func newTestMesh(t testing.TB, n int, shape crp.StoreConfig, fanout int) *testMe
 		svc := crp.NewServiceWithStore(shape, crp.WithWindow(10))
 		p, err := New(Config{
 			Self: id, Addr: id, Service: svc,
-			Fanout: fanout, Seed: uint64(100 + i),
-			Now: now, Resolve: tm.mesh.Resolve, Registry: obs.NewRegistry(),
+			Seed: uint64(100 + i),
+			Now:  now, Resolve: tm.mesh.Resolve, Registry: obs.NewRegistry(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func (tm *testMesh) converge(t *testing.T, maxRounds int) int {
 }
 
 func TestJoinHandshakeMeshesBothSides(t *testing.T) {
-	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8}, 2)
+	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8})
 	if err := tm.engines[0].Join(tm.engines[1].cfg.Addr); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestJoinHandshakeMeshesBothSides(t *testing.T) {
 }
 
 func TestRumorPropagatesObservation(t *testing.T) {
-	tm := newTestMesh(t, 3, crp.StoreConfig{Shards: 8}, 2)
+	tm := newTestMesh(t, 3, crp.StoreConfig{Shards: 8})
 	tm.fullMesh(t)
 	if err := tm.svcs[0].Observe("n1", time.Unix(1, 0), "r1", "r2"); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestRumorPropagatesObservation(t *testing.T) {
 }
 
 func TestAntiEntropyRepairsMissedUpdate(t *testing.T) {
-	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8}, 1)
+	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8})
 	tm.fullMesh(t)
 	// Mutate daemon a's store but drop the rumor on the floor by clearing
 	// the pending queue — only the digest exchange can repair this.
@@ -169,7 +169,7 @@ func TestAntiEntropyRepairsMissedUpdate(t *testing.T) {
 }
 
 func TestLastWriterWinsOnConcurrentUpdates(t *testing.T) {
-	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8}, 1)
+	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8})
 	tm.fullMesh(t)
 	// Both daemons observe the same node with different replica sets before
 	// any gossip: equal versions, so the greater origin (b-daemon) must win
@@ -209,7 +209,7 @@ func TestForgetPropagatesAsTombstone(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tm := newTestMesh(t, 3, crp.StoreConfig{Shards: 8}, 2)
+			tm := newTestMesh(t, 3, crp.StoreConfig{Shards: 8})
 			tm.fullMesh(t)
 			var plane *faults.Plane
 			if c.loss > 0 {
@@ -251,7 +251,7 @@ func TestForgetPropagatesAsTombstone(t *testing.T) {
 }
 
 func TestTombstoneGCReclaimsAfterHorizon(t *testing.T) {
-	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8}, 1)
+	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8})
 	tm.fullMesh(t)
 	if err := tm.svcs[0].Observe("n1", time.Unix(1, 0), "r1"); err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestTombstoneGCReclaimsAfterHorizon(t *testing.T) {
 }
 
 func TestShapeMismatchIsCountedNotApplied(t *testing.T) {
-	tm := newTestMesh(t, 1, crp.StoreConfig{Shards: 8}, 1)
+	tm := newTestMesh(t, 1, crp.StoreConfig{Shards: 8})
 	p := tm.engines[0]
 	if err := p.AddPeer("z-daemon", "z-daemon"); err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestShapeMismatchIsCountedNotApplied(t *testing.T) {
 }
 
 func TestStatusReportsPeersAndLag(t *testing.T) {
-	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8}, 1)
+	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8})
 	tm.fullMesh(t)
 	if err := tm.svcs[0].Observe("n1", time.Unix(1, 0), "r1"); err != nil {
 		t.Fatal(err)
@@ -324,8 +324,8 @@ func TestBackgroundLoopConvergesOverMemMesh(t *testing.T) {
 		svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 8}, crp.WithWindow(10))
 		p, err := New(Config{
 			Self: id, Addr: id, Service: svc,
-			Fanout: 1, Interval: 5 * time.Millisecond,
-			Resolve: mesh.Resolve, Registry: obs.NewRegistry(), Seed: uint64(i),
+			Interval: 5 * time.Millisecond,
+			Resolve:  mesh.Resolve, Registry: obs.NewRegistry(), Seed: uint64(i),
 		})
 		if err != nil {
 			t.Fatal(err)

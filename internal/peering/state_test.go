@@ -143,7 +143,7 @@ func TestWriteStateSkipsUnwritableRecord(t *testing.T) {
 // record no delta can carry costs one send error and is left out, and the
 // records batched beside it still replicate.
 func TestLinkSkipsUnsendableRecord(t *testing.T) {
-	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 1}, 1)
+	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 1})
 	tm.fullMesh(t)
 	wide := make([]crp.ReplicaID, MaxReplicasPerProbe+1)
 	for i := range wide {
@@ -206,7 +206,7 @@ func TestReadStateRejectsMalformed(t *testing.T) {
 // fresh ingest the mesh reconverges.
 func TestRestartedMemberRejoinsAsReplica(t *testing.T) {
 	shape := crp.StoreConfig{Shards: 8}
-	tm := newTestMesh(t, 3, shape, 2)
+	tm := newTestMesh(t, 3, shape)
 	tm.fullMesh(t)
 	for i, svc := range tm.svcs {
 		for k := 0; k < 4; k++ {
@@ -225,7 +225,7 @@ func TestRestartedMemberRejoinsAsReplica(t *testing.T) {
 	}
 	self := tm.engines[2].cfg.Self
 	p, err := New(Config{
-		Self: self, Addr: self, Service: svc, Fanout: 2, Seed: 102,
+		Self: self, Addr: self, Service: svc, Seed: 102,
 		Now: func() time.Time { return tm.clock }, Resolve: tm.mesh.Resolve, Registry: obs.NewRegistry(),
 	})
 	if err != nil {

@@ -23,18 +23,16 @@ const (
 
 // arrivals is one driven group's instantiated arrival process.
 type arrivals struct {
-	seed    uint64 // Mix(plan seed, group index + 1)
-	a       Arrival
-	tick    time.Duration
-	tickSec float64
+	seed     uint64 // Mix(plan seed, group index + 1)
+	a        Arrival
+	ldnsPool int // a mobile group's distinct LDNS identities: max(2, size/4)
 }
 
-func newArrivals(planSeed uint64, groupIdx int, a Arrival, tick time.Duration) *arrivals {
+func newArrivals(planSeed uint64, groupIdx, size int, a Arrival) *arrivals {
 	return &arrivals{
-		seed:    netsim.Mix(planSeed, uint64(groupIdx)+1),
-		a:       a,
-		tick:    tick,
-		tickSec: tick.Seconds(),
+		seed:     netsim.Mix(planSeed, uint64(groupIdx)+1),
+		a:        a,
+		ldnsPool: max(2, size/4),
 	}
 }
 
@@ -59,12 +57,12 @@ func (ar *arrivals) RateAt(t time.Duration) float64 {
 	return 0
 }
 
-// Count is the arrival count for tick number `tick` (whose window starts at
-// tick*ar.tick): a Poisson draw with mean RateAt·tickSeconds, seeded by
-// (group seed, tick), so the sequence is pinned per seed.
-func (ar *arrivals) Count(tick int) int {
-	lambda := ar.RateAt(time.Duration(tick)*ar.tick) * ar.tickSec
-	return poisson(lambda, ar.seed, uint64(tick))
+// Count is the arrival count for tick number t (whose window starts at
+// t*tick): a Poisson draw with mean RateAt·tickSeconds, seeded by
+// (group seed, t), so the sequence is pinned per seed.
+func (ar *arrivals) Count(t int) int {
+	lambda := ar.RateAt(time.Duration(t)*tick) * tick.Seconds()
+	return poisson(lambda, ar.seed, uint64(t))
 }
 
 // poisson draws Poisson(lambda) from the (seed, tick) hash stream. Knuth's
@@ -137,10 +135,10 @@ func (ar *arrivals) ldnsAt(member int, t time.Duration) int {
 	if p := ar.a.Period.D(); p > 0 {
 		epoch = uint64(t / p)
 	}
-	id := int(netsim.Mix(ar.seed, domLDNS, uint64(member)) % uint64(ar.a.LDNSPool))
+	id := int(netsim.Mix(ar.seed, domLDNS, uint64(member)) % uint64(ar.ldnsPool))
 	for e := uint64(1); e <= epoch; e++ {
 		if netsim.UnitAt(ar.seed, domLDNS, uint64(member), e) < ar.a.ChurnRate {
-			id = int(netsim.Mix(ar.seed, domLDNS, uint64(member), e, 1) % uint64(ar.a.LDNSPool))
+			id = int(netsim.Mix(ar.seed, domLDNS, uint64(member), e, 1) % uint64(ar.ldnsPool))
 		}
 	}
 	return id

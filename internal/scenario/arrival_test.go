@@ -16,10 +16,10 @@ func constantArrival(rate float64) Arrival {
 // exact per-tick sequence, and a different seed must diverge — the
 // scheduling layer under every byte-identical rerun gate.
 func TestArrivalSameSeedPinned(t *testing.T) {
-	a := newArrivals(42, 1, constantArrival(20), time.Second)
-	b := newArrivals(42, 1, constantArrival(20), time.Second)
+	a := newArrivals(42, 1, 1, constantArrival(20))
+	b := newArrivals(42, 1, 1, constantArrival(20))
 	diverged := false
-	c := newArrivals(43, 1, constantArrival(20), time.Second)
+	c := newArrivals(43, 1, 1, constantArrival(20))
 	for tick := 0; tick < 500; tick++ {
 		na, nb := a.Count(tick), b.Count(tick)
 		if na != nb {
@@ -39,7 +39,7 @@ func TestArrivalSameSeedPinned(t *testing.T) {
 // normal approximation above).
 func TestArrivalRateAccuracy(t *testing.T) {
 	for _, rate := range []float64{3, 12, 80, 400} {
-		ar := newArrivals(7, 2, constantArrival(rate), time.Second)
+		ar := newArrivals(7, 2, 1, constantArrival(rate))
 		total := 0
 		for tick := 0; tick < 3600; tick++ {
 			total += ar.Count(tick)
@@ -58,9 +58,9 @@ func TestArrivalRateAccuracy(t *testing.T) {
 func TestDiurnalShape(t *testing.T) {
 	const peak, trough = 50.0, 5.0
 	period := time.Hour
-	ar := newArrivals(11, 0, Arrival{
+	ar := newArrivals(11, 0, 1, Arrival{
 		Process: ProcessDiurnal, Peak: peak, Trough: trough, Period: faults.Duration(period),
-	}, time.Second)
+	})
 
 	sum := func(lo, hi int) float64 {
 		total := 0.0
@@ -101,13 +101,13 @@ func TestDiurnalShape(t *testing.T) {
 // TestFlashCrowdTotals: spikes must add exactly rate·width·(factor-1)
 // expected arrivals, and the rate outside every window must stay at base.
 func TestFlashCrowdTotals(t *testing.T) {
-	ar := newArrivals(13, 3, Arrival{
+	ar := newArrivals(13, 3, 1, Arrival{
 		Process: ProcessFlash, Rate: 10,
 		Spikes: []Spike{
 			{At: faults.Duration(100 * time.Second), Width: faults.Duration(60 * time.Second), Factor: 5},
 			{At: faults.Duration(400 * time.Second), Width: faults.Duration(30 * time.Second), Factor: 3},
 		},
-	}, time.Second)
+	})
 
 	if got := ar.RateAt(50 * time.Second); got != 10 {
 		t.Fatalf("baseline rate %v, want 10", got)
@@ -134,9 +134,9 @@ func TestFlashCrowdTotals(t *testing.T) {
 // seed, and actually churn across period boundaries at a plausible rate.
 func TestMobileLDNSChurn(t *testing.T) {
 	a := Arrival{Process: ProcessMobile, Rate: 5, ChurnRate: 0.5,
-		Period: faults.Duration(time.Minute), LDNSPool: 4}
-	ar := newArrivals(17, 0, a, time.Second)
-	ar2 := newArrivals(17, 0, a, time.Second)
+		Period: faults.Duration(time.Minute)}
+	ar := newArrivals(17, 0, 16, a) // a 16-member group draws from 4 identities
+	ar2 := newArrivals(17, 0, 16, a)
 
 	changes, checks := 0, 0
 	for m := 0; m < 40; m++ {

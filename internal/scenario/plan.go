@@ -115,11 +115,9 @@ type Arrival struct {
 	// Spikes are the flash-crowd bursts; windows must not overlap.
 	Spikes []Spike `json:"spikes,omitempty"`
 	// ChurnRate is the mobile per-member probability of re-homing onto a
-	// different LDNS identity at each period boundary.
+	// different LDNS identity at each period boundary, among max(2, size/4)
+	// identities.
 	ChurnRate float64 `json:"churnRate,omitempty"`
-	// LDNSPool is the mobile group's distinct LDNS identity count
-	// (default max(2, size/4)).
-	LDNSPool int `json:"ldnsPool,omitempty"`
 }
 
 // Group declares one node population.
@@ -157,15 +155,13 @@ type Group struct {
 
 // DriftPlan attaches the CDN-change detector (internal/drift) to the run:
 // every Every ticks the runner snapshots daemon 0's compiled ratio-map
-// stream and feeds the detector, on the virtual clock. Mem transport only
-// — the event sequence is part of the deterministic report slice, and only
-// the virtual clock makes frame timing replayable.
+// stream and feeds the detector at drift.DefaultSensitivity, on the
+// virtual clock. Mem transport only — the event sequence is part of the
+// deterministic report slice, and only the virtual clock makes frame
+// timing replayable.
 type DriftPlan struct {
 	// Every is the frame cadence in ticks (default 5).
 	Every int `json:"every,omitempty"`
-	// Sensitivity scales the detector's alarm thresholds (default 1;
-	// above 1 is touchier, below 1 more tolerant).
-	Sensitivity float64 `json:"sensitivity,omitempty"`
 }
 
 // Envelope declares the run's pass/fail gates. Zero-valued fields are not
@@ -209,16 +205,11 @@ type Plan struct {
 	// Daemons is the mesh size (default 3; 1 runs a single daemon with no
 	// gossip plane).
 	Daemons int `json:"daemons,omitempty"`
-	// Duration is the driven window on the virtual clock. Required.
+	// Duration is the driven window on the virtual clock: a positive
+	// whole number of ticks. Required.
 	Duration faults.Duration `json:"duration"`
-	// Tick is the virtual scheduling quantum (default 1s).
-	Tick faults.Duration `json:"tick,omitempty"`
-	// Window / Shards shape every daemon's store identically (defaults
-	// 10 / 64); Fanout / TTL shape rumor mongering (defaults 2 / 3).
-	Window int `json:"window,omitempty"`
+	// Shards is every daemon's store width (default 64).
 	Shards int `json:"shards,omitempty"`
-	Fanout int `json:"fanout,omitempty"`
-	TTL    int `json:"ttl,omitempty"`
 	// AggregateBits, when non-zero, enables the prefix aggregation plane on
 	// every daemon with /bits IPv4 grouping (crp.PrefixKeyFunc).
 	AggregateBits int `json:"aggregateBits,omitempty"`
@@ -235,9 +226,18 @@ type Plan struct {
 	Envelope Envelope `json:"envelope,omitempty"`
 }
 
+// Fixed run shape. No plan has needed other values, so they are not plan
+// fields.
+const (
+	// tick is the virtual scheduling quantum.
+	tick = time.Second
+	// storeWindow is every daemon's probe window, the crpd default.
+	storeWindow = 10
+)
+
 // Ticks is the driven tick count.
 func (p *Plan) Ticks() int {
-	return int(p.Duration.D() / p.Tick.D())
+	return int(p.Duration.D() / tick)
 }
 
 // DecodePlan decodes and validates a JSON plan, applying defaults. Unknown
@@ -267,20 +267,8 @@ func (p *Plan) setDefaults() {
 	if p.Daemons == 0 {
 		p.Daemons = 3
 	}
-	if p.Tick == 0 {
-		p.Tick = faults.Duration(time.Second)
-	}
-	if p.Window == 0 {
-		p.Window = 10
-	}
 	if p.Shards == 0 {
 		p.Shards = 64
-	}
-	if p.Fanout == 0 {
-		p.Fanout = 2
-	}
-	if p.TTL == 0 {
-		p.TTL = 3
 	}
 	if p.Drift != nil && p.Drift.Every == 0 {
 		p.Drift.Every = 5
@@ -306,9 +294,6 @@ func (p *Plan) setDefaults() {
 					a.Period = faults.Duration(time.Minute)
 				}
 			}
-			if a.Process == ProcessMobile && a.LDNSPool == 0 {
-				a.LDNSPool = max(2, g.Size/4)
-			}
 		}
 	}
 }
@@ -333,11 +318,8 @@ func (p *Plan) Validate() error {
 	if p.Duration <= 0 {
 		return planErr("duration", "required and positive")
 	}
-	if p.Tick <= 0 {
-		return planErr("tick", "must be positive")
-	}
-	if p.Tick > p.Duration {
-		return planErr("tick", "tick %v exceeds duration %v", p.Tick.D(), p.Duration.D())
+	if p.Duration.D()%tick != 0 {
+		return planErr("duration", "%v is not a whole number of %v ticks", p.Duration.D(), tick)
 	}
 	if p.Shards < 1 || p.Shards > peering.MaxShardCount {
 		return planErr("shards", "must be in [1,%d], got %d", peering.MaxShardCount, p.Shards)
@@ -351,9 +333,6 @@ func (p *Plan) Validate() error {
 		}
 		if p.Drift.Every < 1 {
 			return planErr("drift.every", "must be >= 1 tick, got %d", p.Drift.Every)
-		}
-		if p.Drift.Sensitivity < 0 {
-			return planErr("drift.sensitivity", "negative: %v", p.Drift.Sensitivity)
 		}
 	}
 	if len(p.Groups) == 0 {
@@ -529,9 +508,6 @@ func (p *Plan) validateArrival(i int, g *Group) error {
 		}
 		if a.Period <= 0 {
 			return planErr(field("period"), "must be positive")
-		}
-		if a.LDNSPool < 2 {
-			return planErr(field("ldnsPool"), "need >= 2 identities, got %d", a.LDNSPool)
 		}
 	}
 	return nil

@@ -3,9 +3,12 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/fuzzcorpus"
@@ -47,8 +50,8 @@ func TestDecodePlanValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
-	if p.Transport != TransportMem || p.Daemons != 3 || p.Tick.D() != time.Second {
-		t.Fatalf("defaults not applied: transport=%q daemons=%d tick=%v", p.Transport, p.Daemons, p.Tick.D())
+	if p.Transport != TransportMem || p.Daemons != 3 || p.Shards != 64 {
+		t.Fatalf("defaults not applied: transport=%q daemons=%d shards=%d", p.Transport, p.Daemons, p.Shards)
 	}
 	if p.Ticks() != 10 {
 		t.Fatalf("Ticks() = %d, want 10", p.Ticks())
@@ -97,9 +100,45 @@ func TestDecodePlanMalformed(t *testing.T) {
 			field: "plan", detail: `unknown field "codec"`,
 		},
 		{
-			name:  "tick beyond duration",
-			raw:   mutate(t, func(p map[string]any) { p["tick"] = "30s" }),
-			field: "tick",
+			// Ticks() would truncate it to one tick: half a second of the
+			// declared window would never run.
+			name:  "duration not a whole number of ticks",
+			raw:   mutate(t, func(p map[string]any) { p["duration"] = "1500ms" }),
+			field: "duration", detail: "whole number",
+		},
+		{
+			name:  "duration shorter than a tick",
+			raw:   mutate(t, func(p map[string]any) { p["duration"] = "500ms" }),
+			field: "duration", detail: "whole number",
+		},
+		// The fixed run shape is not plan data: a plan that names one of
+		// its values is refused, and the error names the field.
+		{
+			name:  "tick is fixed",
+			raw:   mutate(t, func(p map[string]any) { p["tick"] = "1s" }),
+			field: "plan", detail: `unknown field "tick"`,
+		},
+		{
+			name:  "window is fixed",
+			raw:   mutate(t, func(p map[string]any) { p["window"] = 10 }),
+			field: "plan", detail: `unknown field "window"`,
+		},
+		{
+			name:  "fanout is fixed",
+			raw:   mutate(t, func(p map[string]any) { p["fanout"] = 2 }),
+			field: "plan", detail: `unknown field "fanout"`,
+		},
+		{
+			name:  "ttl is fixed",
+			raw:   mutate(t, func(p map[string]any) { p["ttl"] = 3 }),
+			field: "plan", detail: `unknown field "ttl"`,
+		},
+		{
+			name: "ldnsPool is derived from the group size",
+			raw: mutate(t, func(p map[string]any) {
+				group0(p)["arrival"] = map[string]any{"process": "mobile", "rate": 5, "ldnsPool": 4}
+			}),
+			field: "plan", detail: `unknown field "ldnsPool"`,
 		},
 		{
 			// crp reads a negative width as "use the host-dependent default".
@@ -309,11 +348,11 @@ func TestDecodePlanMalformed(t *testing.T) {
 			field: "drift", detail: "mem",
 		},
 		{
-			name: "drift negative sensitivity",
+			name: "drift sensitivity is fixed",
 			raw: mutate(t, func(p map[string]any) {
-				p["drift"] = map[string]any{"sensitivity": -1}
+				p["drift"] = map[string]any{"every": 5, "sensitivity": 1}
 			}),
-			field: "drift.sensitivity",
+			field: "plan", detail: `unknown field "sensitivity"`,
 		},
 		{
 			name: "drift event budget without detector",
@@ -419,7 +458,7 @@ func TestGenerateScenarioFuzzCorpus(t *testing.T) {
 			p["envelope"] = map[string]any{"requireConverged": true, "maxConvergeRounds": 50}
 		}),
 		mutate(t, func(p map[string]any) {
-			p["drift"] = map[string]any{"every": 3, "sensitivity": 1.5}
+			p["drift"] = map[string]any{"every": 3}
 			p["envelope"] = map[string]any{"maxDriftEvents": 0}
 		}),
 		[]byte(`{}`),
@@ -427,4 +466,67 @@ func TestGenerateScenarioFuzzCorpus(t *testing.T) {
 		[]byte(`not json at all`),
 		mutate(t, func(p map[string]any) { p["shards"] = 1 << 40 }),
 	})
+}
+
+// TestReadmeMatchesPlanSchema keeps scenarios/README.md and the plan types
+// in step: every field its schema tables list is a JSON field of a plan
+// type, and every JSON field of those types (and of Arrival, documented in
+// prose) is named in a code span somewhere in the README.
+func TestReadmeMatchesPlanSchema(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(raw)
+	tags := func(v any) []string {
+		var out []string
+		rt := reflect.TypeOf(v)
+		for i := 0; i < rt.NumField(); i++ {
+			if name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+				out = append(out, name)
+			}
+		}
+		return out
+	}
+	tabled := map[string]bool{}
+	for _, v := range []any{Plan{}, Group{}, DriftPlan{}, Envelope{}} {
+		for _, tag := range tags(v) {
+			tabled[tag] = true
+		}
+	}
+
+	// Every first-column name of a schema table row.
+	code := regexp.MustCompile("`([^`]*)`")
+	rows := 0
+	for _, line := range strings.Split(readme, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		first, _, _ := strings.Cut(strings.TrimPrefix(line, "|"), "|")
+		for _, m := range code.FindAllStringSubmatch(first, -1) {
+			rows++
+			if !tabled[m[1]] {
+				t.Errorf("README schema table documents %q, which is no plan field", m[1])
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no schema table rows found in the README")
+	}
+
+	// Every JSON field, as a word inside some code span.
+	word := regexp.MustCompile(`[A-Za-z0-9]+`)
+	named := map[string]bool{}
+	for _, m := range code.FindAllStringSubmatch(readme, -1) {
+		for _, w := range word.FindAllString(m[1], -1) {
+			named[w] = true
+		}
+	}
+	for _, v := range []any{Plan{}, Group{}, DriftPlan{}, Envelope{}, Arrival{}} {
+		for _, tag := range tags(v) {
+			if !named[tag] {
+				t.Errorf("plan field %q (%T) is not documented in the README", tag, v)
+			}
+		}
+	}
 }

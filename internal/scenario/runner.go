@@ -101,7 +101,6 @@ type runner struct {
 	p      *Plan
 	reg    *obs.Registry
 	logf   func(string, ...any)
-	tickD  time.Duration
 	groups []*groupState
 	// providersOn[d] lists provider identities homed on daemon d, in plan
 	// order — the seed of every driven group's target pool.
@@ -132,7 +131,6 @@ func Run(p *Plan, opt Options) (*Report, error) {
 		p:           p,
 		reg:         reg,
 		logf:        logf,
-		tickD:       p.Tick.D(),
 		providersOn: make([][]string, p.Daemons),
 		planClock:   netsim.NewClock(),
 	}
@@ -162,7 +160,7 @@ func Run(p *Plan, opt Options) (*Report, error) {
 				r.maxProbes = g.Probes
 			}
 		default:
-			gs.ar = newArrivals(p.Seed, i, g.Arrival, r.tickD)
+			gs.ar = newArrivals(p.Seed, i, g.Size, g.Arrival)
 		}
 		r.groups = append(r.groups, gs)
 	}
@@ -254,14 +252,14 @@ func (r *runner) seedOps(k int) []schedOp {
 // order. All choices are stateless seeded hashes over (seed, group, tick,
 // op index), so the schedule is a pure function of the plan.
 func (r *runner) buildTick(t int) []schedOp {
-	at := time.Duration(t) * r.tickD
+	at := time.Duration(t) * tick
 	var ops []schedOp
 	for _, gs := range r.groups {
 		if gs.ar == nil {
 			continue
 		}
 		n := gs.ar.Count(t)
-		gs.expected += gs.ar.RateAt(at) * r.tickD.Seconds()
+		gs.expected += gs.ar.RateAt(at) * tick.Seconds()
 		for j := 0; j < n; j++ {
 			ops = append(ops, r.buildOp(gs, t, j, at))
 		}
@@ -326,7 +324,7 @@ func encodeOp(so *schedOp) ([]byte, error) {
 }
 
 func (r *runner) newService() (*crp.Service, error) {
-	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: r.p.Shards}, crp.WithWindow(r.p.Window))
+	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: r.p.Shards}, crp.WithWindow(storeWindow))
 	if r.p.AggregateBits > 0 {
 		if err := svc.EnableAggregation(crp.AggregatorConfig{KeyOf: crp.PrefixKeyFunc(r.p.AggregateBits)}); err != nil {
 			return nil, err
@@ -376,8 +374,6 @@ func (r *runner) runMem() (*Report, error) {
 				Self:     fmt.Sprintf("daemon-%02d", i),
 				Addr:     addr,
 				Service:  svc,
-				Fanout:   p.Fanout,
-				TTL:      p.TTL,
 				Seed:     p.Seed + uint64(i)*7919,
 				Now:      clock,
 				Resolve:  mesh.Resolve,
@@ -423,7 +419,7 @@ func (r *runner) runMem() (*Report, error) {
 	var driftFrames int
 	var driftEvents []drift.Event
 	if p.Drift != nil {
-		mon, err = drift.NewMonitor(svcs[0], drift.Config{Sensitivity: p.Drift.Sensitivity},
+		mon, err = drift.NewMonitor(svcs[0], drift.DefaultSensitivity,
 			drift.WithRegistry(r.reg), drift.WithClock(clock))
 		if err != nil {
 			return nil, err
@@ -495,7 +491,7 @@ func (r *runner) runMem() (*Report, error) {
 	// time on the virtual clock.
 	ticks := p.Ticks()
 	for t := 0; t < ticks; t++ {
-		now = seedEnd.Add(time.Duration(t) * r.tickD)
+		now = seedEnd.Add(time.Duration(t) * tick)
 		r.planClock.Set(now.Sub(seedEnd))
 		ops := r.buildTick(t)
 		for i := range ops {
@@ -526,7 +522,7 @@ func (r *runner) runMem() (*Report, error) {
 			det.Converged = true
 		} else {
 			for rd := 1; rd <= maxRounds; rd++ {
-				now = now.Add(r.tickD)
+				now = now.Add(tick)
 				r.planClock.Set(now.Sub(seedEnd))
 				round()
 				if digestsEqual(svcs) {
@@ -677,8 +673,6 @@ func (r *runner) runUDP() (*Report, error) {
 				Self:     fmt.Sprintf("daemon-%02d", i),
 				Addr:     gpc.LocalAddr().String(),
 				Service:  svc,
-				Fanout:   p.Fanout,
-				TTL:      p.TTL,
 				Interval: 20 * time.Millisecond,
 				Seed:     p.Seed + uint64(i)*7919,
 				Registry: r.reg,
@@ -802,10 +796,10 @@ func (r *runner) runUDP() (*Report, error) {
 	ticks := p.Ticks()
 	loadStart := time.Now()
 	for t := 0; t < ticks; t++ {
-		if wait := time.Until(loadStart.Add(time.Duration(t) * r.tickD)); wait > 0 {
+		if wait := time.Until(loadStart.Add(time.Duration(t) * tick)); wait > 0 {
 			time.Sleep(wait)
 		}
-		r.planClock.Set(time.Duration(t) * r.tickD)
+		r.planClock.Set(time.Duration(t) * tick)
 		ops := r.buildTick(t)
 		if err := dispatch(ops); err != nil {
 			return nil, err

@@ -16,12 +16,12 @@ import (
 	"repro/internal/netsim"
 )
 
-// Default algorithm constants from the Vivaldi paper.
+// Algorithm constants from the Vivaldi paper.
 const (
-	DefaultDim     = 3
-	DefaultCe      = 0.25 // error-estimate damping
-	DefaultCc      = 0.25 // coordinate timestep
-	DefaultRounds  = 60   // sampling rounds per node
+	dim            = 3
+	ce             = 0.25 // error-estimate damping
+	cc             = 0.25 // coordinate timestep
+	rounds         = 60   // sampling rounds per node
 	initialError   = 1.0
 	minSpacing     = 1e-6 // displacement for coincident coordinates
 	saltVivaldi    = 0x7669_7661
@@ -47,13 +47,9 @@ func DistanceMs(a, b Coord) float64 {
 
 // Config parameterizes an embedding run.
 type Config struct {
-	Topo   *netsim.Topology
-	Hosts  []netsim.HostID
-	Seed   int64
-	Dim    int
-	Ce     float64
-	Cc     float64
-	Rounds int
+	Topo  *netsim.Topology
+	Hosts []netsim.HostID
+	Seed  int64
 }
 
 // System holds the embedded coordinates of a set of hosts.
@@ -76,18 +72,6 @@ func Embed(cfg Config) (*System, error) {
 	if len(cfg.Hosts) < 2 {
 		return nil, errors.New("vivaldi: need at least two hosts")
 	}
-	if cfg.Dim <= 0 {
-		cfg.Dim = DefaultDim
-	}
-	if cfg.Ce <= 0 {
-		cfg.Ce = DefaultCe
-	}
-	if cfg.Cc <= 0 {
-		cfg.Cc = DefaultCc
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = DefaultRounds
-	}
 	for _, id := range cfg.Hosts {
 		if cfg.Topo.Host(id) == nil {
 			return nil, fmt.Errorf("vivaldi: unknown host %d", id)
@@ -97,7 +81,7 @@ func Embed(cfg Config) (*System, error) {
 	rng := rand.New(rand.NewPCG(uint64(cfg.Seed), 0x766976616c6469))
 	sys := &System{coords: make(map[netsim.HostID]*state, len(cfg.Hosts))}
 	for _, id := range cfg.Hosts {
-		vec := make([]float64, cfg.Dim)
+		vec := make([]float64, dim)
 		for i := range vec {
 			vec[i] = rng.NormFloat64() * 0.1 // tiny random start breaks symmetry
 		}
@@ -106,7 +90,7 @@ func Embed(cfg Config) (*System, error) {
 
 	at := time.Duration(0)
 	probe := uint64(0)
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		for _, id := range cfg.Hosts {
 			peer := cfg.Hosts[rng.IntN(len(cfg.Hosts))]
 			if peer == id {
@@ -114,7 +98,7 @@ func Embed(cfg Config) (*System, error) {
 			}
 			probe++
 			rtt := cfg.Topo.MeasureRTTMs(id, peer, at, saltVivaldi+probe)
-			sys.update(id, peer, rtt, cfg)
+			sys.update(id, peer, rtt)
 		}
 		at += sampleInterval
 	}
@@ -122,7 +106,7 @@ func Embed(cfg Config) (*System, error) {
 }
 
 // update applies one Vivaldi sample: node i observed rtt to node j.
-func (s *System) update(i, j netsim.HostID, rtt float64, cfg Config) {
+func (s *System) update(i, j netsim.HostID, rtt float64) {
 	si, sj := s.coords[i], s.coords[j]
 	if rtt <= 0 {
 		return
@@ -132,13 +116,13 @@ func (s *System) update(i, j netsim.HostID, rtt float64, cfg Config) {
 	// Sample confidence balances the two nodes' error estimates.
 	w := si.err / (si.err + sj.err)
 	relErr := math.Abs(predicted-rtt) / rtt
-	si.err = relErr*cfg.Ce*w + si.err*(1-cfg.Ce*w)
+	si.err = relErr*ce*w + si.err*(1-ce*w)
 	if si.err < 0.01 {
 		si.err = 0.01
 	}
 
 	// Move along the unit vector from j to i, scaled by the force.
-	force := cfg.Cc * w * (rtt - predicted)
+	force := cc * w * (rtt - predicted)
 	dir := make([]float64, len(si.coord.Vec))
 	norm := 0.0
 	for k := range dir {
