@@ -90,9 +90,12 @@ func (s *Service) ShardOf(node NodeID) int {
 	return s.store.shardIndex(node)
 }
 
-// ShardDigests returns one digest word per shard over the sorted replication
-// metadata of the shard's entries (including tombstones). Two stores with
-// equal digests at equal widths hold the same replicated state.
+// ShardDigests returns one digest word per shard: the wrapping sum of a
+// per-record hash of the replication metadata of the shard's entries
+// (including tombstones). Two stores with equal digests at equal widths hold
+// the same replicated state. The store keeps each word current on write, so
+// the call costs one load per shard; the words are only comparable between
+// daemons of one build.
 func (s *Service) ShardDigests() []uint64 {
 	return s.store.digests()
 }

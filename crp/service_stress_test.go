@@ -10,11 +10,12 @@ import (
 
 // TestServiceChurnStress interleaves every mutation and query the daemon
 // and the peering layer expose — Observe, Forget, ForgetNamespace,
-// ApplyDelta, TopK, ClosestTo, Similarity, ClusterAll, Nodes — across
-// goroutines, under three store shapes. Run with -race (the repo's make
-// check does) this is the concurrency gate for the sharded store: snapshot
-// stitching, per-shard patching, structural rebuilds and the publish step's
-// overtaken-observe retry all race against ingestion here.
+// ApplyDelta, GCTombstones, TopK, ClosestTo, Similarity, ClusterAll, Nodes,
+// ShardDigests — across goroutines, under three store shapes. Run with
+// -race (the repo's make check does) this is the concurrency gate for the
+// sharded store: snapshot stitching, per-shard patching, structural
+// rebuilds, the publish step's overtaken-observe retry and its digest and
+// tombstone bookkeeping all race against ingestion here.
 func TestServiceChurnStress(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -77,7 +78,8 @@ func TestServiceChurnStress(t *testing.T) {
 							if w%2 == 0 {
 								s.Forget(node)
 							} else {
-								_ = s.Nodes()
+								_, _ = s.Nodes(), s.ShardDigests()
+								s.GCTombstones(time.Now())
 							}
 						case 6:
 							if _, err := s.ForgetNamespace(node, "cdnB"); err != nil {
@@ -124,6 +126,7 @@ func TestServiceChurnStress(t *testing.T) {
 			if !slices.Equal(nodes, live) {
 				t.Errorf("Nodes() = %v, live ShardMetas entries = %v", nodes, live)
 			}
+			checkShards(t, s, "after churn")
 		})
 	}
 }

@@ -137,9 +137,9 @@ type store struct {
 type storeShard struct {
 	mu sync.RWMutex
 	// entries holds the record of every node this shard knows, live or
-	// tombstoned — by value, so the walks that read every record (digest,
-	// tombstone GC) stream through the map instead of chasing a pointer per
-	// node.
+	// tombstoned — by value, so a walk over every record (the anti-entropy
+	// metadata list, a full sub-snapshot re-collect) streams through the map
+	// instead of chasing a pointer per node.
 	entries map[NodeID]nodeEntry
 	// dirty lists the nodes whose tracker was written since the last
 	// sub-snapshot build (a node may be listed more than once); structural
@@ -162,17 +162,14 @@ type storeShard struct {
 	snapVecs    []nodeVec
 	snapVersion uint64
 
-	// Cached anti-entropy digest, keyed on the shard version like the
-	// sub-snapshot above. Without the cache every gossip digest exchange
-	// re-collects and re-sorts the shard's full metadata set — per peer, per
-	// tick — which at aggregate scale dominates the gossip loop. The cache
-	// makes the steady state (no mutations between ticks) one atomic load.
-	// Every metadata mutation must therefore bump the shard version —
-	// including tombstone GC, which changes the digest's input set.
-	digestMu      sync.Mutex
-	digestVal     uint64
-	digestVersion uint64
-	digestValid   bool
+	// digest is the anti-entropy digest: the wrapping sum of every record's
+	// recordWord, tombstones included. publish keeps it current under the
+	// shard lock, so reading it is one atomic load and a gossip tick costs
+	// O(writes) rather than a sort of every dirty shard. tombstones counts
+	// the records without a tracker, also kept by publish, so tombstone GC
+	// walks only the shards that hold one.
+	digest     atomic.Uint64
+	tombstones atomic.Int64
 
 	nodes *obs.Gauge // crp.service.shard.NNN.nodes
 }
@@ -253,25 +250,29 @@ type change struct {
 // publish is the store's one write step. Under node's shard lock it shows
 // next the node's current record (known is false, and cur zero, when the
 // store has none) and, unless next declines, installs the change it returns:
-// the tracker, the stamp, the dirty listing, the membership bookkeeping.
-// Then it makes the write visible, in this order — shard version, store
-// version, mutation hook. Both versions move strictly after the record (and,
-// before it, the tracker) changed, so a sub-snapshot, digest or stitched
-// snapshot built concurrently is tagged with the older version and rebuilt
-// on the next read. It reports whether anything was written; a declined
-// change leaves every version untouched.
+// the tracker, the stamp, the dirty listing, the membership bookkeeping, the
+// shard digest and tombstone count. Then it makes the write visible, in this
+// order — shard version, store version, mutation hook. Both versions move
+// strictly after the record (and, before it, the tracker) changed, so a
+// sub-snapshot or stitched snapshot built concurrently is tagged with the
+// older version and rebuilt on the next read. It reports whether anything
+// was written; a declined change leaves every version untouched.
 func (st *store) publish(node NodeID, next func(cur nodeEntry, known bool) (change, bool)) bool {
 	sh := st.shardFor(node)
 	sh.mu.Lock()
 	e, known := sh.entries[node]
 	c, ok := next(e, known)
-	switch {
-	case !ok:
+	if !ok {
 		sh.mu.Unlock()
 		return false
-	case c.reclaim:
+	}
+	digest, wasTombstone := sh.digest.Load(), known && e.t == nil
+	if known {
+		digest -= recordWord(node, e.entryMeta, wasTombstone)
+	}
+	if c.reclaim {
 		delete(sh.entries, node)
-	default:
+	} else {
 		if (e.t == nil) != (c.t == nil) {
 			sh.structural = true
 			if c.t != nil {
@@ -298,6 +299,15 @@ func (st *store) publish(node NodeID, next func(cur nodeEntry, known bool) (chan
 		}
 		e.t = c.t
 		sh.entries[node] = e
+		digest += recordWord(node, e.entryMeta, e.t == nil)
+	}
+	sh.digest.Store(digest)
+	if isTombstone := !c.reclaim && c.t == nil; isTombstone != wasTombstone {
+		if isTombstone {
+			sh.tombstones.Add(1)
+		} else {
+			sh.tombstones.Add(-1)
+		}
 	}
 	sh.mu.Unlock()
 	sh.version.Add(1)
@@ -306,6 +316,42 @@ func (st *store) publish(node NodeID, next func(cur nodeEntry, known bool) (chan
 		st.onMutate(node)
 	}
 	return true
+}
+
+// recordWord is one record's share of its shard's digest: FNV-1a 64 over the
+// node ID, a 0 byte, the origin, a 0 byte, the version as 8 little-endian
+// bytes and the deleted flag, then the murmur3 fmix64 finalizer so that
+// records differing in one byte land on unrelated words. The digest adds
+// these words up (an additive multiset hash), so it is independent of the
+// order records were written in and publish can move it by one record.
+func recordWord(node NodeID, m entryMeta, deleted bool) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(node); i++ {
+		h = (h ^ uint64(node[i])) * prime64
+	}
+	h *= prime64 // the 0 separator
+	for i := 0; i < len(m.origin); i++ {
+		h = (h ^ uint64(m.origin[i])) * prime64
+	}
+	h *= prime64
+	for s := 0; s < 64; s += 8 {
+		h = (h ^ uint64(byte(m.version>>s))) * prime64
+	}
+	if deleted {
+		h ^= 1
+	}
+	h *= prime64
+	// fmix64
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // commit publishes t as node's tracker under a local stamp, provided the
@@ -393,9 +439,8 @@ func records(shards []storeShard, keep func(nodeEntry) bool) []nodeRec {
 		sh := &shards[i]
 		sh.mu.RLock()
 		if keep == nil {
-			// One exact allocation for the shard digest's walk, which runs
-			// per dirty shard per gossip tick; a filtered walk grows as it
-			// finds records (usually none, for tombstone GC).
+			// One exact allocation for the anti-entropy metadata list; a
+			// filtered walk grows as it finds records.
 			out = slices.Grow(out, len(sh.entries))
 		}
 		for id, e := range sh.entries {
@@ -571,53 +616,15 @@ func (st *store) shardMetas(i int) []NodeMeta {
 	return out
 }
 
-// shardDigest folds shard i's sorted metadata into one FNV-1a word. Two
-// shards with identical (node, origin, version, deleted) sets — the full
-// replicated state, since the probe window is a function of (origin, version)
-// — produce identical digests, so digest comparison is the cheap first phase
-// of anti-entropy: only shards whose words differ exchange metadata.
-//
-// The digest is cached against the shard version (same publication rule as
-// the compiled sub-snapshot: the version is loaded before the fold, and
-// mutations bump it only after they land, so a cached word always describes
-// a state at least as new as its version tag).
+// shardDigest returns shard i's anti-entropy digest: the sum of its
+// records' recordWords, tombstones included. Two shards with identical
+// (node, origin, version, deleted) sets — the full replicated state, since
+// the probe window is a function of (origin, version) — produce identical
+// digests, so digest comparison is the cheap first phase of anti-entropy:
+// only shards whose words differ exchange metadata. publish keeps the sum
+// current, so this is one atomic load.
 func (st *store) shardDigest(i int) uint64 {
-	sh := &st.shards[i]
-	v := sh.version.Load()
-	sh.digestMu.Lock()
-	defer sh.digestMu.Unlock()
-	if sh.digestValid && sh.digestVersion == v {
-		return sh.digestVal
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	for _, m := range records(st.shards[i:i+1], nil) {
-		for j := 0; j < len(m.Node); j++ {
-			mix(m.Node[j])
-		}
-		mix(0)
-		for j := 0; j < len(m.Origin); j++ {
-			mix(m.Origin[j])
-		}
-		mix(0)
-		for s := 0; s < 64; s += 8 {
-			mix(byte(m.Version >> s))
-		}
-		if m.Deleted {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	}
-	sh.digestVal, sh.digestVersion, sh.digestValid = h, v, true
-	return h
+	return st.shards[i].digest.Load()
 }
 
 // digests returns every shard's digest, indexed by shard.
@@ -630,25 +637,28 @@ func (st *store) digests() []uint64 {
 }
 
 // gcTombstones deletes tombstones whose deletion time is before the horizon
-// and returns how many it reclaimed. Although reclamation touches no tracker
-// and no compiled vector, it DOES change the metadata set the shard digest
-// folds over, so each one publishes like any other write. Without the version
-// bump the cached digest keeps describing the pre-GC set, and an anti-entropy
-// round against a peer that GC'd on a different schedule would compare a
-// stale word — agreeing shards would look different (wasted metadata
-// exchanges) and, worse, differing shards could look identical and never
-// re-sync. A tick that finds nothing expired publishes nothing. A peer that
-// somehow missed the deletion for longer than the GC horizon can briefly
-// resurrect the entry through anti-entropy — the horizon is the declared
-// replication deadline, and DESIGN.md "Gossip" documents the trade.
+// and returns how many it reclaimed. Reclamation touches no tracker and no
+// compiled vector, but it removes a record from the shard digest, so each one
+// goes through publish like any other write. Only shards whose tombstone
+// count is above zero are walked, so a tick with no forgets in the mesh costs
+// one atomic load per shard; a tick that finds nothing expired publishes
+// nothing. A peer that somehow missed the deletion for longer than the GC
+// horizon can briefly resurrect the entry through anti-entropy — the horizon
+// is the declared replication deadline, and DESIGN.md "Gossip" documents the
+// trade.
 func (st *store) gcTombstones(horizon time.Time) int {
 	expired := func(e nodeEntry) bool { return e.t == nil && e.deletedAt.Before(horizon) }
 	n := 0
-	for _, r := range records(st.shards, expired) {
-		if st.publish(r.Node, func(cur nodeEntry, known bool) (change, bool) {
-			return change{reclaim: true}, known && expired(cur)
-		}) {
-			n++
+	for i := range st.shards {
+		if st.shards[i].tombstones.Load() == 0 {
+			continue
+		}
+		for _, r := range records(st.shards[i:i+1], expired) {
+			if st.publish(r.Node, func(cur nodeEntry, known bool) (change, bool) {
+				return change{reclaim: true}, known && expired(cur)
+			}) {
+				n++
+			}
 		}
 	}
 	return n

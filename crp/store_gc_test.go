@@ -5,14 +5,11 @@ import (
 	"time"
 )
 
-// Tombstone GC changes the metadata set the anti-entropy digest is computed
+// Tombstone GC removes a record from the set the anti-entropy digest sums
 // over, so it must publish like any other mutation: bump the shard version
-// and thereby invalidate the cached digest. The original implementation
-// deleted the metadata without a version bump — harmless while digests were
-// recomputed on every call, but silently wrong the moment a digest cache
-// exists: two peers GCing on different schedules would compare stale words
-// and either re-sync shards that agree or, worse, never re-sync shards that
-// differ.
+// and take the record's word out of the shard digest. Two peers GCing on
+// different schedules would otherwise compare stale words and either re-sync
+// shards that agree or, worse, never re-sync shards that differ.
 func TestGCTombstonesRepublishesDigest(t *testing.T) {
 	base := time.Unix(1_000_000, 0)
 	svc := NewService()
@@ -43,7 +40,7 @@ func TestGCTombstonesRepublishesDigest(t *testing.T) {
 	}
 
 	// Reclaiming the tombstone removes its metadata, so the digest must
-	// change — through the cache, not only on a cold recompute.
+	// change.
 	if n := svc.GCTombstones(base.Add(time.Hour)); n != 1 {
 		t.Fatalf("GC reclaimed %d tombstones, want 1", n)
 	}
@@ -64,9 +61,8 @@ func TestGCTombstonesRepublishesDigest(t *testing.T) {
 	}
 }
 
-// The cached digest must track every metadata mutation class, not just GC:
-// observe, forget and remote delta application all bump the shard version,
-// so each must be visible through the cache.
+// The maintained digest must track every metadata mutation class, not just
+// GC: observe, forget and remote delta application each move it.
 func TestShardDigestCacheTracksMutations(t *testing.T) {
 	base := time.Unix(2_000_000, 0)
 	svc := NewService()

@@ -650,8 +650,15 @@ func (p *Peering) handleDelta(msg Msg) {
 // covered only if every one of its metas is carried, because handleDiff
 // reads absences from covered shards as "peer lacks this node". Shards that
 // don't fit are left for later rounds, since anti-entropy repairs
-// incrementally. Matching digests count toward the convergence counter.
+// incrementally. Matching digests count toward the convergence counter. A
+// digest from a sender that is not a peer is dropped unread, as handleDiff
+// and handlePull drop theirs: it must neither count as convergence nor draw
+// a reply.
 func (p *Peering) handleDigest(msg Msg) {
+	ps := p.peerByID(msg.From)
+	if ps == nil {
+		return
+	}
 	local := p.svc.ShardDigests()
 	if msg.ShardCount != len(local) || len(msg.Digests) != len(local) {
 		p.shapeMismatch.inc()
@@ -663,13 +670,10 @@ func (p *Peering) handleDigest(msg Msg) {
 			differing = append(differing, i)
 		}
 	}
-	p.setPeerLag(msg.From, int64(len(differing)))
+	ps.lag.Set(int64(len(differing)))
+	ps.lagV.Store(int64(len(differing)))
 	if len(differing) == 0 {
 		p.convergence.inc()
-		return
-	}
-	ps := p.peerByID(msg.From)
-	if ps == nil {
 		return
 	}
 	reply := Msg{Type: MsgDiff, From: p.cfg.Self}
@@ -786,12 +790,4 @@ func (p *Peering) peerByID(id string) *peerState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.peers[id]
-}
-
-// setPeerLag records the differing-shard count for a peer (gauge + status).
-func (p *Peering) setPeerLag(id string, lag int64) {
-	if ps := p.peerByID(id); ps != nil {
-		ps.lag.Set(lag)
-		ps.lagV.Store(lag)
-	}
 }

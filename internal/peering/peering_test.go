@@ -3,6 +3,7 @@ package peering
 import (
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -286,6 +287,53 @@ func TestShapeMismatchIsCountedNotApplied(t *testing.T) {
 	p.HandleDatagram(raw, memAddr("z-daemon"))
 	if got := p.Stats().ShapeMismatch; got != 1 {
 		t.Fatalf("shape mismatch counter = %d, want 1", got)
+	}
+}
+
+// A digest is only read from a peer. From anyone else — matching, differing
+// or mis-shaped — it must move no counter beyond msgs and draw no reply, as
+// diffs and pulls from strangers already do; a matching one must not show up
+// as convergence in peer-status.
+func TestDigestFromUnknownSenderIsDropped(t *testing.T) {
+	mesh := NewMemMesh()
+	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
+	p, err := New(Config{
+		Self: "a-daemon", Addr: "a-daemon", Service: svc,
+		Registry: obs.NewRegistry(), Resolve: mesh.Resolve, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &countingConn{PacketConn: mesh.Conn("a-daemon")}
+	p.Attach(conn)
+	if err := svc.Observe("n0", time.Unix(1, 0), "r1"); err != nil {
+		t.Fatal(err)
+	}
+	local := svc.ShardDigests()
+	differing := slices.Clone(local)
+	differing[0]++
+	for _, m := range []struct {
+		what    string
+		digests []uint64
+	}{
+		{"matching", local},
+		{"differing", differing},
+		{"mis-shaped", local[:2]},
+	} {
+		raw, err := encodePeerMsg(&Msg{Type: MsgDigest, From: "z-stranger", ShardCount: len(m.digests), Digests: m.digests})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := p.Status()
+		p.HandleDatagram(raw, memAddr("z-stranger"))
+		want := before
+		want.Stats.Msgs++
+		if got := p.Status(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s digest from a stranger moved engine state:\n got %+v\nwant %+v", m.what, got, want)
+		}
+		if conn.writes != 0 {
+			t.Fatalf("%s digest from a stranger drew %d datagrams", m.what, conn.writes)
+		}
 	}
 }
 
