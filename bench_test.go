@@ -1,6 +1,7 @@
 // Package repro's micro-benchmarks time the kernels under CRP's data paths
 // one at a time: cosine similarity (the public call and its Dot-and-Norms
-// core), tracker observe, SMF clustering, ranking, repeated Service.TopK, and
+// core), tracker observe, SMF clustering, ranking, repeated Service.TopK, an
+// all-nodes Service.TopK over a fully dirty store, and
 // the simulator's CDN redirect, RTT model and Meridian query. They are a quick
 // local look at one kernel, not a gate. The paper's tables and figures come
 // from cmd/crpbench, and end-to-end timing from the benchmark directory.
@@ -8,6 +9,7 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -161,6 +163,78 @@ func BenchmarkServiceTopKRepeated(b *testing.B) {
 		if _, err := s.TopK(client, nil, 5); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// metroStore is a 50k-node store shaped like the benchmark's metro world:
+// 200 metros × 250 nodes, each node a full 10-probe window of 2-replica
+// lookups drawn 65 / 20 / 10 % over its metro's three replicas and 5 % a
+// random metro's first. ingest writes one more such probe to every node.
+type metroStore struct {
+	svc   *crp.Service
+	nodes []crp.NodeID
+	rng   *rand.Rand
+	at    time.Time
+}
+
+// The metroStore world: node i lives in metro i/storePerMetro.
+const storeMetros, storePerMetro = 200, 250
+
+func newMetroStore(b *testing.B) *metroStore {
+	ms := &metroStore{svc: crp.NewService(crp.WithWindow(10)), rng: rand.New(rand.NewSource(1)), at: time.Unix(1_700_000_000, 0)}
+	for m := 0; m < storeMetros; m++ {
+		for n := 0; n < storePerMetro; n++ {
+			ms.nodes = append(ms.nodes, crp.NodeID(fmt.Sprintf("m%03d-n%03d", m, n)))
+		}
+	}
+	for i := 0; i < 10; i++ {
+		ms.ingest(b)
+	}
+	return ms
+}
+
+func (ms *metroStore) ingest(b *testing.B) {
+	ms.at = ms.at.Add(time.Second)
+	var probe [2]crp.ReplicaID
+	for i, node := range ms.nodes {
+		for j := range probe {
+			metro, local := i/storePerMetro, 0
+			switch r := ms.rng.Float64(); {
+			case r < 0.65:
+			case r < 0.85:
+				local = 1
+			case r < 0.95:
+				local = 2
+			default:
+				metro = ms.rng.Intn(storeMetros)
+			}
+			probe[j] = crp.ReplicaID(fmt.Sprintf("m%03d-r%d", metro, local))
+		}
+		if err := ms.svc.Observe(node, ms.at, probe[:]...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServiceTopKAllDirty measures one all-nodes Service.TopK right
+// after a probe was written to each of 50k nodes, so every shard rebuilds
+// its vectors and postings inside the timed query — the cost a rare
+// all-nodes query pays under flat-out ingest. k = 10,000 (the daemon's
+// MaxK) adds the zero-similarity fill.
+func BenchmarkServiceTopKAllDirty(b *testing.B) {
+	ms := newMetroStore(b)
+	for _, k := range []int{5, 10_000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ms.ingest(b)
+				b.StartTimer()
+				if _, err := ms.svc.TopK(ms.nodes[i%len(ms.nodes)], nil, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

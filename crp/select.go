@@ -126,6 +126,137 @@ func topSnap(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc
 	return selectTop(*buf, k, exclude)
 }
 
+// unionScratch recycles topAll's per-query buffers: the client's replica
+// keys, one part's matched indices, the gathered union and the one-part
+// list that hands it to scoreSnap. The union is cleared before it goes back,
+// so a pooled buffer pins no vectors.
+var unionScratch = sync.Pool{New: func() any { return new(unionBuf) }}
+
+type unionBuf struct {
+	keys, idx []uint32
+	union     []nodeVec
+	parts     [1][]nodeVec
+}
+
+// topAll is topSnap over every node of a store snapshot, scoring only the
+// nodes that share a replica with the client. Every kernel returns exactly
+// 0 for two vectors with no replica in common, so the others can only rank
+// as zero-similarity nodes, in NodeID order: the union's ranking is
+// completed with them by zeroFill, and the result equals topSnap's on the
+// same snap element by element. The union is gathered from each part's
+// postings; a key collision only adds nodes to it, and every union node is
+// scored with the real kernel.
+func topAll(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc) []Scored {
+	if k <= 0 || snap.total == 0 {
+		return nil
+	}
+	sc := unionScratch.Get().(*unionBuf)
+	defer func() {
+		clear(sc.union)
+		sc.union, sc.parts[0] = sc.union[:0], nil
+		unionScratch.Put(sc)
+	}()
+	sc.keys = sc.keys[:0]
+	for _, r := range client.ids {
+		sc.keys = append(sc.keys, replicaKey(r))
+	}
+	slices.Sort(sc.keys)
+	sc.keys = slices.Compact(sc.keys)
+	for p, part := range snap.parts {
+		post := snap.posts[p]
+		sc.idx = sc.idx[:0]
+		lists := 0
+		for _, key := range sc.keys {
+			if ids := post.nodes(key); len(ids) > 0 {
+				sc.idx = append(sc.idx, ids...)
+				lists++
+			}
+		}
+		if lists > 1 { // a node on two of the client's lists is scored once
+			slices.Sort(sc.idx)
+			sc.idx = slices.Compact(sc.idx)
+		}
+		for _, i := range sc.idx {
+			sc.union = append(sc.union, part[i])
+		}
+	}
+	svcMetrics.scanScored.Add(uint64(len(sc.union)))
+	buf := getScoredScratch(len(sc.union))
+	defer scoredScratch.Put(buf)
+	sc.parts[0] = sc.union
+	scoreSnap(*buf, client, storeSnap{parts: sc.parts[:], total: len(sc.union)}, sim)
+	return zeroFill(selectTop(*buf, k, exclude), snap, k, exclude)
+}
+
+// zeroFill completes top, the union's ranking, to the ranking a full scan
+// of snap gives: its nodes that scored above 0 stay in front, and the
+// remaining slots up to k go to every other node of snap in NodeID order,
+// skipping exclude — the scoredBetter order of a zero-similarity tail. The
+// parts are each sorted, so the tail is a k-way merge over them, O((k + S)
+// log S) for S parts; it runs only when fewer than k union nodes scored.
+func zeroFill(top []Scored, snap storeSnap, k int, exclude NodeID) []Scored {
+	scored := len(top)
+	for scored > 0 && top[scored-1].Similarity == 0 {
+		scored--
+	}
+	if scored == k {
+		return top
+	}
+	placed := make([]NodeID, scored)
+	for i := range placed {
+		placed[i] = top[i].Node
+	}
+	slices.Sort(placed)
+	out := make([]Scored, scored, min(k, snap.total))
+	copy(out, top)
+
+	// heads is a min-heap of one cursor per non-empty part, keyed on the
+	// node ID under the cursor.
+	type cursor struct{ part, at int }
+	id := func(c cursor) NodeID { return snap.parts[c.part][c.at].id }
+	heads := make([]cursor, 0, len(snap.parts))
+	siftDown := func(i int) {
+		for {
+			l, r, least := 2*i+1, 2*i+2, i
+			if l < len(heads) && id(heads[l]) < id(heads[least]) {
+				least = l
+			}
+			if r < len(heads) && id(heads[r]) < id(heads[least]) {
+				least = r
+			}
+			if least == i {
+				return
+			}
+			heads[i], heads[least] = heads[least], heads[i]
+			i = least
+		}
+	}
+	for p, part := range snap.parts {
+		if len(part) > 0 {
+			heads = append(heads, cursor{part: p})
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for len(heads) > 0 && len(out) < k {
+		node := id(heads[0])
+		if heads[0].at++; heads[0].at == len(snap.parts[heads[0].part]) {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		siftDown(0)
+		for len(placed) > 0 && placed[0] < node {
+			placed = placed[1:]
+		}
+		if node == exclude || (len(placed) > 0 && placed[0] == node) {
+			continue
+		}
+		out = append(out, Scored{Node: node})
+	}
+	return out
+}
+
 // selectTop reduces a scored slice to its k best entries in ranking order,
 // skipping the excluded node.
 func selectTop(scored []Scored, k int, exclude NodeID) []Scored {

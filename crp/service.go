@@ -24,6 +24,7 @@ var svcMetrics = struct {
 	snapshotHits     *obs.Counter // stitched snapshot served from cache
 	snapshotRebuilds *obs.Counter // stitched snapshot reassembled after a mutation
 	shardRebuilds    *obs.Counter // per-shard sub-snapshot recompiles
+	scanScored       *obs.Counter // nodes an all-nodes query scored (its replica union)
 	shardWidth       *obs.Gauge   // shard count of the most recent store
 	queryLatency     *obs.Histogram
 	clusterLatency   *obs.Histogram
@@ -34,6 +35,7 @@ var svcMetrics = struct {
 	snapshotHits:     obs.Default().Counter("crp.service.snapshot.hits"),
 	snapshotRebuilds: obs.Default().Counter("crp.service.snapshot.rebuilds"),
 	shardRebuilds:    obs.Default().Counter("crp.service.snapshot.shard_rebuilds"),
+	scanScored:       obs.Default().Counter("crp.service.scan.scored"),
 	shardWidth:       obs.Default().Gauge("crp.service.shards"),
 	queryLatency:     obs.Default().Histogram("crp.service.latency.query", nil),
 	clusterLatency:   obs.Default().Histogram("crp.service.latency.cluster", nil),
@@ -270,8 +272,9 @@ func (s *Service) TopK(client NodeID, candidates []NodeID, k int) ([]Scored, err
 
 // rank is the one entry behind ClosestTo, TopK and their namespace-scoped
 // variants: the k candidates most similar to client under sim. Nil
-// candidates are served from the store's stitched snapshot; an explicit list
-// is resolved to a one-part snap of its own.
+// candidates are served from the store's stitched snapshot, scoring only the
+// nodes that share a replica with client (topAll); an explicit list is
+// resolved to a one-part snap of its own and scanned in full.
 func (s *Service) rank(sim simFunc, client NodeID, candidates []NodeID, k int) ([]Scored, error) {
 	defer timeQuery()()
 	svcMetrics.queries.Inc()
@@ -280,7 +283,7 @@ func (s *Service) rank(sim simFunc, client NodeID, candidates []NodeID, k int) (
 		return nil, err
 	}
 	if candidates == nil {
-		return topSnap(cv, s.store.snapshot(), k, client, sim), nil
+		return topAll(cv, s.store.snapshot(), k, client, sim), nil
 	}
 	cands, err := s.candidateVecs(candidates)
 	if err != nil {
@@ -317,7 +320,7 @@ func (s *Service) SameCluster(node NodeID, cfg ClusterConfig) ([]NodeID, error) 
 	anchor := node
 	if !tracked {
 		noteResolution(false)
-		best, ok := bestOf(topSnap(v, s.store.snapshot(), 1, node, s.simFn()))
+		best, ok := bestOf(topAll(v, s.store.snapshot(), 1, node, s.simFn()))
 		if !ok {
 			return nil, nil
 		}

@@ -24,6 +24,12 @@ import (
 // not change patches its previous sub-snapshot instead of re-collecting and
 // re-sorting it.
 //
+// Beside its vectors each compiled sub-snapshot carries a replica → node
+// posting index (postings), built from the same vectors and published with
+// them, so an all-nodes query reads vectors and postings of one version and
+// scores only the nodes that share a replica with its client (select.go,
+// topAll).
+//
 // A node has exactly one record (nodeEntry): its replication stamp and its
 // tracker, a nil tracker meaning the record is a deletion tombstone. Every
 // change to a record — observe, namespace forget, forget, delta apply,
@@ -154,12 +160,14 @@ type storeShard struct {
 	// mutation lands (same publication rule as store.version).
 	version atomic.Uint64
 
-	// Compiled sub-snapshot: nodeVecs sorted by NodeID, immutable once
-	// published. snapMu single-flights rebuilds — concurrent queries that
-	// find the shard dirty serialize here, and all but the first return the
-	// freshly built slice without duplicating the work.
+	// Compiled sub-snapshot: nodeVecs sorted by NodeID and their posting
+	// index, immutable once published. snapMu single-flights rebuilds —
+	// concurrent queries that find the shard dirty serialize here, and all
+	// but the first return the freshly built part without duplicating the
+	// work.
 	snapMu      sync.Mutex
 	snapVecs    []nodeVec
+	snapPost    *postings
 	snapVersion uint64
 
 	// digest is the anti-entropy digest: the wrapping sum of every record's
@@ -177,13 +185,15 @@ type storeShard struct {
 // storeSnap is a stitched point-in-time view of the store's compiled
 // candidate vectors: one immutable sorted slice per shard. Query kernels
 // consume it part-wise; total is the candidate count across all parts.
+// posts[i] indexes parts[i]; a snap built by snapOf has none.
 type storeSnap struct {
 	parts [][]nodeVec
+	posts []*postings
 	total int
 }
 
 // snapOf wraps an explicit candidate list as a one-part snap, so the query
-// kernels take one input shape.
+// kernels take one input shape. It carries no postings.
 func snapOf(cands []nodeVec) storeSnap {
 	return storeSnap{parts: [][]nodeVec{cands}, total: len(cands)}
 }
@@ -480,27 +490,29 @@ func (st *store) snapshot() storeSnap {
 	}
 	svcMetrics.snapshotRebuilds.Inc()
 	parts := make([][]nodeVec, len(st.shards))
+	posts := make([]*postings, len(st.shards))
 	total := 0
 	for i := range st.shards {
-		parts[i] = st.shards[i].vecs()
+		parts[i], posts[i] = st.shards[i].vecs()
 		total += len(parts[i])
 	}
-	st.stitched = storeSnap{parts: parts, total: total}
+	st.stitched = storeSnap{parts: parts, posts: posts, total: total}
 	st.stitchVersion, st.stitchValid = v, true
 	return st.stitched
 }
 
-// vecs returns the shard's compiled sub-snapshot, rebuilding it if a write
-// landed since the last build. When the shard's membership is unchanged (no
-// record gained or lost its tracker), the rebuild patches only the dirty
-// nodes' vectors into a copy of the previous slice — no re-collect, no
-// re-sort.
-func (sh *storeShard) vecs() []nodeVec {
+// vecs returns the shard's compiled sub-snapshot and its posting index,
+// rebuilding both if a write landed since the last build. When the shard's
+// membership is unchanged (no record gained or lost its tracker), the
+// rebuild patches only the dirty nodes' vectors into a copy of the previous
+// slice — no re-collect, no re-sort — and keeps the previous postings
+// unless some patched vector's replica set changed, which rebuilds them.
+func (sh *storeShard) vecs() ([]nodeVec, *postings) {
 	v := sh.version.Load()
 	sh.snapMu.Lock()
 	defer sh.snapMu.Unlock()
 	if sh.snapVecs != nil && sh.snapVersion == v {
-		return sh.snapVecs
+		return sh.snapVecs, sh.snapPost
 	}
 	svcMetrics.shardRebuilds.Inc()
 
@@ -543,21 +555,137 @@ func (sh *storeShard) vecs() []nodeVec {
 	for i := range vecs {
 		vecs[i].vec = trackers[i].vec()
 	}
+	sc := postScratch.Get().(*postBuf)
+	defer postScratch.Put(sc)
 	if structural {
 		slices.SortFunc(vecs, func(a, b nodeVec) int { return cmp.Compare(a.id, b.id) })
-		sh.snapVecs, sh.snapVersion = vecs, v
-		return vecs
+		sh.snapVecs, sh.snapPost, sh.snapVersion = vecs, sc.build(vecs), v
+		return sh.snapVecs, sh.snapPost
 	}
 
 	patched := make([]nodeVec, len(sh.snapVecs))
 	copy(patched, sh.snapVecs)
+	moved := false // some patched vector's replica set changed
 	for _, nv := range vecs {
 		if pos, ok := slices.BinarySearchFunc(patched, nv.id, func(p nodeVec, id NodeID) int { return cmp.Compare(p.id, id) }); ok {
+			moved = moved || !slices.Equal(patched[pos].vec.ids, nv.vec.ids)
 			patched[pos].vec = nv.vec
 		}
 	}
+	if moved {
+		sh.snapPost = sc.build(patched)
+	}
 	sh.snapVecs, sh.snapVersion = patched, v
-	return patched
+	return sh.snapVecs, sh.snapPost
+}
+
+// postings is one part's replica → node index in compressed sparse row
+// form: keys holds the distinct replicaKeys of the part's vectors in
+// ascending order, and the nodes carrying keys[i] are the part's vectors at
+// the indices idx[offs[i]:offs[i+1]], ascending. The three slices share one
+// allocation and are immutable once published. Keys are 32-bit hashes, so
+// two replica IDs may share a list: a query then scores a superset of the
+// nodes that share a replica with its client, never a subset.
+type postings struct {
+	keys, offs, idx []uint32
+}
+
+// replicaKey is the posting index's key for a replica ID.
+func replicaKey(r ReplicaID) uint32 { return fnvKey(string(r)) }
+
+// nodes returns the indices of the part's vectors that carry key, ascending.
+func (p *postings) nodes(key uint32) []uint32 {
+	i, ok := slices.BinarySearch(p.keys, key)
+	if !ok {
+		return nil
+	}
+	return p.idx[p.offs[i]:p.offs[i+1]]
+}
+
+// postScratch recycles the buffers a postings build works in, so a rebuild
+// allocates only the postings it publishes. A build works on words: one
+// (key, index) posting packed into a uint64, key high, so ascending words
+// are the CSR order.
+var postScratch = sync.Pool{New: func() any { return new(postBuf) }}
+
+type postBuf struct {
+	words, tmp []uint64
+}
+
+// build indexes vecs, a part sorted by NodeID, from scratch: every replica
+// of every vector is hashed, and the words are sorted by key.
+func (sc *postBuf) build(vecs []nodeVec) *postings {
+	sc.words = sc.words[:0]
+	for i, nv := range vecs {
+		sc.words = appendWords(sc.words, uint32(i), nv.vec)
+	}
+	return csr(sc.sortByKey(sc.words))
+}
+
+// appendWords appends the words of vector v at index i, in its replica
+// order.
+func appendWords(words []uint64, i uint32, v ratioVec) []uint64 {
+	for _, r := range v.ids {
+		words = append(words, uint64(replicaKey(r))<<32|uint64(i))
+	}
+	return words
+}
+
+// sortByKey sorts words, generated in ascending index order, by key with a
+// stable byte-wise radix sort, so each key's indices stay ascending without
+// a comparison sort. The result is words or sc.tmp, whichever the last pass
+// wrote.
+func (sc *postBuf) sortByKey(words []uint64) []uint64 {
+	if cap(sc.tmp) < len(words) {
+		sc.tmp = make([]uint64, len(words))
+	}
+	tmp := sc.tmp[:len(words)]
+	for shift := 32; shift < 64; shift += 8 {
+		var count [256]int
+		for _, w := range words {
+			count[byte(w>>shift)]++
+		}
+		at := 0
+		for b, c := range count {
+			count[b] = at
+			at += c
+		}
+		for _, w := range words {
+			b := byte(w >> shift)
+			tmp[count[b]] = w
+			count[b]++
+		}
+		words, tmp = tmp, words
+	}
+	return words
+}
+
+// csr packs sorted words into postings, in one allocation. Equal words —
+// two replica IDs of one node hashing alike — are one entry.
+func csr(words []uint64) *postings {
+	keys, entries := 0, 0
+	for i, w := range words {
+		if i == 0 || w != words[i-1] {
+			entries++
+			if i == 0 || w>>32 != words[i-1]>>32 {
+				keys++
+			}
+		}
+	}
+	all := make([]uint32, 2*keys+1+entries)
+	p := &postings{keys: all[:0:keys], offs: all[keys : keys : 2*keys+1], idx: all[2*keys+1 : 2*keys+1]}
+	for i, w := range words {
+		if i > 0 && w == words[i-1] {
+			continue
+		}
+		if i == 0 || w>>32 != words[i-1]>>32 {
+			p.keys = append(p.keys, uint32(w>>32))
+			p.offs = append(p.offs, uint32(len(p.idx)))
+		}
+		p.idx = append(p.idx, uint32(w))
+	}
+	p.offs = append(p.offs, uint32(len(p.idx)))
+	return p
 }
 
 // applyDelta installs a remotely-produced node entry if it supersedes the

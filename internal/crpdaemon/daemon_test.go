@@ -337,9 +337,10 @@ func TestHandleRecordsWhatTheWorkerPathRecords(t *testing.T) {
 // TestDaemonStatsExportsServiceMetrics pins the cross-layer contract: a
 // daemon on the default registry (the production configuration) exports the
 // crp.Service's own instruments — query-latency histograms, the shard-width
-// gauge and the per-shard node gauges — through the stats op, with no extra
-// wiring. (A custom Registry only carries the daemon's instruments; the
-// service's live in the process-wide default registry.) The assertions are
+// gauge, the per-shard node gauges and the all-nodes scan's scored-node
+// counter — through the stats op, with no extra wiring. (A custom Registry
+// only carries the daemon's instruments; the service's live in the
+// process-wide default registry.) The assertions are
 // lower bounds because that registry is shared with every other service in
 // the process, including the ones other tests here create.
 func TestDaemonStatsExportsServiceMetrics(t *testing.T) {
@@ -366,6 +367,11 @@ func TestDaemonStatsExportsServiceMetrics(t *testing.T) {
 	}
 	if g := resp.Stats.Gauges["crp.service.shards"]; g <= 0 {
 		t.Errorf("shard-width gauge = %d, want > 0", g)
+	}
+	// The all-nodes closest scored the nodes sharing a replica with n1:
+	// n1 itself and n2. With crp.service.queries it gives the mean union.
+	if got, ok := resp.Stats.Counters["crp.service.scan.scored"]; !ok || got < 2 {
+		t.Errorf("crp.service.scan.scored = %d (present %v), want >= 2", got, ok)
 	}
 	// The raw per-shard family is summarized for export (it can overflow the
 	// UDP reply at 1024 shards); the wire snapshot must carry the aggregate
