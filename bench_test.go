@@ -107,10 +107,19 @@ func synthNodes(n, groups, replicasPerGroup int) []crp.Node {
 		}
 		nodes = append(nodes, crp.Node{
 			ID:  crp.NodeID(fmt.Sprintf("n%04d", i)),
-			Map: m.Normalize(),
+			Map: normalize(m),
 		})
 	}
 	return nodes
+}
+
+// normalize scales m so its ratios sum to 1, as a tracker's map does.
+func normalize(m crp.RatioMap) crp.RatioMap {
+	sum := m.Sum()
+	for r := range m {
+		m[r] /= sum
+	}
+	return m
 }
 
 // BenchmarkClusterSMF1k measures SMF clustering at the paper's full scale

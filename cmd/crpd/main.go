@@ -46,9 +46,10 @@
 // can carry (e.g. past 4096 probes under -window 0) is left out and named.
 //
 // With -gossip-listen set, the daemon also joins a replication mesh: every
-// locally observed or forgotten node gossips to its peers and anti-entropy
-// keeps the stores converged (see internal/peering and DESIGN.md "Gossip"). Peers
-// are seeded with -peers or at runtime through the peer-join op.
+// locally observed node gossips to its peers and anti-entropy keeps the
+// stores converged (see internal/peering and DESIGN.md "Gossip"). Peers are
+// seeded with -peers or at runtime through the peer-join op. -peers,
+// -gossip-interval and -daemon-id are refused without -gossip-listen.
 //
 // With -aggregate BITS set, IPv4-addressed client nodes are aggregated by
 // their /BITS prefix instead of getting one tracker each (the million-client
@@ -118,9 +119,9 @@ func run(args []string) (err error) {
 	queueDepth := flags.Int("queue", 0, "per-pool queue depth (0 = 256)")
 	timeout := flags.Duration("timeout", 5*time.Second, "per-request deadline")
 	gossipListen := flags.String("gossip-listen", "", "UDP address for the gossip mesh (empty = peering disabled)")
-	peers := flags.String("peers", "", "comma-separated gossip addresses to join at startup")
-	gossipInterval := flags.Duration("gossip-interval", time.Second, "gossip round cadence")
-	daemonID := flags.String("daemon-id", "", "this daemon's mesh identity (default: the gossip listen address)")
+	peers := flags.String("peers", "", "comma-separated gossip addresses to join at startup (requires -gossip-listen)")
+	gossipInterval := flags.Duration("gossip-interval", time.Second, "gossip round cadence (requires -gossip-listen)")
+	daemonID := flags.String("daemon-id", "", "this daemon's mesh identity (default: the gossip listen address; requires -gossip-listen)")
 	aggregate := flags.Int("aggregate", 0, "aggregate IPv4 clients by /BITS prefix instead of per-client trackers (0 = off)")
 	fusion := flags.Bool("fusion", false, "enable the fused multi-CDN similarity kernel (namespaced replica IDs: \"ns!replica\")")
 	fusionWeights := flags.String("fusion-weights", "", `per-namespace fusion weights, e.g. "cdnA=1,cdnB=0.5" (requires -fusion)`)
@@ -128,9 +129,6 @@ func run(args []string) (err error) {
 	driftInterval := flags.Duration("drift-interval", drift.DefaultInterval, "snapshot cadence of the drift detector (requires -drift)")
 	if err := flags.Parse(args); err != nil {
 		return err
-	}
-	if *peers != "" && *gossipListen == "" {
-		return errors.New("-peers requires -gossip-listen")
 	}
 	if *window < 0 {
 		return fmt.Errorf("-window %d: must be >= 0 (0 = unbounded)", *window)
@@ -154,13 +152,28 @@ func run(args []string) (err error) {
 			return fmt.Errorf("%s %d: must be >= 0 (0 = default)", f.name, f.v)
 		}
 	}
+	// A flag that only tunes another flag's feature is refused without it
+	// rather than silently ignored.
+	set := make(map[string]bool)
+	flags.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, c := range []struct {
+		name, enabler string
+		on            bool
+	}{
+		{"peers", "gossip-listen", *gossipListen != ""},
+		{"gossip-interval", "gossip-listen", *gossipListen != ""},
+		{"daemon-id", "gossip-listen", *gossipListen != ""},
+		{"fusion-weights", "fusion", *fusion},
+		{"drift-interval", "drift", *driftOn},
+	} {
+		if set[c.name] && !c.on {
+			return fmt.Errorf("-%s requires -%s", c.name, c.enabler)
+		}
+	}
 
 	var opts []crp.TrackerOption
 	if *window > 0 {
 		opts = append(opts, crp.WithWindow(*window))
-	}
-	if *fusionWeights != "" && !*fusion {
-		return errors.New("-fusion-weights requires -fusion")
 	}
 
 	svc := crp.NewService(opts...)

@@ -90,7 +90,7 @@ func TestLoadStateCorruptFileFails(t *testing.T) {
 }
 
 // TestStateRestoresReplicationMetadata: a restored service holds the saved
-// records exactly — origins, versions, tombstones and deletion times — so
+// records exactly — origins, versions and probe windows — so
 // its shard digests and metadata equal the source's and it loses no
 // last-writer-wins tie it would have won before the restart.
 func TestStateRestoresReplicationMetadata(t *testing.T) {
@@ -99,15 +99,16 @@ func TestStateRestoresReplicationMetadata(t *testing.T) {
 			src := crp.NewServiceWithStore(shape, crp.WithWindow(10))
 			src.SetOrigin("daemon-a")
 			now := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-			src.SetClock(func() time.Time { return now })
 			for i := 0; i < 12; i++ {
-				node := crp.NodeID([]string{"west-1", "west-2", "east-1", "gone"}[i%4])
+				node := crp.NodeID([]string{"west-1", "west-2", "east-1", "peer"}[i%4])
 				if err := src.Observe(node, now.Add(time.Duration(i)*time.Minute), "r1", crp.ReplicaID(node)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			now = now.Add(time.Hour)
-			src.Forget("gone")
+			if _, err := src.ApplyDelta(crp.NodeDelta{NodeMeta: crp.NodeMeta{Node: "peer", Origin: "daemon-b", Version: 9},
+				Probes: []crp.Probe{{At: now, Replicas: []crp.ReplicaID{"r2"}}}}); err != nil {
+				t.Fatal(err)
+			}
 
 			path := t.TempDir() + "/state"
 			mustSave(t, src, path)
@@ -127,13 +128,13 @@ func TestStateRestoresReplicationMetadata(t *testing.T) {
 				for _, m := range want {
 					w, _ := src.ExportDelta(m.Node)
 					g, _ := dst.ExportDelta(m.Node)
-					if !w.DeletedAt.Equal(g.DeletedAt) || len(w.Probes) != len(g.Probes) {
+					if !reflect.DeepEqual(w.NodeMeta, g.NodeMeta) || len(w.Probes) != len(g.Probes) {
 						t.Fatalf("record %s restored as %+v, want %+v", m.Node, g, w)
 					}
 				}
 			}
-			if tomb, ok := dst.ExportDelta("gone"); !ok || !tomb.Deleted || !tomb.DeletedAt.Equal(now) {
-				t.Fatalf("tombstone restored as %+v, %v; want deleted at %v", tomb, ok, now)
+			if got, ok := dst.ExportDelta("peer"); !ok || got.Origin != "daemon-b" || got.Version != 9 {
+				t.Fatalf("a peer's record restored as %+v, %v; want daemon-b's version 9", got, ok)
 			}
 		})
 	}
@@ -228,7 +229,9 @@ func TestStateSaveCrashKeepsPreviousCheckpoint(t *testing.T) {
 	if err := next.Observe("north-1", time.Date(2026, 7, 2, 0, 0, 0, 0, time.UTC), "rn1"); err != nil {
 		t.Fatal(err)
 	}
-	next.Forget("east-1")
+	if err := next.Observe("east-1", time.Date(2026, 7, 2, 0, 0, 0, 0, time.UTC), "re9"); err != nil {
+		t.Fatal(err)
+	}
 	var full bytes.Buffer
 	if skipped, err := peering.WriteState(&full, next); err != nil || skipped != nil {
 		t.Fatal(err, skipped)
@@ -290,10 +293,23 @@ func TestStateSaveLeavesOutUnwritableRecord(t *testing.T) {
 	}
 }
 
-func TestPeersFlagRequiresGossipListen(t *testing.T) {
-	err := run([]string{"-peers", "127.0.0.1:9999"})
-	if err == nil || err.Error() != "-peers requires -gossip-listen" {
-		t.Fatalf("err = %v, want the -peers/-gossip-listen coupling error", err)
+// TestFlagRequiresEnabler: a flag that only tunes another flag's feature is
+// refused, by name, when set without it.
+func TestFlagRequiresEnabler(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-peers", "127.0.0.1:9999"}, "-peers requires -gossip-listen"},
+		{[]string{"-gossip-interval", "2s"}, "-gossip-interval requires -gossip-listen"},
+		{[]string{"-daemon-id", "x"}, "-daemon-id requires -gossip-listen"},
+		{[]string{"-fusion-weights", "cdnA=1"}, "-fusion-weights requires -fusion"},
+		{[]string{"-fusion=false", "-fusion-weights", "cdnA=1"}, "-fusion-weights requires -fusion"},
+		{[]string{"-drift-interval", "5s"}, "-drift-interval requires -drift"},
+	} {
+		if err := run(tc.args); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }
 

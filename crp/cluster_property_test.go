@@ -19,7 +19,7 @@ func nodesFromRaw(raw [][5]byte) []Node {
 			}
 			m[ReplicaID(fmt.Sprintf("r%d", (int(b)+j)%7))] += float64(b)
 		}
-		nodes = append(nodes, Node{ID: NodeID(fmt.Sprintf("n%03d", i)), Map: m.Normalize()})
+		nodes = append(nodes, Node{ID: NodeID(fmt.Sprintf("n%03d", i)), Map: normalize(m)})
 	}
 	return nodes
 }
@@ -202,7 +202,7 @@ func TestCompiledRankMatchesMapRank(t *testing.T) {
 				client[ReplicaID(fmt.Sprintf("r%d", (int(b)+j)%7))] += float64(b)
 			}
 		}
-		client = client.Normalize()
+		client = normalize(client)
 
 		got := RankBySimilarity(client, candidates)
 

@@ -307,15 +307,3 @@ func cosineIn(a, b ratioVec, ns Namespace) float64 {
 	}
 	return accs[i].nsCosine()
 }
-
-// FusedCosineSimilarity is the map-level entry point of the fused kernel,
-// the multi-CDN analogue of CosineSimilarity. It exists for callers that
-// hold plain ratio maps (the experiment harness); the Service query surface
-// runs the same kernel on cached compiled vectors.
-func FusedCosineSimilarity(cfg FusionConfig, a, b RatioMap) (float64, error) {
-	k, err := newFusionKernel(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return k.cosine(compileRatioMap(a), compileRatioMap(b)), nil
-}

@@ -85,7 +85,17 @@ func randomRatioMap(rng *rand.Rand, ns Namespace, pool, size int) RatioMap {
 		r := Qualify(ns, ReplicaID(fmt.Sprintf("r%03d", rng.Intn(pool))))
 		m[r] = float64(1+rng.Intn(100)) / 100
 	}
-	return m.Normalize()
+	return normalize(m)
+}
+
+// fusedCosine runs the fused kernel over two plain ratio maps, the map-level
+// form the kernel tests compare against.
+func fusedCosine(cfg FusionConfig, a, b RatioMap) (float64, error) {
+	k, err := newFusionKernel(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return k.cosine(compileRatioMap(a), compileRatioMap(b)), nil
 }
 
 // TestFusedCosineSingleNamespaceBitIdentical is the kernel-level back-compat
@@ -98,14 +108,14 @@ func TestFusedCosineSingleNamespaceBitIdentical(t *testing.T) {
 			a := randomRatioMap(rng, ns, 40, 1+rng.Intn(12))
 			b := randomRatioMap(rng, ns, 40, 1+rng.Intn(12))
 			want := CosineSimilarity(a, b)
-			got, err := FusedCosineSimilarity(FusionConfig{}, a, b)
+			got, err := fusedCosine(FusionConfig{}, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
 				t.Fatalf("ns=%q case %d: fused %v != plain %v (diff %g)", ns, i, got, want, got-want)
 			}
-			weighted, err := FusedCosineSimilarity(FusionConfig{Weights: map[Namespace]float64{ns: 0.25}}, a, b)
+			weighted, err := fusedCosine(FusionConfig{Weights: map[Namespace]float64{ns: 0.25}}, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +166,7 @@ func TestFusedCosineMixing(t *testing.T) {
 	wB := math.Min(0.4, 0.4)
 	want := (wA*cosA + wB*cosB) / (wA + wB)
 
-	got, err := FusedCosineSimilarity(FusionConfig{}, a, b)
+	got, err := fusedCosine(FusionConfig{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +175,7 @@ func TestFusedCosineMixing(t *testing.T) {
 	}
 
 	// Static weights scale the coverage term per namespace.
-	got2, err := FusedCosineSimilarity(FusionConfig{Weights: map[Namespace]float64{"cdnB": 3}}, a, b)
+	got2, err := fusedCosine(FusionConfig{Weights: map[Namespace]float64{"cdnB": 3}}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +187,7 @@ func TestFusedCosineMixing(t *testing.T) {
 	// A zero or negative static weight removes the namespace from the mix
 	// entirely.
 	for _, w := range []float64{0, -1} {
-		got3, err := FusedCosineSimilarity(FusionConfig{Weights: map[Namespace]float64{"cdnB": w}}, a, b)
+		got3, err := fusedCosine(FusionConfig{Weights: map[Namespace]float64{"cdnB": w}}, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +198,7 @@ func TestFusedCosineMixing(t *testing.T) {
 }
 
 func TestFusionConfigValidation(t *testing.T) {
-	if _, err := FusedCosineSimilarity(FusionConfig{Weights: map[Namespace]float64{"bad!ns": 1}}, RatioMap{}, RatioMap{}); err == nil {
+	if _, err := fusedCosine(FusionConfig{Weights: map[Namespace]float64{"bad!ns": 1}}, RatioMap{}, RatioMap{}); err == nil {
 		t.Fatal("invalid weight namespace accepted")
 	}
 	// A non-finite weight would make every fused similarity NaN.
@@ -196,8 +206,8 @@ func TestFusionConfigValidation(t *testing.T) {
 	b := RatioMap{"cdnA!r1": 0.5, "cdnB!s2": 0.5}
 	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		cfg := FusionConfig{Weights: map[Namespace]float64{"cdnA": w}}
-		if sim, err := FusedCosineSimilarity(cfg, a, b); err == nil {
-			t.Errorf("weight %v: FusedCosineSimilarity = %v, want an error", w, sim)
+		if sim, err := fusedCosine(cfg, a, b); err == nil {
+			t.Errorf("weight %v: fused cosine = %v, want an error", w, sim)
 		}
 		if err := NewService().EnableFusion(cfg); err == nil {
 			t.Errorf("weight %v: EnableFusion accepted", w)
@@ -207,8 +217,8 @@ func TestFusionConfigValidation(t *testing.T) {
 	if err := svc.EnableFusion(FusionConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if !svc.FusionEnabled() {
-		t.Fatal("FusionEnabled() = false after EnableFusion")
+	if svc.fus == nil {
+		t.Fatal("no fused kernel after EnableFusion")
 	}
 	if err := svc.EnableFusion(FusionConfig{}); err == nil {
 		t.Fatal("double EnableFusion accepted")

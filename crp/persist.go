@@ -38,13 +38,13 @@ type serviceSnapshot struct {
 
 const snapshotVersion = 1
 
-// WriteSnapshot writes every live node's probe window as JSON, sorted by node:
-// the meta-free comparison form (no origins, versions or tombstones), so a
+// WriteSnapshot writes every node's probe window as JSON, sorted by node:
+// the meta-free comparison form (no origins or versions), so a
 // gossip mesh and one service fed the merged stream compare byte-equal.
 // Nothing reads it back; crpd persists the gossip delta stream.
 func (s *Service) WriteSnapshot(w io.Writer) error {
 	snap := serviceSnapshot{Version: snapshotVersion}
-	for _, r := range records(s.store.shards, live) {
+	for _, r := range records(s.store.shards) {
 		snap.Nodes = append(snap.Nodes, nodeSnapshot{Node: r.Node, Probes: r.t.Probes()})
 	}
 	return json.NewEncoder(w).Encode(snap)

@@ -27,7 +27,6 @@ func TestTrackerProbesCopy(t *testing.T) {
 // deltas: same nodes, same ratio maps, same replication metadata.
 func TestServiceSnapshotRoundTrip(t *testing.T) {
 	src := populateService(t)
-	src.Forget("asia-2")
 	dst := restoredFrom(t, src, StoreConfig{}, WithWindow(10))
 
 	if !reflect.DeepEqual(src.Nodes(), dst.Nodes()) {

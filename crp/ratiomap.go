@@ -47,20 +47,6 @@ func (m RatioMap) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Normalize returns a copy scaled so the ratios sum to 1. Normalizing an
-// empty or all-zero map returns an empty map.
-func (m RatioMap) Normalize() RatioMap {
-	sum := m.Sum()
-	if sum <= 0 {
-		return RatioMap{}
-	}
-	out := make(RatioMap, len(m))
-	for r, f := range m {
-		out[r] = f / sum
-	}
-	return out
-}
-
 // Replicas returns the replica servers in the map, sorted for stable output.
 func (m RatioMap) Replicas() []ReplicaID {
 	out := make([]ReplicaID, 0, len(m))

@@ -48,9 +48,9 @@ var svcMetrics = struct {
 // distinct clusters for failure independence). Service is safe for
 // concurrent use and runs no background goroutines.
 //
-// Storage is a sharded tracker store (see store.go): an Observe or Forget
-// invalidates only the compiled sub-snapshot of its own shard, so under
-// continuous ingestion the all-nodes query path repays O(N/S) per mutation
+// Storage is a sharded tracker store (see store.go): an Observe invalidates
+// only the compiled sub-snapshot of its own shard, so under continuous
+// ingestion the all-nodes query path repays O(N/S) per mutation
 // instead of recompiling the full candidate set.
 type Service struct {
 	store *store
@@ -150,14 +150,6 @@ func (s *Service) EnableFusion(cfg FusionConfig) error {
 	s.fus = k
 	s.nsObs = newNSObserves()
 	return nil
-}
-
-// FusionEnabled reports whether the fused similarity kernel is installed.
-func (s *Service) FusionEnabled() bool { return s.fus != nil }
-
-// Forget removes a node and its history (a keyed client returns to its group).
-func (s *Service) Forget(node NodeID) {
-	s.store.forget(node)
 }
 
 // Nodes returns the known node IDs in sorted order.

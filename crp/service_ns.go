@@ -11,8 +11,7 @@ import (
 // Namespace-scoped Service surface: the per-CDN complement to the fused
 // queries. A fused deployment still needs single-signal answers — operators
 // compare the fused ranking against each CDN's own, the fusion benchmark is
-// exactly that comparison, and a namespaced forget withdraws one CDN's
-// history after a remapping event without resetting nodes.
+// exactly that comparison.
 
 // nsObserves tracks per-namespace observe volume. Each namespace is
 // interned to a numeric index on first sight so its gauge name
@@ -79,18 +78,6 @@ func (s *Service) SimilarityIn(ns Namespace, a, b NodeID) (float64, error) {
 	return s.pair(nsSim(ns), a, b)
 }
 
-// ClosestToIn is ClosestTo under a single namespace's signal, with the same
-// candidate semantics (nil = all known nodes, empty = none, client never a
-// candidate).
-func (s *Service) ClosestToIn(ns Namespace, client NodeID, candidates []NodeID) (Scored, bool, error) {
-	if err := ns.Valid(); err != nil {
-		return Scored{}, false, err
-	}
-	top, err := s.rank(nsSim(ns), client, candidates, 1)
-	best, ok := bestOf(top)
-	return best, ok, err
-}
-
 // TopKIn is TopK under a single namespace's signal, with the same candidate
 // semantics as TopK.
 func (s *Service) TopKIn(ns Namespace, client NodeID, candidates []NodeID, k int) ([]Scored, error) {
@@ -98,19 +85,4 @@ func (s *Service) TopKIn(ns Namespace, client NodeID, candidates []NodeID, k int
 		return nil, err
 	}
 	return s.rank(nsSim(ns), client, candidates, k)
-}
-
-// ForgetNamespace withdraws one CDN's history from a node: every replica of
-// namespace ns is removed from the node's probe window, probes left empty
-// are dropped, and sibling namespaces' probes stay exactly as they were.
-// The mutation publishes like an Observe — the entry's version advances and
-// the mutation hook fires — so over gossip it replicates as a wholesale
-// window replacement: peers converge on the ns-free window without their
-// sibling-namespace state being cleared. Returns whether anything changed;
-// an unknown node or a node with no ns history is a published no-op (false).
-func (s *Service) ForgetNamespace(node NodeID, ns Namespace) (bool, error) {
-	if err := ns.Valid(); err != nil {
-		return false, err
-	}
-	return s.store.mutate(node, func(t *Tracker) bool { return t.DropNamespace(ns) }), nil
 }

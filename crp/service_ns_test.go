@@ -207,145 +207,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// TestForgetNamespaceReplicatesOverDelta: a namespaced forget publishes like
-// an observe, so the resulting delta replicates the ns-free window to a peer
-// without clearing the sibling namespace's state there.
-func TestForgetNamespaceReplicatesOverDelta(t *testing.T) {
-	for _, shape := range storeShapes {
-		t.Run(shape.name, func(t *testing.T) {
-			src := NewServiceWithStore(shape.cfg, WithWindow(10))
-			src.SetOrigin("origin-a")
-			dst := NewServiceWithStore(shape.cfg, WithWindow(10))
-			dst.SetOrigin("origin-b")
-			feedStream(t, 5, "cdnA", 6, 3, src, dst)
-			feedStream(t, 6, "cdnB", 6, 3, src, dst)
-
-			const node = NodeID("n002")
-			beforeB, err := src.RatioMapIn("cdnB", node)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(beforeB) == 0 {
-				t.Fatal("test needs cdnB history on the node")
-			}
-
-			changed, err := src.ForgetNamespace(node, "cdnA")
-			if err != nil || !changed {
-				t.Fatalf("ForgetNamespace = %v, %v", changed, err)
-			}
-			if m, _ := src.RatioMapIn("cdnA", node); len(m) != 0 {
-				t.Fatalf("cdnA view survived the forget: %v", m)
-			}
-			// The sibling's probes are intact: same replica set, renormalized
-			// over the now-smaller history.
-			wantB, err := src.RatioMapIn("cdnB", node)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(wantB) != len(beforeB) {
-				t.Fatalf("forget dropped cdnB replicas: %d -> %d", len(beforeB), len(wantB))
-			}
-			for r := range beforeB {
-				if wantB[r] == 0 {
-					t.Fatalf("cdnB replica %s lost in the forget", r)
-				}
-			}
-
-			d, ok := src.ExportDelta(node)
-			if !ok {
-				t.Fatal("no delta after namespaced forget")
-			}
-			applied, err := dst.ApplyDelta(d)
-			if err != nil || !applied {
-				t.Fatalf("ApplyDelta = %v, %v", applied, err)
-			}
-			if m, _ := dst.RatioMapIn("cdnA", node); len(m) != 0 {
-				t.Fatalf("peer still holds cdnA state: %v", m)
-			}
-			gotB, err := dst.RatioMapIn("cdnB", node)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotB) != len(wantB) {
-				t.Fatalf("peer cdnB view resized: %d vs %d", len(gotB), len(wantB))
-			}
-			for r, v := range wantB {
-				if gotB[r] != v {
-					t.Fatalf("peer cdnB ratio for %s = %v, want %v", r, gotB[r], v)
-				}
-			}
-
-			// Replaying the forget is a published no-op: nothing changed, so
-			// the version must not advance (no gossip churn).
-			verBefore := d.Version
-			changed, err = src.ForgetNamespace(node, "cdnA")
-			if err != nil || changed {
-				t.Fatalf("replayed ForgetNamespace = %v, %v; want no-op", changed, err)
-			}
-			d2, ok := src.ExportDelta(node)
-			if !ok || d2.Version != verBefore {
-				t.Fatalf("no-op forget advanced version: %d -> %d", verBefore, d2.Version)
-			}
-		})
-	}
-}
-
-func TestForgetNamespaceEdgeCases(t *testing.T) {
-	svc := NewService()
-	// Unknown node: no mutation, no error.
-	changed, err := svc.ForgetNamespace("ghost", "cdnA")
-	if err != nil || changed {
-		t.Fatalf("unknown node: %v, %v", changed, err)
-	}
-	// Invalid namespace: rejected before touching the store.
-	if _, err := svc.ForgetNamespace("ghost", "bad!ns"); err == nil {
-		t.Fatal("invalid namespace accepted")
-	}
-	// Forgetting the default namespace drops only unqualified replicas.
-	if err := svc.Observe("n1", nsBase, "bare", "cdnA!r1"); err != nil {
-		t.Fatal(err)
-	}
-	changed, err = svc.ForgetNamespace("n1", DefaultNamespace)
-	if err != nil || !changed {
-		t.Fatalf("default-ns forget = %v, %v", changed, err)
-	}
-	m, err := svc.RatioMap("n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 1 || m["cdnA!r1"] == 0 {
-		t.Fatalf("map after default-ns forget = %v", m)
-	}
-}
-
-// TestDropNamespaceTracker exercises the tracker-level primitive directly:
-// in-place compaction, emptied-probe dropping and the changed report.
-func TestDropNamespaceTracker(t *testing.T) {
-	tr := NewTracker(WithWindow(8))
-	tr.Observe(nsBase, "cdnA!r1", "cdnB!s1")
-	tr.Observe(nsBase.Add(time.Minute), "cdnA!r2")
-	tr.Observe(nsBase.Add(2*time.Minute), "cdnB!s2")
-
-	if !tr.DropNamespace("cdnA") {
-		t.Fatal("DropNamespace(cdnA) reported no change")
-	}
-	m := tr.RatioMap()
-	for r := range m {
-		if NamespaceOf(r) != "cdnB" {
-			t.Fatalf("replica %s survived the drop", r)
-		}
-	}
-	if len(m) != 2 {
-		t.Fatalf("map = %v, want the two cdnB replicas", m)
-	}
-	if tr.DropNamespace("cdnA") {
-		t.Fatal("second DropNamespace(cdnA) reported a change")
-	}
-	if tr.DropNamespace("ghost") {
-		t.Fatal("DropNamespace of an absent namespace reported a change")
-	}
-}
-
 // TestScopedQueriesValidateNamespace: every *In method rejects a malformed
 // namespace up front.
 func TestScopedQueriesValidateNamespace(t *testing.T) {
@@ -356,9 +217,6 @@ func TestScopedQueriesValidateNamespace(t *testing.T) {
 	}
 	if _, err := svc.SimilarityIn(bad, "a", "b"); err == nil {
 		t.Fatal("SimilarityIn accepted a bad namespace")
-	}
-	if _, _, err := svc.ClosestToIn(bad, "c", nil); err == nil {
-		t.Fatal("ClosestToIn accepted a bad namespace")
 	}
 	if _, err := svc.TopKIn(bad, "c", nil, 3); err == nil {
 		t.Fatal("TopKIn accepted a bad namespace")

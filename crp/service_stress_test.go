@@ -9,13 +9,13 @@ import (
 )
 
 // TestServiceChurnStress interleaves every mutation and query the daemon
-// and the peering layer expose — Observe, Forget, ForgetNamespace,
-// ApplyDelta, GCTombstones, TopK, ClosestTo, Similarity, ClusterAll, Nodes,
-// ShardDigests — across goroutines, under three store shapes. Run with
-// -race (the repo's make check does) this is the concurrency gate for the
-// sharded store: snapshot stitching, per-shard patching, structural
-// rebuilds, the publish step's overtaken-observe retry and its digest and
-// tombstone bookkeeping all race against ingestion here.
+// and the peering layer expose — Observe of new and known nodes,
+// ExportDelta, ApplyDelta, TopK, ClosestTo, Similarity, ClusterAll, Nodes,
+// ShardMetas, ShardDigests — across goroutines, under three store shapes.
+// Run with -race (the repo's make check does) this is the concurrency gate
+// for the sharded store: snapshot stitching, per-shard patching, structural
+// rebuilds, the publish step's overtaken-observe retry and its digest
+// bookkeeping all race against ingestion here.
 func TestServiceChurnStress(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -29,8 +29,7 @@ func TestServiceChurnStress(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			s := NewServiceWithStore(shape.cfg, WithWindow(8))
 			at := time.Unix(0, 0)
-			// Seed enough nodes that queries always have candidates even
-			// while Forget churns.
+			// Seed enough nodes that queries always have candidates.
 			for i := 0; i < 24; i++ {
 				if err := s.Observe(NodeID(fmt.Sprintf("seed-%02d", i)), at,
 					ReplicaID(fmt.Sprintf("r%d", i%5))); err != nil {
@@ -75,22 +74,23 @@ func TestServiceChurnStress(t *testing.T) {
 								return
 							}
 						case 5:
-							if w%2 == 0 {
-								s.Forget(node)
+							if w%2 == 0 { // a new node: a structural rebuild
+								if err := s.Observe(NodeID(fmt.Sprintf("new-%d-%d", w, i)), at, "r1"); err != nil {
+									errs <- err
+									return
+								}
 							} else {
 								_, _ = s.Nodes(), s.ShardDigests()
-								s.GCTombstones(time.Now())
 							}
 						case 6:
-							if _, err := s.ForgetNamespace(node, "cdnB"); err != nil {
+							if _, err := s.ShardMetas(s.ShardOf(node)); err != nil {
 								errs <- err
 								return
 							}
+							_, _ = s.ExportDelta(node)
 						case 7:
-							d := NodeDelta{NodeMeta: NodeMeta{Node: node, Origin: "peer", Version: uint64(i), Deleted: w%4 == 3}}
-							if !d.Deleted {
-								d.Probes = []Probe{{At: at, Replicas: []ReplicaID{"r0", "cdnB!r0"}}}
-							}
+							d := NodeDelta{NodeMeta: NodeMeta{Node: node, Origin: "peer", Version: uint64(i)},
+								Probes: []Probe{{At: at, Replicas: []ReplicaID{"r0", "cdnB!r0"}}}}
 							if _, err := s.ApplyDelta(d); err != nil {
 								errs <- err
 								return
@@ -109,71 +109,23 @@ func TestServiceChurnStress(t *testing.T) {
 				t.Errorf("lost seed nodes under churn: %d < 24", n)
 			}
 			// Whatever the interleaving, listing and replication agree on
-			// which nodes are live.
-			var live []NodeID
+			// the nodes.
+			var listed []NodeID
 			for i := 0; i < s.ShardCount(); i++ {
 				metas, err := s.ShardMetas(i)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, m := range metas {
-					if !m.Deleted {
-						live = append(live, m.Node)
-					}
+					listed = append(listed, m.Node)
 				}
 			}
-			slices.Sort(live)
-			if !slices.Equal(nodes, live) {
-				t.Errorf("Nodes() = %v, live ShardMetas entries = %v", nodes, live)
+			slices.Sort(listed)
+			if !slices.Equal(nodes, listed) {
+				t.Errorf("Nodes() = %v, ShardMetas entries = %v", nodes, listed)
 			}
 			checkShards(t, s, "after churn")
 		})
-	}
-}
-
-// TestServiceForgetInvalidatesSnapshot is the regression the sharded rewrite
-// must not lose: Forget — even of a node that was just served from the
-// compiled snapshot, and even of an unknown node — acts as a snapshot
-// barrier, so the next all-nodes query reflects the removal.
-func TestServiceForgetInvalidatesSnapshot(t *testing.T) {
-	s := NewService()
-	at := time.Unix(0, 0)
-	for i := 0; i < 12; i++ {
-		if err := s.Observe(NodeID(fmt.Sprintf("n-%02d", i)), at, "shared"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ranked, err := s.TopK("n-00", nil, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked) != 11 {
-		t.Fatalf("TopK ranked %d, want 11", len(ranked))
-	}
-
-	s.Forget("n-05")
-	ranked, err = s.TopK("n-00", nil, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked) != 10 {
-		t.Fatalf("TopK after Forget ranked %d, want 10", len(ranked))
-	}
-	for _, sc := range ranked {
-		if sc.Node == "n-05" {
-			t.Error("forgotten node served from a stale snapshot")
-		}
-	}
-
-	// Forgetting an unknown node still bumps the version (the pre-sharding
-	// contract): the stitched snapshot is reassembled, not served stale.
-	rebuilds := svcMetrics.snapshotRebuilds.Value()
-	s.Forget("never-existed")
-	if _, err := s.TopK("n-00", nil, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := svcMetrics.snapshotRebuilds.Value() - rebuilds; got == 0 {
-		t.Error("Forget of an unknown node did not invalidate the stitched snapshot")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -31,10 +30,10 @@ import (
 // topAll).
 //
 // A node has exactly one record (nodeEntry): its replication stamp and its
-// tracker, a nil tracker meaning the record is a deletion tombstone. Every
-// change to a record — observe, namespace forget, forget, delta apply,
-// tombstone GC — goes through one step, publish, and everything that lists
-// nodes reads the same map through one sorted walk, records.
+// tracker. A record, once written, is never removed — the paper's service
+// observes and answers, it never withdraws a node. Every change to a record
+// — observe or delta apply — goes through one step, publish, and everything
+// that lists nodes reads the same map through one sorted walk, records.
 
 // StoreConfig tunes the Service's sharded tracker store. It exists for
 // benchmarks and tests that need to pin a specific store shape — production
@@ -81,32 +80,29 @@ func shardCount(n int) int {
 }
 
 // entryMeta is the replication stamp of one node record: which daemon's
-// write produced the record's current probe window (origin), how many writes
-// the record has seen (version, monotonic per node) and, for a tombstone,
-// when the node was deleted — the GC horizon reclaims a tombstone once every
-// peer has had a chance to learn about the forget.
+// write produced the record's current probe window (origin) and how many
+// writes the record has seen (version, monotonic per node).
 type entryMeta struct {
-	origin    string
-	version   uint64
-	deletedAt time.Time
+	origin  string
+	version uint64
 }
 
 // nodeEntry is the one record a shard keeps per node, guarded by the shard
 // lock and changed only by publish. The zero record — version 0, no tracker
 // — is what an unknown node looks like.
 type nodeEntry struct {
-	// t is the node's tracker; nil makes the record a deletion tombstone. A
-	// tracker pointer that has left its record never returns to one, which
-	// is what lets an in-flight observe detect that it was overtaken. It
-	// comes first so a query's lookup, which wants nothing else, reads the
-	// bytes next to the key.
+	// t is the node's tracker, never nil in a stored record. A tracker
+	// pointer that has left its record never returns to one, which is what
+	// lets an in-flight observe detect that a delta overtook it. It comes
+	// first so a query's lookup, which wants nothing else, reads the bytes
+	// next to the key.
 	t *Tracker
 	entryMeta
 }
 
 // meta converts the record to the exported NodeMeta form.
 func (e nodeEntry) meta(node NodeID) NodeMeta {
-	return NodeMeta{Node: node, Origin: e.origin, Version: e.version, Deleted: e.t == nil}
+	return NodeMeta{Node: node, Origin: e.origin, Version: e.version}
 }
 
 // store is the sharded tracker map plus the stitched-snapshot cache.
@@ -116,13 +112,12 @@ type store struct {
 	opts   []TrackerOption
 
 	// Replication identity, set once before traffic by the peering layer
-	// (see Service.SetOrigin/SetClock/SetMutationHook). origin stamps local
-	// mutations; now times tombstones; onMutate, when non-nil, is invoked
-	// after every local Observe/Forget so a gossip layer can queue the node
-	// for rumor propagation. Remote delta application (applyDelta) does not
-	// fire the hook — the peering layer forwards those itself.
+	// (see Service.SetOrigin/SetMutationHook). origin stamps local
+	// mutations; onMutate, when non-nil, is invoked after every local
+	// Observe so a gossip layer can queue the node for rumor propagation.
+	// Remote delta application (applyDelta) does not fire the hook — the
+	// peering layer forwards those itself.
 	origin   string
-	now      func() time.Time
 	onMutate func(NodeID)
 
 	// version counts completed mutations store-wide; it is bumped strictly
@@ -142,17 +137,16 @@ type store struct {
 // storeShard owns one partition of the node space.
 type storeShard struct {
 	mu sync.RWMutex
-	// entries holds the record of every node this shard knows, live or
-	// tombstoned — by value, so a walk over every record (the anti-entropy
-	// metadata list, a full sub-snapshot re-collect) streams through the map
-	// instead of chasing a pointer per node.
+	// entries holds the record of every node this shard knows — by value, so
+	// a walk over every record (the anti-entropy metadata list, a full
+	// sub-snapshot re-collect) streams through the map instead of chasing a
+	// pointer per node.
 	entries map[NodeID]nodeEntry
 	// dirty lists the nodes whose tracker was written since the last
 	// sub-snapshot build (a node may be listed more than once); structural
-	// records a membership change (a record gaining or losing its tracker),
-	// which forces a full re-collect. A node is listed strictly after its
-	// tracker write lands, so a rebuild that consumes the list always
-	// compiles the post-write vector.
+	// records a membership change (a new record), which forces a full
+	// re-collect. A node is listed strictly after its tracker write lands, so
+	// a rebuild that consumes the list always compiles the post-write vector.
 	dirty      []NodeID
 	structural bool
 
@@ -171,13 +165,10 @@ type storeShard struct {
 	snapVersion uint64
 
 	// digest is the anti-entropy digest: the wrapping sum of every record's
-	// recordWord, tombstones included. publish keeps it current under the
-	// shard lock, so reading it is one atomic load and a gossip tick costs
-	// O(writes) rather than a sort of every dirty shard. tombstones counts
-	// the records without a tracker, also kept by publish, so tombstone GC
-	// walks only the shards that hold one.
-	digest     atomic.Uint64
-	tombstones atomic.Int64
+	// recordWord. publish keeps it current under the shard lock, so reading
+	// it is one atomic load and a gossip tick costs O(writes) rather than a
+	// sort of every dirty shard.
+	digest atomic.Uint64
 
 	nodes *obs.Gauge // crp.service.shard.NNN.nodes
 }
@@ -221,7 +212,6 @@ func newStore(cfg StoreConfig, opts []TrackerOption) *store {
 		shards: make([]storeShard, n),
 		mask:   uint32(n - 1),
 		opts:   opts,
-		now:    time.Now,
 	}
 	for i := range st.shards {
 		st.shards[i].entries = make(map[NodeID]nodeEntry)
@@ -243,26 +233,24 @@ func (st *store) shardFor(id NodeID) *storeShard {
 
 // change is a node's next record as publish installs it.
 type change struct {
-	// t is the node's tracker from here on; nil leaves a tombstone.
+	// t is the node's tracker from here on.
 	t *Tracker
 	// remote marks a replicated write: meta arrived in a delta and is
 	// installed verbatim, and the mutation hook stays quiet — the peering
 	// layer decides itself whether to forward an applied delta, and firing
 	// the hook would re-stamp the record as a local write. Otherwise the
-	// write is this daemon's own and publish stamps it: origin, the record's
-	// next version and, for a tombstone, the deletion time.
+	// write is this daemon's own and publish stamps it: origin and the
+	// record's next version.
 	remote bool
 	meta   entryMeta
-	// reclaim removes the record outright (an expired tombstone).
-	reclaim bool
 }
 
 // publish is the store's one write step. Under node's shard lock it shows
 // next the node's current record (known is false, and cur zero, when the
 // store has none) and, unless next declines, installs the change it returns:
-// the tracker, the stamp, the dirty listing, the membership bookkeeping, the
-// shard digest and tombstone count. Then it makes the write visible, in this
-// order — shard version, store version, mutation hook. Both versions move
+// the tracker, the stamp, the dirty listing, the membership bookkeeping and
+// the shard digest. Then it makes the write visible, in this order — shard
+// version, store version, mutation hook. Both versions move
 // strictly after the record (and, before it, the tracker) changed, so a
 // sub-snapshot or stitched snapshot built concurrently is tagged with the
 // older version and rebuilt on the next read. It reports whether anything
@@ -276,53 +264,31 @@ func (st *store) publish(node NodeID, next func(cur nodeEntry, known bool) (chan
 		sh.mu.Unlock()
 		return false
 	}
-	digest, wasTombstone := sh.digest.Load(), known && e.t == nil
+	digest := sh.digest.Load()
 	if known {
-		digest -= recordWord(node, e.entryMeta, wasTombstone)
-	}
-	if c.reclaim {
-		delete(sh.entries, node)
+		digest -= recordWord(node, e.entryMeta)
 	} else {
-		if (e.t == nil) != (c.t == nil) {
-			sh.structural = true
-			if c.t != nil {
-				sh.nodes.Inc()
-			} else {
-				sh.nodes.Dec()
-			}
-		}
-		if c.t != nil {
-			// Past one listing per record a full re-collect is the cheaper
-			// rebuild, and the list stays bounded with no reader around.
-			if len(sh.dirty) > len(sh.entries) {
-				sh.structural, sh.dirty = true, sh.dirty[:0]
-			}
-			sh.dirty = append(sh.dirty, node)
-		}
-		if c.remote {
-			e.entryMeta = c.meta
-		} else {
-			e.entryMeta = entryMeta{origin: st.origin, version: e.version + 1}
-			if c.t == nil {
-				e.deletedAt = st.now()
-			}
-		}
-		e.t = c.t
-		sh.entries[node] = e
-		digest += recordWord(node, e.entryMeta, e.t == nil)
+		sh.structural = true
+		sh.nodes.Inc()
 	}
-	sh.digest.Store(digest)
-	if isTombstone := !c.reclaim && c.t == nil; isTombstone != wasTombstone {
-		if isTombstone {
-			sh.tombstones.Add(1)
-		} else {
-			sh.tombstones.Add(-1)
-		}
+	// Past one listing per record a full re-collect is the cheaper rebuild,
+	// and the list stays bounded with no reader around.
+	if len(sh.dirty) > len(sh.entries) {
+		sh.structural, sh.dirty = true, sh.dirty[:0]
 	}
+	sh.dirty = append(sh.dirty, node)
+	if c.remote {
+		e.entryMeta = c.meta
+	} else {
+		e.entryMeta = entryMeta{origin: st.origin, version: e.version + 1}
+	}
+	e.t = c.t
+	sh.entries[node] = e
+	sh.digest.Store(digest + recordWord(node, e.entryMeta))
 	sh.mu.Unlock()
 	sh.version.Add(1)
 	st.version.Add(1)
-	if !c.remote && !c.reclaim && st.onMutate != nil {
+	if !c.remote && st.onMutate != nil {
 		st.onMutate(node)
 	}
 	return true
@@ -330,11 +296,14 @@ func (st *store) publish(node NodeID, next func(cur nodeEntry, known bool) (chan
 
 // recordWord is one record's share of its shard's digest: FNV-1a 64 over the
 // node ID, a 0 byte, the origin, a 0 byte, the version as 8 little-endian
-// bytes and the deleted flag, then the murmur3 fmix64 finalizer so that
-// records differing in one byte land on unrelated words. The digest adds
-// these words up (an additive multiset hash), so it is independent of the
-// order records were written in and publish can move it by one record.
-func recordWord(node NodeID, m entryMeta, deleted bool) uint64 {
+// bytes and a 0 byte, then the murmur3 fmix64 finalizer so that records
+// differing in one byte land on unrelated words. The last byte is where a
+// deleted flag was hashed before deletion was removed; it stays, as 0, so
+// every digest equals an older build's and a mixed-build mesh still agrees.
+// The digest adds these words up (an additive multiset hash), so it is
+// independent of the order records were written in and publish can move it
+// by one record.
+func recordWord(node NodeID, m entryMeta) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -351,9 +320,6 @@ func recordWord(node NodeID, m entryMeta, deleted bool) uint64 {
 	for s := 0; s < 64; s += 8 {
 		h = (h ^ uint64(byte(m.version>>s))) * prime64
 	}
-	if deleted {
-		h ^= 1
-	}
 	h *= prime64
 	// fmix64
 	h ^= h >> 33
@@ -366,11 +332,11 @@ func recordWord(node NodeID, m entryMeta, deleted bool) uint64 {
 
 // commit publishes t as node's tracker under a local stamp, provided the
 // record still holds the tracker the caller started from (was; nil for "no
-// live record"). The caller changed t outside the shard lock, so a forget or
-// a delta may have replaced the record meanwhile; commit then declines and
+// record"). The caller changed t outside the shard lock, so a superseding
+// delta may have replaced the record meanwhile; commit then declines and
 // the caller starts over from the new record, which is what makes the
 // outcome one that some serial order of the two calls produces — never a
-// live record without its tracker, never a forgotten window brought back.
+// probe lost on a tracker that left its record.
 func (st *store) commit(node NodeID, was, t *Tracker) bool {
 	return st.publish(node, func(cur nodeEntry, _ bool) (change, bool) {
 		return change{t: t}, cur.t == was
@@ -378,11 +344,11 @@ func (st *store) commit(node NodeID, was, t *Tracker) bool {
 }
 
 // observe records one probe for node: tr runs against the node's tracker —
-// a fresh one on first sight or over a tombstone — and the result is
-// published, invalidating only node's shard. Concurrent observes of one node
-// share its tracker and each advance the record version by exactly one, so
-// the final version always describes the final probe window. tr runs again,
-// on the record's new tracker, when a forget or a delta overtook it.
+// a fresh one on first sight — and the result is published, invalidating
+// only node's shard. Concurrent observes of one node share its tracker and
+// each advance the record version by exactly one, so the final version
+// always describes the final probe window. tr runs again, on the record's
+// new tracker, when a delta overtook it.
 func (st *store) observe(node NodeID, tr func(*Tracker)) {
 	for {
 		was, _ := st.get(node)
@@ -395,33 +361,6 @@ func (st *store) observe(node NodeID, tr func(*Tracker)) {
 			return
 		}
 	}
-}
-
-// mutate runs fn against node's existing tracker and, when fn reports it
-// changed something, publishes exactly like observe. Unlike observe it never
-// creates a tracker — a mutation of an unknown node is a no-op — and a
-// no-change fn publishes nothing, so idempotent re-application (a replayed
-// namespaced forget) does not churn snapshots or gossip. Returns whether a
-// mutation was published.
-func (st *store) mutate(node NodeID, fn func(*Tracker) bool) bool {
-	for {
-		t, ok := st.get(node)
-		if !ok || !fn(t) {
-			return false
-		}
-		if st.commit(node, t, t) {
-			return true
-		}
-	}
-}
-
-// forget removes a node, leaving a deletion tombstone so the forget can
-// propagate to gossip peers before the GC horizon reclaims it. The tombstone
-// is written and the versions bump even when the node was unknown, so forget
-// is always a snapshot barrier and a forget-by-name is effective mesh-wide
-// even when issued on a daemon that never observed the node.
-func (st *store) forget(node NodeID) {
-	st.publish(node, func(nodeEntry, bool) (change, bool) { return change{}, true })
 }
 
 // get returns node's tracker.
@@ -440,23 +379,16 @@ type nodeRec struct {
 }
 
 // records is the one sorted walk over the node map: a copy of every record
-// in shards (the whole store, or one shard for the anti-entropy diff) that
-// keep accepts — nil accepts all, tombstones included — in ascending node
-// order. keep runs under the shard's read lock.
-func records(shards []storeShard, keep func(nodeEntry) bool) []nodeRec {
+// in shards (the whole store, or one shard for the anti-entropy diff) in
+// ascending node order.
+func records(shards []storeShard) []nodeRec {
 	var out []nodeRec
 	for i := range shards {
 		sh := &shards[i]
 		sh.mu.RLock()
-		if keep == nil {
-			// One exact allocation for the anti-entropy metadata list; a
-			// filtered walk grows as it finds records.
-			out = slices.Grow(out, len(sh.entries))
-		}
+		out = slices.Grow(out, len(sh.entries))
 		for id, e := range sh.entries {
-			if keep == nil || keep(e) {
-				out = append(out, nodeRec{e.meta(id), e.t})
-			}
+			out = append(out, nodeRec{e.meta(id), e.t})
 		}
 		sh.mu.RUnlock()
 	}
@@ -464,12 +396,9 @@ func records(shards []storeShard, keep func(nodeEntry) bool) []nodeRec {
 	return out
 }
 
-// live is the records filter that skips tombstones.
-func live(e nodeEntry) bool { return e.t != nil }
-
 // nodeIDs returns every known node ID in ascending order.
 func (st *store) nodeIDs() []NodeID {
-	recs := records(st.shards, live)
+	recs := records(st.shards)
 	out := make([]NodeID, len(recs))
 	for i := range recs {
 		out[i] = recs[i].Node
@@ -503,10 +432,10 @@ func (st *store) snapshot() storeSnap {
 
 // vecs returns the shard's compiled sub-snapshot and its posting index,
 // rebuilding both if a write landed since the last build. When the shard's
-// membership is unchanged (no record gained or lost its tracker), the
-// rebuild patches only the dirty nodes' vectors into a copy of the previous
-// slice — no re-collect, no re-sort — and keeps the previous postings
-// unless some patched vector's replica set changed, which rebuilds them.
+// membership is unchanged (no new record), the rebuild patches only the
+// dirty nodes' vectors into a copy of the previous slice — no re-collect, no
+// re-sort — and keeps the previous postings unless some patched vector's
+// replica set changed, which rebuilds them.
 func (sh *storeShard) vecs() ([]nodeVec, *postings) {
 	v := sh.version.Load()
 	sh.snapMu.Lock()
@@ -516,8 +445,8 @@ func (sh *storeShard) vecs() ([]nodeVec, *postings) {
 	}
 	svcMetrics.shardRebuilds.Inc()
 
-	// Consume the dirty list under the shard lock: the live nodes to compile
-	// are every one after a membership change, the listed ones otherwise.
+	// Consume the dirty list under the shard lock: the nodes to compile are
+	// every one after a membership change, the listed ones otherwise.
 	// Every consumed listing was published after its tracker write, so
 	// compiling below (after the version load above) observes the written
 	// state; nodes listed later stay for the next rebuild, which the
@@ -532,10 +461,8 @@ func (sh *storeShard) vecs() ([]nodeVec, *postings) {
 	vecs := make([]nodeVec, 0, n)
 	trackers := make([]*Tracker, 0, n)
 	collect := func(id NodeID, t *Tracker) {
-		if t != nil { // a tombstone, or a listed node reclaimed since
-			vecs = append(vecs, nodeVec{id: id})
-			trackers = append(trackers, t)
-		}
+		vecs = append(vecs, nodeVec{id: id})
+		trackers = append(trackers, t)
 	}
 	if structural {
 		for id, e := range sh.entries {
@@ -697,17 +624,11 @@ func csr(words []uint64) *postings {
 func (st *store) applyDelta(d NodeDelta) bool {
 	// Build the replacement tracker outside the shard lock; replaying the
 	// probe window touches no shared state.
-	var t *Tracker
-	if !d.Deleted {
-		t = NewTracker(st.opts...)
-		for _, p := range d.Probes {
-			t.Observe(p.At, p.Replicas...)
-		}
+	t := NewTracker(st.opts...)
+	for _, p := range d.Probes {
+		t.Observe(p.At, p.Replicas...)
 	}
 	meta := entryMeta{origin: d.Origin, version: d.Version}
-	if d.Deleted {
-		meta.deletedAt = d.DeletedAt
-	}
 	return st.publish(d.Node, func(cur nodeEntry, known bool) (change, bool) {
 		return change{t: t, remote: true, meta: meta},
 			!known || d.NodeMeta.Supersedes(cur.meta(d.Node))
@@ -715,8 +636,8 @@ func (st *store) applyDelta(d NodeDelta) bool {
 }
 
 // exportDelta packages node's full current state — replication metadata plus
-// the complete probe window (empty for tombstones) — for transmission to a
-// peer. ok is false when the store has never heard of the node.
+// the complete probe window — for transmission to a peer. ok is false when
+// the store has never heard of the node.
 func (st *store) exportDelta(node NodeID) (NodeDelta, bool) {
 	sh := st.shardFor(node)
 	sh.mu.RLock()
@@ -725,18 +646,14 @@ func (st *store) exportDelta(node NodeID) (NodeDelta, bool) {
 	if !known {
 		return NodeDelta{}, false
 	}
-	d := NodeDelta{NodeMeta: e.meta(node), DeletedAt: e.deletedAt}
-	if e.t != nil {
-		d.Probes = e.t.Probes()
-	}
-	return d, true
+	return NodeDelta{NodeMeta: e.meta(node), Probes: e.t.Probes()}, true
 }
 
-// shardMetas returns the replication metadata of every entry (live and
-// tombstoned) in shard i, sorted by node ID. The peering layer ships these
-// flat lists when two peers' shard digests disagree.
+// shardMetas returns the replication metadata of every entry in shard i,
+// sorted by node ID. The peering layer ships these flat lists when two
+// peers' shard digests disagree.
 func (st *store) shardMetas(i int) []NodeMeta {
-	recs := records(st.shards[i:i+1], nil)
+	recs := records(st.shards[i : i+1])
 	out := make([]NodeMeta, len(recs))
 	for j := range recs {
 		out[j] = recs[j].NodeMeta
@@ -745,12 +662,11 @@ func (st *store) shardMetas(i int) []NodeMeta {
 }
 
 // shardDigest returns shard i's anti-entropy digest: the sum of its
-// records' recordWords, tombstones included. Two shards with identical
-// (node, origin, version, deleted) sets — the full replicated state, since
-// the probe window is a function of (origin, version) — produce identical
-// digests, so digest comparison is the cheap first phase of anti-entropy:
-// only shards whose words differ exchange metadata. publish keeps the sum
-// current, so this is one atomic load.
+// records' recordWords. Two shards with identical (node, origin, version)
+// sets — the full replicated state, since the probe window is a function of
+// (origin, version) — produce identical digests, so digest comparison is the
+// cheap first phase of anti-entropy: only shards whose words differ exchange
+// metadata. publish keeps the sum current, so this is one atomic load.
 func (st *store) shardDigest(i int) uint64 {
 	return st.shards[i].digest.Load()
 }
@@ -762,32 +678,4 @@ func (st *store) digests() []uint64 {
 		out[i] = st.shardDigest(i)
 	}
 	return out
-}
-
-// gcTombstones deletes tombstones whose deletion time is before the horizon
-// and returns how many it reclaimed. Reclamation touches no tracker and no
-// compiled vector, but it removes a record from the shard digest, so each one
-// goes through publish like any other write. Only shards whose tombstone
-// count is above zero are walked, so a tick with no forgets in the mesh costs
-// one atomic load per shard; a tick that finds nothing expired publishes
-// nothing. A peer that somehow missed the deletion for longer than the GC
-// horizon can briefly resurrect the entry through anti-entropy — the horizon
-// is the declared replication deadline, and DESIGN.md "Gossip" documents the
-// trade.
-func (st *store) gcTombstones(horizon time.Time) int {
-	expired := func(e nodeEntry) bool { return e.t == nil && e.deletedAt.Before(horizon) }
-	n := 0
-	for i := range st.shards {
-		if st.shards[i].tombstones.Load() == 0 {
-			continue
-		}
-		for _, r := range records(st.shards[i:i+1], expired) {
-			if st.publish(r.Node, func(cur nodeEntry, known bool) (change, bool) {
-				return change{reclaim: true}, known && expired(cur)
-			}) {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // refWord is the digest word of one record computed independently: FNV-1a 64
-// over node, 0, origin, 0, the version as 8 little-endian bytes and the
-// deleted byte, then the murmur3 fmix64 finalizer.
+// over node, 0, origin, 0, the version as 8 little-endian bytes and a 0 byte
+// (where a deleted flag used to be hashed, kept so digests match older
+// builds), then the murmur3 fmix64 finalizer.
 func refWord(m NodeMeta) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(m.Node))
@@ -19,11 +20,7 @@ func refWord(m NodeMeta) uint64 {
 	h.Write([]byte(m.Origin))
 	h.Write([]byte{0})
 	h.Write(binary.LittleEndian.AppendUint64(nil, m.Version))
-	if m.Deleted {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
+	h.Write([]byte{0})
 	x := h.Sum64()
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -33,35 +30,27 @@ func refWord(m NodeMeta) uint64 {
 	return x
 }
 
-// checkShards recomputes every shard's digest and tombstone count from its
-// records and compares them with what publish maintained.
+// checkShards recomputes every shard's digest from its records and compares
+// it with what publish maintained.
 func checkShards(t *testing.T, svc *Service, step string) {
 	t.Helper()
 	st := svc.store
 	got := svc.ShardDigests()
 	for i := range st.shards {
 		var sum uint64
-		tombs := int64(0)
-		for _, r := range records(st.shards[i:i+1], nil) {
+		for _, r := range records(st.shards[i : i+1]) {
 			sum += refWord(r.NodeMeta)
-			if r.t == nil {
-				tombs++
-			}
 		}
 		if got[i] != sum {
 			t.Fatalf("%s: shard %d digest %x, reference sum over its records %x", step, i, got[i], sum)
-		}
-		if n := st.shards[i].tombstones.Load(); n != tombs {
-			t.Fatalf("%s: shard %d tombstone count %d, records hold %d", step, i, n, tombs)
 		}
 	}
 }
 
 // TestShardDigestMatchesReference drives a 4-shard store through random
-// sequences of every write publish takes — observe, namespaced forget,
-// forget, fresh, stale, equal and tombstone-wins deltas, tombstone GC — and
-// after each one checks every shard's maintained digest against a sum
-// computed over its records, and its tombstone count against its tombstones.
+// sequences of every write publish takes — observe of a new and of a known
+// node, fresh, stale and equal deltas — and after each one checks every
+// shard's maintained digest against a sum computed over its records.
 // It then replays the final records into fresh stores in shuffled order: the
 // digests must not depend on write order.
 func TestShardDigestMatchesReference(t *testing.T) {
@@ -71,7 +60,6 @@ func TestShardDigestMatchesReference(t *testing.T) {
 			clock := time.Unix(3_000_000, 0)
 			svc := NewServiceWithStore(StoreConfig{Shards: 4}, WithWindow(4))
 			svc.SetOrigin("self")
-			svc.SetClock(func() time.Time { return clock })
 			nodes := make([]NodeID, 24)
 			for i := range nodes {
 				nodes[i] = NodeID(fmt.Sprintf("n-%02d", i))
@@ -89,56 +77,34 @@ func TestShardDigestMatchesReference(t *testing.T) {
 				node := nodes[rng.IntN(len(nodes))]
 				cur, known := svc.ExportDelta(node)
 				var what string
-				switch k := rng.IntN(9); {
+				switch k := rng.IntN(5); {
 				case k < 3:
 					what = "observe"
+					if !known {
+						what = "observe-new"
+					}
 					p := probes()[0]
 					if err := svc.Observe(node, clock, p.Replicas...); err != nil {
 						t.Fatal(err)
 					}
-				case k == 3:
-					what = "forget-namespace"
-					if _, err := svc.ForgetNamespace(node, "akamai"); err != nil {
-						t.Fatal(err)
-					}
-				case k == 4:
-					what = "forget"
-					svc.Forget(node)
-				case k == 5:
+				case k == 3 || !known:
 					what = "fresh-delta"
-					d := NodeDelta{NodeMeta: NodeMeta{Node: node, Origin: origins[rng.IntN(3)], Version: cur.Version + 1 + uint64(rng.IntN(3))}}
-					if rng.IntN(4) == 0 {
-						d.Deleted, d.DeletedAt = true, clock
-					} else {
-						d.Probes = probes()
-					}
+					d := NodeDelta{NodeMeta: NodeMeta{Node: node, Origin: origins[rng.IntN(3)], Version: cur.Version + 1 + uint64(rng.IntN(3))},
+						Probes: probes()}
 					applyOK(t, svc, d, true)
-				case k == 6 && known:
+				default:
 					what = "stale-or-equal-delta"
 					d := NodeDelta{NodeMeta: cur.NodeMeta, Probes: probes()}
-					if d.Deleted {
-						d.Probes = nil
-					}
 					if cur.Version > 1 && rng.IntN(2) == 0 {
 						d.Version--
 					}
 					applyOK(t, svc, d, false)
-				case k == 7 && known && !cur.Deleted:
-					what = "tombstone-wins-delta"
-					d := NodeDelta{NodeMeta: cur.NodeMeta, DeletedAt: clock}
-					d.Deleted = true
-					applyOK(t, svc, d, true)
-				default:
-					what = "gc"
-					if svc.GCTombstones(clock.Add(-time.Duration(rng.IntN(30))*time.Second)) > 0 {
-						what = "gc-reclaim"
-					}
 				}
 				seen[what]++
 				checkShards(t, svc, fmt.Sprintf("op %d (%s %s)", op, what, node))
 			}
-			if len(seen) != 8 {
-				t.Fatalf("op kinds exercised: %v, want all 8", seen)
+			if len(seen) != 4 {
+				t.Fatalf("op kinds exercised: %v, want all 4", seen)
 			}
 
 			var final []NodeDelta
@@ -175,7 +141,7 @@ func applyOK(t *testing.T, svc *Service, d NodeDelta, want bool) {
 }
 
 // Each field a record's word covers moves its shard's digest: two stores
-// that differ in one record's origin, version or deleted flag disagree.
+// that differ in one record's origin or version disagree.
 func TestShardDigestCoversEveryField(t *testing.T) {
 	at := time.Unix(4_000_000, 0)
 	base := NodeDelta{NodeMeta: NodeMeta{Node: "n-1", Origin: "peer-a", Version: 7},
@@ -188,11 +154,10 @@ func TestShardDigestCoversEveryField(t *testing.T) {
 		return svc.ShardDigests()[svc.ShardOf(d.Node)]
 	}
 	want := digest(base)
-	origin, version, deleted := base, base, base
+	origin, version := base, base
 	origin.Origin = "peer-b"
 	version.Version++
-	deleted.Deleted, deleted.DeletedAt, deleted.Probes = true, at, nil
-	for name, d := range map[string]NodeDelta{"origin": origin, "version": version, "deleted": deleted} {
+	for name, d := range map[string]NodeDelta{"origin": origin, "version": version} {
 		if got := digest(d); got == want {
 			t.Errorf("changing %s left the shard digest at %x", name, got)
 		}
@@ -229,5 +194,44 @@ func TestDigestUpkeepAllocatesNothing(t *testing.T) {
 	})
 	if observe != 1 || apply != 3 {
 		t.Fatalf("allocs: observe %v (want 1), apply delta %v (want 3)", observe, apply)
+	}
+}
+
+// The maintained digest tracks every metadata mutation class: a new node, a
+// version-advancing observe and a remote delta application each move it.
+func TestShardDigestCacheTracksMutations(t *testing.T) {
+	base := time.Unix(2_000_000, 0)
+	svc := NewService()
+	shard := svc.ShardOf("node-b")
+	d0 := svc.ShardDigests()[shard]
+
+	if err := svc.Observe("node-b", base, "R1"); err != nil {
+		t.Fatal(err)
+	}
+	d1 := svc.ShardDigests()[shard]
+	if d1 == d0 {
+		t.Fatal("digest unchanged after a new node")
+	}
+
+	if err := svc.Observe("node-b", base.Add(time.Second), "R2"); err != nil {
+		t.Fatal(err)
+	}
+	d2 := svc.ShardDigests()[shard]
+	if d2 == d1 {
+		t.Fatal("digest unchanged after a version-advancing observe")
+	}
+
+	applied, err := svc.ApplyDelta(NodeDelta{
+		NodeMeta: NodeMeta{Node: "node-b", Origin: "peer-1", Version: 100},
+		Probes:   []Probe{{At: base, Replicas: []ReplicaID{"R3"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !applied {
+		t.Fatal("superseding delta not applied")
+	}
+	if d3 := svc.ShardDigests()[shard]; d3 == d2 {
+		t.Fatal("digest unchanged after remote delta application")
 	}
 }

@@ -119,7 +119,7 @@ func TestStoreSnapshotIsImmutable(t *testing.T) {
 			tr.Observe(at.Add(time.Minute), "r1", "r2")
 		})
 	}
-	st.forget("n-000")
+	st.observe("n-new", func(tr *Tracker) { tr.Observe(at, "r3") })
 	_ = st.snapshot() // force rebuilds on top of the old parts
 
 	for _, part := range snap.parts {
@@ -137,31 +137,33 @@ func TestStoreSnapshotIsImmutable(t *testing.T) {
 	}
 }
 
-// TestStoreForgetRebuildsShard pins the structural path: after a forget the
-// shard re-collects, and the stitched snapshot no longer lists the node.
-func TestStoreForgetRebuildsShard(t *testing.T) {
+// TestStoreNewNodeRebuildsShard pins the structural path: after a new node
+// the shard re-collects and re-sorts, and the stitched snapshot lists it.
+func TestStoreNewNodeRebuildsShard(t *testing.T) {
 	st := newStore(StoreConfig{Shards: 4}, nil)
 	at := time.Unix(0, 0)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 16; i += 2 {
 		st.observe(NodeID(fmt.Sprintf("n-%03d", i)), func(tr *Tracker) {
 			tr.Observe(at, "r0")
 		})
 	}
 	_ = st.snapshot()
-	st.forget("n-007")
+	st.observe("n-007", func(tr *Tracker) { tr.Observe(at, "r0") })
 	snap := st.snapshot()
-	if snap.total != 15 {
-		t.Fatalf("snapshot total = %d after forget, want 15", snap.total)
+	if snap.total != 9 {
+		t.Fatalf("snapshot total = %d after a new node, want 9", snap.total)
 	}
+	found := false
 	for _, part := range snap.parts {
 		for i, nv := range part {
-			if nv.id == "n-007" {
-				t.Fatal("forgotten node still present in stitched snapshot")
-			}
+			found = found || nv.id == "n-007"
 			if i > 0 && part[i-1].id >= nv.id {
 				t.Fatalf("sub-snapshot not sorted: %q before %q", part[i-1].id, nv.id)
 			}
 		}
+	}
+	if !found {
+		t.Fatal("new node missing from the stitched snapshot")
 	}
 }
 
@@ -190,7 +192,7 @@ func TestStoreSnapshotSingleFlight(t *testing.T) {
 }
 
 // restoredFrom returns a fresh service holding every record of src,
-// tombstones included, applied through ExportDelta/ApplyDelta: crpd's
+// applied through ExportDelta/ApplyDelta: crpd's
 // state-file restore without the frame codec, which lives in
 // internal/peering. Nothing has queried it, so its first snapshot()
 // re-collects and re-sorts every shard: it is the always-re-collect
@@ -249,8 +251,8 @@ func requireSameAnswers(t *testing.T, a, b *Service) {
 
 // driveModesWorld runs one workload through every given service: 40 nodes
 // observing replicas of the default namespace and two qualified ones, with
-// forgets and queries between the mutations so each store patches its
-// compiled sub-snapshots in place.
+// queries between most mutations so each store patches its compiled
+// sub-snapshots in place.
 func driveModesWorld(t *testing.T, svcs ...*Service) {
 	t.Helper()
 	namespaces := []Namespace{DefaultNamespace, "cdnA", "cdnB"}
@@ -263,8 +265,9 @@ func driveModesWorld(t *testing.T, svcs ...*Service) {
 				t.Fatal(err)
 			}
 			if i%17 == 0 {
-				svc.Forget(node)
-			} else if _, err := svc.TopK(node, nil, 3); err != nil {
+				continue
+			}
+			if _, err := svc.TopK(node, nil, 3); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -317,7 +320,7 @@ func TestOneScorerMatchesBruteForce(t *testing.T) {
 			name: "fused", svc: fused,
 			view: func(m RatioMap) RatioMap { return m },
 			ref: func(a, b RatioMap) float64 {
-				sim, err := FusedCosineSimilarity(FusionConfig{}, a, b)
+				sim, err := fusedCosine(FusionConfig{}, a, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -398,7 +401,7 @@ func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 		for r := 0; r < 3; r++ {
 			m[ReplicaID(fmt.Sprintf("g%d-r%d", i%6, r))] = float64(1 + (i+r)%4)
 		}
-		m = m.Normalize()
+		m = normalize(m)
 		id := NodeID(fmt.Sprintf("n-%03d", i))
 		nodes = append(nodes, Node{ID: id, Map: m})
 		vecs = append(vecs, nodeVec{id: id, vec: compileRatioMap(m)})
@@ -432,51 +435,43 @@ func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 	}
 }
 
-// TestObserveRacingForget drives the interleaving a remap produces — a
-// forget, a namespaced forget or a superseding delta landing while an observe
-// of the same node sits between reading the node's tracker and publishing —
-// deterministically: the store runs the observe/mutate callback exactly in
-// that gap, so the racing call is issued from inside it. Whatever the
-// interleaving, the store must end in a state some serial order of the two
-// calls produces, listing and replication must agree on which nodes are
-// live, and a peer fed the store's deltas must end byte-identical to it.
-func TestObserveRacingForget(t *testing.T) {
-	const node = NodeID("n")
+// TestObserveRacingDelta drives the interleaving gossip produces — a
+// superseding delta landing while an observe of the same node sits between
+// reading the node's tracker and publishing — deterministically: the store
+// runs the observe callback exactly in that gap, so the delta is applied from
+// inside it. Whatever the interleaving, the store must end in a state some
+// serial order of the two calls produces, listing and replication must agree
+// on the nodes, and a peer fed the store's deltas must end byte-identical to
+// it. Without commit's re-check the raced observe would publish its probe on
+// a tracker the delta already replaced, which matches neither order.
+func TestObserveRacingDelta(t *testing.T) {
 	at := time.Unix(1000, 0)
 	fresh := func(origin string) *Service {
 		s := NewServiceWithStore(StoreConfig{Shards: 4}, WithWindow(8))
 		s.SetOrigin(origin)
-		s.SetClock(func() time.Time { return at })
 		return s
 	}
 	seeded := func() *Service {
 		s := fresh("local")
-		for _, n := range []NodeID{node, "bystander"} {
+		for _, n := range []NodeID{"known", "bystander"} {
 			if err := s.Observe(n, at, "cdnA!r1", "cdnB!r1"); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return s
 	}
-	observe := func(st *store, gap func()) {
-		st.observe(node, func(tr *Tracker) {
-			gap()
-			tr.Observe(at.Add(time.Minute), "cdnA!r2")
-		})
+	observe := func(node NodeID) func(st *store, gap func()) {
+		return func(st *store, gap func()) {
+			st.observe(node, func(tr *Tracker) {
+				gap()
+				tr.Observe(at.Add(time.Minute), "cdnA!r2")
+			})
+		}
 	}
-	dropA := func(st *store, gap func()) {
-		st.mutate(node, func(tr *Tracker) bool {
-			gap()
-			return tr.DropNamespace("cdnA")
-		})
-	}
-	forget := func(st *store) { st.forget(node) }
-	delta := func(deleted bool) func(*store) {
-		d := NodeDelta{NodeMeta: NodeMeta{Node: node, Origin: "peer", Version: 5, Deleted: deleted}}
-		if deleted {
-			d.DeletedAt = at.Add(time.Second)
-		} else {
-			d.Probes = []Probe{{At: at.Add(2 * time.Second), Replicas: []ReplicaID{"cdnA!r7"}}}
+	delta := func(node NodeID) func(*store) {
+		d := NodeDelta{
+			NodeMeta: NodeMeta{Node: node, Origin: "peer", Version: 5},
+			Probes:   []Probe{{At: at.Add(2 * time.Second), Replicas: []ReplicaID{"cdnA!r7"}}},
 		}
 		return func(st *store) {
 			if !st.applyDelta(d) {
@@ -485,18 +480,15 @@ func TestObserveRacingForget(t *testing.T) {
 		}
 	}
 
-	rows := []struct {
-		name  string
-		call  func(st *store, gap func())
-		racer func(st *store)
-	}{
-		{"observe-vs-forget", observe, forget},
-		{"namespace-forget-vs-forget", dropA, forget},
-		{"observe-vs-delta", observe, delta(false)},
-		{"observe-vs-tombstone-delta", observe, delta(true)},
-	}
-	for _, row := range rows {
+	// The observe finds the node known (it overwrites a tracker) or unknown
+	// (it would create one); the delta supersedes it either way.
+	for _, row := range []struct {
+		name string
+		node NodeID
+	}{{"observe-vs-delta", "known"}, {"first-observe-vs-delta", "unknown"}} {
+		node := row.node
 		t.Run(row.name, func(t *testing.T) {
+			call, racer := observe(node), delta(node)
 			export := func(s *Service) NodeDelta {
 				d, ok := s.ExportDelta(node)
 				if !ok {
@@ -505,17 +497,17 @@ func TestObserveRacingForget(t *testing.T) {
 				return d
 			}
 			callFirst, racerFirst := seeded(), seeded()
-			row.call(callFirst.store, func() {})
-			row.racer(callFirst.store)
-			row.racer(racerFirst.store)
-			row.call(racerFirst.store, func() {})
+			call(callFirst.store, func() {})
+			racer(callFirst.store)
+			racer(racerFirst.store)
+			call(racerFirst.store, func() {})
 
 			raced := seeded()
 			once := true
-			row.call(raced.store, func() {
+			call(raced.store, func() {
 				if once { // a retried callback must not race again
 					once = false
-					row.racer(raced.store)
+					racer(raced.store)
 				}
 			})
 			got := export(raced)
@@ -526,7 +518,7 @@ func TestObserveRacingForget(t *testing.T) {
 			// Listing and replication read one record, so they agree; and a
 			// peer built from nothing but this store's deltas is its copy.
 			peer := fresh("peer")
-			var live []NodeID
+			var listed []NodeID
 			for i := 0; i < raced.ShardCount(); i++ {
 				metas, err := raced.ShardMetas(i)
 				if err != nil {
@@ -537,20 +529,18 @@ func TestObserveRacingForget(t *testing.T) {
 					if !ok || d.NodeMeta != m {
 						t.Fatalf("ExportDelta(%q) = %+v, %v; ShardMetas lists %+v", m.Node, d.NodeMeta, ok, m)
 					}
-					if !m.Deleted {
-						live = append(live, m.Node)
-						if len(d.Probes) == 0 {
-							t.Errorf("live entry %q exports no probes", m.Node)
-						}
+					listed = append(listed, m.Node)
+					if len(d.Probes) == 0 {
+						t.Errorf("entry %q exports no probes", m.Node)
 					}
 					if _, err := peer.ApplyDelta(d); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			slices.Sort(live)
-			if nodes := raced.Nodes(); !slices.Equal(nodes, live) {
-				t.Errorf("Nodes() = %v, live ShardMetas entries = %v", nodes, live)
+			slices.Sort(listed)
+			if nodes := raced.Nodes(); !slices.Equal(nodes, listed) {
+				t.Errorf("Nodes() = %v, ShardMetas entries = %v", nodes, listed)
 			}
 			var want, have bytes.Buffer
 			if err := raced.WriteSnapshot(&want); err != nil {

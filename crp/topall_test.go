@@ -85,12 +85,12 @@ func checkTopAll(t *testing.T, where string, client NodeID, cv ratioVec, snap st
 }
 
 // TestTopAllMatchesFullScan is the exactness property of the posting index:
-// on random stores driven by observes, namespaced forgets, forgets and
-// remote deltas, every indexed all-nodes reply equals the full scan of the
-// same snapshot, under the plain, fused (with a muted namespace, so some
-// union nodes score exactly 0) and namespace-scoped kernels, for k from 1
-// past N, for a tracked client (excluded from its own reply), an aggregated
-// client and a client whose window a namespaced forget emptied.
+// on random stores driven by observes of known and new nodes and by remote
+// deltas, every indexed all-nodes reply equals the full scan of the same
+// snapshot, under the plain, fused (with a muted namespace, so some union
+// nodes score exactly 0) and namespace-scoped kernels, for k from 1 past N,
+// for a tracked client (excluded from its own reply), an aggregated client
+// and a client that shares no replica with any other node.
 func TestTopAllMatchesFullScan(t *testing.T) {
 	for _, shards := range []int{1, 0} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -153,37 +153,32 @@ func testTopAllSeed(t *testing.T, shards int, seed int64) {
 	if _, tracked, err := svc.resolve("cA-1"); err != nil || tracked {
 		t.Fatalf("cA-1 should resolve through its aggregate: tracked %v, %v", tracked, err)
 	}
-	// n000's window holds only namespace b: forgetting b empties it.
-	emptied := nodeID(0)
-	if ok, err := svc.ApplyDelta(NodeDelta{
-		NodeMeta: NodeMeta{Node: emptied, Origin: "peer", Version: 1 << 20},
-		Probes:   []Probe{{At: tick(), Replicas: []ReplicaID{replica(1), replica(4)}}},
-	}); err != nil || !ok {
-		t.Fatalf("ApplyDelta(%s) = %v, %v", emptied, ok, err)
+	const lone = NodeID("lone")
+	if err := svc.Observe(lone, tick(), "solo"); err != nil {
+		t.Fatal(err)
 	}
-	if ok, err := svc.ForgetNamespace(emptied, "b"); err != nil || !ok {
-		t.Fatalf("ForgetNamespace(%s, b) = %v, %v", emptied, ok, err)
-	}
+	_ = svc.store.snapshot() // the first build re-collects every shard; count what follows
 
 	var kinds rebuildKinds
+	seen := make(map[string]int)
+	next := nodes // nodes n >= next are not observed yet
 	for step := 0; step < 80; step++ {
 		for ops := rng.Intn(4) + 1; ops > 0; ops-- {
 			n := rng.Intn(nodes)
-			if n == 0 {
-				continue // keep the emptied client as it is
-			}
 			switch op := rng.Intn(20); {
 			case op < 14:
+				seen["observe"]++
 				if err := svc.Observe(nodeID(n), tick(), probe(n)...); err != nil {
 					t.Fatal(err)
 				}
 			case op < 16:
-				if _, err := svc.ForgetNamespace(nodeID(n), namespaces[rng.Intn(len(namespaces))]); err != nil {
+				seen["observe-new"]++ // a new record: its shard re-collects
+				if err := svc.Observe(nodeID(next), tick(), probe(next)...); err != nil {
 					t.Fatal(err)
 				}
-			case op < 17:
-				svc.Forget(nodeID(n))
+				next++
 			default:
+				seen["delta"]++
 				d, _ := svc.ExportDelta(nodeID(n))
 				d = NodeDelta{NodeMeta: NodeMeta{Node: nodeID(n), Origin: "peer", Version: d.Version + 1}}
 				for i := 0; i < 3; i++ {
@@ -196,11 +191,11 @@ func testTopAllSeed(t *testing.T, shards int, seed int64) {
 		}
 		snap := snapshotCounting(t, svc.store, &kinds)
 		where := fmt.Sprintf("shards=%d seed=%d step=%d", shards, seed, step)
-		clients := []NodeID{emptied, "cA-1", nodeID(rng.Intn(nodes)), nodeID(rng.Intn(nodes))}
+		clients := []NodeID{lone, "cA-1", nodeID(rng.Intn(nodes)), nodeID(rng.Intn(nodes))}
 		for _, c := range clients {
 			cv, _, err := svc.resolve(c)
 			if err != nil {
-				continue // forgotten
+				t.Fatal(err)
 			}
 			checkTopAll(t, where, c, cv, snap, sims)
 		}
@@ -212,8 +207,8 @@ func testTopAllSeed(t *testing.T, shards int, seed int64) {
 			}
 		}
 	}
-	if cv, _, _ := svc.resolve(emptied); len(cv.ids) != 0 {
-		t.Fatalf("%s kept replicas %v after its namespace was forgotten", emptied, cv.ids)
+	if len(seen) != 3 {
+		t.Fatalf("shards=%d seed=%d: op kinds exercised %v, want all 3", shards, seed, seen)
 	}
 	if kinds.recollects == 0 || kinds.patches == 0 || kinds.reusedPosts == 0 || kinds.rebuiltPosts == 0 {
 		t.Fatalf("shards=%d seed=%d: a rebuild path never ran: %+v", shards, seed, kinds)

@@ -29,7 +29,7 @@ type Tracker struct {
 	// Derived state, rebuilt lazily: the compiled vector of the ratio map is
 	// cached between observations so repeated queries (the steady state of a
 	// positioning service) stop rebuilding it from the probe window. dirty
-	// is set by Observe and DropNamespace; nothing expires with the wall
+	// is set by Observe; nothing expires with the wall
 	// clock, so a cached vector never goes stale between probes.
 	dirty     bool
 	cachedVec ratioVec
@@ -130,38 +130,4 @@ func (t *Tracker) refreshLocked() {
 	}
 	t.cachedVec = compileRatioMap(m)
 	t.dirty = false
-}
-
-// DropNamespace removes every replica belonging to namespace ns from the
-// probe window, discarding probes left empty, and reports whether anything
-// was removed. Sibling namespaces' probes are untouched — this is the
-// tracker half of a namespaced forget: one CDN's history is withdrawn (say,
-// after a remapping event invalidated it) without resetting the node.
-func (t *Tracker) DropNamespace(ns Namespace) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	changed := false
-	kept := t.probes[:0]
-	for _, p := range t.probes {
-		keptReplicas := p.replicas[:0]
-		for _, r := range p.replicas {
-			if NamespaceOf(r) == ns {
-				changed = true
-				continue
-			}
-			keptReplicas = append(keptReplicas, r)
-		}
-		p.replicas = keptReplicas
-		if len(p.replicas) > 0 {
-			kept = append(kept, p)
-		}
-	}
-	if n := len(kept); n < len(t.probes) {
-		clear(t.probes[n:])
-	}
-	t.probes = kept
-	if changed {
-		t.dirty = true
-	}
-	return changed
 }

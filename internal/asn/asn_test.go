@@ -40,7 +40,7 @@ func TestLookupResolvesEveryHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < topo.NumHosts(); i++ {
+	for i := 0; topo.Host(netsim.HostID(i)) != nil; i++ {
 		h := topo.Host(netsim.HostID(i))
 		as, ok := table.Lookup(h.Addr)
 		if !ok {

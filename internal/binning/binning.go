@@ -252,9 +252,3 @@ func (s *System) Clusters() []crp.Cluster {
 	})
 	return out
 }
-
-// ProbeCount returns the number of direct measurements a deployment of n
-// participants costs — the overhead CRP's measurement reuse avoids.
-func (s *System) ProbeCount(n int) int {
-	return n * len(s.cfg.Landmarks)
-}

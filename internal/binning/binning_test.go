@@ -214,14 +214,6 @@ func TestClustersPartitionByBin(t *testing.T) {
 	}
 }
 
-func TestProbeCount(t *testing.T) {
-	topo := testTopology(t)
-	sys, _ := measuredSystem(t, topo)
-	if got := sys.ProbeCount(100); got != 1000 {
-		t.Errorf("ProbeCount(100) = %d, want 1000 (10 landmarks)", got)
-	}
-}
-
 func TestBinEqual(t *testing.T) {
 	a := Bin{Order: []int{0, 1}, Levels: []int{0, 1}}
 	if !a.Equal(Bin{Order: []int{0, 1}, Levels: []int{0, 1}}) {

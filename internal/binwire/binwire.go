@@ -28,16 +28,13 @@ import (
 var ErrShort = errors.New("binwire: message truncated")
 
 // Enc appends wire-format fields to a buffer. The zero value is ready to
-// use; Reset lets hot paths reuse the backing array across messages.
+// use.
 type Enc struct {
 	buf []byte
 }
 
-// Reset empties the encoder, keeping the backing array.
-func (e *Enc) Reset() { e.buf = e.buf[:0] }
-
 // Bytes returns the encoded message. The slice aliases the encoder's
-// buffer and is only valid until the next Reset.
+// buffer and is only valid until the next write.
 func (e *Enc) Bytes() []byte { return e.buf }
 
 // Len returns the current encoded size.

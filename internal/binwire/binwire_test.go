@@ -119,7 +119,7 @@ func TestBounds(t *testing.T) {
 		t.Fatal("String over limit accepted")
 	}
 
-	e.Reset()
+	e = Enc{}
 	e.Uvarint(100)
 	e.buf = append(e.buf, make([]byte, 100)...)
 	if n, err := NewDec(e.Bytes()).Count(100, 1); err != nil || n != 100 {
@@ -139,7 +139,7 @@ func TestBounds(t *testing.T) {
 		t.Fatal("Bool accepted 0x02")
 	}
 	// Sub-second field >= 1e9 is malformed.
-	e.Reset()
+	e = Enc{}
 	e.Varint(0)
 	e.Uvarint(1e9)
 	if _, err := NewDec(e.Bytes()).Time(); err == nil {
@@ -155,7 +155,7 @@ func TestBounds(t *testing.T) {
 		{time.Date(-1, 12, 31, 23, 59, 59, 999999999, time.UTC), false},
 		{time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), false},
 	} {
-		e.Reset()
+		e = Enc{}
 		e.Time(c.at)
 		if _, err := NewDec(e.Bytes()).Time(); (err == nil) != c.ok {
 			t.Fatalf("Time(%v): err = %v, want ok=%v", c.at, err, c.ok)

@@ -328,16 +328,6 @@ func (n *Network) Replicas() []netsim.HostID {
 	return append([]netsim.HostID(nil), n.replicas...)
 }
 
-// Serves reports whether replica id serves the given name.
-func (n *Network) Serves(name string, id netsim.HostID) bool {
-	ni, ok := n.nameIdx[name]
-	if !ok {
-		return false
-	}
-	ri := n.replicaIndex(id)
-	return ri >= 0 && n.serves[ni][ri]
-}
-
 // IsFallback reports whether id belongs to the global default server set of
 // any name — the distant "owned-domain" answers a CRP client may filter.
 func (n *Network) IsFallback(id netsim.HostID) bool {

@@ -67,8 +67,9 @@ func startMeshDaemon(t *testing.T, id string) *meshDaemon {
 // TestThreeDaemonMeshConvergesOverUDP is the end-to-end mesh test: three
 // daemons on real UDP sockets, meshed through the peer-join op, fed disjoint
 // observation streams through the query protocol, must converge to
-// byte-identical compiled snapshots; a forget issued on one daemon must
-// disappear from all; peer-status must report the mesh.
+// byte-identical compiled snapshots; an overwrite observed on a daemon that
+// is not the node's origin must win on all; peer-status must report the
+// mesh.
 func TestThreeDaemonMeshConvergesOverUDP(t *testing.T) {
 	ids := []string{"mesh-a", "mesh-b", "mesh-c"}
 	ds := make([]*meshDaemon, len(ids))
@@ -133,15 +134,18 @@ func TestThreeDaemonMeshConvergesOverUDP(t *testing.T) {
 		}
 	}
 
-	// A forget on daemon b must disappear mesh-wide.
+	// An overwrite on daemon b must win mesh-wide.
 	if resp := clients[1].roundTrip(t, `{"op":"similarity","a":"mesh-a-n0","b":"mesh-a-n1"}`); !resp.OK {
 		t.Fatalf("replicated node not queryable on mesh-b: %+v", resp)
 	}
-	ds[1].svc.Forget("mesh-a-n0")
-	waitConverged(17)
+	if resp := clients[1].roundTrip(t, `{"op":"observe","node":"mesh-a-n0","replicas":["r9"]}`); !resp.OK {
+		t.Fatalf("overwrite on mesh-b: %+v", resp)
+	}
+	want, _ := ds[1].svc.ExportDelta("mesh-a-n0")
+	waitConverged(18)
 	for i, md := range ds {
-		if _, err := md.svc.RatioMap("mesh-a-n0"); err == nil {
-			t.Fatalf("%s still knows the forgotten node", ids[i])
+		if got, ok := md.svc.ExportDelta("mesh-a-n0"); !ok || got.NodeMeta != want.NodeMeta || want.Origin != "mesh-b" {
+			t.Fatalf("%s holds mesh-a-n0 as %+v, want mesh-b's %+v", ids[i], got.NodeMeta, want.NodeMeta)
 		}
 	}
 

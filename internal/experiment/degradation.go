@@ -88,42 +88,6 @@ type DegradationOutcome struct {
 	Activations map[faults.Kind]uint64 `json:"activations"`
 }
 
-// Envelope declares how much degradation a fault scenario is allowed to
-// cause. Zero-valued fields are not checked.
-type Envelope struct {
-	// MaxTop1RankSlack bounds the faulted mean top-1 rank to the clean
-	// value plus this many ranks.
-	MaxTop1RankSlack float64
-	// MaxNoSignalFrac bounds the faulted fraction of signal-less clients.
-	MaxNoSignalFrac float64
-	// MaxGoodClusterDrop bounds the absolute drop in good-cluster fraction
-	// versus the clean run.
-	MaxGoodClusterDrop float64
-}
-
-// Check asserts the outcome stays within the envelope.
-func (o *DegradationOutcome) Check(env Envelope) error {
-	if env.MaxTop1RankSlack > 0 {
-		if o.Faulted.MeanTop1Rank > o.Clean.MeanTop1Rank+env.MaxTop1RankSlack {
-			return fmt.Errorf("experiment: mean top-1 rank degraded %0.2f -> %0.2f, beyond slack %0.2f",
-				o.Clean.MeanTop1Rank, o.Faulted.MeanTop1Rank, env.MaxTop1RankSlack)
-		}
-	}
-	if env.MaxNoSignalFrac > 0 {
-		if o.Faulted.FracNoSignal > env.MaxNoSignalFrac {
-			return fmt.Errorf("experiment: %0.3f of clients lost all signal, beyond %0.3f",
-				o.Faulted.FracNoSignal, env.MaxNoSignalFrac)
-		}
-	}
-	if env.MaxGoodClusterDrop > 0 {
-		if drop := o.Clean.GoodClusterFrac - o.Faulted.GoodClusterFrac; drop > env.MaxGoodClusterDrop {
-			return fmt.Errorf("experiment: good-cluster fraction dropped %0.3f -> %0.3f, beyond %0.3f",
-				o.Clean.GoodClusterFrac, o.Faulted.GoodClusterFrac, env.MaxGoodClusterDrop)
-		}
-	}
-	return nil
-}
-
 // RunDegradation builds the world from cfg.Params, evaluates closest-node
 // accuracy and SMF cluster quality on it clean, attaches the fault plane,
 // evaluates again, and returns the comparison.

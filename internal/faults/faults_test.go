@@ -23,6 +23,16 @@ func testTopo(t *testing.T) *netsim.Topology {
 	return topo
 }
 
+// parseScenario decodes and validates a JSON scenario script, as a plan's
+// faults block is read.
+func parseScenario(data []byte) (Scenario, error) {
+	var s Scenario
+	if err := json.Unmarshal(data, &s); err != nil {
+		return Scenario{}, err
+	}
+	return s, s.Validate()
+}
+
 func TestScenarioJSONRoundTrip(t *testing.T) {
 	sc := Scenario{
 		Seed: 42,
@@ -37,9 +47,9 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseScenario(data)
+	back, err := parseScenario(data)
 	if err != nil {
-		t.Fatalf("ParseScenario(%s): %v", data, err)
+		t.Fatalf("parseScenario(%s): %v", data, err)
 	}
 	if !reflect.DeepEqual(sc, back) {
 		t.Fatalf("round trip changed the scenario:\nin:  %+v\nout: %+v", sc, back)
@@ -47,7 +57,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 }
 
 func TestScenarioDurationsAreHumanReadable(t *testing.T) {
-	sc, err := ParseScenario([]byte(`{"seed":7,"faults":[
+	sc, err := parseScenario([]byte(`{"seed":7,"faults":[
 		{"kind":"probe-loss","rate":0.5,"start":"10m","stop":"1h30m"}]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +81,7 @@ func TestScenarioValidation(t *testing.T) {
 		{"skew without skew", `{"faults":[{"kind":"clock-skew"}]}`},
 	}
 	for _, tc := range cases {
-		if _, err := ParseScenario([]byte(tc.sc)); err == nil {
+		if _, err := parseScenario([]byte(tc.sc)); err == nil {
 			t.Errorf("%s: scenario %s validated, want error", tc.name, tc.sc)
 		}
 	}

@@ -208,15 +208,3 @@ func (s *Scenario) Validate() error {
 	}
 	return nil
 }
-
-// ParseScenario decodes and validates a JSON scenario script.
-func ParseScenario(data []byte) (Scenario, error) {
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Scenario{}, fmt.Errorf("faults: decode scenario: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Scenario{}, err
-	}
-	return s, nil
-}

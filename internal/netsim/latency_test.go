@@ -26,7 +26,7 @@ func TestBaseRTTSymmetricAndZeroOnSelf(t *testing.T) {
 
 func TestBaseRTTUnknownHostIsNaN(t *testing.T) {
 	topo := mustGenerate(t, smallParams())
-	if got := topo.BaseRTTMs(0, HostID(topo.NumHosts())); !math.IsNaN(got) {
+	if got := topo.BaseRTTMs(0, HostID(len(topo.hosts))); !math.IsNaN(got) {
 		t.Errorf("BaseRTTMs with bad host = %v, want NaN", got)
 	}
 }
@@ -170,7 +170,7 @@ func TestMeasureOutliersAreRare(t *testing.T) {
 func TestCongestionPeaksInLocalEvening(t *testing.T) {
 	topo := mustGenerate(t, smallParams())
 	var h *Host
-	for i := 0; i < topo.NumHosts(); i++ {
+	for i := 0; i < len(topo.hosts); i++ {
 		if c := topo.Host(HostID(i)); c.CongestionAmpMs > 8 {
 			h = c
 			break

@@ -424,9 +424,6 @@ func (t *Topology) Host(id HostID) *Host {
 	return t.hosts[id]
 }
 
-// NumHosts returns the total number of hosts of all kinds.
-func (t *Topology) NumHosts() int { return len(t.hosts) }
-
 // Replicas returns the IDs of all CDN replica servers.
 func (t *Topology) Replicas() []HostID { return copyIDs(t.replicas) }
 
@@ -448,15 +445,6 @@ func (t *Topology) ASes() []*AS {
 	copy(out, t.ases)
 	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
 	return out
-}
-
-// ASOf returns the autonomous system of a host.
-func (t *Topology) ASOf(id HostID) *AS {
-	h := t.Host(id)
-	if h == nil {
-		return nil
-	}
-	return t.asByN[h.ASN]
 }
 
 // Metros returns the generated metros.

@@ -36,18 +36,18 @@ func TestGenerateCounts(t *testing.T) {
 	if got := len(topo.Replicas()); got != p.NumReplicas {
 		t.Errorf("replicas = %d, want %d", got, p.NumReplicas)
 	}
-	if got := topo.NumHosts(); got != p.NumClients+p.NumCandidates+p.NumReplicas {
-		t.Errorf("NumHosts = %d, want %d", got, p.NumClients+p.NumCandidates+p.NumReplicas)
+	if got := len(topo.hosts); got != p.NumClients+p.NumCandidates+p.NumReplicas {
+		t.Errorf("host count = %d, want %d", got, p.NumClients+p.NumCandidates+p.NumReplicas)
 	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := mustGenerate(t, smallParams())
 	b := mustGenerate(t, smallParams())
-	if a.NumHosts() != b.NumHosts() {
-		t.Fatalf("host counts differ: %d vs %d", a.NumHosts(), b.NumHosts())
+	if len(a.hosts) != len(b.hosts) {
+		t.Fatalf("host counts differ: %d vs %d", len(a.hosts), len(b.hosts))
 	}
-	for i := 0; i < a.NumHosts(); i++ {
+	for i := 0; i < len(a.hosts); i++ {
 		ha, hb := a.Host(HostID(i)), b.Host(HostID(i))
 		if *ha != *hb {
 			t.Fatalf("host %d differs across generations:\n%+v\n%+v", i, ha, hb)
@@ -61,12 +61,12 @@ func TestGenerateSeedChangesTopology(t *testing.T) {
 	p.Seed = 2
 	b := mustGenerate(t, p)
 	same := 0
-	for i := 0; i < a.NumHosts(); i++ {
+	for i := 0; i < len(a.hosts); i++ {
 		if a.Host(HostID(i)).Coord == b.Host(HostID(i)).Coord {
 			same++
 		}
 	}
-	if same == a.NumHosts() {
+	if same == len(a.hosts) {
 		t.Error("different seeds produced identical host placements")
 	}
 }
@@ -75,7 +75,7 @@ func TestGenerateHostInvariants(t *testing.T) {
 	topo := mustGenerate(t, smallParams())
 	seenAddr := map[netip.Addr]bool{}
 	seenName := map[string]bool{}
-	for i := 0; i < topo.NumHosts(); i++ {
+	for i := 0; i < len(topo.hosts); i++ {
 		h := topo.Host(HostID(i))
 		if h.ID != HostID(i) {
 			t.Fatalf("host %d has ID %d", i, h.ID)
@@ -97,7 +97,7 @@ func TestGenerateHostInvariants(t *testing.T) {
 		if h.AccessRTTMs < 0 || h.AccessRTTMs > 45 {
 			t.Errorf("host %d access delay %v out of range", h.ID, h.AccessRTTMs)
 		}
-		as := topo.ASOf(h.ID)
+		as := topo.asByN[h.ASN]
 		if as == nil {
 			t.Fatalf("host %d has no AS", h.ID)
 		}
@@ -196,8 +196,8 @@ func TestHostOutOfRange(t *testing.T) {
 	if topo.Host(-1) != nil {
 		t.Error("Host(-1) should be nil")
 	}
-	if topo.Host(HostID(topo.NumHosts())) != nil {
-		t.Error("Host(NumHosts) should be nil")
+	if topo.Host(HostID(len(topo.hosts))) != nil {
+		t.Error("Host(len(hosts)) should be nil")
 	}
 }
 

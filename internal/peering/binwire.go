@@ -1,6 +1,7 @@
 package peering
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/crp"
@@ -22,10 +23,9 @@ import (
 //	         have full-entropy high bits; varints would inflate them)
 //	shards   uvarint count, then count uvarints
 //	metas    uvarint count, then per meta: node, origin, version uvarint,
-//	         flags u8 (bit0 deleted)
+//	         flags u8 (always 0)
 //	deltas   uvarint count, then per delta: node, origin, version uvarint,
-//	         flags u8 (bit0 deleted, bit1 deletedAt present),
-//	         [deletedAt time], probes (uvarint count, then per probe:
+//	         flags u8 (always 0), probes (uvarint count, then per probe:
 //	         at time, replicas uvarint count + strings)
 //	nodes    uvarint count, then count strings
 //
@@ -34,6 +34,11 @@ import (
 // collections cost one zero byte). Encoding is canonical (collections keep
 // caller order, which the engine already sorts), so identical messages are
 // byte-identical — the determinism the bench's rerun gate relies on.
+//
+// The flags byte once carried deletion state (meta and delta bit0 deleted,
+// delta bit1 a deletion time following the flags). Deletion is gone, and the
+// byte stays so the layout, and binVersion, do not change: a frame that sets
+// either bit is refused with errDeletionBit, never applied as a live record.
 
 const (
 	// binMagic opens every gossip datagram.
@@ -50,6 +55,9 @@ const (
 	// still backstops the arithmetic.
 	binOverhead = 640
 )
+
+// errDeletionBit refuses a meta or delta that carries deletion state.
+var errDeletionBit = errors.New("deletion bit set: records are never deleted")
 
 // binTypeCodes maps Msg.Type to its wire code; binTypeNames is the inverse.
 var binTypeCodes = map[string]byte{
@@ -109,28 +117,14 @@ func encodeBinaryMeta(e *binwire.Enc, m *crp.NodeMeta) {
 	e.String(string(m.Node))
 	e.String(m.Origin)
 	e.Uvarint(m.Version)
-	var flags byte
-	if m.Deleted {
-		flags |= 1
-	}
-	e.U8(flags)
+	e.U8(0) // flags
 }
 
 func encodeBinaryDelta(e *binwire.Enc, d *crp.NodeDelta) {
 	e.String(string(d.Node))
 	e.String(d.Origin)
 	e.Uvarint(d.Version)
-	var flags byte
-	if d.Deleted {
-		flags |= 1
-	}
-	if !d.DeletedAt.IsZero() {
-		flags |= 2
-	}
-	e.U8(flags)
-	if !d.DeletedAt.IsZero() {
-		e.Time(d.DeletedAt)
-	}
+	e.U8(0) // flags
 	e.Uvarint(uint64(len(d.Probes)))
 	for i := range d.Probes {
 		e.Time(d.Probes[i].At)
@@ -151,11 +145,8 @@ func binMetaSize(m *crp.NodeMeta) int {
 // size-budget packers commit an entry only when it fits.
 func binDeltaSize(d *crp.NodeDelta) int {
 	n := binwire.StringLen(string(d.Node)) + binwire.StringLen(d.Origin) +
-		binwire.UvarintLen(d.Version) + 1
-	if !d.DeletedAt.IsZero() {
-		n += binwire.TimeLen(d.DeletedAt)
-	}
-	n += binwire.UvarintLen(uint64(len(d.Probes)))
+		binwire.UvarintLen(d.Version) + 1 +
+		binwire.UvarintLen(uint64(len(d.Probes)))
 	for i := range d.Probes {
 		n += binwire.TimeLen(d.Probes[i].At)
 		n += binwire.UvarintLen(uint64(len(d.Probes[i].Replicas)))
@@ -288,7 +279,7 @@ func decodePeerMsg(raw []byte) (Msg, error) {
 		m.Metas = make([]crp.NodeMeta, n)
 		for i := range m.Metas {
 			if err := decodeBinaryMeta(d, &m.Metas[i]); err != nil {
-				return m, fmt.Errorf("metas[%d]: %v", i, err)
+				return m, fmt.Errorf("metas[%d]: %w", i, err)
 			}
 		}
 	}
@@ -300,7 +291,7 @@ func decodePeerMsg(raw []byte) (Msg, error) {
 		m.Deltas = make([]crp.NodeDelta, n)
 		for i := range m.Deltas {
 			if err := decodeBinaryDelta(d, &m.Deltas[i]); err != nil {
-				return m, fmt.Errorf("deltas[%d]: %v", i, err)
+				return m, fmt.Errorf("deltas[%d]: %w", i, err)
 			}
 		}
 	}
@@ -335,15 +326,7 @@ func decodeBinaryMeta(d *binwire.Dec, m *crp.NodeMeta) error {
 	if m.Version, err = d.Uvarint(); err != nil {
 		return err
 	}
-	flags, err := d.U8()
-	if err != nil {
-		return err
-	}
-	if flags > 1 {
-		return fmt.Errorf("reserved meta flags 0x%02x", flags)
-	}
-	m.Deleted = flags&1 != 0
-	return nil
+	return checkFlags(d, 1)
 }
 
 func decodeBinaryDelta(d *binwire.Dec, nd *crp.NodeDelta) error {
@@ -359,18 +342,8 @@ func decodeBinaryDelta(d *binwire.Dec, nd *crp.NodeDelta) error {
 	if nd.Version, err = d.Uvarint(); err != nil {
 		return err
 	}
-	flags, err := d.U8()
-	if err != nil {
+	if err := checkFlags(d, 3); err != nil {
 		return err
-	}
-	if flags > 3 {
-		return fmt.Errorf("reserved delta flags 0x%02x", flags)
-	}
-	nd.Deleted = flags&1 != 0
-	if flags&2 != 0 {
-		if nd.DeletedAt, err = d.Time(); err != nil {
-			return err
-		}
 	}
 	n, err := d.Count(MaxProbesPerDelta, 3)
 	if err != nil {
@@ -398,6 +371,22 @@ func decodeBinaryDelta(d *binwire.Dec, nd *crp.NodeDelta) error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// checkFlags reads a meta's or delta's flags byte, which must be 0. A bit of
+// deletion (the bits that once carried deletion state) is refused with
+// errDeletionBit, any other bit as reserved.
+func checkFlags(d *binwire.Dec, deletion byte) error {
+	flags, err := d.U8()
+	switch {
+	case err != nil:
+		return err
+	case flags&^deletion != 0:
+		return fmt.Errorf("reserved flags 0x%02x", flags)
+	case flags != 0:
+		return fmt.Errorf("flags 0x%02x: %w", flags, errDeletionBit)
 	}
 	return nil
 }

@@ -3,9 +3,11 @@ package peering
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +19,8 @@ import (
 )
 
 // sampleMsgs covers every message type with every field its type uses,
-// including the encoding edge cases (zero time, tombstones, empty
-// collections).
+// including the encoding edge cases (empty collections, a replica ID at the
+// length limit).
 func sampleMsgs() []Msg {
 	thresholdAt := time.Date(2026, 8, 8, 10, 20, 30, 123456789, time.UTC)
 	return []Msg{
@@ -27,18 +29,22 @@ func sampleMsgs() []Msg {
 		{Type: MsgDigest, From: "d1", ShardCount: 4, Digests: []uint64{0, 1, 1<<64 - 1, 42}},
 		{Type: MsgDiff, From: "d2", Shards: []int{0, 3, MaxShardCount - 1}, Metas: []crp.NodeMeta{
 			{Node: "n1", Origin: "d1", Version: 2},
-			{Node: "n2", Origin: "d2", Version: 9, Deleted: true},
+			{Node: "n2", Origin: "d2", Version: 9},
 		}},
 		{Type: MsgDelta, From: "d1", TTL: 3, Deltas: []crp.NodeDelta{
 			{NodeMeta: crp.NodeMeta{Node: "n1", Origin: "d1", Version: 1}, Probes: []crp.Probe{
 				{At: thresholdAt, Replicas: []crp.ReplicaID{"r1", "r2"}},
-				{At: thresholdAt.Add(time.Second), Replicas: nil},
+				{At: thresholdAt.Add(time.Second), Replicas: []crp.ReplicaID{"r1"}},
 			}},
-			{NodeMeta: crp.NodeMeta{Node: "n2", Origin: "d2", Version: 5, Deleted: true}, DeletedAt: thresholdAt},
+			{NodeMeta: crp.NodeMeta{Node: "n2", Origin: "d2", Version: 5}, Probes: []crp.Probe{
+				{At: thresholdAt, Replicas: []crp.ReplicaID{"r3"}},
+			}},
 		}},
 		{Type: MsgPull, From: "d2", Nodes: []string{"n1", "n2"}},
 		{Type: MsgDelta, From: "d1", TTL: 1, Deltas: []crp.NodeDelta{
-			{NodeMeta: crp.NodeMeta{Node: "n3", Version: 1}},
+			{NodeMeta: crp.NodeMeta{Node: "n3", Version: 1}, Probes: []crp.Probe{
+				{At: thresholdAt, Replicas: []crp.ReplicaID{"r1"}},
+			}},
 		}},
 		// Namespaced replica IDs ride inside the ID strings ("ns!replica"),
 		// so a multi-CDN deployment needs no frame change — but the corpus
@@ -308,6 +314,17 @@ func TestDecodePeerMsgBounds(t *testing.T) {
 		e.Uvarint(1) // version
 		e.U8(0)      // flags
 	}
+	// probes writes a delta's probe list: one probe per replica count.
+	probes := func(e *binwire.Enc, replicas ...int) {
+		e.Uvarint(uint64(len(replicas)))
+		for _, n := range replicas {
+			e.Time(time.Unix(1, 0))
+			e.Uvarint(uint64(n))
+			for ; n > 0; n-- {
+				e.String("r1")
+			}
+		}
+	}
 	// Frame bodies with one field set to v and every other field empty.
 	type body = func(e *binwire.Enc)
 	ttl := func(v uint64) body {
@@ -335,7 +352,8 @@ func TestDecodePeerMsgBounds(t *testing.T) {
 			empties(e, 4)
 			e.Uvarint(1)
 			meta(e, "n1", "d1")
-			empties(e, 2) // no probes, no pull nodes
+			probes(e, 1)
+			empties(e, 1) // no pull nodes
 		}), ""},
 		{"valid pull", frame(5, "d1", "", func(e *binwire.Enc) {
 			empties(e, 6)
@@ -381,6 +399,20 @@ func TestDecodePeerMsgBounds(t *testing.T) {
 			meta(e, "n", longID)
 			empties(e, 2)
 		}), "deltas[0]"},
+		{"delta with no probes", frame(2, "d1", "", func(e *binwire.Enc) {
+			empties(e, 5)
+			e.Uvarint(1)
+			meta(e, "n1", "d1")
+			probes(e)
+			empties(e, 1)
+		}), "deltas[0] has no probes"},
+		{"probe with no replicas", frame(2, "d1", "", func(e *binwire.Enc) {
+			empties(e, 5)
+			e.Uvarint(1)
+			meta(e, "n1", "d1")
+			probes(e, 1, 0)
+			empties(e, 1)
+		}), "deltas[0].probes[1] has no replicas"},
 		{"empty pull node", frame(5, "d1", "", func(e *binwire.Enc) {
 			// Two nodes: the count check wants two bytes per entry.
 			empties(e, 6)
@@ -396,6 +428,101 @@ func TestDecodePeerMsgBounds(t *testing.T) {
 			}
 		}), "nodes"},
 	})
+}
+
+// deletionFrames are the three ways a frame can carry deletion state, each
+// otherwise a valid message: a diff meta with the deleted bit, a delta with
+// the deleted bit, and a delta with the deletion-time bit and its time.
+func deletionFrames() []frameCase {
+	delta := func(flags byte) []byte {
+		return frame(2, "d1", "", func(e *binwire.Enc) {
+			empties(e, 5)
+			e.Uvarint(1)
+			e.String("ghost")
+			e.String("d1")
+			e.Uvarint(9)
+			e.U8(flags)
+			if flags&2 != 0 {
+				e.Time(time.Unix(1, 0))
+			}
+			e.Uvarint(1)
+			e.Time(time.Unix(1, 0))
+			e.Uvarint(1)
+			e.String("r1")
+			empties(e, 1)
+		})
+	}
+	return []frameCase{
+		{"meta deleted bit", frame(4, "d1", "", func(e *binwire.Enc) {
+			empties(e, 3)
+			e.Uvarint(1)
+			e.Uvarint(0)
+			e.Uvarint(1)
+			e.String("ghost")
+			e.String("d1")
+			e.Uvarint(9)
+			e.U8(1)
+			empties(e, 2)
+		}), "metas[0]"},
+		{"delta deleted bit", delta(1), "deltas[0]"},
+		{"delta deletion-time bit", delta(2), "deltas[0]"},
+	}
+}
+
+// TestDeletionBitRefused: records are never deleted, so a frame that carries
+// deletion state is refused by name, on the link (one bad message, the store
+// untouched) and in a state file (a failed load, the store untouched). With
+// the bit cleared each frame is accepted, so the bit is what is refused.
+func TestDeletionBitRefused(t *testing.T) {
+	for _, c := range deletionFrames() {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := decodePeerMsg(c.raw)
+			if !errors.Is(err, errDeletionBit) || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("decode err = %v, want %q and errDeletionBit", err, c.wantErr)
+			}
+			cleared := bytes.Clone(c.raw)
+			at := bytes.Index(cleared, []byte("ghost\x02d1\x09")) + len("ghost\x02d1\x09")
+			flags := cleared[at]
+			cleared[at] = 0
+			if flags&2 != 0 { // drop the deletion time with its bit
+				cleared = slices.Delete(cleared, at+1, at+1+binwire.TimeLen(time.Unix(1, 0)))
+			}
+			if _, err := decodePeerMsg(cleared); err != nil {
+				t.Fatalf("frame with the bit cleared rejected: %v", err)
+			}
+
+			mesh := NewMemMesh()
+			svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
+			if err := svc.Observe("n1", time.Unix(1, 0), "r1"); err != nil {
+				t.Fatal(err)
+			}
+			want := svc.ShardDigests()
+			p, err := New(Config{Self: "self", Addr: "self", Service: svc, Registry: obs.NewRegistry(), Resolve: mesh.Resolve})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Attach(mesh.Conn("self"))
+			mesh.Conn("d1")
+			if err := p.AddPeer("d1", "d1"); err != nil {
+				t.Fatal(err)
+			}
+			p.HandleDatagram(c.raw, memAddr("d1"))
+			if got := p.Stats().BadMsgs; got != 1 {
+				t.Fatalf("link: bad_msgs = %d, want 1", got)
+			}
+			if !slices.Equal(svc.ShardDigests(), want) {
+				t.Fatal("link: the refused frame changed the store")
+			}
+
+			err = ReadState(asStateFrame(c.raw), svc)
+			if !errors.Is(err, errDeletionBit) {
+				t.Fatalf("state file: err = %v, want errDeletionBit", err)
+			}
+			if !slices.Equal(svc.ShardDigests(), want) {
+				t.Fatal("state file: the refused frame changed the store")
+			}
+		})
+	}
 }
 
 // countingConn counts the datagrams an engine writes.
@@ -612,7 +739,8 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 	nodes := make([]crp.NodeID, 600)
 	for i := range nodes {
 		nodes[i] = crp.NodeID(fmt.Sprintf("node-%04d", i))
-		if _, err := svc.ApplyDelta(crp.NodeDelta{NodeMeta: crp.NodeMeta{Node: nodes[i], Origin: "pack-self", Version: 1}}); err != nil {
+		if _, err := svc.ApplyDelta(crp.NodeDelta{NodeMeta: crp.NodeMeta{Node: nodes[i], Origin: "pack-self", Version: 1},
+			Probes: []crp.Probe{{At: time.Unix(1, 0), Replicas: []crp.ReplicaID{"r1"}}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -639,7 +767,7 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 		t.Fatalf("delivered %d deltas, want 600", total)
 	}
 	if msgs != 1 {
-		// 600 minimal entries are ~11 KB — they must share one datagram.
+		// 600 one-probe entries are ~17 KB — they must share one datagram.
 		t.Fatalf("600 small deltas used %d datagrams, want 1", msgs)
 	}
 }
@@ -665,6 +793,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	bad[1] = binVersion + 1 // unsupported version
 	out = append(out, bad)
 	out = append(out, []byte{binMagic, binVersion, 99}) // unknown type code
+	for _, c := range deletionFrames() {
+		out = append(out, c.raw)
+	}
 	return out
 }
 

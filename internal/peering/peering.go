@@ -8,7 +8,7 @@
 // Replication is last-writer-wins per node entry (crp.NodeMeta.Supersedes),
 // carried by two complementary mechanisms:
 //
-//   - rumor mongering: every local Observe/Forget enqueues its node; each
+//   - rumor mongering: every local Observe enqueues its node; each
 //     Tick pushes the queued entries, with a decrementing hop budget (TTL),
 //     to fanout randomly chosen peers. Fresh updates spread in O(log N)
 //     rounds with high probability.
@@ -20,11 +20,11 @@
 //     partitions, late joiners), giving eventual convergence under any
 //     packet-loss rate below 100%.
 //
-// Deletions propagate as tombstones and are garbage-collected after a
-// fixed horizon; DESIGN.md "Gossip" develops the convergence argument and
-// the GC trade-offs. All sockets are plain net.PacketConns, so the fault
-// plane's WrapPacketConn applies loss/dup/delay/reorder scenarios to gossip
-// links exactly as it does to the daemon's query path.
+// Nothing is ever deleted: a record, once written, only gains versions, and
+// a frame that sets a deletion bit is refused. DESIGN.md "Gossip" develops
+// the convergence argument. All sockets are plain net.PacketConns, so the
+// fault plane's WrapPacketConn applies loss/dup/delay/reorder scenarios to
+// gossip links exactly as it does to the daemon's query path.
 package peering
 
 import (
@@ -44,17 +44,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Rumor-mongering and GC constants. Every daemon, plan and benchmark runs
-// these values.
+// Rumor-mongering constants. Every daemon, plan and benchmark runs these
+// values.
 const (
 	// fanout is how many peers each rumor push targets.
 	fanout = 2
 	// rumorTTL is the initial rumor hop budget of a local mutation.
 	rumorTTL = 3
-	// tombstoneGC is the deletion-tombstone retention horizon. A peer
-	// partitioned for longer than this may resurrect forgotten entries
-	// through anti-entropy.
-	tombstoneGC = 10 * time.Minute
 )
 
 // Config shapes one daemon's peering engine.
@@ -65,7 +61,7 @@ type Config struct {
 	// Addr is the gossip listen address advertised in join messages.
 	Addr string
 	// Service is the replicated store. Required. New() takes ownership of
-	// its replication hooks (SetOrigin/SetClock/SetMutationHook).
+	// its replication hooks (SetOrigin/SetMutationHook).
 	Service *crp.Service
 	// Interval is the Tick cadence of Start's background loop. Default 1s.
 	Interval time.Duration
@@ -94,20 +90,19 @@ type PeerInfo struct {
 // convergence harness reports these rather than obs counters because they
 // are per-engine and unpolluted by other daemons in the process.
 type StatsSnapshot struct {
-	Rounds         uint64 `json:"rounds"`
-	Msgs           uint64 `json:"msgs"`
-	BadMsgs        uint64 `json:"badMsgs"`
-	DeltasSent     uint64 `json:"deltasSent"`
-	DeltasApplied  uint64 `json:"deltasApplied"`
-	DeltasStale    uint64 `json:"deltasStale"`
-	DigestsSent    uint64 `json:"digestsSent"`
-	DigestBytes    uint64 `json:"digestBytes"`
-	Pulls          uint64 `json:"pulls"`
-	Convergence    uint64 `json:"convergence"`
-	ShapeMismatch  uint64 `json:"shapeMismatch"`
-	SendErrors     uint64 `json:"sendErrors"`
-	TombstonesGCed uint64 `json:"tombstonesGCed"`
-	OversizeMsgs   uint64 `json:"oversizeMsgs"`
+	Rounds        uint64 `json:"rounds"`
+	Msgs          uint64 `json:"msgs"`
+	BadMsgs       uint64 `json:"badMsgs"`
+	DeltasSent    uint64 `json:"deltasSent"`
+	DeltasApplied uint64 `json:"deltasApplied"`
+	DeltasStale   uint64 `json:"deltasStale"`
+	DigestsSent   uint64 `json:"digestsSent"`
+	DigestBytes   uint64 `json:"digestBytes"`
+	Pulls         uint64 `json:"pulls"`
+	Convergence   uint64 `json:"convergence"`
+	ShapeMismatch uint64 `json:"shapeMismatch"`
+	SendErrors    uint64 `json:"sendErrors"`
+	OversizeMsgs  uint64 `json:"oversizeMsgs"`
 }
 
 // StatusReport is the peer-status op payload.
@@ -169,7 +164,7 @@ type Peering struct {
 	deltasSent, deltasApplied       stat
 	deltasStale, digestsSent        stat
 	digestBytes, pulls, convergence stat
-	shapeMismatch, sendErrors, gced stat
+	shapeMismatch, sendErrors       stat
 	oversize                        stat
 }
 
@@ -230,13 +225,11 @@ func New(cfg Config) (*Peering, error) {
 		{&p.convergence, "peering.convergence"},
 		{&p.shapeMismatch, "peering.shape_mismatch"},
 		{&p.sendErrors, "peering.send_errors"},
-		{&p.gced, "peering.tombstones_gced"},
 		{&p.oversize, "peering.oversize_msgs"},
 	} {
 		c.s.c = p.reg.Counter(c.name)
 	}
 	p.svc.SetOrigin(cfg.Self)
-	p.svc.SetClock(cfg.Now)
 	p.svc.SetMutationHook(p.noteMutation)
 	return p, nil
 }
@@ -412,28 +405,28 @@ func (p *Peering) Status() StatusReport {
 // Stats snapshots the engine-local counters.
 func (p *Peering) Stats() StatsSnapshot {
 	return StatsSnapshot{
-		Rounds:         p.rounds.v.Load(),
-		Msgs:           p.msgs.v.Load(),
-		BadMsgs:        p.badMsgs.v.Load(),
-		DeltasSent:     p.deltasSent.v.Load(),
-		DeltasApplied:  p.deltasApplied.v.Load(),
-		DeltasStale:    p.deltasStale.v.Load(),
-		DigestsSent:    p.digestsSent.v.Load(),
-		DigestBytes:    p.digestBytes.v.Load(),
-		Pulls:          p.pulls.v.Load(),
-		Convergence:    p.convergence.v.Load(),
-		ShapeMismatch:  p.shapeMismatch.v.Load(),
-		SendErrors:     p.sendErrors.v.Load(),
-		TombstonesGCed: p.gced.v.Load(),
-		OversizeMsgs:   p.oversize.v.Load(),
+		Rounds:        p.rounds.v.Load(),
+		Msgs:          p.msgs.v.Load(),
+		BadMsgs:       p.badMsgs.v.Load(),
+		DeltasSent:    p.deltasSent.v.Load(),
+		DeltasApplied: p.deltasApplied.v.Load(),
+		DeltasStale:   p.deltasStale.v.Load(),
+		DigestsSent:   p.digestsSent.v.Load(),
+		DigestBytes:   p.digestBytes.v.Load(),
+		Pulls:         p.pulls.v.Load(),
+		Convergence:   p.convergence.v.Load(),
+		ShapeMismatch: p.shapeMismatch.v.Load(),
+		SendErrors:    p.sendErrors.v.Load(),
+		OversizeMsgs:  p.oversize.v.Load(),
 	}
 }
 
-// Tick runs one gossip round at virtual time now: rumor pushes of pending
-// local mutations, one anti-entropy digest to the next peer in round-robin
-// order, and tombstone GC. The background loop calls it on the Interval;
-// the deterministic harness calls it directly.
-func (p *Peering) Tick(now time.Time) {
+// Tick runs one gossip round: rumor pushes of pending local mutations and one
+// anti-entropy digest to the next peer in round-robin order. The background
+// loop calls it on the Interval; the deterministic harness calls it directly.
+// A round reads no clock, so the round time passed in only names the round
+// for callers that drive a virtual clock.
+func (p *Peering) Tick(time.Time) {
 	p.rounds.inc()
 
 	// Drain the rumor queue under the lock, then do the sends without it.
@@ -501,18 +494,6 @@ func (p *Peering) Tick(now time.Time) {
 			p.digestsSent.inc()
 			p.digestBytes.add(uint64(n))
 		}
-	}
-	// The GC horizon is anchored on the engine's injected clock, NOT the
-	// caller-supplied now. Tombstone deletion times are stamped by the
-	// store's clock (Config.Now via Service.SetClock), so the horizon must
-	// come from the same timeline: a caller passing wall time to a
-	// virtual-clocked engine — easy to do from a test or a driver loop —
-	// would otherwise compute a horizon epochs ahead of the virtual
-	// timestamps and silently GC live tombstones, un-replicating forgets.
-	// The now parameter still drives the gossip round itself (rumor and
-	// digest scheduling), where both timelines only affect pacing.
-	if n := p.svc.GCTombstones(p.now().Add(-tombstoneGC)); n > 0 {
-		p.gced.add(uint64(n))
 	}
 }
 

@@ -196,14 +196,15 @@ func TestLastWriterWinsOnConcurrentUpdates(t *testing.T) {
 	}
 }
 
-// TestForgetPropagatesAsTombstone runs on a clean mesh and with 30 % of
-// received gossip datagrams dropped, where anti-entropy has to repair what
-// the rumors lose.
-func TestForgetPropagatesAsTombstone(t *testing.T) {
+// TestOverwritePropagatesUnderLoss: a node first written on one daemon and
+// then overwritten on another ends with the overwrite on all three, on a
+// clean mesh and with 30 % of received gossip datagrams dropped, where
+// anti-entropy has to repair what the rumors lose.
+func TestOverwritePropagatesUnderLoss(t *testing.T) {
 	cases := []struct {
-		name                        string
-		loss                        float64
-		observeRounds, forgetRounds int
+		name                           string
+		loss                           float64
+		observeRounds, overwriteRounds int
 	}{
 		{"clean", 0, 5, 8},
 		{"loss-30pct", 0.3, 50, 50},
@@ -229,15 +230,18 @@ func TestForgetPropagatesAsTombstone(t *testing.T) {
 				t.Fatal(err)
 			}
 			tm.converge(t, c.observeRounds)
-			// Forget on daemon b (not the origin) must disappear from all three.
-			tm.svcs[1].Forget("n1")
-			tm.converge(t, c.forgetRounds)
+			// An overwrite on daemon b (not the origin) must reach all three.
+			if err := tm.svcs[1].Observe("n1", time.Unix(2, 0), "r2"); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := tm.svcs[1].ExportDelta("n1")
+			tm.converge(t, c.overwriteRounds)
 			for i, svc := range tm.svcs {
-				if _, err := svc.RatioMap("n1"); err == nil {
-					t.Fatalf("daemon %d still knows forgotten node n1", i)
+				if got, ok := svc.ExportDelta("n1"); !ok || !reflect.DeepEqual(got.NodeMeta, want.NodeMeta) || len(got.Probes) != 2 {
+					t.Fatalf("daemon %d holds n1 as %+v, %v; want %+v", i, got, ok, want)
 				}
-				if got := len(svc.Nodes()); got != 0 {
-					t.Fatalf("daemon %d has %d nodes, want 0", i, got)
+				if got := len(svc.Nodes()); got != 1 {
+					t.Fatalf("daemon %d has %d nodes, want 1", i, got)
 				}
 				// Loss drops whole datagrams; what arrives must still decode.
 				if bad := tm.engines[i].Stats().BadMsgs; bad != 0 {
@@ -248,29 +252,6 @@ func TestForgetPropagatesAsTombstone(t *testing.T) {
 				t.Fatal("packet loss never activated: the lossy row is vacuous")
 			}
 		})
-	}
-}
-
-func TestTombstoneGCReclaimsAfterHorizon(t *testing.T) {
-	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8})
-	tm.fullMesh(t)
-	if err := tm.svcs[0].Observe("n1", time.Unix(1, 0), "r1"); err != nil {
-		t.Fatal(err)
-	}
-	tm.converge(t, 5)
-	tm.svcs[0].Forget("n1")
-	tm.converge(t, 8)
-	// Advance the clock past the GC horizon (default 10m): the next ticks
-	// must reclaim the tombstones on both daemons without disturbing
-	// convergence.
-	tm.clock = tm.clock.Add(11 * time.Minute)
-	tm.tickAll()
-	gced := tm.engines[0].Stats().TombstonesGCed + tm.engines[1].Stats().TombstonesGCed
-	if gced == 0 {
-		t.Fatal("no tombstones reclaimed after the horizon")
-	}
-	if !tm.converged() {
-		tm.converge(t, 5) // transient GC skew must heal
 	}
 }
 

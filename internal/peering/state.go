@@ -12,10 +12,10 @@ import (
 
 const stateFrom = "state" // the From of every state-file message
 
-// WriteState writes every record svc holds, tombstones included, to w as
-// uvarint-length-prefixed delta messages exactly as the link carries them. A
-// record no delta can carry is left out, as the link leaves it unsent, and
-// named in skipped; every other record is written. err is w's error.
+// WriteState writes every record svc holds to w as uvarint-length-prefixed
+// delta messages exactly as the link carries them. A record no delta can
+// carry is left out, as the link leaves it unsent, and named in skipped;
+// every other record is written. err is w's error.
 func WriteState(w io.Writer, svc *crp.Service) (skipped, err error) {
 	var nodes []crp.NodeID
 	for i := 0; i < svc.ShardCount(); i++ {
@@ -40,9 +40,10 @@ func WriteState(w io.Writer, svc *crp.Service) (skipped, err error) {
 }
 
 // ReadState restores state-file data into svc through decodePeerMsg and
-// ApplyDelta: origins, versions and tombstones come back, no rumor is queued.
-// Anything else — a bad frame, a non-delta message, a refused record, the
-// older JSON snapshot format — fails it; frames before it stay applied.
+// ApplyDelta: origins and versions come back, no rumor is queued. Anything
+// else — a bad frame, a non-delta message, a refused record (a deletion bit
+// among them), the older JSON snapshot format — fails it; frames before it
+// stay applied.
 func ReadState(data []byte, svc *crp.Service) error {
 	if bytes.HasPrefix(data, []byte(`{"`)) {
 		return errors.New("peering: state file is a JSON snapshot, a format this version does not read")

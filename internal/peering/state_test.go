@@ -14,20 +14,18 @@ import (
 	"repro/internal/obs"
 )
 
-// stateService is a small store with live records, a multi-probe window and
-// a tombstone, written under origin "d1".
+// stateService is a small store with records and a multi-probe window,
+// written under origin "d1".
 func stateService(t testing.TB, shape crp.StoreConfig) *crp.Service {
 	t.Helper()
 	svc := crp.NewServiceWithStore(shape, crp.WithWindow(10))
 	svc.SetOrigin("d1")
 	now := time.Date(2026, 8, 8, 10, 20, 30, 0, time.UTC)
-	svc.SetClock(func() time.Time { return now })
 	for i, node := range []crp.NodeID{"n1", "n2", "n1", "n3", "cdnA-client"} {
 		if err := svc.Observe(node, now.Add(time.Duration(i)*time.Second), "r1", crp.ReplicaID("cdnA!"+node)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	svc.Forget("n3")
 	return svc
 }
 
@@ -50,6 +48,11 @@ func stateFrame(t testing.TB, m Msg) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return asStateFrame(raw)
+}
+
+// asStateFrame wraps one datagram as a state-file frame.
+func asStateFrame(raw []byte) []byte {
 	return append(binary.AppendUvarint(nil, uint64(len(raw))), raw...)
 }
 
@@ -63,8 +66,8 @@ func TestStateRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(src.ShardDigests(), dst.ShardDigests()) {
 			t.Fatalf("shards %d: restored digests differ", shape.Shards)
 		}
-		if tomb, ok := dst.ExportDelta("n3"); !ok || !tomb.Deleted || tomb.DeletedAt.IsZero() {
-			t.Fatalf("shards %d: tombstone restored as %+v, %v", shape.Shards, tomb, ok)
+		if want, got := src.Nodes(), dst.Nodes(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("shards %d: restored nodes %v, want %v", shape.Shards, got, want)
 		}
 	}
 }
@@ -169,6 +172,9 @@ func TestLinkSkipsUnsendableRecord(t *testing.T) {
 	}
 }
 
+// stateProbes is a one-probe window for hand-built state frames.
+var stateProbes = []crp.Probe{{At: time.Unix(1, 0), Replicas: []crp.ReplicaID{"r1"}}}
+
 // TestReadStateRejectsMalformed is the reader's input table: the state file
 // comes from outside the program, so each malformation fails the restore
 // with an error saying what was wrong.
@@ -187,8 +193,14 @@ func TestReadStateRejectsMalformed(t *testing.T) {
 			{NodeMeta: crp.NodeMeta{Node: "", Origin: "d1", Version: 1}},
 		}})), "empty node ID"},
 		{"zero-version delta", string(stateFrame(t, Msg{Type: MsgDelta, From: "d1", Deltas: []crp.NodeDelta{
-			{NodeMeta: crp.NodeMeta{Node: "n1", Origin: "d1"}},
+			{NodeMeta: crp.NodeMeta{Node: "n1", Origin: "d1"}, Probes: stateProbes},
 		}})), "zero version"},
+		{"delta with no probes", string(stateFrame(t, Msg{Type: MsgDelta, From: "d1", Deltas: []crp.NodeDelta{
+			{NodeMeta: crp.NodeMeta{Node: "n1", Origin: "d1", Version: 1}},
+		}})), "deltas[0] has no probes"},
+		{"probe with no replicas", string(stateFrame(t, Msg{Type: MsgDelta, From: "d1", Deltas: []crp.NodeDelta{
+			{NodeMeta: crp.NodeMeta{Node: "n1", Origin: "d1", Version: 1}, Probes: []crp.Probe{{At: time.Unix(1, 0)}}},
+		}})), "deltas[0].probes[0] has no replicas"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -216,7 +228,9 @@ func TestRestartedMemberRejoinsAsReplica(t *testing.T) {
 			}
 		}
 	}
-	tm.svcs[1].Forget("a0")
+	if err := tm.svcs[1].Observe("a0", time.Unix(9, 0), "r2"); err != nil { // an overwrite by a non-origin
+		t.Fatal(err)
+	}
 	tm.converge(t, 20)
 
 	svc := crp.NewServiceWithStore(shape, crp.WithWindow(10))
@@ -257,7 +271,9 @@ func TestRestartedMemberRejoinsAsReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tm.svcs[2].Forget("b1")
+	if err := tm.svcs[2].Observe("b1", tm.clock, "r3"); err != nil {
+		t.Fatal(err)
+	}
 	tm.converge(t, 50)
 }
 
@@ -266,7 +282,7 @@ func TestRestartedMemberRejoinsAsReplica(t *testing.T) {
 // table.
 func stateSeeds(t testing.TB) [][]byte {
 	raw := writeState(t, stateService(t, crp.StoreConfig{Shards: 1}))
-	return [][]byte{
+	seeds := [][]byte{
 		raw,
 		raw[:len(raw)/2],
 		append(append([]byte(nil), raw...), 0x80),
@@ -274,8 +290,13 @@ func stateSeeds(t testing.TB) [][]byte {
 		[]byte(`{"version":1,"nodes":[]}`),
 		binary.AppendUvarint(nil, MaxMsgSize+1),
 		stateFrame(t, Msg{Type: MsgPull, From: "d1", Nodes: []string{"n1"}}),
-		stateFrame(t, Msg{Type: MsgDelta, From: "d1", Deltas: []crp.NodeDelta{{NodeMeta: crp.NodeMeta{Node: "n1"}}}}),
+		stateFrame(t, Msg{Type: MsgDelta, From: "d1", Deltas: []crp.NodeDelta{{NodeMeta: crp.NodeMeta{Node: "n1"}, Probes: stateProbes}}}),
+		stateFrame(t, Msg{Type: MsgDelta, From: "d1", Deltas: []crp.NodeDelta{{NodeMeta: crp.NodeMeta{Node: "n1", Version: 1}}}}),
 	}
+	for _, c := range deletionFrames() {
+		seeds = append(seeds, asStateFrame(c.raw))
+	}
+	return seeds
 }
 
 // FuzzReadState fuzzes the state-file reader: never panic, and a file it

@@ -183,10 +183,19 @@ func checkDelta(i int, d *crp.NodeDelta) error {
 	if binwire.CheckID("", d.Origin, MaxIDBytes) != nil {
 		return binwire.CheckID(fmt.Sprintf("deltas[%d].origin", i), d.Origin, MaxIDBytes)
 	}
+	// A record always holds a probe with a replica (Observe ignores an empty
+	// replica list), so an empty window or probe can only install a ghost
+	// node that every all-nodes query would list.
+	if len(d.Probes) == 0 {
+		return fmt.Errorf("deltas[%d] has no probes", i)
+	}
 	if len(d.Probes) > MaxProbesPerDelta {
 		return fmt.Errorf("deltas[%d] has %d probes, limit %d", i, len(d.Probes), MaxProbesPerDelta)
 	}
 	for j := range d.Probes {
+		if len(d.Probes[j].Replicas) == 0 {
+			return fmt.Errorf("deltas[%d].probes[%d] has no replicas", i, j)
+		}
 		if len(d.Probes[j].Replicas) > MaxReplicasPerProbe {
 			return fmt.Errorf("deltas[%d].probes[%d] has %d replicas, limit %d",
 				i, j, len(d.Probes[j].Replicas), MaxReplicasPerProbe)
