@@ -44,5 +44,6 @@ race:
 
 # check is the pre-merge gate: formatting, static analysis, then the full
 # suite under the race detector (the crp package runs real goroutine fan-out
-# in its query and clustering paths).
+# in its query path only: candidate scoring; clustering runs on the caller's
+# goroutine).
 check: fmt vet race

@@ -1,10 +1,11 @@
 // Package repro's micro-benchmarks time the kernels under CRP's data paths
 // one at a time: cosine similarity (the public call and its Dot-and-Norms
 // core), tracker observe, SMF clustering, ranking, repeated Service.TopK, an
-// all-nodes Service.TopK over a fully dirty store, and
-// the simulator's CDN redirect, RTT model and Meridian query. They are a quick
-// local look at one kernel, not a gate. The paper's tables and figures come
-// from cmd/crpbench, and end-to-end timing from the benchmark directory.
+// all-nodes Service.TopK over a fully dirty store, Service.ClusterAll over
+// the same 50k-node store, and the simulator's CDN redirect, RTT model and
+// Meridian query. They are a quick local look at one kernel, not a gate.
+// The paper's tables and figures come from cmd/crpbench, and end-to-end
+// timing from the benchmark directory.
 package repro
 
 import (
@@ -244,6 +245,29 @@ func BenchmarkServiceTopKAllDirty(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkServiceClusterAll measures one Service.ClusterAll (t = 0.1, second
+// pass on, as crpd asks for it) over the 50k-node metro store. An untimed
+// first call compiles the snapshot, so the timed calls are the clustering
+// itself: flatten, sort, centers, step 2 over the centers' postings,
+// layout. This world clusters every node in step 2 at every threshold tried
+// (0.01, 0.1 and 0.5 each give 373 clusters and no singleton), so it times
+// step 2 only; thresholds and the second pass are covered by the crp
+// package's property tests against a dense reference SMF.
+func BenchmarkServiceClusterAll(b *testing.B) {
+	ms := newMetroStore(b)
+	cfg := crp.ClusterConfig{Threshold: crp.DefaultThreshold, SecondPass: true}
+	if _, err := ms.svc.ClusterAll(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ms.svc.ClusterAll(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package crp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 )
 
 // Node couples a node identity with its redirection ratio map, as input to
@@ -58,22 +59,14 @@ const DefaultThreshold = 0.1
 // Singleton clusters are included; Summarize and the paper's accounting
 // treat only clusters of size ≥ 2 as "clustered" nodes.
 //
-// Every ratio map is compiled to a sorted vector once up front, and the
-// center-assignment pass fans out across a bounded worker pool; the
-// clustering is deterministic regardless of parallelism.
+// Every ratio map is compiled to a sorted vector once, and a node is scored
+// only against the centers that share a replica with it: a center sharing
+// none has similarity exactly 0 and can never win. The clustering runs on
+// the calling goroutine.
 func ClusterSMF(nodes []Node, cfg ClusterConfig) ([]Cluster, error) {
-	return clusterSMF(nodes, cfg, nil)
-}
-
-// clusterSMF implements ClusterSMF with an injectable similarity function.
-// A nil sim uses the compiled-vector kernel; tests inject the map-based
-// CosineSimilarity path to assert both kernels cluster identically.
-func clusterSMF(nodes []Node, cfg ClusterConfig, sim func(a, b NodeID) float64) ([]Cluster, error) {
-	if cfg.Threshold < 0 || cfg.Threshold > 1 {
-		return nil, fmt.Errorf("crp: threshold %v outside [0,1]", cfg.Threshold)
-	}
 	seen := make(map[NodeID]bool, len(nodes))
-	for _, n := range nodes {
+	vecs := make([]nodeVec, len(nodes))
+	for i, n := range nodes {
 		if n.ID == "" {
 			return nil, errors.New("crp: node with empty ID")
 		}
@@ -81,232 +74,160 @@ func clusterSMF(nodes []Node, cfg ClusterConfig, sim func(a, b NodeID) float64) 
 			return nil, fmt.Errorf("crp: duplicate node ID %q", n.ID)
 		}
 		seen[n.ID] = true
+		vecs[i] = nodeVec{id: n.ID, vec: compileRatioMap(n.Map)}
 	}
-
-	// Work on a sorted copy for determinism.
-	sorted := make([]Node, len(nodes))
-	copy(sorted, nodes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-
-	d := clusterData{
-		ids:  make([]NodeID, len(sorted)),
-		domR: make([]ReplicaID, len(sorted)),
-		domF: make([]float64, len(sorted)),
-	}
-	for i, n := range sorted {
-		d.ids[i] = n.ID
-		d.domR[i], d.domF[i] = dominant(n.Map)
-	}
-
-	// simIdx scores sorted[i] against sorted[j] by index — the O(N·C)
-	// assignment loop must not pay two map lookups per pair. The compiled
-	// kernel backs it unless a map-based sim was injected.
-	if sim == nil {
-		// Compile every map once; all O(N·C) similarity work below runs on
-		// the allocation-free merge-join kernel.
-		vecs := make(map[NodeID]ratioVec, len(sorted))
-		compiled := make([]ratioVec, len(sorted))
-		parallelFor(len(sorted), func(i int) {
-			compiled[i] = compileRatioMap(sorted[i].Map)
-		})
-		for i, n := range sorted {
-			vecs[n.ID] = compiled[i]
-		}
-		d.sim = func(a, b NodeID) float64 { return vecs[a].cosine(vecs[b]) }
-		d.simIdx = func(i, j int) float64 { return compiled[i].cosine(compiled[j]) }
-	} else {
-		d.sim = sim
-		d.simIdx = func(i, j int) float64 { return sim(sorted[i].ID, sorted[j].ID) }
-	}
-	return clusterCore(d, cfg), nil
+	return clusterVecs(vecs, cfg, plainCosine)
 }
 
-// clusterVecsSim is the Service's SMF entry point: it clusters pre-compiled
-// candidate vectors (a flattened store snapshot) directly, skipping the
-// per-node ratio-map clones and recompilation the []Node path pays. The
-// caller guarantees unique, non-empty IDs — the store's invariant. The
-// input slice is reordered in place. sim is the vector-similarity kernel —
-// the seam a fusion-enabled Service routes its SMF queries through.
-func clusterVecsSim(vecs []nodeVec, cfg ClusterConfig, sim simFunc) ([]Cluster, error) {
-	if cfg.Threshold < 0 || cfg.Threshold > 1 {
-		return nil, fmt.Errorf("crp: threshold %v outside [0,1]", cfg.Threshold)
+// clusterVecs is the one SMF: ClusterSMF runs it on compiled maps with the
+// plain cosine, Service.ClusterAll on a flattened store snapshot with the
+// service's kernel. The caller guarantees unique, non-empty IDs; vecs is
+// reordered in place.
+//
+// Steps 2 and 3 score a node only against the centers that share a replica
+// with it, found through a posting index over the centers' vectors (the
+// store's CSR, see postings). Every kernel returns exactly 0 for two vectors
+// with no replica in common, and a 0 can neither win a node nor pass s > 0,
+// so the result is the dense O(N·C) SMF's exactly. A key collision only
+// adds a candidate, which the kernel then scores.
+func clusterVecs(vecs []nodeVec, cfg ClusterConfig, sim simFunc) ([]Cluster, error) {
+	if t := cfg.Threshold; !(t >= 0 && t <= 1) {
+		return nil, fmt.Errorf("crp: threshold %v outside [0,1]", t)
 	}
-	sort.Slice(vecs, func(i, j int) bool { return vecs[i].id < vecs[j].id })
-	d := clusterData{
-		ids:  make([]NodeID, len(vecs)),
-		domR: make([]ReplicaID, len(vecs)),
-		domF: make([]float64, len(vecs)),
-	}
-	byID := make(map[NodeID]ratioVec, len(vecs))
-	for i, nv := range vecs {
-		d.ids[i] = nv.id
-		d.domR[i], d.domF[i] = dominantVec(nv.vec)
-		byID[nv.id] = nv.vec
-	}
-	d.sim = func(a, b NodeID) float64 { return sim(byID[a], byID[b]) }
-	d.simIdx = func(i, j int) float64 { return sim(vecs[i].vec, vecs[j].vec) }
-	return clusterCore(d, cfg), nil
-}
+	slices.SortFunc(vecs, func(a, b nodeVec) int { return cmp.Compare(a.id, b.id) })
+	joins := func(s float64) bool { return s >= cfg.Threshold && s > 0 }
 
-// clusterData is the per-node input to clusterCore: IDs in ascending order,
-// each node's dominant replica and ratio, and the similarity kernels (by
-// sorted index for the O(N·C) assignment loop, by ID for the second pass).
-type clusterData struct {
-	ids    []NodeID
-	domR   []ReplicaID // "" when the node's map is empty
-	domF   []float64
-	simIdx func(i, j int) float64
-	sim    func(a, b NodeID) float64
-}
+	// owner[i] is the index of node i's cluster center, -1 while node i is
+	// unassigned. Indices are positions in vecs, so they order like IDs.
+	owner := make([]int, len(vecs))
 
-// clusterCore runs SMF steps 1–3 over prepared clusterData. Both the
-// map-based and compiled-vector front ends feed it, so the two paths cluster
-// identically by construction.
-func clusterCore(d clusterData, cfg ClusterConfig) []Cluster {
-	sorted := d.ids
-	sim, simIdx := d.sim, d.simIdx
-
-	// Step 1: strongest mapping per replica server → centers.
+	// Step 1: strongest mapping per replica server → centers. A tie keeps
+	// the node with the smaller ID.
 	type strongest struct {
-		node  NodeID
+		node  int
 		ratio float64
 	}
 	best := make(map[ReplicaID]strongest)
-	for i, id := range sorted {
-		r, f := d.domR[i], d.domF[i]
+	for i, nv := range vecs {
+		owner[i] = -1
+		r, f := dominantVec(nv.vec)
 		if r == "" {
 			continue // empty map: cannot be a center
 		}
 		if cur, ok := best[r]; !ok || f > cur.ratio {
-			best[r] = strongest{id, f}
+			best[r] = strongest{i, f}
 		}
 	}
-	isCenter := make(map[NodeID]bool, len(best))
 	for _, s := range best {
-		isCenter[s.node] = true
+		owner[s.node] = s.node
 	}
-
-	var centers []NodeID
-	var centerIdx []int // index into sorted, parallel to centers
-	for i, id := range sorted {
-		if isCenter[id] {
-			centers = append(centers, id)
-			centerIdx = append(centerIdx, i)
+	var centers []int
+	for i := range vecs {
+		if owner[i] == i {
+			centers = append(centers, i)
 		}
 	}
 
-	clusters := make(map[NodeID]*Cluster, len(centers))
-	for _, c := range centers {
-		clusters[c] = &Cluster{Center: c, Members: []NodeID{c}}
-	}
+	sc := postScratch.Get().(*postBuf)
+	defer postScratch.Put(sc)
+	var keys, idx []uint32
 
-	// Step 2: assign non-centers to the most similar center above t. Each
-	// node's best center is independent of the others, so the scan fans out
-	// across the worker pool into a pre-sized result slice; the serial
-	// stitch-up below preserves the sorted-order member append.
-	type assignment struct {
-		center NodeID
-		sim    float64
-	}
-	assigned := make([]assignment, len(sorted))
-	parallelFor(len(sorted), func(i int) {
-		if isCenter[sorted[i]] {
-			return
-		}
-		bestCenter, bestSim := NodeID(""), 0.0
-		for ci, c := range centers {
-			if s := simIdx(i, centerIdx[ci]); s > bestSim ||
-				(s == bestSim && s > 0 && (bestCenter == "" || c < bestCenter)) {
-				bestCenter, bestSim = c, s
-			}
-		}
-		assigned[i] = assignment{center: bestCenter, sim: bestSim}
-	})
-	var singletons []NodeID
-	for i, id := range sorted {
-		if isCenter[id] {
+	// Step 2: assign each non-center to the most similar center above t.
+	post := sc.build(pick(vecs, centers))
+	var singles []int
+	for i, nv := range vecs {
+		if owner[i] >= 0 {
 			continue
 		}
-		a := assigned[i]
-		if a.center != "" && a.sim >= cfg.Threshold && a.sim > 0 {
-			cl := clusters[a.center]
-			cl.Members = append(cl.Members, id)
+		keys = keysOf(keys, nv.vec)
+		idx = post.union(idx, keys)
+		bestC, bestSim := -1, 0.0
+		for _, ci := range idx {
+			c := centers[ci]
+			if s := sim(nv.vec, vecs[c].vec); s > bestSim || (s == bestSim && s > 0 && c < bestC) {
+				bestC, bestSim = c, s
+			}
+		}
+		if joins(bestSim) { // s > 0, so bestC is set
+			owner[i] = bestC
 		} else {
-			singletons = append(singletons, id)
+			singles = append(singles, i)
 		}
 	}
 
-	// Step 3: optional second pass over the singletons.
-	if cfg.SecondPass && len(singletons) > 1 {
+	// Step 3: optional second pass over the singletons. Each promoted center
+	// scores the remaining singletons that share a replica with it.
+	if cfg.SecondPass {
 		rng := rand.New(rand.NewPCG(uint64(cfg.Seed), 0x534d46))
-		remaining := append([]NodeID(nil), singletons...)
-		singletons = singletons[:0]
+		post = sc.build(pick(vecs, singles))
+		remaining := slices.Clone(singles)
 		for len(remaining) > 0 {
 			// Pick a random unclustered node as a new center.
-			i := rng.IntN(len(remaining))
-			center := remaining[i]
-			remaining = append(remaining[:i], remaining[i+1:]...)
-			cl := &Cluster{Center: center, Members: []NodeID{center}}
-			kept := remaining[:0]
-			for _, id := range remaining {
-				if s := sim(id, center); s >= cfg.Threshold && s > 0 {
-					cl.Members = append(cl.Members, id)
-				} else {
-					kept = append(kept, id)
+			k := rng.IntN(len(remaining))
+			c := remaining[k]
+			remaining = slices.Delete(remaining, k, k+1)
+			owner[c] = c
+			keys = keysOf(keys, vecs[c].vec)
+			idx = post.union(idx, keys)
+			joined := false
+			for _, j := range idx {
+				if i := singles[j]; owner[i] < 0 && joins(sim(vecs[i].vec, vecs[c].vec)) {
+					owner[i], joined = c, true
 				}
 			}
-			remaining = kept
-			clusters[center] = cl
-			centers = append(centers, center)
+			if joined {
+				remaining = slices.DeleteFunc(remaining, func(i int) bool { return owner[i] >= 0 })
+			}
 		}
-	} else {
-		for _, id := range singletons {
-			clusters[id] = &Cluster{Center: id, Members: []NodeID{id}}
-			centers = append(centers, id)
-		}
-		singletons = nil
-	}
-	for _, id := range singletons {
-		clusters[id] = &Cluster{Center: id, Members: []NodeID{id}}
-		centers = append(centers, id)
 	}
 
-	out := make([]Cluster, 0, len(clusters))
-	for _, c := range centers {
-		cl := clusters[c]
-		sort.Slice(cl.Members, func(i, j int) bool { return cl.Members[i] < cl.Members[j] })
-		out = append(out, *cl)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Members) != len(out[j].Members) {
-			return len(out[i].Members) > len(out[j].Members)
+	// Lay the clusters out over one members array. Every unassigned node is
+	// its own singleton, and a cluster's members arrive in ascending ID
+	// order because i ascends.
+	size := make([]int, len(vecs))
+	for i, o := range owner {
+		if o < 0 {
+			owner[i] = i
 		}
-		return out[i].Center < out[j].Center
+		size[owner[i]]++
+	}
+	members := make([]NodeID, len(vecs))
+	slot := make([]int, len(vecs)) // node i's center's index in out
+	var out []Cluster
+	at := 0
+	for i, nv := range vecs {
+		if owner[i] == i {
+			slot[i] = len(out)
+			out = append(out, Cluster{Center: nv.id, Members: members[at : at : at+size[i]]})
+			at += size[i]
+		}
+	}
+	for i, o := range owner {
+		cl := &out[slot[o]]
+		cl.Members = append(cl.Members, vecs[i].id)
+	}
+	slices.SortFunc(out, func(a, b Cluster) int {
+		if c := cmp.Compare(len(b.Members), len(a.Members)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Center, b.Center)
 	})
+	return out, nil
+}
+
+// pick copies vecs[at[0]], vecs[at[1]], … into a new slice, so a posting
+// index built over it lists position j for vecs[at[j]].
+func pick(vecs []nodeVec, at []int) []nodeVec {
+	out := make([]nodeVec, len(at))
+	for j, i := range at {
+		out[j] = vecs[i]
+	}
 	return out
 }
 
-// dominant returns the replica with the highest ratio in m and that ratio,
-// breaking ties toward the lexicographically smallest replica for
-// determinism. An empty map yields ("", 0).
-func dominant(m RatioMap) (ReplicaID, float64) {
-	var bestR ReplicaID
-	bestF := -1.0
-	for r, f := range m {
-		if f > bestF || (f == bestF && r < bestR) {
-			bestR, bestF = r, f
-		}
-	}
-	if bestF < 0 {
-		return "", 0
-	}
-	return bestR, bestF
-}
-
-// dominantVec is dominant over a compiled vector. The IDs are sorted
-// ascending, so keeping the first strict maximum reproduces dominant's
-// smallest-replica tie-break exactly; the values are the same floats the
-// source map holds, so the two paths agree bit for bit.
+// dominantVec returns the replica with the highest ratio in v and that
+// ratio, breaking ties toward the smallest replica ID: the IDs ascend, so
+// the first strict maximum wins. An empty vector yields ("", 0).
 func dominantVec(v ratioVec) (ReplicaID, float64) {
 	if len(v.ids) == 0 {
 		return "", 0

@@ -2,9 +2,12 @@ package crp
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // nodesFromRaw builds a node set from fuzz bytes: each row becomes one node
@@ -232,40 +235,173 @@ func TestCompiledRankMatchesMapRank(t *testing.T) {
 	}
 }
 
-// TestCompiledClusterMatchesMapCluster: ClusterSMF on the compiled kernel
-// must produce exactly the clustering the map-based similarity path
-// produces, across thresholds and with and without the second pass.
-func TestCompiledClusterMatchesMapCluster(t *testing.T) {
-	check := func(raw [][5]byte, tByte uint8, secondPass bool) bool {
-		nodes := nodesFromRaw(raw)
-		cfg := ClusterConfig{
-			Threshold:  float64(tByte) / 255,
-			SecondPass: secondPass,
-			Seed:       int64(tByte),
+// dominant returns the replica with the highest ratio in m and that ratio,
+// breaking ties toward the lexicographically smallest replica. An empty map
+// yields ("", 0). It is the reference SMF's step 1 over maps.
+func dominant(m RatioMap) (ReplicaID, float64) {
+	var bestR ReplicaID
+	bestF := -1.0
+	for r, f := range m {
+		if f > bestF || (f == bestF && r < bestR) {
+			bestR, bestF = r, f
 		}
-		got, errGot := ClusterSMF(nodes, cfg)
-		maps := make(map[NodeID]RatioMap, len(nodes))
-		for _, n := range nodes {
-			maps[n.ID] = n.Map
+	}
+	if bestF < 0 {
+		return "", 0
+	}
+	return bestR, bestF
+}
+
+// denseSMF is the reference SMF: the paper's three steps over ratio maps,
+// keyed by NodeID, scoring every non-center against every center — O(N·C) —
+// and every remaining singleton against every promoted center. It shares no
+// code with clusterVecs beyond the types, and none with the posting index.
+func denseSMF(nodes []Node, cfg ClusterConfig, sim func(a, b NodeID) float64) []Cluster {
+	sorted := slices.Clone(nodes)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+
+	// Step 1: strongest mapping per replica server → centers.
+	type strongest struct {
+		node  NodeID
+		ratio float64
+	}
+	best := make(map[ReplicaID]strongest)
+	for _, n := range sorted {
+		r, f := dominant(n.Map)
+		if r == "" {
+			continue
 		}
-		want, errWant := clusterSMF(nodes, cfg, func(a, b NodeID) float64 {
-			return mapCosine(maps[a], maps[b])
-		})
-		if (errGot == nil) != (errWant == nil) {
-			return false
+		if cur, ok := best[r]; !ok || f > cur.ratio {
+			best[r] = strongest{n.ID, f}
 		}
-		if errGot != nil {
-			return true
+	}
+	isCenter := make(map[NodeID]bool, len(best))
+	for _, s := range best {
+		isCenter[s.node] = true
+	}
+	var centers []NodeID
+	clusters := make(map[NodeID]*Cluster)
+	for _, n := range sorted {
+		if isCenter[n.ID] {
+			centers = append(centers, n.ID)
+			clusters[n.ID] = &Cluster{Center: n.ID, Members: []NodeID{n.ID}}
 		}
-		if len(got) != len(want) {
-			return false
+	}
+
+	// Step 2: every non-center against every center.
+	var singletons []NodeID
+	for _, n := range sorted {
+		if isCenter[n.ID] {
+			continue
 		}
-		for i := range got {
-			if got[i].Center != want[i].Center || len(got[i].Members) != len(want[i].Members) {
-				return false
+		bestCenter, bestSim := NodeID(""), 0.0
+		for _, c := range centers {
+			if s := sim(n.ID, c); s > bestSim ||
+				(s == bestSim && s > 0 && (bestCenter == "" || c < bestCenter)) {
+				bestCenter, bestSim = c, s
 			}
-			for j := range got[i].Members {
-				if got[i].Members[j] != want[i].Members[j] {
+		}
+		if bestCenter != "" && bestSim >= cfg.Threshold && bestSim > 0 {
+			clusters[bestCenter].Members = append(clusters[bestCenter].Members, n.ID)
+		} else {
+			singletons = append(singletons, n.ID)
+		}
+	}
+
+	// Step 3: promote singletons in random order; each takes every remaining
+	// singleton above t.
+	if cfg.SecondPass {
+		rng := rand.New(rand.NewPCG(uint64(cfg.Seed), 0x534d46))
+		remaining := singletons
+		singletons = nil
+		for len(remaining) > 0 {
+			i := rng.IntN(len(remaining))
+			center := remaining[i]
+			remaining = append(remaining[:i:i], remaining[i+1:]...)
+			cl := &Cluster{Center: center, Members: []NodeID{center}}
+			var kept []NodeID
+			for _, id := range remaining {
+				if s := sim(id, center); s >= cfg.Threshold && s > 0 {
+					cl.Members = append(cl.Members, id)
+				} else {
+					kept = append(kept, id)
+				}
+			}
+			remaining = kept
+			clusters[center] = cl
+		}
+	}
+	for _, id := range singletons {
+		clusters[id] = &Cluster{Center: id, Members: []NodeID{id}}
+	}
+
+	out := make([]Cluster, 0, len(clusters))
+	for _, cl := range clusters {
+		sort.Slice(cl.Members, func(i, j int) bool { return cl.Members[i] < cl.Members[j] })
+		out = append(out, *cl)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if len(out[i].Members) != len(out[j].Members) {
+			return len(out[i].Members) > len(out[j].Members)
+		}
+		return out[i].Center < out[j].Center
+	})
+	return out
+}
+
+// sameClusters reports whether two clusterings are the same list: the same
+// centers with the same members, in the same order.
+func sameClusters(a, b []Cluster) bool {
+	return slices.EqualFunc(a, b, func(x, y Cluster) bool {
+		return x.Center == y.Center && slices.Equal(x.Members, y.Members)
+	})
+}
+
+// coarse maps fuzz bytes onto 0–3, so nodesFromRaw draws many zero entries
+// and small equal weights: nodes with identical maps, and nodes equally
+// similar to two centers, which exercise the tie rules.
+func coarse(raw [][5]byte) [][5]byte {
+	out := make([][5]byte, len(raw))
+	for i, row := range raw {
+		for j, b := range row {
+			out[i][j] = b % 4
+		}
+	}
+	return out
+}
+
+// smfConfigs are the configurations a property run checks for one drawn
+// threshold byte: the drawn t in [0, 1] and both ends, with the drawn second
+// pass and seed.
+func smfConfigs(tByte uint8, secondPass bool, seed int64) []ClusterConfig {
+	var out []ClusterConfig
+	for _, t := range []float64{float64(tByte) / 255, 0, 1} {
+		out = append(out, ClusterConfig{Threshold: t, SecondPass: secondPass, Seed: seed})
+	}
+	return out
+}
+
+// TestCompiledClusterMatchesMapCluster: ClusterSMF, which scores each node
+// only against the centers sharing a replica with it, must produce exactly
+// the clustering of the dense reference SMF on the map-based cosine, across
+// thresholds from 0 to 1, with and without the second pass, under any seed.
+func TestCompiledClusterMatchesMapCluster(t *testing.T) {
+	check := func(raw [][5]byte, tByte uint8, secondPass bool, seed int64) bool {
+		for _, rows := range [][][5]byte{raw, coarse(raw)} {
+			nodes := nodesFromRaw(rows)
+			maps := make(map[NodeID]RatioMap, len(nodes))
+			for _, n := range nodes {
+				maps[n.ID] = n.Map
+			}
+			for _, cfg := range smfConfigs(tByte, secondPass, seed) {
+				got, err := ClusterSMF(nodes, cfg)
+				if err != nil {
+					t.Logf("cfg %+v: %v", cfg, err)
+					return false
+				}
+				want := denseSMF(nodes, cfg, func(a, b NodeID) float64 { return mapCosine(maps[a], maps[b]) })
+				if !sameClusters(got, want) {
+					t.Logf("cfg %+v:\n got %v\nwant %v", cfg, got, want)
 					return false
 				}
 			}
@@ -274,5 +410,89 @@ func TestCompiledClusterMatchesMapCluster(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// serviceFromRaw feeds a service the nodes of nodesFromRaw's rows as probes:
+// entry j of a row is 1 + b%3 probes of one replica, in namespace "a" for
+// an odd byte and "mute" for an even one. The window keeps every probe.
+func serviceFromRaw(t *testing.T, raw [][5]byte, fusion *FusionConfig) *Service {
+	t.Helper()
+	s := NewServiceWithStore(StoreConfig{Shards: 4}, WithWindow(0))
+	if fusion != nil {
+		if err := s.EnableFusion(*fusion); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := time.Unix(1000, 0)
+	for i, row := range raw {
+		for j, b := range row {
+			if b == 0 {
+				continue
+			}
+			ns := Namespace("mute")
+			if b%2 == 1 {
+				ns = "a"
+			}
+			r := Qualify(ns, ReplicaID(fmt.Sprintf("r%d", (int(b)+j)%7)))
+			for k := 0; k <= int(b)%3; k++ {
+				at = at.Add(time.Second)
+				if err := s.Observe(NodeID(fmt.Sprintf("n%03d", i)), at, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// TestClusterAllMatchesDenseSMF: Service.ClusterAll, on the store's
+// snapshot under the service's kernel, must cluster exactly like the dense
+// reference SMF scoring with the same service's Similarity — under the plain
+// cosine and under the fused kernel with one of the two namespaces weighted
+// 0, so that some candidates sharing a replica score exactly 0.
+func TestClusterAllMatchesDenseSMF(t *testing.T) {
+	kernels := map[string]*FusionConfig{
+		"plain": nil,
+		"fused": {Weights: map[Namespace]float64{"mute": 0}},
+	}
+	for name, fusion := range kernels {
+		t.Run(name, func(t *testing.T) {
+			check := func(raw [][5]byte, tByte uint8, secondPass bool, seed int64) bool {
+				for _, rows := range [][][5]byte{raw, coarse(raw)} {
+					s := serviceFromRaw(t, rows, fusion)
+					var nodes []Node
+					for _, id := range s.Nodes() {
+						m, err := s.RatioMap(id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						nodes = append(nodes, Node{ID: id, Map: m})
+					}
+					sim := func(a, b NodeID) float64 {
+						v, err := s.Similarity(a, b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return v
+					}
+					for _, cfg := range smfConfigs(tByte, secondPass, seed) {
+						got, err := s.ClusterAll(cfg)
+						if err != nil {
+							t.Logf("cfg %+v: %v", cfg, err)
+							return false
+						}
+						if want := denseSMF(nodes, cfg, sim); !sameClusters(got, want) {
+							t.Logf("cfg %+v:\n got %v\nwant %v", cfg, got, want)
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

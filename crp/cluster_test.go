@@ -2,6 +2,7 @@ package crp
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -192,6 +193,11 @@ func TestClusterSMFValidation(t *testing.T) {
 	if _, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: 1.5}); err == nil {
 		t.Error("threshold > 1 should fail")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: bad}); err == nil {
+			t.Errorf("threshold %v should fail", bad)
+		}
+	}
 	dup := []Node{{ID: "x", Map: RatioMap{"r": 1}}, {ID: "x", Map: RatioMap{"r": 1}}}
 	if _, err := ClusterSMF(dup, ClusterConfig{Threshold: 0.1}); err == nil {
 		t.Error("duplicate IDs should fail")
@@ -268,11 +274,11 @@ func TestClusterSMFScalesToManyNodes(t *testing.T) {
 }
 
 func TestDominant(t *testing.T) {
-	r, f := dominant(RatioMap{"b": 0.5, "a": 0.5, "c": 0.3})
+	r, f := dominantVec(compileRatioMap(RatioMap{"b": 0.5, "a": 0.5, "c": 0.3}))
 	if r != "a" || f != 0.5 {
-		t.Errorf("dominant = %v,%v; want a,0.5 (tie to smallest ID)", r, f)
+		t.Errorf("dominantVec = %v,%v; want a,0.5 (tie to smallest ID)", r, f)
 	}
-	if r, f := dominant(RatioMap{}); r != "" || f != 0 {
-		t.Errorf("dominant of empty = %v,%v", r, f)
+	if r, f := dominantVec(compileRatioMap(RatioMap{})); r != "" || f != 0 {
+		t.Errorf("dominantVec of empty = %v,%v", r, f)
 	}
 }

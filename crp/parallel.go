@@ -16,7 +16,9 @@ const parallelThreshold = 64
 // claimed from a shared atomic counter (individual claims would serialize on
 // the counter for cheap bodies like one cosine), so callers must not assume
 // any ordering; writing results into index i of a pre-sized slice keeps
-// output deterministic. Small n runs inline on the calling goroutine.
+// output deterministic. Small n runs inline on the calling goroutine. Its
+// one caller is scoreSnap: candidate scoring is the only work in the package
+// that fans out.
 func parallelFor(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {

@@ -7,8 +7,7 @@ import (
 
 // DistanceFunc returns the ground-truth network distance (the paper uses
 // measured RTT in milliseconds) between two nodes. It must be symmetric and
-// non-negative, and safe for concurrent calls: EvaluateClusters fans the
-// per-cluster statistics out across a worker pool.
+// non-negative. EvaluateClusters calls it from the caller's goroutine only.
 type DistanceFunc func(a, b NodeID) float64
 
 // ClusterStats captures the paper's cluster-quality metrics for one cluster
@@ -36,15 +35,10 @@ func EvaluateClusters(clusters []Cluster, dist DistanceFunc) ([]ClusterStats, er
 	if dist == nil {
 		return nil, errors.New("crp: nil DistanceFunc")
 	}
-	// Each cluster's statistics are independent (the O(members²) diameter
-	// scan dominates), so evaluate clusters in parallel into a pre-sized
-	// slice and collect the size ≥ 2 entries in order afterwards.
-	stats := make([]ClusterStats, len(clusters))
-	evaluated := make([]bool, len(clusters))
-	parallelFor(len(clusters), func(i int) {
-		c := clusters[i]
+	var out []ClusterStats
+	for i, c := range clusters {
 		if c.Size() < 2 {
-			return
+			continue
 		}
 		s := ClusterStats{Cluster: c}
 
@@ -79,14 +73,7 @@ func EvaluateClusters(clusters []Cluster, dist DistanceFunc) ([]ClusterStats, er
 		if nOther > 0 {
 			s.Inter /= float64(nOther)
 		}
-		stats[i] = s
-		evaluated[i] = true
-	})
-	var out []ClusterStats
-	for i := range stats {
-		if evaluated[i] {
-			out = append(out, stats[i])
-		}
+		out = append(out, s)
 	}
 	return out, nil
 }

@@ -99,7 +99,7 @@ func Dot(a, b RatioMap) float64 {
 //
 // This one-shot form keeps the Dot early-out: disjoint maps (the common
 // case when scoring across metros) cost a single sort and no norm work.
-// The fan-out paths — RankBySimilarity, ClusterSMF, the Service queries —
+// The many-pair paths — RankBySimilarity, ClusterSMF, the Service queries —
 // instead compile each map once to a sorted vector and run the allocation-
 // free merge-join kernel in ratiovec.go; both kernels accumulate in
 // ascending replica order and are bit-identical.

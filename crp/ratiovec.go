@@ -87,7 +87,8 @@ func (a ratioVec) cosine(b ratioVec) float64 {
 }
 
 // nodeVec couples a node identity with its compiled ratio vector, the
-// working representation of a candidate inside the query fan-out paths.
+// working representation of a candidate inside the query and clustering
+// paths.
 type nodeVec struct {
 	id  NodeID
 	vec ratioVec

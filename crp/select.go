@@ -26,8 +26,9 @@ type Scored struct {
 // report that they are unlikely to be near it. Callers that need to
 // distinguish "closest" from "unknown" should inspect Similarity.
 //
-// Each map is compiled to a sorted vector once, and large candidate sets are
-// scored across a bounded worker pool; the returned ranking is deterministic
+// Each map is compiled to a sorted vector once. Scoring is the package's one
+// goroutine fan-out: 64 or more candidates are scored across at most
+// GOMAXPROCS workers (scoreSnap), and the returned ranking is deterministic
 // regardless of parallelism.
 func RankBySimilarity(client RatioMap, candidates map[NodeID]RatioMap) []Scored {
 	cands := make([]nodeVec, 0, len(candidates))
@@ -156,26 +157,9 @@ func topAll(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc)
 		sc.union, sc.parts[0] = sc.union[:0], nil
 		unionScratch.Put(sc)
 	}()
-	sc.keys = sc.keys[:0]
-	for _, r := range client.ids {
-		sc.keys = append(sc.keys, replicaKey(r))
-	}
-	slices.Sort(sc.keys)
-	sc.keys = slices.Compact(sc.keys)
+	sc.keys = keysOf(sc.keys, client)
 	for p, part := range snap.parts {
-		post := snap.posts[p]
-		sc.idx = sc.idx[:0]
-		lists := 0
-		for _, key := range sc.keys {
-			if ids := post.nodes(key); len(ids) > 0 {
-				sc.idx = append(sc.idx, ids...)
-				lists++
-			}
-		}
-		if lists > 1 { // a node on two of the client's lists is scored once
-			slices.Sort(sc.idx)
-			sc.idx = slices.Compact(sc.idx)
-		}
+		sc.idx = snap.posts[p].union(sc.idx, sc.keys)
 		for _, i := range sc.idx {
 			sc.union = append(sc.union, part[i])
 		}

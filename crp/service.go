@@ -286,12 +286,13 @@ func (s *Service) rank(sim simFunc, client NodeID, candidates []NodeID, k int) (
 
 // ClusterAll clusters every known node with SMF at the given threshold
 // (§IV-B query 2: "given a set of nodes, map each node to a cluster"). It
-// runs directly on the stitched compiled snapshot — no per-node ratio-map
-// clones, no recompilation.
+// runs ClusterSMF's algorithm directly on the stitched compiled snapshot —
+// no per-node ratio-map clones, no recompilation — under the service's
+// similarity kernel.
 func (s *Service) ClusterAll(cfg ClusterConfig) ([]Cluster, error) {
 	defer timeCluster()()
 	svcMetrics.clusterQueries.Inc()
-	return clusterVecsSim(s.store.snapshot().flatten(), cfg, s.simFn())
+	return clusterVecs(s.store.snapshot().flatten(), cfg, s.simFn())
 }
 
 // SameCluster returns the other members of node's cluster under SMF at the
@@ -345,7 +346,7 @@ func (s *Service) DistinctClusters(n int, cfg ClusterConfig) ([]NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]NodeID, 0, n)
+	out := make([]NodeID, 0, min(n, len(clusters)))
 	for _, c := range clusters {
 		out = append(out, c.Center)
 		if len(out) == n {

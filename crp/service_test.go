@@ -3,6 +3,7 @@ package crp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -184,6 +185,27 @@ func TestServiceDistinctClusters(t *testing.T) {
 	}
 	if got, err := s.DistinctClusters(0, ClusterConfig{}); err != nil || got != nil {
 		t.Errorf("DistinctClusters(0) = %v, %v", got, err)
+	}
+	// The result is sized by the clusters found, not by the n asked for.
+	clusters, err := s.ClusterAll(ClusterConfig{Threshold: DefaultThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = s.DistinctClusters(1<<20, ClusterConfig{Threshold: DefaultThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(clusters) || cap(got) > len(clusters) {
+		t.Errorf("DistinctClusters(1<<20) len %d cap %d, want both at most %d", len(got), cap(got), len(clusters))
+	}
+	// A NaN or infinite threshold is refused, not read as "nothing joins".
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := s.DistinctClusters(3, ClusterConfig{Threshold: bad}); err == nil {
+			t.Errorf("DistinctClusters with threshold %v should fail", bad)
+		}
+		if _, err := s.SameCluster("west-0", ClusterConfig{Threshold: bad}); err == nil {
+			t.Errorf("SameCluster with threshold %v should fail", bad)
+		}
 	}
 }
 

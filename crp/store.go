@@ -529,6 +529,36 @@ func (p *postings) nodes(key uint32) []uint32 {
 	return p.idx[p.offs[i]:p.offs[i+1]]
 }
 
+// keysOf returns the distinct posting keys of v's replicas, ascending, in
+// buf's storage.
+func keysOf(buf []uint32, v ratioVec) []uint32 {
+	buf = buf[:0]
+	for _, r := range v.ids {
+		buf = append(buf, replicaKey(r))
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf)
+}
+
+// union returns the indices p lists under any of keys, ascending and each
+// once, in buf's storage: the candidates an all-nodes query or an SMF
+// assignment scores.
+func (p *postings) union(buf, keys []uint32) []uint32 {
+	buf = buf[:0]
+	lists := 0
+	for _, key := range keys {
+		if ids := p.nodes(key); len(ids) > 0 {
+			buf = append(buf, ids...)
+			lists++
+		}
+	}
+	if lists > 1 { // an index on two of the lists is returned once
+		slices.Sort(buf)
+		buf = slices.Compact(buf)
+	}
+	return buf
+}
+
 // postScratch recycles the buffers a postings build works in, so a rebuild
 // allocates only the postings it publishes. A build works on words: one
 // (key, index) posting packed into a uint64, key high, so ascending words

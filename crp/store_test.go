@@ -391,11 +391,13 @@ func TestOneScorerMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestClusterVecsMatchesClusterSMF pins that the Service's vec-native SMF
-// path clusters exactly like the public map-based ClusterSMF.
+// TestClusterVecsMatchesClusterSMF pins, on a fixed world of six replica
+// groups, that the Service's vector entry point and the public map-based
+// ClusterSMF cluster exactly like the dense reference SMF.
 func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 	nodes := make([]Node, 0, 60)
 	vecs := make([]nodeVec, 0, 60)
+	maps := make(map[NodeID]RatioMap, 60)
 	for i := 0; i < 60; i++ {
 		m := RatioMap{}
 		for r := 0; r < 3; r++ {
@@ -405,32 +407,26 @@ func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 		id := NodeID(fmt.Sprintf("n-%03d", i))
 		nodes = append(nodes, Node{ID: id, Map: m})
 		vecs = append(vecs, nodeVec{id: id, vec: compileRatioMap(m)})
+		maps[id] = m
 	}
 	for _, cfg := range []ClusterConfig{
 		{Threshold: DefaultThreshold},
 		{Threshold: 0.5, SecondPass: true, Seed: 7},
+		{Threshold: 0.99, SecondPass: true, Seed: 3},
 		{Threshold: 0},
+		{Threshold: 1, SecondPass: true},
 	} {
-		want, err := ClusterSMF(nodes, cfg)
+		want := denseSMF(nodes, cfg, func(a, b NodeID) float64 { return mapCosine(maps[a], maps[b]) })
+		viaMaps, err := ClusterSMF(nodes, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := clusterVecsSim(append([]nodeVec(nil), vecs...), cfg, plainCosine)
+		viaVecs, err := clusterVecs(slices.Clone(vecs), cfg, plainCosine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("cfg %+v: %d clusters vs %d", cfg, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Center != want[i].Center || len(got[i].Members) != len(want[i].Members) {
-				t.Fatalf("cfg %+v cluster %d: %+v vs %+v", cfg, i, got[i], want[i])
-			}
-			for j := range want[i].Members {
-				if got[i].Members[j] != want[i].Members[j] {
-					t.Fatalf("cfg %+v cluster %d member %d diverges", cfg, i, j)
-				}
-			}
+		if !sameClusters(viaMaps, want) || !sameClusters(viaVecs, want) {
+			t.Fatalf("cfg %+v:\nClusterSMF  %v\nclusterVecs %v\nreference   %v", cfg, viaMaps, viaVecs, want)
 		}
 	}
 }
