@@ -16,8 +16,8 @@
 //   - Tracker accumulates redirection observations with the probe-interval
 //     and window-size semantics studied in the paper's §VI (Figs. 8–9).
 //   - CosineSimilarity compares ratio maps (§III-B).
-//   - RankBySimilarity / TopK / SelectClosest implement closest-node
-//     selection (§IV-A).
+//   - RankBySimilarity / SelectClosest implement closest-node selection
+//     (§IV-A).
 //   - ClusterSMF implements the Strongest Mappings First clustering
 //     algorithm with its optional second pass (§V-B), and EvaluateClusters /
 //     Summarize compute the paper's cluster-quality metrics.

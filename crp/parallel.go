@@ -17,7 +17,7 @@ const parallelThreshold = 64
 // the counter for cheap bodies like one cosine), so callers must not assume
 // any ordering; writing results into index i of a pre-sized slice keeps
 // output deterministic. Small n runs inline on the calling goroutine. Its
-// one caller is scoreSnap: candidate scoring is the only work in the package
+// one caller is scoreVecs: candidate scoring is the only work in the package
 // that fans out.
 func parallelFor(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)

@@ -2,7 +2,6 @@ package crp
 
 import (
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -28,7 +27,7 @@ type Scored struct {
 //
 // Each map is compiled to a sorted vector once. Scoring is the package's one
 // goroutine fan-out: 64 or more candidates are scored across at most
-// GOMAXPROCS workers (scoreSnap), and the returned ranking is deterministic
+// GOMAXPROCS workers (scoreVecs), and the returned ranking is deterministic
 // regardless of parallelism.
 func RankBySimilarity(client RatioMap, candidates map[NodeID]RatioMap) []Scored {
 	cands := make([]nodeVec, 0, len(candidates))
@@ -36,7 +35,7 @@ func RankBySimilarity(client RatioMap, candidates map[NodeID]RatioMap) []Scored 
 		cands = append(cands, nodeVec{id: id, vec: compileRatioMap(m)})
 	}
 	out := make([]Scored, len(cands))
-	scoreSnap(out, compileRatioMap(client), snapOf(cands), plainCosine)
+	scoreVecs(out, compileRatioMap(client), cands, plainCosine)
 	slices.SortFunc(out, scoredCmp)
 	return out
 }
@@ -70,27 +69,14 @@ type simFunc = func(client, cand ratioVec) float64
 // plainCosine is ratioVec.cosine as a simFunc.
 var plainCosine simFunc = ratioVec.cosine
 
-// scoreSnap is the one place a candidate is scored: it writes the similarity
-// of client to every candidate of snap into scored (len snap.total), in
-// parallel for large sets. It reads the per-shard parts without flattening
-// them, so the "all known nodes" path adds no O(N) copy on top of the O(N)
-// scoring pass; an explicit candidate list arrives as a one-part snap
-// (snapOf). The reducers — a full sort in RankBySimilarity, the bounded heap
-// in topSnap — run on a total order, so part layout and parallelism never
-// show in a result.
-func scoreSnap(scored []Scored, client ratioVec, snap storeSnap, sim simFunc) {
-	// Flat index i maps to parts[p][i-starts[p]]; a binary search over at
-	// most a few hundred offsets is noise next to one cosine.
-	starts := make([]int, 0, len(snap.parts))
-	off := 0
-	for _, part := range snap.parts {
-		starts = append(starts, off)
-		off += len(part)
-	}
-	parallelFor(snap.total, func(i int) {
-		p := sort.SearchInts(starts, i+1) - 1
-		nv := snap.parts[p][i-starts[p]]
-		scored[i] = Scored{Node: nv.id, Similarity: sim(client, nv.vec)}
+// scoreVecs is the one place a candidate is scored: it writes the
+// similarity of client to cands[i] into scored[i] (len(cands) entries), in
+// parallel for large sets. The reducers — a full sort in RankBySimilarity,
+// the bounded heap in topSnap — run on a total order, so parallelism never
+// shows in a result.
+func scoreVecs(scored []Scored, client ratioVec, cands []nodeVec, sim simFunc) {
+	parallelFor(len(cands), func(i int) {
+		scored[i] = Scored{Node: cands[i].id, Similarity: sim(client, cands[i].vec)}
 	})
 }
 
@@ -111,32 +97,30 @@ func getScoredScratch(n int) *[]Scored {
 	return buf
 }
 
-// topSnap scores snap's candidates and selects the k best without sorting
-// the full set — O(n log k) selection instead of O(n log n), the difference
-// between a Top-5 query and a full ranking at service scale. The candidate
-// whose id equals exclude (the query client itself) is never returned.
-// Candidate IDs are unique across parts, so the result is ordered and
-// deterministic (same total order as RankBySimilarity).
-func topSnap(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc) []Scored {
-	if k <= 0 || snap.total == 0 {
+// topSnap scores cands and selects the k best without sorting the full set
+// — O(n log k) selection instead of O(n log n), the difference between a
+// Top-5 query and a full ranking at service scale. The candidate whose id
+// equals exclude (the query client itself) is never returned. Candidate IDs
+// are unique, so the result is ordered and deterministic (same total order
+// as RankBySimilarity).
+func topSnap(client ratioVec, cands []nodeVec, k int, exclude NodeID, sim simFunc) []Scored {
+	if k <= 0 || len(cands) == 0 {
 		return nil
 	}
-	buf := getScoredScratch(snap.total)
+	buf := getScoredScratch(len(cands))
 	defer scoredScratch.Put(buf)
-	scoreSnap(*buf, client, snap, sim)
+	scoreVecs(*buf, client, cands, sim)
 	return selectTop(*buf, k, exclude)
 }
 
 // unionScratch recycles topAll's per-query buffers: the client's replica
-// keys, one part's matched indices, the gathered union and the one-part
-// list that hands it to scoreSnap. The union is cleared before it goes back,
-// so a pooled buffer pins no vectors.
+// keys, one part's matched indices and the gathered union. The union is
+// cleared before it goes back, so a pooled buffer pins no vectors.
 var unionScratch = sync.Pool{New: func() any { return new(unionBuf) }}
 
 type unionBuf struct {
 	keys, idx []uint32
 	union     []nodeVec
-	parts     [1][]nodeVec
 }
 
 // topAll is topSnap over every node of a store snapshot, scoring only the
@@ -144,7 +128,7 @@ type unionBuf struct {
 // 0 for two vectors with no replica in common, so the others can only rank
 // as zero-similarity nodes, in NodeID order: the union's ranking is
 // completed with them by zeroFill, and the result equals topSnap's on the
-// same snap element by element. The union is gathered from each part's
+// flattened snap element by element. The union is gathered from each part's
 // postings; a key collision only adds nodes to it, and every union node is
 // scored with the real kernel.
 func topAll(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc) []Scored {
@@ -154,7 +138,7 @@ func topAll(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc)
 	sc := unionScratch.Get().(*unionBuf)
 	defer func() {
 		clear(sc.union)
-		sc.union, sc.parts[0] = sc.union[:0], nil
+		sc.union = sc.union[:0]
 		unionScratch.Put(sc)
 	}()
 	sc.keys = keysOf(sc.keys, client)
@@ -167,8 +151,7 @@ func topAll(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc)
 	svcMetrics.scanScored.Add(uint64(len(sc.union)))
 	buf := getScoredScratch(len(sc.union))
 	defer scoredScratch.Put(buf)
-	sc.parts[0] = sc.union
-	scoreSnap(*buf, client, storeSnap{parts: sc.parts[:], total: len(sc.union)}, sim)
+	scoreVecs(*buf, client, sc.union, sim)
 	return zeroFill(selectTop(*buf, k, exclude), snap, k, exclude)
 }
 
@@ -288,19 +271,6 @@ func selectTop(scored []Scored, k int, exclude NodeID) []Scored {
 	}
 	slices.SortFunc(heap, scoredCmp)
 	return heap
-}
-
-// TopK returns the k candidates most similar to the client (all of them if
-// k exceeds the candidate count; none if k <= 0).
-func TopK(client RatioMap, candidates map[NodeID]RatioMap, k int) []Scored {
-	if k <= 0 {
-		return nil
-	}
-	ranked := RankBySimilarity(client, candidates)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	return ranked[:k]
 }
 
 // SelectClosest returns the candidate with the highest cosine similarity to

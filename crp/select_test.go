@@ -45,22 +45,6 @@ func TestRankBySimilarityDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	client := RatioMap{"r1": 0.5, "r2": 0.5}
-	if got := TopK(client, candidateMaps(), 2); len(got) != 2 || got[0].Node != "near" {
-		t.Errorf("TopK(2) = %v", got)
-	}
-	if got := TopK(client, candidateMaps(), 100); len(got) != 4 {
-		t.Errorf("TopK(100) returned %d", len(got))
-	}
-	if got := TopK(client, candidateMaps(), 0); got != nil {
-		t.Errorf("TopK(0) = %v, want nil", got)
-	}
-	if got := TopK(client, candidateMaps(), -3); got != nil {
-		t.Errorf("TopK(-3) = %v, want nil", got)
-	}
-}
-
 func TestSelectClosest(t *testing.T) {
 	client := RatioMap{"r1": 0.5, "r2": 0.5}
 	best, ok := SelectClosest(client, candidateMaps())

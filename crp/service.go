@@ -266,7 +266,7 @@ func (s *Service) TopK(client NodeID, candidates []NodeID, k int) ([]Scored, err
 // variants: the k candidates most similar to client under sim. Nil
 // candidates are served from the store's stitched snapshot, scoring only the
 // nodes that share a replica with client (topAll); an explicit list is
-// resolved to a one-part snap of its own and scanned in full.
+// resolved to its vectors and scanned in full.
 func (s *Service) rank(sim simFunc, client NodeID, candidates []NodeID, k int) ([]Scored, error) {
 	defer timeQuery()()
 	svcMetrics.queries.Inc()
@@ -281,7 +281,7 @@ func (s *Service) rank(sim simFunc, client NodeID, candidates []NodeID, k int) (
 	if err != nil {
 		return nil, err
 	}
-	return topSnap(cv, snapOf(cands), k, client, sim), nil
+	return topSnap(cv, cands, k, client, sim), nil
 }
 
 // ClusterAll clusters every known node with SMF at the given threshold

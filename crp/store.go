@@ -176,17 +176,11 @@ type storeShard struct {
 // storeSnap is a stitched point-in-time view of the store's compiled
 // candidate vectors: one immutable sorted slice per shard. Query kernels
 // consume it part-wise; total is the candidate count across all parts.
-// posts[i] indexes parts[i]; a snap built by snapOf has none.
+// posts[i] indexes parts[i].
 type storeSnap struct {
 	parts [][]nodeVec
 	posts []*postings
 	total int
-}
-
-// snapOf wraps an explicit candidate list as a one-part snap, so the query
-// kernels take one input shape. It carries no postings.
-func snapOf(cands []nodeVec) storeSnap {
-	return storeSnap{parts: [][]nodeVec{cands}, total: len(cands)}
 }
 
 // flatten concatenates the parts into one slice, for consumers that need a

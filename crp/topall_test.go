@@ -75,7 +75,7 @@ func checkTopAll(t *testing.T, where string, client NodeID, cv ratioVec, snap st
 	for name, sim := range sims {
 		for _, k := range []int{1, 5, u, u + 3, snap.total + 1} {
 			got := topAll(cv, snap, k, client, sim)
-			want := topSnap(cv, snap, k, client, sim)
+			want := topSnap(cv, snap.flatten(), k, client, sim)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: client %s, kernel %s, k=%d (union %d, N %d):\nindexed   %v\nfull scan %v",
 					where, client, name, k, u, snap.total, got, want)
@@ -202,7 +202,7 @@ func testTopAllSeed(t *testing.T, shards int, seed int64) {
 		// The Service's own entry agrees with the full scan too.
 		if got, err := svc.TopK(clients[2], nil, 5); err == nil {
 			cv, _, _ := svc.resolve(clients[2])
-			if want := topSnap(cv, snap, 5, clients[2], svc.simFn()); !slices.Equal(got, want) {
+			if want := topSnap(cv, snap.flatten(), 5, clients[2], svc.simFn()); !slices.Equal(got, want) {
 				t.Fatalf("%s: TopK(%s) = %v, full scan %v", where, clients[2], got, want)
 			}
 		}
@@ -261,18 +261,20 @@ func TestTopAllKeyCollision(t *testing.T) {
 	}
 }
 
-// topAllAllocBudget is what the same query allocated when it scanned every
-// node: the reply, the scoring fan-out's closure and its part offsets.
-const topAllAllocBudget = 3
+// Allocation budgets of the two Top-K paths on a clean store. The all-nodes
+// query allocates its reply and the scoring fan-out's closure; the union,
+// scores and key buffers are pooled. An explicit list adds what resolving
+// it costs: the candidate vectors and the duplicate filter's map.
+// testing.AllocsPerRun runs at GOMAXPROCS 1, so these count the inline
+// scoring path; the closure escapes to the workers either way.
+const (
+	topAllAllocBudget  = 2
+	topListAllocBudget = 6
+)
 
-// TestTopAllAllocsSteadyState pins the query's allocation count on a clean
-// store: the stitched snapshot is cached, the union, scores and key
-// buffers are pooled, and what is left is the reply and the scoring
-// fan-out's bookkeeping.
-func TestTopAllAllocsSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
+// allocBudgetService is the 2,000-node, 40-metro store both budgets query.
+func allocBudgetService(t *testing.T) *Service {
+	t.Helper()
 	svc := NewService(WithWindow(10))
 	at := time.Unix(1_000, 0)
 	for n := 0; n < 2_000; n++ {
@@ -284,15 +286,49 @@ func TestTopAllAllocsSteadyState(t *testing.T) {
 			}
 		}
 	}
-	if _, err := svc.TopK("m07-n351", nil, 5); err != nil {
+	return svc
+}
+
+// checkAllocBudget runs query once to warm the snapshot and pools, then
+// fails when its steady-state allocation count exceeds budget.
+func checkAllocBudget(t *testing.T, what string, budget int, query func() error) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	if err := query(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := svc.TopK("m07-n351", nil, 5); err != nil {
+		if err := query(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > topAllAllocBudget {
-		t.Fatalf("all-nodes TopK allocates %.1f per query, budget %d", allocs, topAllAllocBudget)
+	if allocs > float64(budget) {
+		t.Fatalf("%s allocates %.1f per query, budget %d", what, allocs, budget)
 	}
+}
+
+// TestTopAllAllocsSteadyState pins the all-nodes query's allocation count.
+func TestTopAllAllocsSteadyState(t *testing.T) {
+	svc := allocBudgetService(t)
+	checkAllocBudget(t, "all-nodes TopK", topAllAllocBudget, func() error {
+		_, err := svc.TopK("m07-n351", nil, 5)
+		return err
+	})
+}
+
+// TestTopListAllocsSteadyState pins the explicit-candidate query's
+// allocation count, over the paper's aggregate-query size of 240
+// candidates.
+func TestTopListAllocsSteadyState(t *testing.T) {
+	svc := allocBudgetService(t)
+	cands := make([]NodeID, 240)
+	for i := range cands {
+		cands[i] = NodeID(fmt.Sprintf("m%02d-n%03d", i*8/50, i*8))
+	}
+	checkAllocBudget(t, "240-candidate TopK", topListAllocBudget, func() error {
+		_, err := svc.TopK("m07-n351", cands, 5)
+		return err
+	})
 }

@@ -483,12 +483,18 @@ func (c *testClient) roundTrip(t *testing.T, req string) Response {
 	if _, err := c.conn.Write([]byte(req)); err != nil {
 		t.Fatal(err)
 	}
+	return c.read(t)
+}
+
+// read waits up to 5 s for the next reply on c's connection.
+func (c *testClient) read(t *testing.T) Response {
+	t.Helper()
 	if err := c.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	n, err := c.conn.Read(c.buf)
 	if err != nil {
-		t.Fatalf("read reply to %s: %v", req, err)
+		t.Fatalf("read reply: %v", err)
 	}
 	var resp Response
 	if err := json.Unmarshal(c.buf[:n], &resp); err != nil {

@@ -141,22 +141,38 @@ func TestConcurrentMixedOpsStress(t *testing.T) {
 	}
 }
 
+// holdFirst returns a Hook that parks the first handler of op, signalling
+// started when it parks, and the function that releases it (idempotent, so
+// a test can also defer it to let Close drain after a failure). Later
+// handlers pass through.
+func holdFirst(op string, started chan<- struct{}) (hook func(string), release func()) {
+	var calls atomic.Int32
+	var once sync.Once
+	held := make(chan struct{})
+	hook = func(name string) {
+		if name == op && calls.Add(1) == 1 {
+			started <- struct{}{}
+			<-held
+		}
+	}
+	return hook, func() { once.Do(func() { close(held) }) }
+}
+
+func waitStarted(t *testing.T, started <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never started")
+	}
+}
+
 // TestCloseDrainsInFlight holds a clustering handler in flight and checks
 // that Close blocks until it finishes, then returns.
 func TestCloseDrainsInFlight(t *testing.T) {
-	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	cfg := Config{
-		Registry:     obs.NewRegistry(),
-		HeavyWorkers: 1,
-		Hook: func(op string) {
-			if op == "distinct_clusters" {
-				started <- struct{}{}
-				<-block
-			}
-		},
-	}
-	d, pc := startDaemon(t, cfg, crp.WithWindow(10))
+	hook, release := holdFirst("distinct_clusters", started)
+	d, pc := startDaemon(t, Config{HeavyWorkers: 1, Hook: hook}, crp.WithWindow(10))
 	seedWire(t, d, 3, 3)
 
 	conn, err := net.Dial("udp", pc.LocalAddr().String())
@@ -167,11 +183,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	if _, err := conn.Write([]byte(`{"op":"distinct_clusters","n":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("handler never started")
-	}
+	waitStarted(t, started)
 
 	closed := make(chan error, 1)
 	go func() { closed <- d.Close() }()
@@ -182,7 +194,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 		// Close is (correctly) waiting on the drain.
 	}
 
-	close(block)
+	release()
 	select {
 	case err := <-closed:
 		if err != nil {
@@ -190,6 +202,99 @@ func TestCloseDrainsInFlight(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return after the handler finished")
+	}
+}
+
+// TestServerBusyRejectsWhenQueueFull pins the intake's back-pressure: with
+// the one cheap worker held and its one queue slot taken, the next request
+// gets a structured "server busy" reply at once and is counted as rejected,
+// and every request still gets exactly one reply.
+func TestServerBusyRejectsWhenQueueFull(t *testing.T) {
+	reg := obs.NewRegistry()
+	started := make(chan struct{}, 1)
+	hook, release := holdFirst("similarity", started)
+	d, pc := startDaemon(t, Config{
+		Registry:     reg,
+		CheapWorkers: 1,
+		QueueDepth:   1,
+		Hook:         hook,
+	}, crp.WithWindow(10))
+	defer d.Close()
+	defer release()
+	seedWire(t, d, 1, 2)
+
+	c := dialDaemon(t, pc)
+	defer c.close()
+	const req = `{"op":"similarity","a":"m0-n0","b":"m0-n1"}`
+	if _, err := c.conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	waitStarted(t, started)
+	if _, err := c.conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	if resp := c.roundTrip(t, req); resp.OK || resp.Error != "server busy: similarity queue full" {
+		t.Fatalf("third request = %+v, want server busy: similarity queue full", resp)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if resp := c.read(t); !resp.OK {
+			t.Fatalf("held or queued request = %+v, want OK", resp)
+		}
+	}
+	if got := reg.Counter("crpd.rejected").Value(); got != 1 {
+		t.Errorf("crpd.rejected = %d, want 1", got)
+	}
+	if got := reg.Counter("crpd.errors.similarity").Value(); got != 1 {
+		t.Errorf("crpd.errors.similarity = %d, want 1", got)
+	}
+}
+
+// TestClusteringBacklogLeavesCheapPoolServing pins why clustering has a pool
+// of its own: with one heavy worker held by a clustering request and a
+// second one queued behind it, a similarity query still answers, and both
+// clustering requests answer once the first is released.
+func TestClusteringBacklogLeavesCheapPoolServing(t *testing.T) {
+	started := make(chan struct{}, 1)
+	hook, release := holdFirst("distinct_clusters", started)
+	d, pc := startDaemon(t, Config{
+		CheapWorkers: 1,
+		HeavyWorkers: 1,
+		Hook:         hook,
+	}, crp.WithWindow(10))
+	defer d.Close()
+	defer release()
+	seedWire(t, d, 3, 3)
+
+	heavy := dialDaemon(t, pc)
+	defer heavy.close()
+	const cluster = `{"op":"distinct_clusters","n":2}`
+	if _, err := heavy.conn.Write([]byte(cluster)); err != nil {
+		t.Fatal(err)
+	}
+	waitStarted(t, started)
+	if _, err := heavy.conn.Write([]byte(cluster)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(d.heavyQ) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second clustering request never queued")
+		}
+	}
+
+	cheap := dialDaemon(t, pc)
+	defer cheap.close()
+	if resp := cheap.roundTrip(t, `{"op":"similarity","a":"m0-n0","b":"m0-n1"}`); !resp.OK {
+		t.Fatalf("similarity behind a clustering backlog = %+v, want OK", resp)
+	}
+	if len(d.heavyQ) != 1 {
+		t.Fatal("the queued clustering request ran before the first was released")
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if resp := heavy.read(t); !resp.OK {
+			t.Fatalf("clustering request %d = %+v, want OK", i, resp)
+		}
 	}
 }
 
