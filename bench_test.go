@@ -1,9 +1,8 @@
 // Package repro's micro-benchmarks time the kernels under CRP's data paths
 // one at a time: cosine similarity (the public call and its Dot-and-Norms
-// core), tracker observe, SMF clustering, ranking, repeated Service.TopK, an
-// all-nodes Service.TopK over a fully dirty store, Service.ClusterAll over
-// the same 50k-node store, and the simulator's CDN redirect, RTT model and
-// Meridian query. They are a quick local look at one kernel, not a gate.
+// core), tracker observe, repeated Service.TopK, an all-nodes Service.TopK
+// over a fully dirty store, Service.ClusterAll (SMF) over the same 50k-node
+// store, and the simulator's CDN redirect, RTT model and Meridian query. They are a quick local look at one kernel, not a gate.
 // The paper's tables and figures come from cmd/crpbench, and end-to-end
 // timing from the benchmark directory.
 package repro
@@ -70,31 +69,17 @@ func BenchmarkTrackerObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkClusterSMF(b *testing.B) {
-	var nodes []crp.Node
-	for i := 0; i < 177; i++ {
-		group := i % 36
-		nodes = append(nodes, crp.Node{
-			ID: crp.NodeID(string(rune('A'+group)) + string(rune('a'+i/36))),
-			Map: crp.RatioMap{
-				crp.ReplicaID("g" + string(rune('A'+group)) + "1"): 0.7,
-				crp.ReplicaID("g" + string(rune('A'+group)) + "2"): 0.3,
-			},
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := crp.ClusterSMF(nodes, crp.ClusterConfig{Threshold: 0.1}); err != nil {
-			b.Fatal(err)
-		}
-	}
+// synthNode is one node of a synthetic CRP population and its ratio map.
+type synthNode struct {
+	id crp.NodeID
+	m  crp.RatioMap
 }
 
 // synthNodes builds n nodes whose ratio maps mimic a CRP population:
 // groups of nodes share a metro's replica servers with node-specific biases,
-// so similarity structure (and the SMF center selection) is realistic.
-func synthNodes(n, groups, replicasPerGroup int) []crp.Node {
-	nodes := make([]crp.Node, 0, n)
+// so similarity structure is realistic.
+func synthNodes(n, groups, replicasPerGroup int) []synthNode {
+	nodes := make([]synthNode, 0, n)
 	for i := 0; i < n; i++ {
 		g := i % groups
 		m := crp.RatioMap{}
@@ -106,10 +91,7 @@ func synthNodes(n, groups, replicasPerGroup int) []crp.Node {
 		if i%7 == 0 {
 			m[crp.ReplicaID(fmt.Sprintf("g%03d-r0", (g+1)%groups))] = 0.5
 		}
-		nodes = append(nodes, crp.Node{
-			ID:  crp.NodeID(fmt.Sprintf("n%04d", i)),
-			Map: normalize(m),
-		})
+		nodes = append(nodes, synthNode{id: crp.NodeID(fmt.Sprintf("n%04d", i)), m: normalize(m)})
 	}
 	return nodes
 }
@@ -123,35 +105,6 @@ func normalize(m crp.RatioMap) crp.RatioMap {
 	return m
 }
 
-// BenchmarkClusterSMF1k measures SMF clustering at the paper's full scale
-// (1,000 nodes) — the O(N·C) center-assignment hot path.
-func BenchmarkClusterSMF1k(b *testing.B) {
-	nodes := synthNodes(1000, 40, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := crp.ClusterSMF(nodes, crp.ClusterConfig{Threshold: 0.1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRankBySimilarity1k measures ranking one client against 1,000
-// candidate maps — the closest-node query fan-out.
-func BenchmarkRankBySimilarity1k(b *testing.B) {
-	nodes := synthNodes(1000, 40, 4)
-	cands := make(map[crp.NodeID]crp.RatioMap, len(nodes))
-	for _, n := range nodes {
-		cands[n.ID] = n.Map
-	}
-	client := nodes[0].Map
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = crp.RankBySimilarity(client, cands)
-	}
-}
-
 // BenchmarkServiceTopKRepeated measures repeated Service.TopK queries with
 // no interleaved observations — the steady-state query load of a deployed
 // positioning service, where ratio maps are unchanged between probes.
@@ -160,13 +113,13 @@ func BenchmarkServiceTopKRepeated(b *testing.B) {
 	at := time.Now()
 	nodes := synthNodes(1000, 40, 4)
 	for _, n := range nodes {
-		for _, r := range n.Map.Replicas() {
-			if err := s.Observe(n.ID, at, r); err != nil {
+		for _, r := range n.m.Replicas() {
+			if err := s.Observe(n.id, at, r); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	client := nodes[0].ID
+	client := nodes[0].id
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

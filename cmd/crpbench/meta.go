@@ -7,8 +7,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
+	"repro/internal/crpdaemon"
 	"repro/internal/obs"
 )
 
@@ -72,8 +72,8 @@ func writeReport(out string, report any) error {
 }
 
 // renderObsSnapshot formats the non-zero instruments of a snapshot for the
-// terminal: counters and gauges verbatim, histograms reduced to count, mean
-// and tail quantiles.
+// terminal: counters and gauges verbatim, histograms by count only — their
+// wall-clock means and quantiles would differ from run to run.
 func renderObsSnapshot(label string, snap obs.Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "obs snapshot [%s]\n", label)
@@ -105,20 +105,18 @@ func renderObsSnapshot(label string, snap obs.Snapshot) string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		h := snap.Histograms[n]
-		fmt.Fprintf(&b, "  %-36s count=%d mean=%s p50=%s p99=%s\n", n, h.Count,
-			fmtSeconds(h.Mean()), fmtSeconds(h.Quantile(0.50)), fmtSeconds(h.Quantile(0.99)))
+		fmt.Fprintf(&b, "  %-36s count=%d\n", n, snap.Histograms[n].Count)
 	}
 	return b.String()
 }
 
-func fmtSeconds(s float64) string {
-	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
-}
-
-// dumpObs prints the process-wide registry after an experiment, so every
-// crpbench run leaves a metrics trail alongside its tables.
+// dumpObs prints the process-wide registry after an experiment, its gauge
+// families summarized as crpd's stats op exports them, so every crpbench run
+// leaves a metrics trail alongside its tables that is as deterministic as
+// the tables.
 func dumpObs(label string) {
-	fmt.Print(renderObsSnapshot(label, obs.Default().Snapshot()))
+	snap := obs.Default().Snapshot()
+	crpdaemon.SummarizeFamilies(&snap)
+	fmt.Print(renderObsSnapshot(label, snap))
 	fmt.Println()
 }

@@ -2,18 +2,10 @@ package crp
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
 )
-
-// Node couples a node identity with its redirection ratio map, as input to
-// clustering.
-type Node struct {
-	ID  NodeID
-	Map RatioMap
-}
 
 // Cluster is a group of nodes believed to be mutually nearby. Members
 // includes the center.
@@ -25,7 +17,7 @@ type Cluster struct {
 // Size returns the number of members (including the center).
 func (c Cluster) Size() int { return len(c.Members) }
 
-// ClusterConfig parameterizes ClusterSMF.
+// ClusterConfig parameterizes SMF clustering (Service.ClusterAll).
 type ClusterConfig struct {
 	// Threshold is the minimum cosine similarity t for a node to join a
 	// cluster. The paper studies t ∈ {0.01, 0.1, 0.5} and settles on 0.1.
@@ -40,8 +32,8 @@ type ClusterConfig struct {
 // DefaultThreshold is the similarity threshold the paper selects (t = 0.1).
 const DefaultThreshold = 0.1
 
-// ClusterSMF clusters nodes with the paper's Strongest Mappings First
-// algorithm (§V-B):
+// clusterVecs is the one SMF, the paper's Strongest Mappings First
+// algorithm (§V-B), behind Service.ClusterAll:
 //
 //  1. Cluster centers are the nodes with the strongest mappings to replica
 //     servers: for every replica server, among the nodes whose dominant
@@ -49,40 +41,17 @@ const DefaultThreshold = 0.1
 //     becomes a center. Centers therefore emerge from the data and no
 //     target cluster count is needed — the reason the paper rejects k-means.
 //  2. Every remaining node is assigned to the center with the largest
-//     cosine similarity if that similarity is at least Threshold; otherwise
-//     it forms its own singleton cluster.
+//     similarity if that similarity is at least Threshold; otherwise it
+//     forms its own singleton cluster.
 //  3. Optionally (SecondPass), unclustered nodes are promoted to centers in
 //     random order and remaining singletons with similarity ≥ Threshold
 //     join them.
 //
 // The returned clusters are sorted by decreasing size, then center ID.
 // Singleton clusters are included; Summarize and the paper's accounting
-// treat only clusters of size ≥ 2 as "clustered" nodes.
-//
-// Every ratio map is compiled to a sorted vector once, and a node is scored
-// only against the centers that share a replica with it: a center sharing
-// none has similarity exactly 0 and can never win. The clustering runs on
-// the calling goroutine.
-func ClusterSMF(nodes []Node, cfg ClusterConfig) ([]Cluster, error) {
-	seen := make(map[NodeID]bool, len(nodes))
-	vecs := make([]nodeVec, len(nodes))
-	for i, n := range nodes {
-		if n.ID == "" {
-			return nil, errors.New("crp: node with empty ID")
-		}
-		if seen[n.ID] {
-			return nil, fmt.Errorf("crp: duplicate node ID %q", n.ID)
-		}
-		seen[n.ID] = true
-		vecs[i] = nodeVec{id: n.ID, vec: compileRatioMap(n.Map)}
-	}
-	return clusterVecs(vecs, cfg, plainCosine)
-}
-
-// clusterVecs is the one SMF: ClusterSMF runs it on compiled maps with the
-// plain cosine, Service.ClusterAll on a flattened store snapshot with the
-// service's kernel. The caller guarantees unique, non-empty IDs; vecs is
-// reordered in place.
+// treat only clusters of size ≥ 2 as "clustered" nodes. The caller
+// guarantees unique, non-empty IDs; vecs is reordered in place, and the
+// clustering runs on the calling goroutine.
 //
 // Steps 2 and 3 score a node only against the centers that share a replica
 // with it, found through a posting index over the centers' vectors (the

@@ -34,7 +34,7 @@ func nodesFromRaw(raw [][5]byte) []Node {
 func TestClusterSMFIsPartition(t *testing.T) {
 	check := func(raw [][5]byte, tByte uint8, secondPass bool) bool {
 		nodes := nodesFromRaw(raw)
-		clusters, err := ClusterSMF(nodes, ClusterConfig{
+		clusters, err := clusterSMF(nodes, ClusterConfig{
 			Threshold:  float64(tByte) / 255,
 			SecondPass: secondPass,
 			Seed:       int64(tByte),
@@ -80,7 +80,7 @@ func TestClusterSMFMembersMeetThreshold(t *testing.T) {
 	check := func(raw [][5]byte, tByte uint8) bool {
 		nodes := nodesFromRaw(raw)
 		threshold := float64(tByte)/255*0.9 + 0.05
-		clusters, err := ClusterSMF(nodes, ClusterConfig{Threshold: threshold})
+		clusters, err := clusterSMF(nodes, ClusterConfig{Threshold: threshold})
 		if err != nil {
 			return false
 		}
@@ -189,8 +189,8 @@ func TestCompiledKernelMatchesMapCosine(t *testing.T) {
 	}
 }
 
-// TestCompiledRankMatchesMapRank: RankBySimilarity through the compiled
-// parallel kernel must return the exact Scored slice (order and float bits)
+// TestCompiledRankMatchesMapRank: rankBySimilarity (topSnap) through the
+// compiled parallel kernel must return the exact Scored slice (order and float bits)
 // the serial map-based path produces.
 func TestCompiledRankMatchesMapRank(t *testing.T) {
 	check := func(raw [][5]byte, clientRaw [5]byte) bool {
@@ -207,7 +207,7 @@ func TestCompiledRankMatchesMapRank(t *testing.T) {
 		}
 		client = normalize(client)
 
-		got := RankBySimilarity(client, candidates)
+		got := rankBySimilarity(client, candidates)
 
 		// Serial map-based reference ranking.
 		want := make([]Scored, 0, len(candidates))
@@ -381,7 +381,7 @@ func smfConfigs(tByte uint8, secondPass bool, seed int64) []ClusterConfig {
 	return out
 }
 
-// TestCompiledClusterMatchesMapCluster: ClusterSMF, which scores each node
+// TestCompiledClusterMatchesMapCluster: clusterSMF, which scores each node
 // only against the centers sharing a replica with it, must produce exactly
 // the clustering of the dense reference SMF on the map-based cosine, across
 // thresholds from 0 to 1, with and without the second pass, under any seed.
@@ -394,7 +394,7 @@ func TestCompiledClusterMatchesMapCluster(t *testing.T) {
 				maps[n.ID] = n.Map
 			}
 			for _, cfg := range smfConfigs(tByte, secondPass, seed) {
-				got, err := ClusterSMF(nodes, cfg)
+				got, err := clusterSMF(nodes, cfg)
 				if err != nil {
 					t.Logf("cfg %+v: %v", cfg, err)
 					return false

@@ -7,6 +7,23 @@ import (
 	"testing"
 )
 
+// Node couples a node identity with its redirection ratio map: the
+// map-keyed input of the tests' SMF runs.
+type Node struct {
+	ID  NodeID
+	Map RatioMap
+}
+
+// clusterSMF compiles each node's map and runs the one SMF, clusterVecs,
+// under the plain cosine: Service.ClusterAll's algorithm on hand-built maps.
+func clusterSMF(nodes []Node, cfg ClusterConfig) ([]Cluster, error) {
+	vecs := make([]nodeVec, len(nodes))
+	for i, n := range nodes {
+		vecs[i] = nodeVec{id: n.ID, vec: compileRatioMap(n.Map)}
+	}
+	return clusterVecs(vecs, cfg, plainCosine)
+}
+
 // threeMetros builds nodes in three synthetic "metros", each dominated by
 // its own replica servers, plus one node with no overlap at all.
 func threeMetros() []Node {
@@ -40,7 +57,7 @@ func clusterOf(t *testing.T, clusters []Cluster, id NodeID) Cluster {
 }
 
 func TestClusterSMFGroupsMetros(t *testing.T) {
-	clusters, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: DefaultThreshold})
+	clusters, err := clusterSMF(threeMetros(), ClusterConfig{Threshold: DefaultThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +101,7 @@ func TestClusterSMFGroupsMetros(t *testing.T) {
 }
 
 func TestClusterSMFCentersHaveStrongestMappings(t *testing.T) {
-	clusters, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: DefaultThreshold})
+	clusters, err := clusterSMF(threeMetros(), ClusterConfig{Threshold: DefaultThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +119,7 @@ func TestClusterSMFThresholdMonotonicity(t *testing.T) {
 	nodes := threeMetros()
 	var fracs []float64
 	for _, threshold := range []float64{0.01, 0.1, 0.9999} {
-		clusters, err := ClusterSMF(nodes, ClusterConfig{Threshold: threshold})
+		clusters, err := clusterSMF(nodes, ClusterConfig{Threshold: threshold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +148,11 @@ func TestClusterSMFSecondPassGroupsLeftovers(t *testing.T) {
 		Node{ID: "anchor-q", Map: RatioMap{"rQ": 1.0}},
 	)
 
-	single, err := ClusterSMF(nodes, ClusterConfig{Threshold: 0.95})
+	single, err := clusterSMF(nodes, ClusterConfig{Threshold: 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := ClusterSMF(nodes, ClusterConfig{Threshold: 0.95, SecondPass: true, Seed: 7})
+	second, err := clusterSMF(nodes, ClusterConfig{Threshold: 0.95, SecondPass: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +170,11 @@ func TestClusterSMFSecondPassGroupsLeftovers(t *testing.T) {
 
 func TestClusterSMFDeterministic(t *testing.T) {
 	for i := 0; i < 5; i++ {
-		a, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: 0.1, SecondPass: true, Seed: 3})
+		a, err := clusterSMF(threeMetros(), ClusterConfig{Threshold: 0.1, SecondPass: true, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: 0.1, SecondPass: true, Seed: 3})
+		b, err := clusterSMF(threeMetros(), ClusterConfig{Threshold: 0.1, SecondPass: true, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,11 +190,11 @@ func TestClusterSMFInputOrderIrrelevant(t *testing.T) {
 	for i, n := range nodes {
 		reversed[len(nodes)-1-i] = n
 	}
-	a, err := ClusterSMF(nodes, ClusterConfig{Threshold: 0.1})
+	a, err := clusterSMF(nodes, ClusterConfig{Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ClusterSMF(reversed, ClusterConfig{Threshold: 0.1})
+	b, err := clusterSMF(reversed, ClusterConfig{Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,29 +204,21 @@ func TestClusterSMFInputOrderIrrelevant(t *testing.T) {
 }
 
 func TestClusterSMFValidation(t *testing.T) {
-	if _, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: -0.1}); err == nil {
+	if _, err := clusterSMF(threeMetros(), ClusterConfig{Threshold: -0.1}); err == nil {
 		t.Error("negative threshold should fail")
 	}
-	if _, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: 1.5}); err == nil {
+	if _, err := clusterSMF(threeMetros(), ClusterConfig{Threshold: 1.5}); err == nil {
 		t.Error("threshold > 1 should fail")
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: bad}); err == nil {
+		if _, err := clusterSMF(threeMetros(), ClusterConfig{Threshold: bad}); err == nil {
 			t.Errorf("threshold %v should fail", bad)
 		}
-	}
-	dup := []Node{{ID: "x", Map: RatioMap{"r": 1}}, {ID: "x", Map: RatioMap{"r": 1}}}
-	if _, err := ClusterSMF(dup, ClusterConfig{Threshold: 0.1}); err == nil {
-		t.Error("duplicate IDs should fail")
-	}
-	empty := []Node{{ID: "", Map: RatioMap{"r": 1}}}
-	if _, err := ClusterSMF(empty, ClusterConfig{Threshold: 0.1}); err == nil {
-		t.Error("empty ID should fail")
 	}
 }
 
 func TestClusterSMFEmptyAndDegenerateInputs(t *testing.T) {
-	clusters, err := ClusterSMF(nil, ClusterConfig{Threshold: 0.1})
+	clusters, err := clusterSMF(nil, ClusterConfig{Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +226,7 @@ func TestClusterSMFEmptyAndDegenerateInputs(t *testing.T) {
 		t.Errorf("clustering nothing produced %v", clusters)
 	}
 	// Nodes with empty maps become singletons.
-	clusters, err = ClusterSMF([]Node{
+	clusters, err = clusterSMF([]Node{
 		{ID: "empty1", Map: RatioMap{}},
 		{ID: "empty2", Map: nil},
 		{ID: "real", Map: RatioMap{"r": 1}},
@@ -231,7 +240,7 @@ func TestClusterSMFEmptyAndDegenerateInputs(t *testing.T) {
 }
 
 func TestClusterSMFSortedBySizeThenCenter(t *testing.T) {
-	clusters, err := ClusterSMF(threeMetros(), ClusterConfig{Threshold: 0.1})
+	clusters, err := clusterSMF(threeMetros(), ClusterConfig{Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +269,7 @@ func TestClusterSMFScalesToManyNodes(t *testing.T) {
 			},
 		})
 	}
-	clusters, err := ClusterSMF(nodes, ClusterConfig{Threshold: 0.1})
+	clusters, err := clusterSMF(nodes, ClusterConfig{Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,14 @@
 //   - Tracker accumulates redirection observations with the probe-interval
 //     and window-size semantics studied in the paper's §VI (Figs. 8–9).
 //   - CosineSimilarity compares ratio maps (§III-B).
-//   - RankBySimilarity / SelectClosest implement closest-node selection
-//     (§IV-A).
-//   - ClusterSMF implements the Strongest Mappings First clustering
-//     algorithm with its optional second pass (§V-B), and EvaluateClusters /
-//     Summarize compute the paper's cluster-quality metrics.
 //   - Service is the stand-alone positioning service sketched in §III-B,
-//     answering the three query types of §IV-B for many nodes concurrently.
+//     answering the three query types of §IV-B for many nodes concurrently:
+//     closest-node selection (ClosestTo, TopK; §IV-A) and clustering.
+//     ClusterAll is the clustering entry point, the Strongest Mappings First
+//     algorithm with its optional second pass (§V-B); EvaluateClusters /
+//     Summarize compute the paper's cluster-quality metrics.
+//   - SelectClosest is closest-node selection over ratio maps held outside
+//     a Service, e.g. a history replayed under its own window.
 //
 // CRP is not a general latency-prediction system: if two hosts share no
 // replica servers, their similarity is zero and CRP can only report that

@@ -48,14 +48,24 @@ func ExampleTracker() {
 	// ⟨r1 ⇒ 0.300, r2 ⇒ 0.700⟩
 }
 
-func ExampleClusterSMF() {
-	nodes := []crp.Node{
-		{ID: "ny-1", Map: crp.RatioMap{"nyc-a": 0.7, "nyc-b": 0.3}},
-		{ID: "ny-2", Map: crp.RatioMap{"nyc-a": 0.6, "nyc-b": 0.4}},
-		{ID: "ldn-1", Map: crp.RatioMap{"lon-a": 0.9, "lon-b": 0.1}},
-		{ID: "ldn-2", Map: crp.RatioMap{"lon-a": 0.8, "lon-b": 0.2}},
+func ExampleService_ClusterAll() {
+	svc := crp.NewService()
+	at := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	// Ten lookups per node, each redirected to one replica.
+	observe := func(node crp.NodeID, replica crp.ReplicaID, n int) {
+		for i := 0; i < n; i++ {
+			_ = svc.Observe(node, at.Add(time.Duration(i)*time.Minute), replica)
+		}
 	}
-	clusters, err := crp.ClusterSMF(nodes, crp.ClusterConfig{Threshold: crp.DefaultThreshold})
+	observe("ny-1", "nyc-a", 7)
+	observe("ny-1", "nyc-b", 3)
+	observe("ny-2", "nyc-a", 6)
+	observe("ny-2", "nyc-b", 4)
+	observe("ldn-1", "lon-a", 9)
+	observe("ldn-1", "lon-b", 1)
+	observe("ldn-2", "lon-a", 8)
+	observe("ldn-2", "lon-b", 2)
+	clusters, err := svc.ClusterAll(crp.ClusterConfig{Threshold: crp.DefaultThreshold})
 	if err != nil {
 		panic(err)
 	}

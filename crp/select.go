@@ -15,31 +15,6 @@ type Scored struct {
 	Similarity float64
 }
 
-// RankBySimilarity orders the candidate nodes by decreasing cosine
-// similarity to the client's ratio map (§IV-A: the candidate most similar to
-// the client is its likely-closest node). Ties break on NodeID so rankings
-// are deterministic.
-//
-// Candidates with zero similarity are still ranked (last): the paper's
-// semantics is that CRP cannot position them relative to the client, only
-// report that they are unlikely to be near it. Callers that need to
-// distinguish "closest" from "unknown" should inspect Similarity.
-//
-// Each map is compiled to a sorted vector once. Scoring is the package's one
-// goroutine fan-out: 64 or more candidates are scored across at most
-// GOMAXPROCS workers (scoreVecs), and the returned ranking is deterministic
-// regardless of parallelism.
-func RankBySimilarity(client RatioMap, candidates map[NodeID]RatioMap) []Scored {
-	cands := make([]nodeVec, 0, len(candidates))
-	for id, m := range candidates {
-		cands = append(cands, nodeVec{id: id, vec: compileRatioMap(m)})
-	}
-	out := make([]Scored, len(cands))
-	scoreVecs(out, compileRatioMap(client), cands, plainCosine)
-	slices.SortFunc(out, scoredCmp)
-	return out
-}
-
 // scoredBetter reports whether a ranks strictly before b: higher similarity
 // first, ties broken on NodeID. It is a total order, the source of every
 // ranking's determinism.
@@ -71,9 +46,9 @@ var plainCosine simFunc = ratioVec.cosine
 
 // scoreVecs is the one place a candidate is scored: it writes the
 // similarity of client to cands[i] into scored[i] (len(cands) entries), in
-// parallel for large sets. The reducers — a full sort in RankBySimilarity,
-// the bounded heap in topSnap — run on a total order, so parallelism never
-// shows in a result.
+// parallel for 64 or more candidates (parallelFor). Its reducer, the bounded
+// heap in selectTop, runs on a total order, so parallelism never shows in a
+// result.
 func scoreVecs(scored []Scored, client ratioVec, cands []nodeVec, sim simFunc) {
 	parallelFor(len(cands), func(i int) {
 		scored[i] = Scored{Node: cands[i].id, Similarity: sim(client, cands[i].vec)}
@@ -101,8 +76,8 @@ func getScoredScratch(n int) *[]Scored {
 // — O(n log k) selection instead of O(n log n), the difference between a
 // Top-5 query and a full ranking at service scale. The candidate whose id
 // equals exclude (the query client itself) is never returned. Candidate IDs
-// are unique, so the result is ordered and deterministic (same total order
-// as RankBySimilarity).
+// are unique, so the result is ordered and deterministic: scoredBetter's
+// total order.
 func topSnap(client ratioVec, cands []nodeVec, k int, exclude NodeID, sim simFunc) []Scored {
 	if k <= 0 || len(cands) == 0 {
 		return nil
@@ -113,14 +88,24 @@ func topSnap(client ratioVec, cands []nodeVec, k int, exclude NodeID, sim simFun
 	return selectTop(*buf, k, exclude)
 }
 
-// unionScratch recycles topAll's per-query buffers: the client's replica
-// keys, one part's matched indices and the gathered union. The union is
-// cleared before it goes back, so a pooled buffer pins no vectors.
-var unionScratch = sync.Pool{New: func() any { return new(unionBuf) }}
+// queryScratch recycles a Top-K query's buffers: the candidate vectors it
+// scores (topAll's replica union or rank's resolved explicit list), topAll's
+// replica keys and matched indices, and the explicit list's duplicate
+// filter. put clears the vectors and the filter, so a pooled buffer pins no
+// vectors or IDs.
+var queryScratch = sync.Pool{New: func() any { return &queryBuf{seen: make(map[NodeID]struct{})} }}
 
-type unionBuf struct {
+type queryBuf struct {
 	keys, idx []uint32
-	union     []nodeVec
+	vecs      []nodeVec
+	seen      map[NodeID]struct{}
+}
+
+func (sc *queryBuf) put() {
+	clear(sc.vecs)
+	sc.vecs = sc.vecs[:0]
+	clear(sc.seen)
+	queryScratch.Put(sc)
 }
 
 // topAll is topSnap over every node of a store snapshot, scoring only the
@@ -135,23 +120,19 @@ func topAll(client ratioVec, snap storeSnap, k int, exclude NodeID, sim simFunc)
 	if k <= 0 || snap.total == 0 {
 		return nil
 	}
-	sc := unionScratch.Get().(*unionBuf)
-	defer func() {
-		clear(sc.union)
-		sc.union = sc.union[:0]
-		unionScratch.Put(sc)
-	}()
+	sc := queryScratch.Get().(*queryBuf)
+	defer sc.put()
 	sc.keys = keysOf(sc.keys, client)
 	for p, part := range snap.parts {
 		sc.idx = snap.posts[p].union(sc.idx, sc.keys)
 		for _, i := range sc.idx {
-			sc.union = append(sc.union, part[i])
+			sc.vecs = append(sc.vecs, part[i])
 		}
 	}
-	svcMetrics.scanScored.Add(uint64(len(sc.union)))
-	buf := getScoredScratch(len(sc.union))
+	svcMetrics.scanScored.Add(uint64(len(sc.vecs)))
+	buf := getScoredScratch(len(sc.vecs))
 	defer scoredScratch.Put(buf)
-	scoreVecs(*buf, client, sc.union, sim)
+	scoreVecs(*buf, client, sc.vecs, sim)
 	return zeroFill(selectTop(*buf, k, exclude), snap, k, exclude)
 }
 
@@ -274,21 +255,28 @@ func selectTop(scored []Scored, k int, exclude NodeID) []Scored {
 }
 
 // SelectClosest returns the candidate with the highest cosine similarity to
-// the client. ok is false when there are no candidates or when every
-// candidate has zero similarity — the case where CRP has no positioning
-// information for this client at all.
+// the client (§IV-A), ties broken on NodeID, in one pass with no sort. ok is
+// false when there are no candidates or every candidate has zero similarity:
+// CRP has no positioning information for this client. It serves ratio maps
+// built outside a Service (a history replayed under its own window or up to
+// a decision point); Service.ClosestTo chooses among a service's nodes.
 func SelectClosest(client RatioMap, candidates map[NodeID]RatioMap) (best Scored, ok bool) {
-	ranked := RankBySimilarity(client, candidates)
-	return bestOf(ranked)
+	cv := compileRatioMap(client)
+	first := true
+	for id, m := range candidates {
+		s := Scored{Node: id, Similarity: plainCosine(cv, compileRatioMap(m))}
+		if first || scoredBetter(s, best) {
+			best, first = s, false
+		}
+	}
+	return best, best.Similarity > 0
 }
 
-// bestOf extracts the SelectClosest result from a ranking.
+// bestOf extracts ClosestTo's result from a ranking: its head, with ok
+// false when the ranking is empty or the head has zero similarity.
 func bestOf(ranked []Scored) (best Scored, ok bool) {
-	if len(ranked) == 0 || ranked[0].Similarity == 0 {
-		if len(ranked) > 0 {
-			return ranked[0], false
-		}
+	if len(ranked) == 0 {
 		return Scored{}, false
 	}
-	return ranked[0], true
+	return ranked[0], ranked[0].Similarity > 0
 }

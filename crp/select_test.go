@@ -11,9 +11,20 @@ func candidateMaps() map[NodeID]RatioMap {
 	}
 }
 
+// rankBySimilarity ranks every candidate map against the client map, best
+// first: the compiled maps through topSnap under the plain cosine, the
+// Service's explicit-candidate scan.
+func rankBySimilarity(client RatioMap, candidates map[NodeID]RatioMap) []Scored {
+	cands := make([]nodeVec, 0, len(candidates))
+	for id, m := range candidates {
+		cands = append(cands, nodeVec{id: id, vec: compileRatioMap(m)})
+	}
+	return topSnap(compileRatioMap(client), cands, len(cands), "", plainCosine)
+}
+
 func TestRankBySimilarityOrder(t *testing.T) {
 	client := RatioMap{"r1": 0.5, "r2": 0.5}
-	ranked := RankBySimilarity(client, candidateMaps())
+	ranked := rankBySimilarity(client, candidateMaps())
 	if len(ranked) != 4 {
 		t.Fatalf("ranked %d candidates, want 4", len(ranked))
 	}
@@ -38,7 +49,7 @@ func TestRankBySimilarityDeterministicTies(t *testing.T) {
 		"c": {"r1": 1},
 	}
 	for i := 0; i < 10; i++ {
-		ranked := RankBySimilarity(client, cands)
+		ranked := rankBySimilarity(client, cands)
 		if ranked[0].Node != "a" || ranked[1].Node != "b" || ranked[2].Node != "c" {
 			t.Fatalf("tie-break not deterministic: %v", ranked)
 		}

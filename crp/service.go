@@ -219,26 +219,24 @@ func (s *Service) clientVec(node NodeID) (ratioVec, error) {
 	return v, err
 }
 
-// candidateVecs snapshots the compiled ratio vectors of an explicit
-// candidate list (an empty non-nil list means "no candidates"),
-// deduplicating repeated IDs. The nil ("all nodes") case never reaches this
-// path — it is served by the store's stitched snapshot; see rank.
-// Aggregated clients are valid candidates too.
-func (s *Service) candidateVecs(nodes []NodeID) ([]nodeVec, error) {
-	out := make([]nodeVec, 0, len(nodes))
-	seen := make(map[NodeID]bool, len(nodes))
+// candidateVecs appends to sc.vecs the compiled ratio vectors of an explicit
+// candidate list (an empty non-nil list means "no candidates"), skipping
+// repeated IDs through sc.seen. The nil ("all nodes") case never reaches this path — it is
+// served by the store's stitched snapshot; see rank. Aggregated clients are
+// valid candidates too.
+func (s *Service) candidateVecs(sc *queryBuf, nodes []NodeID) error {
 	for _, id := range nodes {
-		if seen[id] {
+		if _, dup := sc.seen[id]; dup {
 			continue
 		}
-		seen[id] = true
+		sc.seen[id] = struct{}{}
 		v, _, err := s.resolve(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, nodeVec{id: id, vec: v})
+		sc.vecs = append(sc.vecs, nodeVec{id: id, vec: v})
 	}
-	return out, nil
+	return nil
 }
 
 // ClosestTo ranks the candidate nodes by similarity to client and returns
@@ -277,17 +275,18 @@ func (s *Service) rank(sim simFunc, client NodeID, candidates []NodeID, k int) (
 	if candidates == nil {
 		return topAll(cv, s.store.snapshot(), k, client, sim), nil
 	}
-	cands, err := s.candidateVecs(candidates)
-	if err != nil {
+	sc := queryScratch.Get().(*queryBuf)
+	defer sc.put()
+	if err := s.candidateVecs(sc, candidates); err != nil {
 		return nil, err
 	}
-	return topSnap(cv, cands, k, client, sim), nil
+	return topSnap(cv, sc.vecs, k, client, sim), nil
 }
 
-// ClusterAll clusters every known node with SMF at the given threshold
-// (§IV-B query 2: "given a set of nodes, map each node to a cluster"). It
-// runs ClusterSMF's algorithm directly on the stitched compiled snapshot —
-// no per-node ratio-map clones, no recompilation — under the service's
+// ClusterAll clusters every known node with SMF (§V-B, see clusterVecs)
+// under cfg (§IV-B query 2: "given a set of nodes, map each node to a
+// cluster"). It runs directly on the stitched compiled snapshot — no
+// per-node ratio-map clones, no recompilation — under the service's
 // similarity kernel.
 func (s *Service) ClusterAll(cfg ClusterConfig) ([]Cluster, error) {
 	defer timeCluster()()

@@ -290,7 +290,7 @@ func TestStoreModesAgree(t *testing.T) {
 
 // TestOneScorerMatchesBruteForce pins the single scoring loop on a
 // multi-shard service: the all-nodes snapshot path, the explicit-candidate
-// path, the map-level RankBySimilarity and a brute-force sort over the map
+// path, the map-level rankBySimilarity and a brute-force sort over the map
 // kernel agree exactly — same order, == on every similarity — under the
 // plain, the fused and a namespace-scoped similarity.
 func TestOneScorerMatchesBruteForce(t *testing.T) {
@@ -308,7 +308,7 @@ func TestOneScorerMatchesBruteForce(t *testing.T) {
 		view    func(RatioMap) RatioMap // the maps the reference kernel sees
 		ref     func(a, b RatioMap) float64
 		topK    func(candidates []NodeID, k int) ([]Scored, error)
-		mapRank bool // RankBySimilarity runs the plain kernel only
+		mapRank bool // rankBySimilarity runs the plain kernel only
 	}{
 		{
 			name: "plain", svc: plain, mapRank: true,
@@ -360,8 +360,8 @@ func TestOneScorerMatchesBruteForce(t *testing.T) {
 			}
 			slices.SortFunc(want, scoredCmp)
 			if tc.mapRank {
-				if got := RankBySimilarity(clientMap, others); !slices.Equal(got, want) {
-					t.Fatalf("RankBySimilarity diverges from brute force:\n%+v\n%+v", got, want)
+				if got := rankBySimilarity(clientMap, others); !slices.Equal(got, want) {
+					t.Fatalf("rankBySimilarity diverges from brute force:\n%+v\n%+v", got, want)
 				}
 			}
 
@@ -392,8 +392,9 @@ func TestOneScorerMatchesBruteForce(t *testing.T) {
 }
 
 // TestClusterVecsMatchesClusterSMF pins, on a fixed world of six replica
-// groups, that the Service's vector entry point and the public map-based
-// ClusterSMF cluster exactly like the dense reference SMF.
+// groups, that clusterVecs — fed compiled vectors directly, and through the
+// map-keyed clusterSMF helper — clusters exactly like the dense reference
+// SMF.
 func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 	nodes := make([]Node, 0, 60)
 	vecs := make([]nodeVec, 0, 60)
@@ -417,7 +418,7 @@ func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 		{Threshold: 1, SecondPass: true},
 	} {
 		want := denseSMF(nodes, cfg, func(a, b NodeID) float64 { return mapCosine(maps[a], maps[b]) })
-		viaMaps, err := ClusterSMF(nodes, cfg)
+		viaMaps, err := clusterSMF(nodes, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +427,7 @@ func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameClusters(viaMaps, want) || !sameClusters(viaVecs, want) {
-			t.Fatalf("cfg %+v:\nClusterSMF  %v\nclusterVecs %v\nreference   %v", cfg, viaMaps, viaVecs, want)
+			t.Fatalf("cfg %+v:\nclusterSMF  %v\nclusterVecs %v\nreference   %v", cfg, viaMaps, viaVecs, want)
 		}
 	}
 }

@@ -261,15 +261,15 @@ func TestTopAllKeyCollision(t *testing.T) {
 	}
 }
 
-// Allocation budgets of the two Top-K paths on a clean store. The all-nodes
-// query allocates its reply and the scoring fan-out's closure; the union,
-// scores and key buffers are pooled. An explicit list adds what resolving
-// it costs: the candidate vectors and the duplicate filter's map.
+// Allocation budgets of the two Top-K paths on a clean store. Each query
+// allocates its reply and the scoring fan-out's closure; everything else is
+// pooled: the all-nodes query's union, scores and key buffers, and an
+// explicit list's candidate vectors and duplicate filter.
 // testing.AllocsPerRun runs at GOMAXPROCS 1, so these count the inline
 // scoring path; the closure escapes to the workers either way.
 const (
 	topAllAllocBudget  = 2
-	topListAllocBudget = 6
+	topListAllocBudget = 2
 )
 
 // allocBudgetService is the 2,000-node, 40-metro store both budgets query.

@@ -678,17 +678,20 @@ func nodesReply(ids []crp.NodeID, err error) Response {
 
 func (d *Daemon) stats(Request) Response {
 	snap := d.reg.Snapshot()
-	// The per-shard node gauges scale with the store width (up to 1024
-	// shards); at the wide end the raw family alone overflows the UDP
-	// reply budget, so the exported copy carries a six-field summary
-	// instead. The in-process registry keeps the full family.
+	SummarizeFamilies(&snap)
+	return Response{OK: true, Stats: &snap}
+}
+
+// SummarizeFamilies folds the numbered gauge families of a CRP process into
+// one six-field summary each (obs.Snapshot.SummarizeGaugeFamily): the
+// per-shard node gauges, which scale with the store width (up to 1024
+// shards, where the raw family alone overflows the UDP reply budget), and
+// the per-namespace families a fused multi-CDN deployment grows. The stats
+// op exports the folded copy; the in-process registry keeps full detail.
+func SummarizeFamilies(snap *obs.Snapshot) {
 	snap.SummarizeGaugeFamily("crp.service.shard.", ".nodes", "crp.service.shard_nodes")
-	// Same treatment for the per-namespace families a fused multi-CDN
-	// deployment grows: however many namespaces the service has seen,
-	// the exported reply carries one six-field summary per family.
 	snap.SummarizeGaugeFamily("crp.service.ns.", ".observes", "crp.service.ns_observes")
 	snap.SummarizeGaugeFamily("cdn.ns.", ".replicas", "cdn.ns_replicas")
-	return Response{OK: true, Stats: &snap}
 }
 
 const errNoPeering = "peering disabled: daemon started without a gossip engine"

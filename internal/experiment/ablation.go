@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/crp"
@@ -35,6 +36,10 @@ func (s *World) RunSimilarityAblation(cfg ClosestNodeConfig) ([]SimilarityAblati
 	if err != nil {
 		return nil, err
 	}
+	clientMaps, err := s.CollectRatioMaps(s.Clients, cfg.Schedule)
+	if err != nil {
+		return nil, err
+	}
 	evalAt := cfg.Schedule.End() + 1
 
 	metrics := []struct {
@@ -58,12 +63,7 @@ func (s *World) RunSimilarityAblation(cfg ClosestNodeConfig) ([]SimilarityAblati
 		rows[i].Label = m.label
 	}
 	for _, client := range s.Clients {
-		tr, err := s.CollectTracker(client, cfg.Schedule)
-		if err != nil {
-			return nil, err
-		}
-		clientMap := tr.RatioMap()
-
+		clientMap := clientMaps[client]
 		order := s.TruthOrder(client, evalAt)
 		for mi, m := range metrics {
 			bestID, bestSim := candIDs[0], -1.0
@@ -136,16 +136,12 @@ func (s *World) RunCenterAblation(cfg ClusteringConfig) ([]CenterAblationRow, er
 	nodes := s.Clients[:cfg.NumNodes]
 	evalAt := cfg.Schedule.End() + 1
 	dist := s.clusterDistance(nodes, evalAt)
-	maps, err := s.CollectRatioMaps(nodes, cfg.Schedule)
+	svc, err := s.CollectService(nodes, cfg.Schedule)
 	if err != nil {
 		return nil, err
 	}
-	crpNodes := make([]crp.Node, 0, len(nodes))
-	for _, id := range nodes {
-		crpNodes = append(crpNodes, crp.Node{ID: s.NodeID(id), Map: maps[id]})
-	}
 
-	smfClusters, err := crp.ClusterSMF(crpNodes, crp.ClusterConfig{
+	smfClusters, err := s.clusterHosts(svc, nodes, crp.ClusterConfig{
 		Threshold: cfg.FocusThreshold, SecondPass: cfg.SecondPass, Seed: s.Params.Seed,
 	})
 	if err != nil {
@@ -163,7 +159,7 @@ func (s *World) RunCenterAblation(cfg ClusteringConfig) ([]CenterAblationRow, er
 			numCenters++
 		}
 	}
-	randClusters := clusterRandomCenters(crpNodes, numCenters, cfg.FocusThreshold, s.Params.Seed)
+	randClusters := clusterRandomCenters(svc, s.nodeIDs(nodes), numCenters, cfg.FocusThreshold, s.Params.Seed)
 	randRow, err := s.analyzeClusters("random centers", randClusters, len(nodes), dist, cfg.MaxDiameterMs)
 	if err != nil {
 		return nil, err
@@ -176,54 +172,56 @@ func (s *World) RunCenterAblation(cfg ClusteringConfig) ([]CenterAblationRow, er
 }
 
 // clusterRandomCenters assigns nodes to k uniformly chosen centers with the
-// same similarity-threshold rule as SMF's assignment pass.
-func clusterRandomCenters(nodes []crp.Node, k int, threshold float64, seed int64) []crp.Cluster {
+// same similarity-threshold rule as SMF's assignment pass, scoring pairs on
+// svc. A node svc does not know (no lookup) has similarity 0 to every
+// center, so it stays a singleton.
+func clusterRandomCenters(svc *crp.Service, nodes []crp.NodeID, k int, threshold float64, seed int64) []crp.Cluster {
 	if k <= 0 || len(nodes) == 0 {
 		var out []crp.Cluster
 		for _, n := range nodes {
-			out = append(out, crp.Cluster{Center: n.ID, Members: []crp.NodeID{n.ID}})
+			out = append(out, crp.Cluster{Center: n, Members: []crp.NodeID{n}})
 		}
 		return out
 	}
-	sorted := make([]crp.Node, len(nodes))
-	copy(sorted, nodes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	sorted := slices.Clone(nodes)
+	slices.Sort(sorted)
 
 	rng := rand.New(rand.NewPCG(uint64(seed), 0x72616e64))
 	perm := rng.Perm(len(sorted))
 	if k > len(sorted) {
 		k = len(sorted)
 	}
-	centers := make([]crp.Node, k)
+	centers := make([]crp.NodeID, k)
 	isCenter := make(map[crp.NodeID]bool, k)
 	for i := 0; i < k; i++ {
 		centers[i] = sorted[perm[i]]
-		isCenter[centers[i].ID] = true
+		isCenter[centers[i]] = true
 	}
 	clusters := make(map[crp.NodeID]*crp.Cluster, k)
 	for _, c := range centers {
-		clusters[c.ID] = &crp.Cluster{Center: c.ID, Members: []crp.NodeID{c.ID}}
+		clusters[c] = &crp.Cluster{Center: c, Members: []crp.NodeID{c}}
 	}
 	var out []crp.Cluster
 	for _, n := range sorted {
-		if isCenter[n.ID] {
+		if isCenter[n] {
 			continue
 		}
 		var bestC crp.NodeID
 		bestSim := -1.0
 		for _, c := range centers {
-			if sim := crp.CosineSimilarity(n.Map, c.Map); sim > bestSim {
-				bestC, bestSim = c.ID, sim
+			sim, _ := svc.Similarity(n, c) // 0 when either node is unknown
+			if sim > bestSim {
+				bestC, bestSim = c, sim
 			}
 		}
 		if bestSim >= threshold && bestSim > 0 {
-			clusters[bestC].Members = append(clusters[bestC].Members, n.ID)
+			clusters[bestC].Members = append(clusters[bestC].Members, n)
 		} else {
-			out = append(out, crp.Cluster{Center: n.ID, Members: []crp.NodeID{n.ID}})
+			out = append(out, crp.Cluster{Center: n, Members: []crp.NodeID{n}})
 		}
 	}
 	for _, c := range centers {
-		out = append(out, *clusters[c.ID])
+		out = append(out, *clusters[c])
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if len(out[i].Members) != len(out[j].Members) {

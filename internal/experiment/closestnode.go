@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -71,10 +73,13 @@ func (s *PaperWorld) RunClosestNode(cfg ClosestNodeConfig) (*ClosestNodeOutcome,
 	}
 	evalAt := cfg.Schedule.End() + time.Minute
 
-	candMaps, err := s.candidateMaps(cfg.Schedule)
+	// One service holds the candidates and the clients alike.
+	svc, err := s.CollectService(append(slices.Clone(s.Candidates), s.Clients...), cfg.Schedule)
 	if err != nil {
 		return nil, err
 	}
+	candIDs := s.nodeIDs(s.Candidates)
+	known := knownCandidates(svc, candIDs)
 	entry, err := s.meridianEntry()
 	if err != nil {
 		return nil, err
@@ -82,17 +87,43 @@ func (s *PaperWorld) RunClosestNode(cfg ClosestNodeConfig) (*ClosestNodeOutcome,
 
 	outcome := &ClosestNodeOutcome{Config: cfg, EvalAt: evalAt}
 	for _, client := range s.Clients {
-		tr, err := s.CollectTracker(client, cfg.Schedule)
+		ranked, err := rankCandidates(svc, s.NodeID(client), candIDs, known)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.evaluateClient(client, tr.RatioMap(), candMaps, entry, evalAt, cfg.TopK)
+		res, err := s.evaluateClient(client, ranked, entry, evalAt, cfg.TopK)
 		if err != nil {
 			return nil, err
 		}
 		outcome.Results = append(outcome.Results, res)
 	}
 	return outcome, nil
+}
+
+// rankCandidates ranks every candidate in cands for client on svc, best
+// first: similarity descending, then NodeID. known is knownCandidates(svc,
+// cands). A host with no lookup is not in svc and has no similarity to
+// anything: an unknown client ranks every candidate at zero similarity, and
+// an unknown candidate ranks as a zero-similarity candidate.
+func rankCandidates(svc *crp.Service, client crp.NodeID, cands, known []crp.NodeID) ([]crp.Scored, error) {
+	ranked, err := svc.TopK(client, known, len(known))
+	if errors.Is(err, crp.ErrUnknownNode) {
+		ranked, known = nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	if len(known) == len(cands) {
+		return ranked, nil
+	}
+	for _, c := range cands {
+		if !slices.Contains(known, c) {
+			ranked = append(ranked, crp.Scored{Node: c})
+		}
+	}
+	slices.SortFunc(ranked, func(a, b crp.Scored) int {
+		return cmp.Or(cmp.Compare(b.Similarity, a.Similarity), cmp.Compare(a.Node, b.Node))
+	})
+	return ranked, nil
 }
 
 // candidateMaps collects the candidate servers' ratio maps under a schedule.
@@ -120,11 +151,11 @@ func (s *PaperWorld) meridianEntry() (netsim.HostID, error) {
 	return 0, errors.New("experiment: no healthy meridian entry node")
 }
 
-// evaluateClient scores CRP and Meridian recommendations for one client.
+// evaluateClient scores CRP's ranking of the candidates and Meridian's
+// recommendation for one client.
 func (s *PaperWorld) evaluateClient(
 	client netsim.HostID,
-	clientMap crp.RatioMap,
-	candMaps map[crp.NodeID]crp.RatioMap,
+	ranked []crp.Scored,
 	entry netsim.HostID,
 	evalAt time.Duration,
 	topK int,
@@ -135,7 +166,6 @@ func (s *PaperWorld) evaluateClient(
 	res.Optimal = order.RTT[order.Hosts[0]]
 
 	// CRP recommendations.
-	ranked := crp.RankBySimilarity(clientMap, candMaps)
 	if len(ranked) == 0 {
 		return res, fmt.Errorf("experiment: no candidates ranked for client %d", client)
 	}

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,6 +79,30 @@ type ClusteringOutcome struct {
 	ASN     AlgorithmResult
 }
 
+// clusterHosts clusters hosts with SMF through svc.ClusterAll, where svc
+// holds exactly the hosts that had a lookup. A host with no lookup is
+// absent from svc and has no ratio map to cluster by: it is a singleton,
+// placed among the other singletons in center order.
+func (s *World) clusterHosts(svc *crp.Service, hosts []netsim.HostID, cfg crp.ClusterConfig) ([]crp.Cluster, error) {
+	clusters, err := svc.ClusterAll(cfg)
+	if err != nil {
+		return nil, err
+	}
+	known := svc.Nodes()
+	if len(known) == len(hosts) {
+		return clusters, nil
+	}
+	for _, id := range s.nodeIDs(hosts) {
+		if _, found := slices.BinarySearch(known, id); !found {
+			clusters = append(clusters, crp.Cluster{Center: id, Members: []crp.NodeID{id}})
+		}
+	}
+	slices.SortFunc(clusters, func(a, b crp.Cluster) int {
+		return cmp.Or(cmp.Compare(b.Size(), a.Size()), cmp.Compare(a.Center, b.Center))
+	})
+	return clusters, nil
+}
+
 // RunClustering reproduces the paper's clustering evaluation: CRP ratio maps
 // are collected for a set of broadly distributed DNS servers, clustered with
 // SMF at several thresholds, and compared against ASN-based clustering on
@@ -93,18 +119,14 @@ func (s *World) RunClustering(cfg ClusteringConfig) (*ClusteringOutcome, error) 
 	evalAt := cfg.Schedule.End() + time.Minute
 
 	dist := s.clusterDistance(nodes, evalAt)
-	maps, err := s.CollectRatioMaps(nodes, cfg.Schedule)
+	svc, err := s.CollectService(nodes, cfg.Schedule)
 	if err != nil {
 		return nil, err
-	}
-	crpNodes := make([]crp.Node, 0, len(nodes))
-	for _, id := range nodes {
-		crpNodes = append(crpNodes, crp.Node{ID: s.NodeID(id), Map: maps[id]})
 	}
 
 	outcome := &ClusteringOutcome{Config: cfg, Nodes: nodes, Focus: -1}
 	for i, t := range cfg.Thresholds {
-		clusters, err := crp.ClusterSMF(crpNodes, crp.ClusterConfig{
+		clusters, err := s.clusterHosts(svc, nodes, crp.ClusterConfig{
 			Threshold:  t,
 			SecondPass: cfg.SecondPass,
 			Seed:       s.Params.Seed,

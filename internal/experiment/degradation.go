@@ -3,7 +3,6 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/crp"
@@ -133,23 +132,23 @@ func evalPositioning(s *World, cfg DegradationConfig) (DegradationMetrics, error
 	evalAt := cfg.Schedule.End() + time.Minute
 
 	// Collection happens with the fault plane fully attached: candidate
-	// and client histories see the faulted CDN, resolvers and network.
-	candMaps, err := s.candidateMaps(cfg.Schedule)
-	if err != nil {
-		return m, err
-	}
+	// and client histories see the faulted CDN, resolvers and network. One
+	// probe pass fills both services — every probe step draws its fault
+	// decisions once — and the cluster service holds exactly the clustered
+	// candidates.
 	m.Clients = len(s.Clients)
 	if m.Clients == 0 {
 		return m, errors.New("experiment: scenario has no clients")
 	}
-	clientMaps := make(map[netsim.HostID]crp.RatioMap, m.Clients)
-	for _, client := range s.Clients {
-		tr, err := s.CollectTracker(client, cfg.Schedule)
-		if err != nil {
-			return m, err
-		}
-		clientMaps[client] = tr.RatioMap()
+	rankSvc, clusterSvc := s.newService(cfg.Schedule), s.newService(cfg.Schedule)
+	if err := s.feed(s.Candidates, cfg.Schedule, rankSvc, clusterSvc); err != nil {
+		return m, err
 	}
+	if err := s.feed(s.Clients, cfg.Schedule, rankSvc); err != nil {
+		return m, err
+	}
+	candIDs := s.nodeIDs(s.Candidates)
+	known := knownCandidates(rankSvc, candIDs)
 
 	// Scoring happens against ground truth with the latency perturbation
 	// detached: clean and faulted runs share the same yardstick (the calm
@@ -168,7 +167,10 @@ func evalPositioning(s *World, cfg DegradationConfig) (DegradationMetrics, error
 
 	var noSignal int
 	for _, client := range s.Clients {
-		ranked := crp.RankBySimilarity(clientMaps[client], candMaps)
+		ranked, err := rankCandidates(rankSvc, s.NodeID(client), candIDs, known)
+		if err != nil {
+			return m, err
+		}
 		if len(ranked) == 0 {
 			return m, fmt.Errorf("experiment: no candidates ranked for client %d", client)
 		}
@@ -204,12 +206,7 @@ func evalPositioning(s *World, cfg DegradationConfig) (DegradationMetrics, error
 	m.FracNoSignal = float64(noSignal) / n
 
 	// SMF clustering of the candidate population, scored against truth.
-	nodes := make([]crp.Node, 0, len(candMaps))
-	for id, rm := range candMaps {
-		nodes = append(nodes, crp.Node{ID: id, Map: rm})
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	clusters, err := crp.ClusterSMF(nodes, crp.ClusterConfig{
+	clusters, err := s.clusterHosts(clusterSvc, s.Candidates, crp.ClusterConfig{
 		Threshold:  cfg.Threshold,
 		SecondPass: true,
 		Seed:       cfg.Params.Seed,

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/crp"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
@@ -179,4 +181,98 @@ func TestDegradationStructuredErrors(t *testing.T) {
 	if _, err := RunDegradation(bad); err == nil {
 		t.Fatal("invalid schedule accepted")
 	}
+}
+
+// TestUnknownHostsKeepTheirAnswers forces hosts with no lookup — probe loss
+// at rate 1 across Europe — through the ranking and clustering paths. Such a
+// host is not in the service the experiments query, so each path answers
+// for it on purpose: an unknown client ranks every candidate at zero
+// similarity and counts toward FracNoSignal, an unknown candidate ranks as a
+// zero-similarity candidate, and an unknown host clusters as a singleton.
+// The degradation and clustering values are those the map-keyed ranking and
+// SMF gave before the experiments moved onto crp.Service.
+func TestUnknownHostsKeepTheirAnswers(t *testing.T) {
+	lost := faults.Scenario{Seed: 7, Faults: []faults.Fault{
+		{Kind: faults.ProbeLoss, Rate: 1, Target: "europe"},
+	}}
+	out := runDegradation(t, smallDegradation(lost))
+	wantClean := DegradationMetrics{Clients: 25, MeanTop1Rank: 1.4, MeanTopKRTTMs: 55.90346872566833,
+		MeanOptimalRTTMs: 33.44481197588294, Clusters: 5, GoodClusterFrac: 1}
+	wantFaulted := DegradationMetrics{Clients: 25, MeanTop1Rank: 3.72, MeanTopKRTTMs: 69.59213921424868,
+		MeanOptimalRTTMs: 33.44481197588294, FracNoSignal: 0.24, Clusters: 3, GoodClusterFrac: 1}
+	if out.Clean != wantClean || out.Faulted != wantFaulted {
+		t.Fatalf("degradation moved:\nclean   %+v\nfaulted %+v", out.Clean, out.Faulted)
+	}
+
+	w, err := NewWorld(WorldParams{Seed: 3, NumClients: 80, NumCandidates: 20, NumReplicas: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane, err := faults.New(w.Topo, faults.Scenario{Seed: 3, Faults: lost.Faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.AttachFaults(plane)
+	schedule := ProbeSchedule{Interval: 10 * time.Minute, Probes: 12}
+	cluster := func(cfg ClusteringConfig) *ClusteringOutcome {
+		t.Helper()
+		o, err := w.RunClustering(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var unknown int
+		for _, h := range o.Nodes {
+			if w.Topo.Host(h).Region != "europe" {
+				continue
+			}
+			unknown++
+			for _, row := range o.CRPRows {
+				if c := clusterOfNode(row.Clusters, w.NodeID(h)); c.Size() != 1 {
+					t.Fatalf("%s: host %s with no lookup is in %v", row.Label, w.NodeID(h), c)
+				}
+			}
+		}
+		if unknown == 0 {
+			t.Fatal("no clustered host lost its lookups")
+		}
+		return o
+	}
+
+	// Table I's defaults: one pass at t = 0.01, 0.1 and 0.5.
+	o := cluster(ClusteringConfig{NumNodes: 50, Schedule: schedule})
+	wantSummary := crp.Summary{TotalNodes: 50, NodesClustered: 23, FracClustered: 0.46, NumClusters: 7,
+		MeanSize: 3.2857142857142856, MedianSize: 3, MaxSize: 6}
+	for _, row := range o.CRPRows {
+		if row.Summary != wantSummary || len(row.Clusters) != 34 {
+			t.Errorf("%s: %+v over %d clusters, want %+v over 34", row.Label, row.Summary, len(row.Clusters), wantSummary)
+		}
+	}
+
+	// With the second pass, an unknown host no longer takes a turn in the
+	// pass's random promotion order: the map-keyed SMF drew it as an inert
+	// center (c0017/c0048 in place of c0047/c0065 here), the service never
+	// holds it. The unknown hosts stay singletons either way.
+	o = cluster(ClusteringConfig{NumNodes: 70, Schedule: ProbeSchedule{Interval: 10 * time.Minute, Probes: 6},
+		Thresholds: []float64{0.9}, FocusThreshold: 0.9, SecondPass: true})
+	var centers []string
+	for _, c := range o.CRPRows[0].Clusters {
+		if c.Size() >= 2 {
+			centers = append(centers, fmt.Sprintf("%s:%d", c.Center, c.Size()))
+		}
+	}
+	want := "[c0013.client.sim.:4 c0002.client.sim.:2 c0010.client.sim.:2 c0025.client.sim.:2 " +
+		"c0036.client.sim.:2 c0047.client.sim.:2 c0062.client.sim.:2 c0065.client.sim.:2]"
+	if got := fmt.Sprint(centers); got != want {
+		t.Errorf("second-pass clusters moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// clusterOfNode returns the cluster holding node, or the zero Cluster.
+func clusterOfNode(clusters []crp.Cluster, node crp.NodeID) crp.Cluster {
+	for _, c := range clusters {
+		if slices.Contains(c.Members, node) {
+			return c
+		}
+	}
+	return crp.Cluster{}
 }

@@ -82,13 +82,17 @@ func TestProbeScheduleValidate(t *testing.T) {
 	}
 }
 
-func TestCollectTrackerProducesNormalizedMaps(t *testing.T) {
+func TestCollectServiceProducesNormalizedMaps(t *testing.T) {
 	s := testScenario(t)
-	tr, err := s.CollectTracker(s.Clients[0], shortSchedule())
+	node := s.NodeID(s.Clients[0])
+	svc, err := s.CollectService(s.Clients[:1], shortSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := tr.RatioMap()
+	m, err := svc.RatioMap(node)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(m) == 0 {
 		t.Fatal("empty ratio map")
 	}
@@ -102,12 +106,19 @@ func TestCollectTrackerProducesNormalizedMaps(t *testing.T) {
 	// Window option limits probes (each probe step resolves two names).
 	ps := shortSchedule()
 	ps.Window = 5
-	trw, err := s.CollectTracker(s.Clients[0], ps)
+	svcw, err := s.CollectService(s.Clients[:1], ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trw.Len(); got != 5*len(s.Fleet.Members()[0].Names()) {
-		t.Errorf("windowed tracker holds %d lookups, want %d", got, 5*len(s.Fleet.Members()[0].Names()))
+	d, ok := svcw.ExportDelta(node)
+	if !ok {
+		t.Fatal("windowed service does not hold the client")
+	}
+	if got, want := len(d.Probes), 5*len(s.Fleet.Members()[0].Names()); got != want {
+		t.Errorf("windowed service holds %d lookups, want %d", got, want)
+	}
+	if _, err := s.CollectService(s.Clients[:1], ProbeSchedule{}); err == nil {
+		t.Error("invalid schedule accepted")
 	}
 }
 

@@ -272,10 +272,7 @@ func runFusionCell(p FusionParams, w *World, probes int, split bool) (*FusionCel
 		return nil, err
 	}
 	clients, candidates := w.Clients, w.Candidates
-	candIDs := make([]crp.NodeID, len(candidates))
-	for i, c := range candidates {
-		candIDs[i] = w.NodeID(c)
-	}
+	candIDs := w.nodeIDs(candidates)
 	if err := fs.collect(w, probes, p.Interval, split); err != nil {
 		return nil, err
 	}
@@ -437,25 +434,11 @@ func FusionIdentityCheck(seed int64, numClients, numCandidates, numReplicas, pro
 	}
 
 	hosts := append(append([]netsim.HostID(nil), w.Clients...), w.Candidates...)
-	for _, host := range hosts {
-		node := w.NodeID(host)
-		for i := 0; i < probes; i++ {
-			err := w.Probe(host, time.Duration(i)*p.Interval, AllMembers, func(l Lookup) error {
-				if err := plain.Observe(node, l.At, l.IDs...); err != nil {
-					return err
-				}
-				return fused.Observe(node, l.At, l.IDs...)
-			})
-			if err != nil {
-				return err
-			}
-		}
+	if err := w.feed(hosts, ProbeSchedule{Interval: p.Interval, Probes: probes}, plain, fused); err != nil {
+		return err
 	}
 
-	candIDs := make([]crp.NodeID, len(w.Candidates))
-	for i, c := range w.Candidates {
-		candIDs[i] = w.NodeID(c)
-	}
+	candIDs := w.nodeIDs(w.Candidates)
 	for _, host := range hosts {
 		node := w.NodeID(host)
 		pm, perr := plain.RatioMap(node)

@@ -76,15 +76,11 @@ func (s *World) RunPathRepair(cfg RepairConfig) (*RepairOutcome, error) {
 	}
 
 	// Cluster the client population on its redirection behaviour.
-	maps, err := s.CollectRatioMaps(s.Clients, cfg.Schedule)
+	svc, err := s.CollectService(s.Clients, cfg.Schedule)
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]crp.Node, 0, len(s.Clients))
-	for _, id := range s.Clients {
-		nodes = append(nodes, crp.Node{ID: s.NodeID(id), Map: maps[id]})
-	}
-	clusters, err := crp.ClusterSMF(nodes, crp.ClusterConfig{
+	clusters, err := s.clusterHosts(svc, s.Clients, crp.ClusterConfig{
 		Threshold: cfg.Threshold, SecondPass: true, Seed: s.Params.Seed,
 	})
 	if err != nil {
@@ -157,15 +153,20 @@ func (s *World) RunPathRepair(cfg RepairConfig) (*RepairOutcome, error) {
 		}
 		res.Oracle = oracle
 
-		// CRP repair: the failed relay's most-similar cluster-mate.
+		// CRP repair: the failed relay's most-similar cluster-mate. Only a
+		// cluster of two or more has mates, and each of its members had a
+		// lookup, so the service knows both nodes.
 		res.CRP = res.Random
-		relayMap := maps[relay]
 		bestSim := -1.0
 		for _, mate := range clusterOf[relay] {
 			if mate == relay || mate == src || mate == dst {
 				continue
 			}
-			if sim := crp.CosineSimilarity(relayMap, maps[mate]); sim > bestSim {
+			sim, err := svc.Similarity(s.NodeID(relay), s.NodeID(mate))
+			if err != nil {
+				return nil, err
+			}
+			if sim > bestSim {
 				bestSim = sim
 				res.CRP = pathVia(src, mate, dst)
 				res.CRPFound = true

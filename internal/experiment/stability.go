@@ -66,17 +66,13 @@ func (s *World) RunClusterStability(cfg StabilityConfig) (*StabilityOutcome, err
 	}
 
 	clusterAt := func(start time.Duration) (map[crp.NodeID]int, int, error) {
-		maps, err := s.CollectRatioMaps(nodes, ProbeSchedule{
+		svc, err := s.CollectService(nodes, ProbeSchedule{
 			Start: start, Interval: interval, Probes: probes,
 		})
 		if err != nil {
 			return nil, 0, err
 		}
-		crpNodes := make([]crp.Node, 0, len(nodes))
-		for _, id := range nodes {
-			crpNodes = append(crpNodes, crp.Node{ID: s.NodeID(id), Map: maps[id]})
-		}
-		clusters, err := crp.ClusterSMF(crpNodes, crp.ClusterConfig{
+		clusters, err := s.clusterHosts(svc, nodes, crp.ClusterConfig{
 			Threshold: cfg.Threshold, SecondPass: true, Seed: s.Params.Seed,
 		})
 		if err != nil {
@@ -104,10 +100,7 @@ func (s *World) RunClusterStability(cfg StabilityConfig) (*StabilityOutcome, err
 		return nil, err
 	}
 
-	ids := make([]crp.NodeID, len(nodes))
-	for i, id := range nodes {
-		ids[i] = s.NodeID(id)
-	}
+	ids := s.nodeIDs(nodes)
 	agree, total, togetherBoth, togetherDay1 := 0, 0, 0, 0
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {

@@ -167,6 +167,15 @@ func (s *World) NodeID(id netsim.HostID) crp.NodeID {
 	return crp.NodeID(s.Topo.Host(id).Name)
 }
 
+// nodeIDs returns the crp node identities of hosts, in order.
+func (s *World) nodeIDs(hosts []netsim.HostID) []crp.NodeID {
+	out := make([]crp.NodeID, len(hosts))
+	for i, h := range hosts {
+		out[i] = s.NodeID(h)
+	}
+	return out
+}
+
 // HostOf resolves a crp node identity back to its host.
 func (s *World) HostOf(node crp.NodeID) (netsim.HostID, bool) {
 	return s.Topo.HostByName(string(node))
@@ -271,42 +280,70 @@ func (ps ProbeSchedule) End() time.Duration {
 	return ps.Start + time.Duration(ps.Probes-1)*ps.Interval
 }
 
-// CollectTracker probes the fleet on the host's behalf according to the
-// schedule and returns the populated tracker. Each probe step resolves every
-// CDN name once (the paper drives CRP with two Akamai-hosted names), and each
-// resolution is recorded as one tracker probe.
-func (s *World) CollectTracker(host netsim.HostID, ps ProbeSchedule) (*crp.Tracker, error) {
+// CollectService probes the fleet on behalf of each host in turn according
+// to the schedule and returns a service holding their redirection
+// histories. Each probe step resolves every CDN name once (the paper drives
+// CRP with two Akamai-hosted names), and each resolution is observed as one
+// tracker probe, so a window is sized in steps. A host none of whose
+// lookups survived is not in the service: its queries fail with
+// crp.ErrUnknownNode.
+func (s *World) CollectService(hosts []netsim.HostID, ps ProbeSchedule) (*crp.Service, error) {
 	if err := ps.Validate(); err != nil {
 		return nil, err
 	}
-	var opts []crp.TrackerOption
-	if ps.Window > 0 {
-		// Each probe step resolves all names; size the window in steps.
-		opts = append(opts, crp.WithWindow(ps.Window*s.lookupsPerStep()))
+	svc := s.newService(ps)
+	if err := s.feed(hosts, ps, svc); err != nil {
+		return nil, err
 	}
-	tr := crp.NewTracker(opts...)
-	for i := 0; i < ps.Probes; i++ {
-		err := s.Probe(host, ps.Start+time.Duration(i)*ps.Interval, AllMembers, func(l Lookup) error {
-			tr.Observe(l.At, l.IDs...)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	return svc, nil
+}
+
+// newService returns an empty service whose tracker window is the
+// schedule's, sized in lookups: every probe step resolves all names.
+func (s *World) newService(ps ProbeSchedule) *crp.Service {
+	if ps.Window > 0 {
+		return crp.NewService(crp.WithWindow(ps.Window * s.lookupsPerStep()))
+	}
+	return crp.NewService()
+}
+
+// feed runs the schedule's probe steps for each host in turn and observes
+// every lookup into each of svcs, so one probe pass — one draw of every
+// fault decision — fills several services.
+func (s *World) feed(hosts []netsim.HostID, ps ProbeSchedule, svcs ...*crp.Service) error {
+	for _, h := range hosts {
+		node := s.NodeID(h)
+		for i := 0; i < ps.Probes; i++ {
+			err := s.Probe(h, ps.Start+time.Duration(i)*ps.Interval, AllMembers, func(l Lookup) error {
+				for _, svc := range svcs {
+					if err := svc.Observe(node, l.At, l.IDs...); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
 		}
 	}
-	return tr, nil
+	return nil
 }
 
 // CollectRatioMaps collects ratio maps for a set of hosts under one
-// schedule.
+// schedule. A host with no lookup gets a nil (empty) map.
 func (s *World) CollectRatioMaps(hosts []netsim.HostID, ps ProbeSchedule) (map[netsim.HostID]crp.RatioMap, error) {
+	svc, err := s.CollectService(hosts, ps)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[netsim.HostID]crp.RatioMap, len(hosts))
 	for _, h := range hosts {
-		tr, err := s.CollectTracker(h, ps)
-		if err != nil {
+		m, err := svc.RatioMap(s.NodeID(h))
+		if err != nil && !errors.Is(err, crp.ErrUnknownNode) {
 			return nil, err
 		}
-		out[h] = tr.RatioMap()
+		out[h] = m
 	}
 	return out, nil
 }
