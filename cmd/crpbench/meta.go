@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -73,7 +74,9 @@ func writeReport(out string, report any) error {
 
 // renderObsSnapshot formats the non-zero instruments of a snapshot for the
 // terminal: counters and gauges verbatim, histograms by count only — their
-// wall-clock means and quantiles would differ from run to run.
+// wall-clock means and quantiles would differ from run to run. A folded
+// gauge family prints all six summary fields, zeros too, so a reader sees
+// every field of the summary.
 func renderObsSnapshot(label string, snap obs.Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "obs snapshot [%s]\n", label)
@@ -89,7 +92,7 @@ func renderObsSnapshot(label string, snap obs.Snapshot) string {
 	}
 	names = names[:0]
 	for n, v := range snap.Gauges {
-		if v != 0 {
+		if v != 0 || summaryField(n, snap.Gauges) {
 			names = append(names, n)
 		}
 	}
@@ -108,6 +111,17 @@ func renderObsSnapshot(label string, snap obs.Snapshot) string {
 		fmt.Fprintf(&b, "  %-36s count=%d\n", n, snap.Histograms[n].Count)
 	}
 	return b.String()
+}
+
+// summaryField reports whether gauge n is a field of a folded family: its
+// last segment is a summary field and the family's count is present.
+func summaryField(n string, gauges map[string]int64) bool {
+	dot := strings.LastIndexByte(n, '.')
+	if dot < 0 || !slices.Contains(obs.SummaryFields[:], n[dot+1:]) {
+		return false
+	}
+	_, ok := gauges[n[:dot]+".count"]
+	return ok
 }
 
 // dumpObs prints the process-wide registry after an experiment, its gauge

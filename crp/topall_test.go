@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -331,4 +332,45 @@ func TestTopListAllocsSteadyState(t *testing.T) {
 		_, err := svc.TopK("m07-n351", cands, 5)
 		return err
 	})
+}
+
+// topAllTwoProcsAllocBudget is the all-nodes query's count with its scoring
+// fanned out over two workers: the two inline allocations plus what
+// parallelFor costs per query (its goroutines and their closure, the
+// WaitGroup and the claim counter). A lazily started worker set would bring
+// it down to topAllAllocBudget; until then it pins today's count, so a
+// fan-out that allocates more fails.
+const topAllTwoProcsAllocBudget = 7
+
+// TestTopAllAllocsAtTwoProcs counts the all-nodes query at GOMAXPROCS 2,
+// where its ~250-node union fans out. testing.AllocsPerRun pins GOMAXPROCS
+// 1, which never fans out, so this counts process mallocs around a loop
+// with runtime.ReadMemStats instead.
+func TestTopAllAllocsAtTwoProcs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	svc := allocBudgetService(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	query := func() {
+		if _, err := svc.TopK("m07-n351", nil, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query()
+	const n = 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("all-nodes TopK at GOMAXPROCS 2: %.2f allocations per query", perQuery)
+	// Half an allocation over the budget absorbs the pooled buffers a query
+	// misses when it runs on the other P (about 0.2 a query); one more
+	// allocation per query is twice that.
+	if perQuery > topAllTwoProcsAllocBudget+0.5 {
+		t.Fatalf("all-nodes TopK at GOMAXPROCS 2 allocates %.2f per query, budget %d", perQuery, topAllTwoProcsAllocBudget)
+	}
 }

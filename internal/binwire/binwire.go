@@ -33,6 +33,10 @@ type Enc struct {
 	buf []byte
 }
 
+// NewEnc returns an encoder that appends to dst, so a caller that keeps one
+// buffer across messages encodes into it instead of a fresh one.
+func NewEnc(dst []byte) *Enc { return &Enc{buf: dst} }
+
 // Bytes returns the encoded message. The slice aliases the encoder's
 // buffer and is only valid until the next write.
 func (e *Enc) Bytes() []byte { return e.buf }
@@ -222,30 +226,62 @@ func (d *Dec) stringLen(max int) (int, error) {
 // is shared by this list only: retaining one entry retains the others, so
 // a holder that outlives the list keeps a strings.Clone of what it needs.
 func (d *Dec) Strings(n, max int) ([]string, error) {
+	total, err := d.measure(n, max)
+	if err != nil {
+		return nil, err
+	}
+	var b strings.Builder
+	b.Grow(total)
+	out := make([]string, n)
+	for i := range out {
+		out[i] = d.cut(&b)
+	}
+	return out, nil
+}
+
+// StringsTo is Strings into len(dst) fields instead of a fresh slice: the
+// same validation, values and offset, with the entries cut from one
+// backing, so the fields cost one allocation together (none when every
+// one is empty).
+func (d *Dec) StringsTo(max int, dst ...*string) error {
+	total, err := d.measure(len(dst), max)
+	if err != nil {
+		return err
+	}
+	var b strings.Builder
+	b.Grow(total)
+	for _, f := range dst {
+		*f = d.cut(&b)
+	}
+	return nil
+}
+
+// measure validates the lengths of the next n strings and returns their
+// total with the offset rewound; on an error the offset is where n String
+// calls would have stopped. A builder grown to exactly the total never
+// reallocates, so each entry cut from it stays valid while later ones are
+// appended.
+func (d *Dec) measure(n, max int) (int, error) {
 	start, total := d.off, 0
 	for i := 0; i < n; i++ {
 		l, err := d.stringLen(max)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		d.off += l
 		total += l
 	}
-	// Second pass over the validated entries. The builder holds exactly
-	// total bytes and never reallocates, so each entry cut from it stays
-	// valid while later ones are appended.
-	var b strings.Builder
-	b.Grow(total)
-	out := make([]string, n)
 	d.off = start
-	for i := range out {
-		l, _ := d.Uvarint()
-		from := b.Len()
-		b.Write(d.buf[d.off : d.off+int(l)])
-		out[i] = b.String()[from:]
-		d.off += int(l)
-	}
-	return out, nil
+	return total, nil
+}
+
+// cut copies the next validated string into b and returns it.
+func (d *Dec) cut(b *strings.Builder) string {
+	l, _ := d.Uvarint()
+	from := b.Len()
+	b.Write(d.buf[d.off : d.off+int(l)])
+	d.off += int(l)
+	return b.String()[from:]
 }
 
 // Blob reads a length-prefixed byte blob of at most max bytes into a fresh

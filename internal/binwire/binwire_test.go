@@ -198,10 +198,11 @@ func TestSizeHelpers(t *testing.T) {
 	}
 }
 
-// TestStringsMatchesString is the property test for Dec.Strings: on seeded
-// lists, every truncation of them and an over-limit length at every entry,
-// Strings(n, max) must equal n calls to String(max) on values, error and
-// final offset.
+// TestStringsMatchesString is the property test for Dec.Strings and
+// Dec.StringsTo: on seeded lists, every truncation of them and an
+// over-limit length at every entry, Strings(n, max) and StringsTo into n
+// fields must equal n calls to String(max) on values, error and final
+// offset.
 func TestStringsMatchesString(t *testing.T) {
 	const max = 12
 	// Every message opens with one byte of another field, so the list does
@@ -234,6 +235,23 @@ func TestStringsMatchesString(t *testing.T) {
 		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 			t.Fatalf("%s: Strings = %q, String gives %q", name, got, want)
 		}
+
+		fields, ptrs := make([]string, n), make([]*string, n)
+		for i := range fields {
+			ptrs[i] = &fields[i]
+		}
+		d = NewDec(raw)
+		d.U8()
+		err = d.StringsTo(max, ptrs...)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || errors.Is(err, ErrShort) != errors.Is(wantErr, ErrShort) {
+			t.Fatalf("%s: StringsTo error %v, String gives %v", name, err, wantErr)
+		}
+		if d.off != wantOff {
+			t.Fatalf("%s: StringsTo stops at offset %d, String at %d", name, d.off, wantOff)
+		}
+		if err == nil && !slices.Equal(fields, want) {
+			t.Fatalf("%s: StringsTo = %q, String gives %q", name, fields, want)
+		}
 	}
 	rng := rand.New(rand.NewSource(34))
 	for c := 0; c < 200; c++ {
@@ -264,5 +282,23 @@ func TestStringsMatchesString(t *testing.T) {
 			}
 			check(fmt.Sprintf("case %d over-limit entry %d", c, bad), o.Bytes(), n)
 		}
+	}
+}
+
+// TestNewEncAppends pins that an encoder built on a buffer appends to it,
+// in place while the buffer has room.
+func TestNewEncAppends(t *testing.T) {
+	dst := make([]byte, 2, 64)
+	dst[0], dst[1] = 0xAA, 0xBB
+	e := NewEnc(dst)
+	e.Grow(6)
+	e.String("abc")
+	e.Uvarint(300)
+	got := e.Bytes()
+	if want := []byte{0xAA, 0xBB, 3, 'a', 'b', 'c', 0xAC, 0x02}; !slices.Equal(got, want) {
+		t.Fatalf("encoded %x, want %x", got, want)
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("encoder reallocated a buffer with room to spare")
 	}
 }

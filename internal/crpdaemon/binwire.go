@@ -253,13 +253,12 @@ func decodeRequestBody(d *binwire.Dec, req *Request) error {
 	if flags > 7 {
 		return fmt.Errorf("reserved request flags 0x%02x", flags)
 	}
-	for _, f := range []*string{&req.Node, &req.A, &req.B, &req.Client, &req.Addr} {
-		if *f, err = d.String(MaxIDBytes); err != nil {
-			return err
-		}
+	// The five scalar IDs are cut from one string, and each ID list from
+	// one of its own, never from the datagram: a retained ID must not pin
+	// the frame.
+	if err = d.StringsTo(MaxIDBytes, &req.Node, &req.A, &req.B, &req.Client, &req.Addr); err != nil {
+		return err
 	}
-	// Each ID list is cut from one string of its own, never from the
-	// datagram: a retained ID must not pin the frame.
 	n, err := d.Count(MaxListEntries, 1)
 	if err != nil {
 		return err
@@ -310,14 +309,23 @@ func decodeRequestBody(d *binwire.Dec, req *Request) error {
 // through encodeBounded, which adds the oversize degradation on top — and is
 // exported so benches and tools can produce representative reply datagrams.
 func EncodeResponseWire(resp *Response, bin bool) []byte {
+	return appendResponseWire(nil, resp, bin)
+}
+
+// appendResponseWire is EncodeResponseWire appending to dst, so a goroutine
+// that writes replies encodes each into the buffer it kept from the last.
+func appendResponseWire(dst []byte, resp *Response, bin bool) []byte {
 	if !bin {
 		// By value: a pointer would move every encoded response to the heap.
 		b, err := json.Marshal(*resp)
 		if err != nil {
 			// Unreachable; fail closed with a static error.
-			return []byte(`{"ok":false,"error":"internal marshal failure"}`)
+			b = []byte(`{"ok":false,"error":"internal marshal failure"}`)
 		}
-		return b
+		if dst == nil {
+			return b
+		}
+		return append(dst, b...)
 	}
 	// Sized once for everything but the JSON blobs, which are rare and
 	// grow the buffer themselves.
@@ -325,7 +333,7 @@ func EncodeResponseWire(resp *Response, bin bool) []byte {
 	for i := range resp.Batch {
 		size += responseBodyLen(&resp.Batch[i])
 	}
-	var e binwire.Enc
+	e := binwire.NewEnc(dst)
 	e.Grow(size)
 	e.U8(binMagic)
 	e.U8(binVersion)
@@ -333,11 +341,11 @@ func EncodeResponseWire(resp *Response, bin bool) []byte {
 		e.U8(kindBatchResp)
 		e.Uvarint(uint64(len(resp.Batch)))
 		for i := range resp.Batch {
-			encodeResponseBody(&e, &resp.Batch[i])
+			encodeResponseBody(e, &resp.Batch[i])
 		}
 	} else {
 		e.U8(kindResp)
-		encodeResponseBody(&e, resp)
+		encodeResponseBody(e, resp)
 	}
 	return e.Bytes()
 }

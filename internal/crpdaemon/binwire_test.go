@@ -239,7 +239,8 @@ func observeBatch(n int) Request {
 
 // TestCodecAllocBudget pins the codec's allocations, which must not grow
 // with a request's size: no per-entry field name on a passing check, one
-// string per decoded ID list, and each binary encoder sized once.
+// string per decoded ID list and one for a body's scalar IDs, and each
+// binary encoder sized once.
 func TestCodecAllocBudget(t *testing.T) {
 	allocs := func(f func()) float64 { return testing.AllocsPerRun(20, f) }
 	mustEncode := func(r *Request, bin bool) []byte {
@@ -268,6 +269,10 @@ func TestCodecAllocBudget(t *testing.T) {
 		}
 	}
 
+	// Its two IDs are cut from one string: the request's one allocation.
+	if n := allocs(decode(mustEncode(&Request{Op: "similarity", A: "n1", B: "n2"}, true))); n != 1 {
+		t.Errorf("binary DecodeRequest(similarity): %v allocs, want 1", n)
+	}
 	bin24, bin240 := mustEncode(&closest24, true), mustEncode(&closest240, true)
 	d24, d240 := allocs(decode(bin24)), allocs(decode(bin240))
 	if d240 > 4 || d24 != d240 {
@@ -667,7 +672,7 @@ func TestBatchReplyDegrades(t *testing.T) {
 		{OK: true, Nodes: []string{"small-2"}},
 	}}
 	for _, bin := range []bool{false, true} {
-		wire := d.encodeBounded(resp, bin)
+		wire := d.encodeBounded(nil, resp, bin)
 		if len(wire) > MaxReplySize {
 			t.Fatalf("bin=%v: degraded reply is still %d bytes", bin, len(wire))
 		}

@@ -7,14 +7,18 @@
 // reply with their results in order. An optional "ns" scopes ratio_map,
 // similarity and closest to one CDN namespace.
 //
-// Requests are read by a single socket loop and dispatched to one of two
+// Requests are read by socket readers (one per GOMAXPROCS on a
+// *net.UDPConn, one on any other PacketConn) and dispatched to one of two
 // bounded worker pools: cheap ops (observe, similarity, closest, ...) and
 // heavy ops (the SMF clustering queries), so a burst of clustering requests
-// cannot head-of-line-block the sub-millisecond queries. Every request
-// carries a deadline from the moment it is read; requests that overstay it
-// — in the queue or in a handler — get a structured timeout reply instead
-// of a silent drop. Close is idempotent: it stops the socket loop and
-// drains queued and in-flight handlers before returning.
+// cannot head-of-line-block the sub-millisecond queries. On a *net.UDPConn
+// the readers address datagrams as netip.AddrPort values, and every reader
+// and worker encodes its replies into a buffer it keeps, so the hop around
+// a handler allocates nothing of its own. Every request carries a deadline
+// from the moment it is read; requests that overstay it — in the queue or
+// in a handler — get a structured timeout reply instead of a silent drop.
+// Close is idempotent: it stops the readers and drains queued and in-flight
+// handlers before returning.
 //
 // Every stage is instrumented through internal/obs: per-op request/error
 // counts and latency histograms, an in-flight gauge, and counters for the
@@ -26,8 +30,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/crp"
@@ -93,6 +99,12 @@ type RankedNode struct {
 	Similarity float64 `json:"similarity"`
 }
 
+// maxKeptReply is the largest reply buffer a reader or worker keeps for its
+// next reply. A similarity, closest or observe-batch reply is tens to
+// hundreds of bytes; a stats or ratio_map reply can reach MaxReplySize, and
+// keeping that would pin 64 KB per goroutine.
+const maxKeptReply = 4 << 10
+
 // MaxReplySize is the largest reply the daemon will put on the wire: the
 // IPv4 UDP payload limit. Larger replies (e.g., a ratio map over tens of
 // thousands of replicas) would be rejected by the kernel after the fact, so
@@ -108,7 +120,7 @@ type Config struct {
 	HeavyWorkers int
 	// QueueDepth bounds each pool's backlog (default 256). A full queue
 	// rejects with a structured "server busy" error rather than stalling
-	// the socket loop.
+	// the socket readers.
 	QueueDepth int
 	// Timeout is the per-request deadline, measured from the moment the
 	// datagram is read (default 5s). Requests that exceed it — waiting or
@@ -217,11 +229,18 @@ func batchHeavy(req *Request) bool {
 	return false
 }
 
+// peer is where a reply goes: the address a *net.UDPConn read reported, by
+// value, or the net.Addr of any other PacketConn.
+type peer struct {
+	ap   netip.AddrPort
+	addr net.Addr
+}
+
 // task is one admitted request moving through a worker pool.
 type task struct {
 	req      Request
 	op       opcode
-	from     net.Addr
+	from     peer
 	deadline time.Time
 	// bin records the request's codec; the reply goes back the same way.
 	bin bool
@@ -241,19 +260,20 @@ type Daemon struct {
 	reg *obs.Registry
 	now func() time.Time
 	pc  net.PacketConn
+	// udp is pc when it is a *net.UDPConn: reads and writes then address
+	// peers as netip.AddrPort values, which allocate nothing.
+	udp *net.UDPConn
 
 	cheapQ chan task
 	heavyQ chan task
+	// readers counts the live socket readers; the last one out closes the
+	// queues.
+	readers atomic.Int32
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
-
-	// writeMu serializes WriteTo calls. PacketConn writes are documented as
-	// concurrency-safe, but serializing keeps reply interleaving fair under
-	// heavy fan-out and gives the write-error counter a stable meaning.
-	writeMu sync.Mutex
 
 	inflight     *obs.Gauge
 	readErrs     *obs.Counter
@@ -267,10 +287,10 @@ type Daemon struct {
 }
 
 // New builds a socketless daemon: Handle serves requests synchronously with
-// full instrumentation, but no worker pools or read loop exist and no socket
-// is owned. The deterministic scenario harness embeds daemons this way so a
-// single-threaded driver sees a fixed execution order. Close is a no-op for
-// a socketless daemon.
+// full instrumentation, but no worker pools or socket readers exist and no
+// socket is owned. The deterministic scenario harness embeds daemons this
+// way so a single-threaded driver sees a fixed execution order. Close is a
+// no-op for a socketless daemon.
 func New(svc *crp.Service, cfg Config) (*Daemon, error) {
 	if svc == nil {
 		return nil, errors.New("crpdaemon: nil Service")
@@ -314,6 +334,7 @@ func Serve(pc net.PacketConn, svc *crp.Service, cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d.pc = pc
+	d.udp, _ = pc.(*net.UDPConn)
 	d.cheapQ = make(chan task, d.cfg.QueueDepth)
 	d.heavyQ = make(chan task, d.cfg.QueueDepth)
 
@@ -325,8 +346,15 @@ func Serve(pc net.PacketConn, svc *crp.Service, cfg Config) (*Daemon, error) {
 		d.wg.Add(1)
 		go d.worker(d.heavyQ)
 	}
-	d.wg.Add(1)
-	go d.readLoop()
+	readers := 1
+	if d.udp != nil {
+		readers = runtime.GOMAXPROCS(0)
+	}
+	d.readers.Store(int32(readers))
+	for i := 0; i < readers; i++ {
+		d.wg.Add(1)
+		go d.readLoop()
+	}
 	return d, nil
 }
 
@@ -367,23 +395,29 @@ func (d *Daemon) intake(raw []byte) (Request, opcode, bool, error) {
 	return req, opNamed[req.Op], bin, err
 }
 
-// readLoop is the single socket reader: it admits requests through intake
-// and routes them to a pool. A failed read or an unparseable datagram never
-// terminates the loop — only closing the daemon does.
+// readLoop is one socket reader: it admits requests through intake and
+// routes them to a pool, answering what it refuses itself. A failed read or
+// an unparseable datagram never terminates the loop — only closing the
+// daemon does.
 func (d *Daemon) readLoop() {
 	defer d.wg.Done()
-	// Workers exit when their queue is closed and drained; only readLoop
-	// sends on the queues, so it closes them on the way out.
-	defer close(d.cheapQ)
-	defer close(d.heavyQ)
+	// Workers exit when their queue is closed and drained; only the readers
+	// send on the queues, so the last one to exit closes them.
+	defer func() {
+		if d.readers.Add(-1) == 0 {
+			close(d.cheapQ)
+			close(d.heavyQ)
+		}
+	}()
 
 	// One byte over the request bound: a datagram that fills a
 	// MaxRequestSize buffer exactly would be indistinguishable from a
 	// kernel-truncated larger one, so the extra byte makes oversize
 	// detectable and intake rejects it without decoding truncated bytes.
 	buf := make([]byte, MaxRequestSize+1)
+	var out []byte // the reader's own reply buffer, for the replies it sends
 	for {
-		n, from, err := d.pc.ReadFrom(buf)
+		n, from, err := d.readFrom(buf)
 		if err != nil {
 			select {
 			case <-d.closed:
@@ -408,7 +442,7 @@ func (d *Daemon) readLoop() {
 
 		req, op, bin, err := d.intake(buf[:n])
 		if err != nil {
-			d.reply(from, Response{Error: err.Error()}, bin)
+			out = d.reply(out, from, Response{Error: err.Error()}, bin)
 			continue
 		}
 		q := d.cheapQ
@@ -421,16 +455,38 @@ func (d *Daemon) readLoop() {
 		default:
 			d.rejected.Inc()
 			d.opStats[op].errors.Inc()
-			d.reply(from, Response{Error: fmt.Sprintf("server busy: %s queue full", req.Op)}, bin)
+			out = d.reply(out, from, Response{Error: fmt.Sprintf("server busy: %s queue full", req.Op)}, bin)
 		}
 	}
 }
 
 func (d *Daemon) worker(q chan task) {
 	defer d.wg.Done()
+	var out []byte // the worker's own reply buffer
 	for t := range q {
-		d.reply(t.from, d.serve(t.op, t.req, t.deadline), t.bin)
+		out = d.reply(out, t.from, d.serve(t.op, t.req, t.deadline), t.bin)
 	}
+}
+
+// readFrom reads one datagram and its sender.
+func (d *Daemon) readFrom(buf []byte) (n int, from peer, err error) {
+	if d.udp != nil {
+		n, from.ap, err = d.udp.ReadFromUDPAddrPort(buf)
+	} else {
+		n, from.addr, err = d.pc.ReadFrom(buf)
+	}
+	return n, from, err
+}
+
+// writeTo sends one reply datagram. Concurrent writes need no lock: one UDP
+// write is one datagram.
+func (d *Daemon) writeTo(wire []byte, to peer) (err error) {
+	if d.udp != nil {
+		_, err = d.udp.WriteToUDPAddrPort(wire, to.ap)
+	} else {
+		_, err = d.pc.WriteTo(wire, to.addr)
+	}
+	return err
 }
 
 // serve is the one instrumented request step behind both entry points: the
@@ -482,14 +538,13 @@ func (d *Daemon) serve(op opcode, req Request, deadline time.Time) Response {
 }
 
 // reply encodes one response in the request's codec — bounded by
-// encodeBounded — and sends it, counting (not propagating) write failures:
-// a failed reply to one client must never take down the service.
-func (d *Daemon) reply(to net.Addr, resp Response, bin bool) {
-	wire := d.encodeBounded(resp, bin)
-	d.writeMu.Lock()
-	_, err := d.pc.WriteTo(wire, to)
-	d.writeMu.Unlock()
-	if err != nil {
+// encodeBounded, into buf — and sends it, counting (not propagating) write
+// failures: a failed reply to one client must never take down the service.
+// It returns the buffer for the caller's next reply, or nil when this reply
+// grew it past maxKeptReply.
+func (d *Daemon) reply(buf []byte, to peer, resp Response, bin bool) []byte {
+	wire := d.encodeBounded(buf[:0], resp, bin)
+	if err := d.writeTo(wire, to); err != nil {
 		select {
 		case <-d.closed:
 			// Shutdown-path write failures are expected, not signal.
@@ -497,16 +552,20 @@ func (d *Daemon) reply(to net.Addr, resp Response, bin bool) {
 			d.writeErrs.Inc()
 		}
 	}
+	if cap(wire) > maxKeptReply {
+		return nil
+	}
+	return wire[:0]
 }
 
-// encodeBounded encodes resp in the chosen codec and enforces the reply
-// ceiling. A too-large batch reply degrades deterministically: the largest
-// encoded sub-response (lowest index on ties) is replaced with a structured
-// error stub until the envelope fits, so the remaining sub-results still
-// reach the client. A too-large single reply becomes the structured
-// oversize error, as before.
-func (d *Daemon) encodeBounded(resp Response, bin bool) []byte {
-	wire := EncodeResponseWire(&resp, bin)
+// encodeBounded encodes resp in the chosen codec, appending to dst, and
+// enforces the reply ceiling. A too-large batch reply degrades
+// deterministically: the largest encoded sub-response (lowest index on ties)
+// is replaced with a structured error stub until the envelope fits, so the
+// remaining sub-results still reach the client. A too-large single reply
+// becomes the structured oversize error, as before.
+func (d *Daemon) encodeBounded(dst []byte, resp Response, bin bool) []byte {
+	wire := appendResponseWire(dst, &resp, bin)
 	if len(wire) <= MaxReplySize {
 		return wire
 	}
@@ -529,12 +588,12 @@ func (d *Daemon) encodeBounded(resp Response, bin bool) []byte {
 			resp.Batch[largest] = Response{Error: fmt.Sprintf(
 				"response too large: sub-response was %d bytes; narrow the query", size)}
 			replaced[largest] = true
-			if wire = EncodeResponseWire(&resp, bin); len(wire) <= MaxReplySize {
+			if wire = appendResponseWire(wire[:0], &resp, bin); len(wire) <= MaxReplySize {
 				return wire
 			}
 		}
 	}
-	return EncodeResponseWire(&Response{
+	return appendResponseWire(wire[:0], &Response{
 		Error: fmt.Sprintf("response too large: %d bytes exceeds the %d-byte UDP limit; narrow the query", len(wire), MaxReplySize),
 	}, bin)
 }
@@ -546,9 +605,9 @@ func (d *Daemon) encodeBounded(resp Response, bin bool) []byte {
 func (d *Daemon) Handle(raw []byte) []byte {
 	req, op, bin, err := d.intake(raw)
 	if err != nil {
-		return d.encodeBounded(Response{Error: err.Error()}, bin)
+		return d.encodeBounded(nil, Response{Error: err.Error()}, bin)
 	}
-	return d.encodeBounded(d.serve(op, req, time.Time{}), bin)
+	return d.encodeBounded(nil, d.serve(op, req, time.Time{}), bin)
 }
 
 // dispatch runs one decoded request through its row. A batch's

@@ -40,15 +40,15 @@ const (
 )
 
 // errTooLarge refuses a request over MaxRequestSize. It carries no byte
-// count: a datagram the socket loop read is cut at MaxRequestSize+1.
+// count: a socket reader cuts a datagram at MaxRequestSize+1.
 var errTooLarge = fmt.Errorf("request too large: exceeds the %d-byte limit", MaxRequestSize)
 
 // DecodeRequest parses and bounds-checks one wire request in either codec,
 // routed by the first byte (binMagic means binary; JSON starts with '{').
 // It is the daemon's one decoder — its intake runs it on every datagram
-// from the socket loop and Handle alike — exported so benches and tools can
-// measure and exercise it. The returned bin flag reports the request codec;
-// replies go back the same way.
+// from the socket readers and Handle alike — exported so benches and tools
+// can measure and exercise it. The returned bin flag reports the request
+// codec; replies go back the same way.
 func DecodeRequest(raw []byte) (Request, bool, error) {
 	bin := len(raw) > 0 && raw[0] == binMagic
 	if len(raw) > MaxRequestSize {

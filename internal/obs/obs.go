@@ -370,10 +370,14 @@ func (s *Snapshot) SummarizeGaugeFamily(prefix, suffix, out string) {
 	if rank > len(values) {
 		rank = len(values)
 	}
-	s.Gauges[out+".count"] = int64(len(values))
-	s.Gauges[out+".sum"] = sum
-	s.Gauges[out+".min"] = values[0]
-	s.Gauges[out+".mean"] = int64(math.Round(float64(sum) / float64(len(values))))
-	s.Gauges[out+".max"] = values[len(values)-1]
-	s.Gauges[out+".p99"] = values[rank-1]
+	for i, v := range [len(SummaryFields)]int64{
+		int64(len(values)), sum, values[0],
+		int64(math.Round(float64(sum) / float64(len(values)))), values[len(values)-1], values[rank-1],
+	} {
+		s.Gauges[out+"."+SummaryFields[i]] = v
+	}
 }
+
+// SummaryFields names the six gauges SummarizeGaugeFamily writes for a
+// folded family, in its order: out + "." + field.
+var SummaryFields = [...]string{"count", "sum", "min", "mean", "max", "p99"}
