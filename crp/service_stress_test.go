@@ -14,7 +14,7 @@ import (
 // ShardMetas, ShardDigests — across goroutines, under three store shapes.
 // Run with -race (the repo's make check does) this is the concurrency gate
 // for the sharded store: snapshot stitching, per-shard patching, structural
-// rebuilds, the publish step's overtaken-observe retry and its digest
+// rebuilds, the publish step's locked tracker writes and its digest
 // bookkeeping all race against ingestion here.
 func TestServiceChurnStress(t *testing.T) {
 	shapes := []struct {

@@ -2,13 +2,10 @@ package crp
 
 import (
 	"cmp"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // The sharded tracker store is the Service's storage core. The paper frames
@@ -32,7 +29,8 @@ import (
 // A node has exactly one record (nodeEntry): its replication stamp and its
 // tracker. A record, once written, is never removed — the paper's service
 // observes and answers, it never withdraws a node. Every change to a record
-// — observe or delta apply — goes through one step, publish, and everything
+// — observe or delta apply — is one step, publish: the tracker is built or
+// advanced and the record restamped under the node's shard lock. Everything
 // that lists nodes reads the same map through one sorted walk, records.
 
 // StoreConfig tunes the Service's sharded tracker store. It exists for
@@ -54,7 +52,7 @@ type StoreConfig struct {
 // feed the collector. Measured at PR 3 (DESIGN.md "Store"): at 50k nodes under
 // a 1.5k/s observe stream, going from 64 to 256 shards nearly halves query
 // p99 on a single-core host. Per-shard fixed overhead
-// (one small map, a gauge, three words of sync state) is a few hundred
+// (one small map, three words of sync state) is a few hundred
 // bytes, so even a store holding a handful of nodes pays nothing noticeable
 // for an oversized shard table.
 func defaultShardCount() int {
@@ -91,11 +89,10 @@ type entryMeta struct {
 // lock and changed only by publish. The zero record — version 0, no tracker
 // — is what an unknown node looks like.
 type nodeEntry struct {
-	// t is the node's tracker, never nil in a stored record. A tracker
-	// pointer that has left its record never returns to one, which is what
-	// lets an in-flight observe detect that a delta overtook it. It comes
-	// first so a query's lookup, which wants nothing else, reads the bytes
-	// next to the key.
+	// t is the node's tracker, never nil in a stored record. It is written
+	// (advanced by an observe, replaced by a delta) only under the shard
+	// lock, inside publish. It comes first so a query's lookup, which wants
+	// nothing else, reads the bytes next to the key.
 	t *Tracker
 	entryMeta
 }
@@ -169,8 +166,6 @@ type storeShard struct {
 	// it is one atomic load and a gossip tick costs O(writes) rather than a
 	// sort of every dirty shard.
 	digest atomic.Uint64
-
-	nodes *obs.Gauge // crp.service.shard.NNN.nodes
 }
 
 // storeSnap is a stitched point-in-time view of the store's compiled
@@ -209,7 +204,6 @@ func newStore(cfg StoreConfig, opts []TrackerOption) *store {
 	}
 	for i := range st.shards {
 		st.shards[i].entries = make(map[NodeID]nodeEntry)
-		st.shards[i].nodes = obs.Default().Gauge(fmt.Sprintf("crp.service.shard.%03d.nodes", i))
 	}
 	svcMetrics.shardWidth.Set(int64(n))
 	return st
@@ -225,7 +219,8 @@ func (st *store) shardFor(id NodeID) *storeShard {
 	return &st.shards[st.shardIndex(id)]
 }
 
-// change is a node's next record as publish installs it.
+// change is a node's next record as publish installs it, built under the
+// shard lock in the same step.
 type change struct {
 	// t is the node's tracker from here on.
 	t *Tracker
@@ -241,14 +236,15 @@ type change struct {
 
 // publish is the store's one write step. Under node's shard lock it shows
 // next the node's current record (known is false, and cur zero, when the
-// store has none) and, unless next declines, installs the change it returns:
-// the tracker, the stamp, the dirty listing, the membership bookkeeping and
-// the shard digest. Then it makes the write visible, in this order — shard
-// version, store version, mutation hook. Both versions move
-// strictly after the record (and, before it, the tracker) changed, so a
-// sub-snapshot or stitched snapshot built concurrently is tagged with the
-// older version and rebuilt on the next read. It reports whether anything
-// was written; a declined change leaves every version untouched.
+// store has none); next builds or advances the tracker there and, unless it
+// declines, publish installs the change it returns: the tracker, the stamp,
+// the dirty listing, the membership bookkeeping and the shard digest. next
+// must not call into the store. Then publish makes the write visible, in
+// this order — shard version, store version, mutation hook. Both versions
+// move strictly after the record and its tracker changed, so a sub-snapshot
+// or stitched snapshot built concurrently is tagged with the older version
+// and rebuilt on the next read. It reports whether anything was written; a
+// declined change leaves every version untouched.
 func (st *store) publish(node NodeID, next func(cur nodeEntry, known bool) (change, bool)) bool {
 	sh := st.shardFor(node)
 	sh.mu.Lock()
@@ -263,7 +259,6 @@ func (st *store) publish(node NodeID, next func(cur nodeEntry, known bool) (chan
 		digest -= recordWord(node, e.entryMeta)
 	} else {
 		sh.structural = true
-		sh.nodes.Inc()
 	}
 	// Past one listing per record a full re-collect is the cheaper rebuild,
 	// and the list stays bounded with no reader around.
@@ -324,37 +319,22 @@ func recordWord(node NodeID, m entryMeta) uint64 {
 	return h
 }
 
-// commit publishes t as node's tracker under a local stamp, provided the
-// record still holds the tracker the caller started from (was; nil for "no
-// record"). The caller changed t outside the shard lock, so a superseding
-// delta may have replaced the record meanwhile; commit then declines and
-// the caller starts over from the new record, which is what makes the
-// outcome one that some serial order of the two calls produces — never a
-// probe lost on a tracker that left its record.
-func (st *store) commit(node NodeID, was, t *Tracker) bool {
-	return st.publish(node, func(cur nodeEntry, _ bool) (change, bool) {
-		return change{t: t}, cur.t == was
-	})
-}
-
-// observe records one probe for node: tr runs against the node's tracker —
-// a fresh one on first sight — and the result is published, invalidating
-// only node's shard. Concurrent observes of one node share its tracker and
-// each advance the record version by exactly one, so the final version
-// always describes the final probe window. tr runs again, on the record's
-// new tracker, when a delta overtook it.
+// observe records one probe for node: under the node's shard lock tr runs
+// against the node's tracker — a fresh one on first sight — and the record is
+// published with the next local version, invalidating only node's shard. The
+// probe and the version move in one step, so an observe and a delta of one
+// node always end in a state one serial order of the two produces. tr runs
+// under the shard lock and must not call into the store; the lock order is
+// aggregate shard, store shard, tracker.
 func (st *store) observe(node NodeID, tr func(*Tracker)) {
-	for {
-		was, _ := st.get(node)
-		t := was
+	st.publish(node, func(cur nodeEntry, _ bool) (change, bool) {
+		t := cur.t
 		if t == nil {
 			t = NewTracker(st.opts...)
 		}
 		tr(t)
-		if st.commit(node, was, t) {
-			return
-		}
-	}
+		return change{t: t}, true
+	})
 }
 
 // get returns node's tracker.
@@ -643,19 +623,19 @@ func csr(words []uint64) *postings {
 // local one under the last-writer-wins rule (NodeMeta.Supersedes). The probe
 // window is replaced wholesale — deltas carry the origin's full window, so
 // replication never interleaves probe histories and every replica of an entry
-// version is byte-identical. Returns false when the delta is stale or
-// idempotent (local record equal or newer).
+// version is byte-identical. Only a winning delta replays its window into a
+// tracker. Returns false when the delta is stale or idempotent (local record
+// equal or newer).
 func (st *store) applyDelta(d NodeDelta) bool {
-	// Build the replacement tracker outside the shard lock; replaying the
-	// probe window touches no shared state.
-	t := NewTracker(st.opts...)
-	for _, p := range d.Probes {
-		t.Observe(p.At, p.Replicas...)
-	}
-	meta := entryMeta{origin: d.Origin, version: d.Version}
 	return st.publish(d.Node, func(cur nodeEntry, known bool) (change, bool) {
-		return change{t: t, remote: true, meta: meta},
-			!known || d.NodeMeta.Supersedes(cur.meta(d.Node))
+		if known && !d.NodeMeta.Supersedes(cur.meta(d.Node)) {
+			return change{}, false
+		}
+		t := NewTracker(st.opts...)
+		for _, p := range d.Probes {
+			t.Observe(p.At, p.Replicas...)
+		}
+		return change{t: t, remote: true, meta: entryMeta{origin: d.Origin, version: d.Version}}, true
 	})
 }
 

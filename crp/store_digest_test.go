@@ -197,6 +197,28 @@ func TestDigestUpkeepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A delta that loses the last-writer-wins comparison — older, or equal to the
+// record — is refused before its probe window is replayed, so it costs no
+// allocation at all, however many probes it carries.
+func TestStaleDeltaAllocatesNothing(t *testing.T) {
+	svc := NewServiceWithStore(StoreConfig{Shards: 4}, WithWindow(10))
+	at := time.Unix(5_000_000, 0)
+	probes := make([]Probe, 10)
+	for i := range probes {
+		probes[i] = Probe{At: at.Add(time.Duration(i) * time.Second), Replicas: []ReplicaID{"r1", "r2"}}
+	}
+	cur := NodeDelta{NodeMeta: NodeMeta{Node: "remote", Origin: "peer-b", Version: 7}, Probes: probes}
+	applyOK(t, svc, cur, true)
+	for name, d := range map[string]NodeDelta{
+		"stale": {NodeMeta: NodeMeta{Node: "remote", Origin: "peer-z", Version: 6}, Probes: probes},
+		"equal": cur,
+	} {
+		if allocs := testing.AllocsPerRun(200, func() { applyOK(t, svc, d, false) }); allocs != 0 {
+			t.Errorf("ApplyDelta of the %s 10-probe delta: %v allocations, want 0", name, allocs)
+		}
+	}
+}
+
 // The maintained digest tracks every metadata mutation class: a new node, a
 // version-advancing observe and a remote delta application each move it.
 func TestShardDigestCacheTracksMutations(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -432,15 +433,14 @@ func TestClusterVecsMatchesClusterSMF(t *testing.T) {
 	}
 }
 
-// TestObserveRacingDelta drives the interleaving gossip produces — a
-// superseding delta landing while an observe of the same node sits between
-// reading the node's tracker and publishing — deterministically: the store
-// runs the observe callback exactly in that gap, so the delta is applied from
-// inside it. Whatever the interleaving, the store must end in a state some
-// serial order of the two calls produces, listing and replication must agree
-// on the nodes, and a peer fed the store's deltas must end byte-identical to
-// it. Without commit's re-check the raced observe would publish its probe on
-// a tracker the delta already replaced, which matches neither order.
+// TestObserveRacingDelta races the interleaving gossip produces — an observe
+// of a node and a superseding delta of the same node — on two goroutines
+// released together, many times over on fresh stores. Whatever the
+// interleaving, the store must end in a state some serial order of the two
+// calls produces, listing and replication must agree on the nodes, and a peer
+// fed the store's deltas must end byte-identical to it. Were the probe
+// published on a tracker the delta already replaced, the record would match
+// neither order.
 func TestObserveRacingDelta(t *testing.T) {
 	at := time.Unix(1000, 0)
 	fresh := func(origin string) *Service {
@@ -457,35 +457,29 @@ func TestObserveRacingDelta(t *testing.T) {
 		}
 		return s
 	}
-	observe := func(node NodeID) func(st *store, gap func()) {
-		return func(st *store, gap func()) {
-			st.observe(node, func(tr *Tracker) {
-				gap()
-				tr.Observe(at.Add(time.Minute), "cdnA!r2")
-			})
-		}
-	}
-	delta := func(node NodeID) func(*store) {
-		d := NodeDelta{
-			NodeMeta: NodeMeta{Node: node, Origin: "peer", Version: 5},
-			Probes:   []Probe{{At: at.Add(2 * time.Second), Replicas: []ReplicaID{"cdnA!r7"}}},
-		}
-		return func(st *store) {
-			if !st.applyDelta(d) {
-				t.Error("superseding delta was refused")
-			}
-		}
-	}
 
-	// The observe finds the node known (it overwrites a tracker) or unknown
-	// (it would create one); the delta supersedes it either way.
+	// The observe finds the node known (it advances a tracker) or unknown
+	// (it creates one); the delta supersedes it either way.
 	for _, row := range []struct {
 		name string
 		node NodeID
 	}{{"observe-vs-delta", "known"}, {"first-observe-vs-delta", "unknown"}} {
 		node := row.node
 		t.Run(row.name, func(t *testing.T) {
-			call, racer := observe(node), delta(node)
+			call := func(s *Service) {
+				if err := s.Observe(node, at.Add(time.Minute), "cdnA!r2"); err != nil {
+					t.Error(err)
+				}
+			}
+			racer := func(s *Service) {
+				d := NodeDelta{
+					NodeMeta: NodeMeta{Node: node, Origin: "peer", Version: 5},
+					Probes:   []Probe{{At: at.Add(2 * time.Second), Replicas: []ReplicaID{"cdnA!r7"}}},
+				}
+				if ok, err := s.ApplyDelta(d); err != nil || !ok {
+					t.Errorf("superseding delta: ApplyDelta = %v, %v", ok, err)
+				}
+			}
 			export := func(s *Service) NodeDelta {
 				d, ok := s.ExportDelta(node)
 				if !ok {
@@ -494,64 +488,75 @@ func TestObserveRacingDelta(t *testing.T) {
 				return d
 			}
 			callFirst, racerFirst := seeded(), seeded()
-			call(callFirst.store, func() {})
-			racer(callFirst.store)
-			racer(racerFirst.store)
-			call(racerFirst.store, func() {})
+			call(callFirst)
+			racer(callFirst)
+			racer(racerFirst)
+			call(racerFirst)
+			a, b := export(callFirst), export(racerFirst)
 
-			raced := seeded()
-			once := true
-			call(raced.store, func() {
-				if once { // a retried callback must not race again
-					once = false
-					racer(raced.store)
+			for round := 0; round < 200; round++ {
+				raced := seeded()
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for _, f := range []func(*Service){call, racer} {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						f(raced)
+					}()
 				}
-			})
-			got := export(raced)
-			if a, b := export(callFirst), export(racerFirst); !reflect.DeepEqual(got, a) && !reflect.DeepEqual(got, b) {
-				t.Errorf("raced record matches no serial order:\n raced        %+v\n call, racer  %+v\n racer, call  %+v", got, a, b)
-			}
-
-			// Listing and replication read one record, so they agree; and a
-			// peer built from nothing but this store's deltas is its copy.
-			peer := fresh("peer")
-			var listed []NodeID
-			for i := 0; i < raced.ShardCount(); i++ {
-				metas, err := raced.ShardMetas(i)
-				if err != nil {
-					t.Fatal(err)
+				close(start)
+				wg.Wait()
+				if got := export(raced); !reflect.DeepEqual(got, a) && !reflect.DeepEqual(got, b) {
+					t.Fatalf("round %d: raced record matches no serial order:\n raced        %+v\n call, racer  %+v\n racer, call  %+v", round, got, a, b)
 				}
-				for _, m := range metas {
-					d, ok := raced.ExportDelta(m.Node)
-					if !ok || d.NodeMeta != m {
-						t.Fatalf("ExportDelta(%q) = %+v, %v; ShardMetas lists %+v", m.Node, d.NodeMeta, ok, m)
-					}
-					listed = append(listed, m.Node)
-					if len(d.Probes) == 0 {
-						t.Errorf("entry %q exports no probes", m.Node)
-					}
-					if _, err := peer.ApplyDelta(d); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			slices.Sort(listed)
-			if nodes := raced.Nodes(); !slices.Equal(nodes, listed) {
-				t.Errorf("Nodes() = %v, ShardMetas entries = %v", nodes, listed)
-			}
-			var want, have bytes.Buffer
-			if err := raced.WriteSnapshot(&want); err != nil {
-				t.Fatal(err)
-			}
-			if err := peer.WriteSnapshot(&have); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want.Bytes(), have.Bytes()) {
-				t.Errorf("peer fed the exported deltas diverges:\n store %s peer  %s", want.Bytes(), have.Bytes())
-			}
-			if !slices.Equal(raced.ShardDigests(), peer.ShardDigests()) {
-				t.Error("shard digests differ between the store and its delta-fed peer")
+				requireDeltaFedCopy(t, raced, fresh("peer"))
 			}
 		})
+	}
+}
+
+// requireDeltaFedCopy checks that listing and replication read one record —
+// ShardMetas, ExportDelta and Nodes agree — and that peer, built from
+// nothing but src's deltas, is its byte-identical copy, digests included.
+func requireDeltaFedCopy(t *testing.T, src, peer *Service) {
+	t.Helper()
+	var listed []NodeID
+	for i := 0; i < src.ShardCount(); i++ {
+		metas, err := src.ShardMetas(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metas {
+			d, ok := src.ExportDelta(m.Node)
+			if !ok || d.NodeMeta != m {
+				t.Fatalf("ExportDelta(%q) = %+v, %v; ShardMetas lists %+v", m.Node, d.NodeMeta, ok, m)
+			}
+			listed = append(listed, m.Node)
+			if len(d.Probes) == 0 {
+				t.Errorf("entry %q exports no probes", m.Node)
+			}
+			if _, err := peer.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	slices.Sort(listed)
+	if nodes := src.Nodes(); !slices.Equal(nodes, listed) {
+		t.Errorf("Nodes() = %v, ShardMetas entries = %v", nodes, listed)
+	}
+	var want, have bytes.Buffer
+	if err := src.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.WriteSnapshot(&have); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), have.Bytes()) {
+		t.Fatalf("peer fed the exported deltas diverges:\n store %s peer  %s", want.Bytes(), have.Bytes())
+	}
+	if !slices.Equal(src.ShardDigests(), peer.ShardDigests()) {
+		t.Fatal("shard digests differ between the store and its delta-fed peer")
 	}
 }

@@ -656,7 +656,8 @@ func TestBatchHeavyClassification(t *testing.T) {
 // largest sub-responses are stubbed (deterministically) until the envelope
 // fits, and the small sub-results survive.
 func TestBatchReplyDegrades(t *testing.T) {
-	d, _ := startDaemon(t, Config{Registry: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	d, _ := startDaemon(t, Config{Registry: reg})
 	defer d.Close()
 
 	big := make([]string, 120)
@@ -671,8 +672,14 @@ func TestBatchReplyDegrades(t *testing.T) {
 		{OK: true, Nodes: big},
 		{OK: true, Nodes: []string{"small-2"}},
 	}}
+	// Both codecs start from the same caller-owned batch: each pass must take
+	// the oversize path, so the degradation may not edit resp in place.
 	for _, bin := range []bool{false, true} {
+		before := reg.Snapshot().Counters["crpd.oversized_replies"]
 		wire := d.encodeBounded(nil, resp, bin)
+		if got := reg.Snapshot().Counters["crpd.oversized_replies"] - before; got != 1 {
+			t.Fatalf("bin=%v: crpd.oversized_replies moved by %d, want 1", bin, got)
+		}
 		if len(wire) > MaxReplySize {
 			t.Fatalf("bin=%v: degraded reply is still %d bytes", bin, len(wire))
 		}

@@ -32,6 +32,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -562,8 +563,9 @@ func (d *Daemon) reply(buf []byte, to peer, resp Response, bin bool) []byte {
 // enforces the reply ceiling. A too-large batch reply degrades
 // deterministically: the largest encoded sub-response (lowest index on ties)
 // is replaced with a structured error stub until the envelope fits, so the
-// remaining sub-results still reach the client. A too-large single reply
-// becomes the structured oversize error, as before.
+// remaining sub-results still reach the client. The stubs go into a copy of
+// the batch, so the caller's sub-responses are never edited. A too-large
+// single reply becomes the structured oversize error, as before.
 func (d *Daemon) encodeBounded(dst []byte, resp Response, bin bool) []byte {
 	wire := appendResponseWire(dst, &resp, bin)
 	if len(wire) <= MaxReplySize {
@@ -571,6 +573,7 @@ func (d *Daemon) encodeBounded(dst []byte, resp Response, bin bool) []byte {
 	}
 	d.oversized.Inc()
 	if len(resp.Batch) > 0 {
+		resp.Batch = slices.Clone(resp.Batch)
 		replaced := make([]bool, len(resp.Batch))
 		for {
 			largest, size := -1, 0
@@ -743,12 +746,9 @@ func (d *Daemon) stats(Request) Response {
 
 // SummarizeFamilies folds the numbered gauge families of a CRP process into
 // one six-field summary each (obs.Snapshot.SummarizeGaugeFamily): the
-// per-shard node gauges, which scale with the store width (up to 1024
-// shards, where the raw family alone overflows the UDP reply budget), and
-// the per-namespace families a fused multi-CDN deployment grows. The stats
-// op exports the folded copy; the in-process registry keeps full detail.
+// per-namespace families a fused multi-CDN deployment grows. The stats op
+// exports the folded copy; the in-process registry keeps full detail.
 func SummarizeFamilies(snap *obs.Snapshot) {
-	snap.SummarizeGaugeFamily("crp.service.shard.", ".nodes", "crp.service.shard_nodes")
 	snap.SummarizeGaugeFamily("crp.service.ns.", ".observes", "crp.service.ns_observes")
 	snap.SummarizeGaugeFamily("cdn.ns.", ".replicas", "cdn.ns_replicas")
 }

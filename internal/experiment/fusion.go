@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/crp"
@@ -446,7 +447,7 @@ func FusionIdentityCheck(seed int64, numClients, numCandidates, numReplicas, pro
 		if (perr == nil) != (ferr == nil) {
 			return fmt.Errorf("fusion identity: RatioMap(%s) error mismatch: %v vs %v", node, perr, ferr)
 		}
-		if !ratioMapsEqual(pm, fm) {
+		if !maps.Equal(pm, fm) {
 			return fmt.Errorf("fusion identity: RatioMap(%s) diverges", node)
 		}
 		pk, perr := plain.TopK(node, candIDs, 5)
@@ -484,18 +485,6 @@ func FusionIdentityCheck(seed int64, numClients, numCandidates, numReplicas, pro
 		}
 	}
 	return nil
-}
-
-func ratioMapsEqual(a, b crp.RatioMap) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }
 
 // RenderFusion formats the grid as the human-readable table crpbench prints.
