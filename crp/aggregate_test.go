@@ -372,13 +372,13 @@ func TestDemotionUnderConcurrentObserves(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: the demoted client has no record", trial)
 		}
-		recorded := make(map[time.Time]bool)
+		recorded := make(map[int64]bool) // by instant: Probes returns At in UTC
 		for _, p := range tr.Probes() {
-			recorded[p.At] = true
+			recorded[p.At.UnixNano()] = true
 		}
 		for _, ats := range after {
 			for _, at := range ats {
-				if !recorded[at] {
+				if !recorded[at.UnixNano()] {
 					t.Fatalf("trial %d: probe at %v, issued after the demotion, is not in the record", trial, at)
 				}
 			}

@@ -1,6 +1,8 @@
 package crp
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -20,6 +22,10 @@ func TestTrackerProbesCopy(t *testing.T) {
 	probes[0].Replicas[0] = "tampered"
 	if tr.Probes()[0].Replicas[0] == "tampered" {
 		t.Error("Probes exposes internal storage")
+	}
+	_ = append(probes[0].Replicas, "appended")
+	if probes[1].Replicas[0] != "r3" {
+		t.Errorf("an append to probe 0's replicas overwrote probe 1's: %v", probes[1].Replicas)
 	}
 }
 
@@ -66,5 +72,63 @@ func TestServiceSnapshotReappliesWindow(t *testing.T) {
 	}
 	if got := tr.Len(); got != 5 {
 		t.Errorf("restored tracker holds %d probes, want window of 5", got)
+	}
+}
+
+// A probe's instant survives the window whole: the zero time, the last
+// nanosecond a peer may send (binwire accepts years 0-9999, past UnixNano's
+// 2262), a reading with a monotonic clock and one in a non-UTC zone all come
+// back Equal from Probes and ExportDelta, and a peer fed the delta writes the
+// origin's snapshot byte for byte. The window is shifted once, so the
+// instants are read after moving down it.
+func TestProbeInstantsSurviveTheWindow(t *testing.T) {
+	instants := []time.Time{
+		{},
+		time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
+		time.Now(),
+		time.Date(2026, 7, 1, 12, 30, 0, 123_456_789, time.FixedZone("x", 19800)),
+	}
+	origin := NewService(WithWindow(len(instants)))
+	if err := origin.Observe("n", t0, "dropped"); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range instants {
+		if err := origin.Observe("n", at, ReplicaID(fmt.Sprint("r", i)), "shared"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, probes []Probe) {
+		t.Helper()
+		if len(probes) != len(instants) {
+			t.Fatalf("%s: %d probes, want %d", what, len(probes), len(instants))
+		}
+		for i, p := range probes {
+			if !p.At.Equal(instants[i]) {
+				t.Errorf("%s: probe %d at %v, want %v", what, i, p.At, instants[i])
+			}
+		}
+	}
+	tr, ok := origin.store.get("n")
+	if !ok {
+		t.Fatal("origin lost node n")
+	}
+	check("Probes", tr.Probes())
+	d, ok := origin.ExportDelta("n")
+	if !ok {
+		t.Fatal("ExportDelta found no node n")
+	}
+	check("ExportDelta", d.Probes)
+
+	peer := NewService(WithWindow(len(instants)))
+	applyOK(t, peer, d, true)
+	var a, b bytes.Buffer
+	if err := origin.WriteSnapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("peer snapshot differs from the origin's:\n%s\n%s", b.Bytes(), a.Bytes())
 	}
 }

@@ -632,9 +632,7 @@ func (st *store) applyDelta(d NodeDelta) bool {
 			return change{}, false
 		}
 		t := NewTracker(st.opts...)
-		for _, p := range d.Probes {
-			t.Observe(p.At, p.Replicas...)
-		}
+		t.load(d.Probes)
 		return change{t: t, remote: true, meta: entryMeta{origin: d.Origin, version: d.Version}}, true
 	})
 }

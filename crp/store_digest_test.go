@@ -165,9 +165,10 @@ func TestShardDigestCoversEveryField(t *testing.T) {
 }
 
 // Keeping the digest current costs no allocation. Observe of a known node
-// allocates once (the probe's replica copy) and ApplyDelta three times (the
-// replacement tracker, its probe list and the replica copy; the record's map
-// slot is reused): only what the tracker itself needs.
+// with a full window allocates nothing (the probe shifts into the window's
+// own slices) and ApplyDelta three times (the replacement tracker, its probe
+// heads and its replica IDs; the record's map slot is reused): only what the
+// tracker itself needs.
 func TestDigestUpkeepAllocatesNothing(t *testing.T) {
 	svc := NewServiceWithStore(StoreConfig{Shards: 4}, WithWindow(10))
 	at := time.Unix(5_000_000, 0)
@@ -192,8 +193,8 @@ func TestDigestUpkeepAllocatesNothing(t *testing.T) {
 			t.Fatalf("ApplyDelta = %v, %v", ok, err)
 		}
 	})
-	if observe != 1 || apply != 3 {
-		t.Fatalf("allocs: observe %v (want 1), apply delta %v (want 3)", observe, apply)
+	if observe != 0 || apply != 3 {
+		t.Fatalf("allocs: observe %v (want 0), apply delta %v (want 3)", observe, apply)
 	}
 }
 
@@ -216,6 +217,27 @@ func TestStaleDeltaAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() { applyOK(t, svc, d, false) }); allocs != 0 {
 			t.Errorf("ApplyDelta of the %s 10-probe delta: %v allocations, want 0", name, allocs)
 		}
+	}
+}
+
+// Exporting a record copies its window in two allocations, the probe list
+// and one array behind every probe's replicas, whatever the window's length
+// (11 for a 10-probe window when each probe had its own replica slice).
+func TestExportDeltaAllocBudget(t *testing.T) {
+	svc := NewService(WithWindow(10))
+	at := time.Unix(5_000_000, 0)
+	for i := 0; i < 10; i++ {
+		if err := svc.Observe("n", at.Add(time.Duration(i)*time.Second), "r1", "r2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := svc.ExportDelta("n"); !ok {
+			t.Fatal("ExportDelta found no node n")
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("ExportDelta of a 10-probe record: %v allocations, want 2", allocs)
 	}
 }
 

@@ -5,12 +5,15 @@ import (
 	"time"
 )
 
-// A probe is one redirection observation: a single DNS lookup of a
-// CDN-accelerated name, which may return several replica servers (Akamai
-// returns two A records).
+// A probe is the head of one redirection observation: a single DNS lookup of
+// a CDN-accelerated name, which may return several replica servers (Akamai
+// returns two A records). The instant is kept as Unix seconds and
+// nanoseconds, which cover every year binwire.Dec.Time accepts (UnixNano
+// stops at 2262); n counts the probe's replicas in the tracker's ids.
 type probe struct {
-	at       time.Time
-	replicas []ReplicaID
+	sec  int64
+	nsec int32
+	n    int32
 }
 
 // Tracker accumulates a node's CDN redirections and derives its ratio map.
@@ -25,6 +28,7 @@ type Tracker struct {
 	mu     sync.Mutex
 	window int // max probes kept; 0 = unbounded ("all probes")
 	probes []probe
+	ids    []ReplicaID // every probe's replicas back to back, oldest first
 
 	// Derived state, rebuilt lazily: the compiled vector of the ratio map is
 	// cached between observations so repeated queries (the steady state of a
@@ -65,25 +69,66 @@ func (t *Tracker) Observe(at time.Time, replicas ...ReplicaID) {
 	if len(replicas) == 0 {
 		return
 	}
-	cp := make([]ReplicaID, len(replicas))
-	copy(cp, replicas)
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.probes = append(t.probes, probe{at: at, replicas: cp})
-	t.compactLocked()
+	full := t.window > 0 && len(t.probes) == t.window
+	if full {
+		// Shift out the oldest probe and its replicas, and clear the vacated
+		// id tail so a dropped replica string is not kept alive by it.
+		n := int(t.probes[0].n)
+		t.probes = t.probes[:copy(t.probes, t.probes[1:])]
+		k := copy(t.ids, t.ids[n:])
+		clear(t.ids[k:])
+		t.ids = t.ids[:k]
+	}
+	t.probes = append(t.probes, probe{sec: at.Unix(), nsec: int32(at.Nanosecond()), n: int32(len(replicas))})
+	t.ids = append(t.ids, replicas...)
+	switch {
+	case !full && len(t.probes) == t.window:
+		// The window has just filled, and from here on it shifts in place:
+		// give back the room that growing to it reserved.
+		t.probes = exact(t.probes)
+		t.ids = exact(t.ids)
+	case full && cap(t.ids) > 4*len(t.ids):
+		// A wide probe has left the window: give back the room it needed.
+		// Only past 4x, so probes of mixed widths do not reallocate back
+		// and forth.
+		t.ids = exact(t.ids)
+	}
 	t.dirty = true
 }
 
-// compactLocked enforces the probe-count window, compacting in place; the
-// vacated tail of the backing array is zeroed so the dropped probes' replica
-// slices become collectable — a long-lived tracker must not pin its entire
-// history through the array tail.
-func (t *Tracker) compactLocked() {
-	if n := len(t.probes); t.window > 0 && n > t.window {
-		t.probes = append(t.probes[:0], t.probes[n-t.window:]...)
-		clear(t.probes[t.window:n])
+// load fills an empty tracker with the window that observing probes in
+// order would leave, its heads and ids each allocated once at their exact
+// size: a delta's replay.
+func (t *Tracker) load(probes []Probe) {
+	first, kept, ids := len(probes), 0, 0
+	for first > 0 && (t.window == 0 || kept < t.window) {
+		first--
+		if n := len(probes[first].Replicas); n > 0 {
+			kept++
+			ids += n
+		}
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.probes = make([]probe, 0, kept)
+	t.ids = make([]ReplicaID, 0, ids)
+	for _, p := range probes[first:] {
+		if len(p.Replicas) > 0 {
+			t.probes = append(t.probes, probe{sec: p.At.Unix(), nsec: int32(p.At.Nanosecond()), n: int32(len(p.Replicas))})
+			t.ids = append(t.ids, p.Replicas...)
+		}
+	}
+	t.dirty = true
+}
+
+// exact returns s in a backing array of exactly its length.
+func exact[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
 }
 
 // Len returns the number of probes currently in the window.
@@ -121,11 +166,13 @@ func (t *Tracker) refreshLocked() {
 	m := make(RatioMap)
 	if len(t.probes) > 0 {
 		perProbe := 1 / float64(len(t.probes))
+		ids := t.ids
 		for _, p := range t.probes {
-			w := perProbe / float64(len(p.replicas))
-			for _, r := range p.replicas {
+			w := perProbe / float64(p.n)
+			for _, r := range ids[:p.n] {
 				m[r] += w
 			}
+			ids = ids[p.n:]
 		}
 	}
 	t.cachedVec = compileRatioMap(m)

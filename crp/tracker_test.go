@@ -3,6 +3,7 @@ package crp
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -177,15 +178,15 @@ func timeMinutes(i int) time.Duration {
 	return time.Duration(i) * time.Minute
 }
 
-// leakedTailEntries counts non-zero probe entries lingering in the backing
-// array beyond the tracker's live window — dropped history that compaction
-// failed to release for the garbage collector.
+// leakedTailEntries counts non-empty replica IDs lingering in the ids
+// backing array beyond the tracker's live window — dropped history that the
+// window shift failed to release for the garbage collector.
 func leakedTailEntries(tr *Tracker) int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	n := 0
-	for _, p := range tr.probes[len(tr.probes):cap(tr.probes)] {
-		if p.replicas != nil {
+	for _, r := range tr.ids[len(tr.ids):cap(tr.ids)] {
+		if r != "" {
 			n++
 		}
 	}
@@ -194,20 +195,114 @@ func leakedTailEntries(tr *Tracker) int {
 
 // Regression: the in-place window compaction used to leave every dropped
 // probe's replica slice alive in the backing array tail, so a long-lived
-// tracker pinned its entire history. The tail must be zeroed.
+// tracker pinned its entire history. The window's last probes are narrower
+// than the ones that sized its ids, so the ids array has a vacated tail, and
+// that tail must be zeroed.
 func TestTrackerCompactReleasesDroppedProbes(t *testing.T) {
 	tr := NewTracker(WithWindow(4))
 	for i := 0; i < 500; i++ {
-		tr.Observe(t0.Add(timeMinutes(i)), "r1", "r2")
+		if i < 496 {
+			tr.Observe(t0.Add(timeMinutes(i)), "r1", "r2")
+		} else {
+			tr.Observe(t0.Add(timeMinutes(i)), "r3")
+		}
 	}
 	if got := tr.Len(); got != 4 {
 		t.Fatalf("window holds %d probes, want 4", got)
 	}
 	if leaked := leakedTailEntries(tr); leaked != 0 {
-		t.Errorf("%d dropped probes still referenced in the backing array tail", leaked)
+		t.Errorf("%d dropped replica IDs still referenced in the backing array tail", leaked)
 	}
 	m := tr.RatioMap()
 	if !almostEqual(m.Sum(), 1, 1e-9) {
 		t.Errorf("ratio map sum = %v after compaction, want 1", m.Sum())
+	}
+}
+
+// TestTrackerWindowAllocBudget measures the live bytes per windowed tracker
+// after a garbage collection, over enough trackers that a one-off runtime
+// allocation during the loop moves the per-tracker figure by tens of bytes
+// at most. Budgets include the compiled vector.
+//   - A full 10-probe window whose probes each name 2 of 3 replicas: 16 B
+//     heads and one flat ID array measure 606-661 B; a growing slice of
+//     probes that each owned their replica slice measured about 1,380 B.
+//   - One 2-replica probe at window 4096 holds what that probe needs, not a
+//     window's worth of heads (64 KB).
+func TestTrackerWindowAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	replicas := []ReplicaID{"r1", "r2", "r3"}
+	for _, c := range []struct {
+		name           string
+		window, probes int
+		budget         float64
+	}{
+		{"full window of 10", 10, 12, 700},
+		{"one probe at window 4096", 4096, 1, 300},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const n = 2000
+			trackers := make([]*Tracker, n)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range trackers {
+				tr := NewTracker(WithWindow(c.window))
+				for j := 0; j < c.probes; j++ {
+					k := (i + j) % 3
+					tr.Observe(t0.Add(timeMinutes(j)), replicas[k], replicas[(k+1)%3])
+				}
+				tr.vec()
+				trackers[i] = tr
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perTracker := float64(after.HeapAlloc-before.HeapAlloc) / n
+			runtime.KeepAlive(trackers)
+			t.Logf("%.1f live bytes per tracker", perTracker)
+			if perTracker > c.budget {
+				t.Fatalf("a tracker holds %.1f live bytes, budget %v", perTracker, c.budget)
+			}
+		})
+	}
+}
+
+// A window holds the IDs its probes name, whatever their widths: a first
+// probe of 10,000 replicas reserves no room for nine more like it, the room
+// it took is given back once it leaves the window, and a delta's replay
+// sizes the window exactly.
+func TestTrackerWindowSizesToItsProbes(t *testing.T) {
+	wide := make([]ReplicaID, 10_000)
+	for i := range wide {
+		wide[i] = ReplicaID(fmt.Sprint("w", i))
+	}
+	tr := NewTracker(WithWindow(10))
+	tr.Observe(t0, wide...)
+	if c := cap(tr.ids); c > 11_000 {
+		t.Fatalf("one 10,000-replica probe reserved %d IDs", c)
+	}
+	if c := cap(tr.probes); c > 1 {
+		t.Fatalf("one probe reserved %d heads", c)
+	}
+	for i := 1; i <= 10; i++ {
+		tr.Observe(t0.Add(timeMinutes(i)), "r1", "r2")
+	}
+	if l, c := len(tr.ids), cap(tr.ids); l != 20 || c != 20 {
+		t.Fatalf("after the wide probe left: %d IDs in room for %d, want 20 in 20", l, c)
+	}
+	if c := cap(tr.probes); c != 10 {
+		t.Fatalf("a full window of 10 keeps room for %d heads", c)
+	}
+
+	peer := NewService(WithWindow(10))
+	probes := append(tr.Probes(), Probe{At: t0}, Probe{At: t0.Add(time.Hour), Replicas: wide[:3]})
+	applyOK(t, peer, NodeDelta{NodeMeta: NodeMeta{Node: "n", Origin: "o", Version: 1}, Probes: probes}, true)
+	loaded, _ := peer.store.get("n")
+	if l, c := len(loaded.probes), cap(loaded.probes); l != 10 || c != 10 {
+		t.Fatalf("replayed window: %d heads in room for %d, want 10 in 10", l, c)
+	}
+	if l, c := len(loaded.ids), cap(loaded.ids); l != 21 || c != 21 {
+		t.Fatalf("replayed window: %d IDs in room for %d, want 21 in 21", l, c)
 	}
 }
